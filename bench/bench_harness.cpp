@@ -14,9 +14,7 @@
 //   micro.*.ns        nanoseconds per operation
 //   micro.*.ms        milliseconds per operation
 //   micro.BM_PropertyAdmission.<posture>.ns      one property admission
-//     (D, n=5): cold_synthesis / cache_hit_copy / shared_registry / aot
-//   micro.BM_PropertyAdmission.aot_vs_cold.speedup  cold / aot ratio (the
-//     >=100x ahead-of-time admission floor, gated in bench_check)
+//     (D, n=5): cold_synthesis / cache_hit_copy / shared_registry
 //   cell.<P>.n<k>.<comm|nocomm>.wall_ms          end-to-end monitored run
 //   cell.<P>.n<k>.<comm|nocomm>.monitor_messages (Fig. 5.4/5.5 metric)
 //   cell.<P>.n<k>.<comm|nocomm>.global_views     (Fig. 5.8 metric)
@@ -224,21 +222,17 @@ constexpr int kMicroRuns = 3;
 }
 
 [[gnu::noinline]] void micro_property_admission(Metrics& out, bool quick) {
-  // The four admission postures for one golden property (D, n=5), worst
-  // to best. cold_synthesis is the full LTL3 pipeline with every cache
-  // bypassed; cache_hit_copy is the legacy memo hit that still copies the
-  // automaton out (the cost build_automaton keeps paying for compat);
+  // The three admission postures for one golden property (D, n=5), worst
+  // to best. cold_synthesis is construction + validation + dispatch build
+  // with the memo bypassed (what a process pays on first admission);
+  // cache_hit_copy is the legacy memo hit that still copies the automaton
+  // out (the cost build_automaton keeps paying for compat);
   // shared_registry is the zero-copy path on a warm memo (a refcount
-  // bump); aot clears the memo every iteration so admission is served by
-  // the generated CompiledPropertyRegistry -- the cold-process cost when
-  // src/generated/ covers the property. The committed rows are the
-  // evidence for the ISSUE's floors: aot >= 100x faster than cold
-  // synthesis and strictly cheaper than the copy-on-hit posture.
+  // bump).
   constexpr paper::Property kProp = paper::Property::kD;
   constexpr int n = 5;
   AtomRegistry reg = paper::make_registry(n);
 
-  double cold_ns = 0;
   {
     const int iters = quick ? 2 : 5;
     const double ms = best_of(kMicroRuns, [&] {
@@ -249,8 +243,7 @@ constexpr int kMicroRuns = 3;
       }
       return elapsed_ms(t0);
     });
-    cold_ns = ms * 1e6 / iters;
-    out.put("micro.BM_PropertyAdmission.cold_synthesis.ns", cold_ns);
+    out.put("micro.BM_PropertyAdmission.cold_synthesis.ns", ms * 1e6 / iters);
   }
 
   paper::synthesis_cache_clear();
@@ -290,34 +283,6 @@ constexpr int kMicroRuns = 3;
     out.put("micro.BM_PropertyAdmission.shared_registry.ns",
             ms * 1e6 / iters);
   }
-
-  double aot_ns = 0;
-  {
-    const int iters = quick ? 500 : 5000;
-    volatile int sink = 0;
-    const double ms = best_of(kMicroRuns, [&] {
-      int acc = 0;
-      const auto t0 = Clock::now();
-      for (int i = 0; i < iters; ++i) {
-        paper::synthesis_cache_clear();  // every admission is memo-cold
-        SharedProperty art = paper::shared_property(kProp, n, reg);
-        acc += art->automaton().num_states();
-      }
-      sink = acc;
-      return elapsed_ms(t0);
-    });
-    (void)sink;
-    aot_ns = ms * 1e6 / iters;
-    out.put("micro.BM_PropertyAdmission.aot.ns", aot_ns);
-    // The loop above must actually have been served ahead-of-time, not by
-    // a fallback synthesis (which would silently inflate nothing -- cold
-    // synthesis is 5 orders slower, so it would show -- but gate anyway).
-    if (CompiledPropertyRegistry::instance().stats().hits <
-        static_cast<std::uint64_t>(iters)) {
-      std::abort();
-    }
-  }
-  out.put("micro.BM_PropertyAdmission.aot_vs_cold.speedup", cold_ns / aot_ns);
 }
 
 [[gnu::noinline]] void micro_monitored_run(Metrics& out, bool quick) {

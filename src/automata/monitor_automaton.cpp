@@ -1,10 +1,35 @@
 #include "decmon/automata/monitor_automaton.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <sstream>
 #include <stdexcept>
 
 namespace decmon {
+namespace {
+
+/// The bits of `x` at the set positions of `mask`, packed densely in
+/// ascending position order (a software pext).
+std::uint32_t compress(AtomSet x, AtomSet mask) {
+  std::uint32_t out = 0;
+  int b = 0;
+  for (AtomSet rest = mask; rest != 0; rest &= rest - 1, ++b) {
+    if (x & rest & (~rest + 1)) out |= std::uint32_t{1} << b;
+  }
+  return out;
+}
+
+/// Inverse of compress: spread dense index `m` over the set bits of `mask`.
+AtomSet expand(std::uint32_t m, AtomSet mask) {
+  AtomSet out = 0;
+  int b = 0;
+  for (AtomSet rest = mask; rest != 0; rest &= rest - 1, ++b) {
+    if (m & (std::uint32_t{1} << b)) out |= rest & (~rest + 1);
+  }
+  return out;
+}
+
+}  // namespace
 
 std::string to_string(Verdict v) {
   switch (v) {
@@ -47,7 +72,41 @@ const MonitorTransition* MonitorAutomaton::matching_transition_linear(
   return nullptr;
 }
 
-void MonitorAutomaton::build_compress_lanes(int k) {
+void MonitorAutomaton::match_letters(int q, std::int32_t* first,
+                                     std::int32_t* to,
+                                     std::uint8_t* conflict) const {
+  const int k = std::popcount(relevant_mask_);
+  const std::size_t letters = std::size_t{1} << k;
+  std::fill_n(first, letters, -1);
+  std::fill_n(to, letters, -1);
+  std::fill_n(conflict, letters, 0);
+  const std::uint32_t all = static_cast<std::uint32_t>(letters - 1);
+  for (int id : out_[static_cast<std::size_t>(q)]) {
+    const MonitorTransition& t = transitions_[static_cast<std::size_t>(id)];
+    if (t.guard.contradictory()) continue;  // matches no letter
+    const std::uint32_t pos = compress(t.guard.pos, relevant_mask_);
+    const std::uint32_t free =
+        all & ~(pos | compress(t.guard.neg, relevant_mask_));
+    // Every letter the cube matches is pos plus a subset of the free bits.
+    std::uint32_t sub = 0;
+    do {
+      const std::uint32_t m = pos | sub;
+      if (first[m] < 0) {
+        first[m] = id;
+        to[m] = t.to;
+      } else if (to[m] != t.to) {
+        conflict[m] = 1;
+      }
+      sub = (sub - free) & free;
+    } while (sub != 0);
+  }
+}
+
+void MonitorAutomaton::build_dispatch() {
+  if (dispatch_built_) return;
+  const int k = std::popcount(relevant_mask_);
+  if (k > kMaxDispatchAtoms) return;  // linear fallback stays in use
+  dispatch_bits_ = k;
   // One compression lane per byte the relevant mask covers: lane tables map
   // a raw letter byte to its packed contribution, so compress_letter is one
   // lookup per covered byte instead of one shift per relevant atom.
@@ -57,109 +116,21 @@ void MonitorAutomaton::build_compress_lanes(int k) {
     CompressLane lane;
     lane.shift = static_cast<std::uint8_t>(8 * byte);
     for (int v = 0; v < 256; ++v) {
-      std::uint16_t packed = 0;
-      for (int b = 0; b < k; ++b) {
-        const int pos = dispatch_atom_pos_[static_cast<std::size_t>(b)];
-        if (pos >= 8 * byte && pos < 8 * (byte + 1) &&
-            (v & (1 << (pos - 8 * byte)))) {
-          packed |= static_cast<std::uint16_t>(1u << b);
-        }
-      }
-      lane.table[static_cast<std::size_t>(v)] = packed;
+      lane.table[static_cast<std::size_t>(v)] = static_cast<std::uint16_t>(
+          compress(static_cast<AtomSet>(v) << lane.shift, relevant_mask_));
     }
     compress_lanes_.push_back(lane);
   }
-}
-
-void MonitorAutomaton::build_dispatch() {
-  if (dispatch_built_) return;
-  const int k = std::popcount(relevant_mask_);
-  if (k > kMaxDispatchAtoms) return;  // linear fallback stays in use
-  dispatch_bits_ = k;
-  dispatch_atom_pos_.clear();
-  for (int i = 0; i < 64; ++i) {
-    if (relevant_mask_ & (AtomSet{1} << i)) {
-      dispatch_atom_pos_.push_back(static_cast<std::uint8_t>(i));
-    }
-  }
-  build_compress_lanes(k);
   const std::size_t letters = std::size_t{1} << k;
-  dispatch_.assign(static_cast<std::size_t>(num_states()) * letters, -1);
-  dispatch_to_.assign(static_cast<std::size_t>(num_states()) * letters, -1);
+  dispatch_.resize(static_cast<std::size_t>(num_states()) * letters);
+  dispatch_to_.resize(static_cast<std::size_t>(num_states()) * letters);
+  std::vector<std::uint8_t> conflict(letters);
   for (int q = 0; q < num_states(); ++q) {
-    for (std::size_t m = 0; m < letters; ++m) {
-      AtomSet letter = 0;
-      for (int b = 0; b < k; ++b) {
-        if (m & (std::size_t{1} << b)) {
-          letter |= AtomSet{1} << dispatch_atom_pos_[static_cast<std::size_t>(b)];
-        }
-      }
-      // First match in insertion order: exactly matching_transition_linear.
-      const MonitorTransition* t = matching_transition_linear(q, letter);
-      dispatch_[(static_cast<std::size_t>(q) << k) | m] =
-          t ? static_cast<std::int32_t>(t->id) : -1;
-      dispatch_to_[(static_cast<std::size_t>(q) << k) | m] =
-          t ? static_cast<std::int32_t>(t->to) : -1;
-    }
+    const std::size_t row = static_cast<std::size_t>(q) << k;
+    match_letters(q, dispatch_.data() + row, dispatch_to_.data() + row,
+                  conflict.data());
   }
   dispatch_built_ = true;
-}
-
-void MonitorAutomaton::install_dispatch(const PrebuiltDispatch& pre) {
-  const int k = std::popcount(relevant_mask_);
-  if (pre.bits != k || !pre.atom_pos || !pre.dispatch || !pre.dispatch_to) {
-    throw std::invalid_argument(
-        "MonitorAutomaton::install_dispatch: bit count does not match the "
-        "relevant-atom mask");
-  }
-  dispatch_atom_pos_.assign(pre.atom_pos, pre.atom_pos + k);
-  // The atom positions must be exactly the relevant mask, ascending --
-  // compress_letter's lane packing depends on this bit order.
-  AtomSet mask = 0;
-  for (int b = 0; b < k; ++b) {
-    if (b > 0 && dispatch_atom_pos_[static_cast<std::size_t>(b - 1)] >=
-                     dispatch_atom_pos_[static_cast<std::size_t>(b)]) {
-      throw std::invalid_argument(
-          "MonitorAutomaton::install_dispatch: atom positions not ascending");
-    }
-    mask |= AtomSet{1} << dispatch_atom_pos_[static_cast<std::size_t>(b)];
-  }
-  if (mask != relevant_mask_) {
-    throw std::invalid_argument(
-        "MonitorAutomaton::install_dispatch: atom positions do not cover the "
-        "relevant-atom mask");
-  }
-  dispatch_bits_ = k;
-  build_compress_lanes(k);
-  const std::size_t entries = static_cast<std::size_t>(num_states()) << k;
-  dispatch_.assign(pre.dispatch, pre.dispatch + entries);
-  dispatch_to_.assign(pre.dispatch_to, pre.dispatch_to + entries);
-  dispatch_built_ = true;
-}
-
-bool MonitorAutomaton::same_structure(const MonitorAutomaton& other) const {
-  if (initial_ != other.initial_ || verdicts_ != other.verdicts_ ||
-      relevant_mask_ != other.relevant_mask_ ||
-      transitions_.size() != other.transitions_.size()) {
-    return false;
-  }
-  for (std::size_t i = 0; i < transitions_.size(); ++i) {
-    const MonitorTransition& a = transitions_[i];
-    const MonitorTransition& b = other.transitions_[i];
-    if (a.id != b.id || a.from != b.from || a.to != b.to ||
-        a.guard.pos != b.guard.pos || a.guard.neg != b.guard.neg) {
-      return false;
-    }
-  }
-  if (out_ != other.out_) return false;
-  if (dispatch_built_ && other.dispatch_built_) {
-    if (dispatch_bits_ != other.dispatch_bits_ ||
-        dispatch_atom_pos_ != other.dispatch_atom_pos_ ||
-        dispatch_ != other.dispatch_ || dispatch_to_ != other.dispatch_to_) {
-      return false;
-    }
-  }
-  return true;
 }
 
 int MonitorAutomaton::run(const std::vector<AtomSet>& trace) const {
@@ -183,43 +154,24 @@ int MonitorAutomaton::count_self_loops() const {
 }
 
 std::optional<std::string> MonitorAutomaton::validate() const {
-  const AtomSet mask = relevant_atoms();
-  const int k = std::popcount(mask);
+  const int k = std::popcount(relevant_mask_);
   if (k > 20) return "too many relevant atoms to validate exhaustively";
-  // Dense bit -> atom position.
-  std::vector<int> atom_pos;
-  for (int i = 0; i < 64; ++i) {
-    if (mask & (AtomSet{1} << i)) atom_pos.push_back(i);
-  }
-  const std::uint64_t letters = std::uint64_t{1} << k;
+  const std::size_t letters = std::size_t{1} << k;
+  std::vector<std::int32_t> first(letters);
+  std::vector<std::int32_t> to(letters);
+  std::vector<std::uint8_t> conflict(letters);
   for (int q = 0; q < num_states(); ++q) {
-    for (std::uint64_t m = 0; m < letters; ++m) {
-      AtomSet letter = 0;
-      for (int b = 0; b < k; ++b) {
-        if (m & (std::uint64_t{1} << b)) {
-          letter |= AtomSet{1} << atom_pos[static_cast<std::size_t>(b)];
-        }
-      }
-      // Transitions split from one disjunctive predicate may overlap
-      // (e.g. the cubes !p0 and !p1 both match !p0 && !p1), so determinism
-      // means: at least one match, and all matches agree on the target.
-      int matches = 0;
-      int target = -1;
-      bool conflict = false;
-      for (int id : out_[static_cast<std::size_t>(q)]) {
-        const MonitorTransition& t = transitions_[static_cast<std::size_t>(id)];
-        if (t.guard.matches(letter)) {
-          if (matches && t.to != target) conflict = true;
-          target = t.to;
-          ++matches;
-        }
-      }
-      if (matches == 0 || conflict) {
-        std::ostringstream os;
-        os << "state " << q << (matches == 0 ? " has no" : " has conflicting")
-           << " matching transitions for letter " << letter;
-        return os.str();
-      }
+    // Transitions split from one disjunctive predicate may overlap (e.g.
+    // the cubes !p0 and !p1 both match !p0 && !p1), so determinism means:
+    // at least one match, and all matches agree on the target.
+    match_letters(q, first.data(), to.data(), conflict.data());
+    for (std::size_t m = 0; m < letters; ++m) {
+      if (first[m] >= 0 && !conflict[m]) continue;
+      std::ostringstream os;
+      os << "state " << q << (first[m] < 0 ? " has no" : " has conflicting")
+         << " matching transitions for letter "
+         << expand(static_cast<std::uint32_t>(m), relevant_mask_);
+      return os.str();
     }
   }
   if (initial_ < 0 || initial_ >= num_states()) return "bad initial state";

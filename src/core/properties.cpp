@@ -326,7 +326,6 @@ SharedProperty shared_property(Property p, int n,
     throw std::invalid_argument("shared_property: registry/process mismatch");
   }
   std::string key = formula_text(p, n);
-  const std::size_t formula_len = key.size();
   key += '|';
   key += atom_signature(registry);
   SynthesisCache& cache = synthesis_cache();
@@ -339,14 +338,8 @@ SharedProperty shared_property(Property p, int n,
     }
     cache.misses.fetch_add(1, std::memory_order_relaxed);
   }
-  // Ahead-of-time registry before any synthesis: a generated monitor whose
-  // signature matches admits with zero construction work.
-  SharedProperty artifact = CompiledPropertyRegistry::instance().find(
-      key.substr(0, formula_len), key.substr(formula_len + 1));
-  if (!artifact) {
-    artifact = std::make_shared<PropertyArtifact>(
-        AtomRegistry(registry), build_automaton_uncached(p, n, registry));
-  }
+  SharedProperty artifact = std::make_shared<PropertyArtifact>(
+      AtomRegistry(registry), build_automaton_uncached(p, n, registry));
   std::unique_lock lock(cache.mutex);
   // A racing builder may have inserted meanwhile; both built the same
   // immutable value, so either artifact serves (emplace keeps the first).

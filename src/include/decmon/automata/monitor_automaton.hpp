@@ -117,43 +117,6 @@ class MonitorAutomaton {
   void build_dispatch();
   bool dispatch_built() const { return dispatch_built_; }
 
-  /// A dispatch table computed ahead of time (tools/decmon_gen emits these
-  /// as static arrays in src/generated/). `dispatch`/`dispatch_to` hold
-  /// num_states << bits entries each; `atom_pos[b]` is the atom position of
-  /// compressed bit b, ascending.
-  struct PrebuiltDispatch {
-    int bits = 0;
-    const std::uint8_t* atom_pos = nullptr;
-    const std::int32_t* dispatch = nullptr;
-    const std::int32_t* dispatch_to = nullptr;
-  };
-
-  /// Install an ahead-of-time dispatch table instead of rebuilding it with
-  /// build_dispatch(). The atom positions must be exactly the set bits of
-  /// relevant_atoms() in ascending order (throws std::invalid_argument
-  /// otherwise); the compression lanes are derived from them, so a table
-  /// generated from a structurally identical automaton steps identically.
-  /// The table contents themselves are trusted -- the codegen drift CI job
-  /// and the structural-equality tests keep them honest.
-  void install_dispatch(const PrebuiltDispatch& pre);
-
-  // -- dispatch introspection (codegen + structural-equality tests) --
-  int dispatch_bits() const { return dispatch_bits_; }
-  const std::vector<std::uint8_t>& dispatch_atom_positions() const {
-    return dispatch_atom_pos_;
-  }
-  const std::vector<std::int32_t>& dispatch_table() const { return dispatch_; }
-  const std::vector<std::int32_t>& dispatch_to_table() const {
-    return dispatch_to_;
-  }
-
-  /// Field-by-field structural identity: states (verdicts + initial),
-  /// transitions (dense ids, endpoints, guards, insertion order), and --
-  /// when both sides have their dispatch tables built -- the dense tables
-  /// themselves. Two structurally identical automata are observationally
-  /// indistinguishable to every monitor, on any runtime.
-  bool same_structure(const MonitorAutomaton& other) const;
-
   /// Largest relevant-atom count the dense table is built for (the paper's
   /// properties use <= 2n atoms; 16 caps the table at 64K entries/state).
   static constexpr int kMaxDispatchAtoms = 16;
@@ -172,16 +135,24 @@ class MonitorAutomaton {
   int count_outgoing() const { return count_total() - count_self_loops(); }
 
   /// Check determinism + completeness over the relevant atoms. Returns an
-  /// error description, or nullopt when valid. Exponential in the number of
-  /// relevant atoms; intended for construction-time checks.
+  /// error description, or nullopt when valid: the first state, then the
+  /// lowest letter, with no or conflicting matches. Exhaustive up to 20
+  /// relevant atoms (more are rejected); the work grows with the letters
+  /// the guards match, not with guards x letters.
   std::optional<std::string> validate() const;
 
   std::string to_dot(const AtomRegistry* reg = nullptr) const;
 
  private:
-  /// Rebuild compress_lanes_ from relevant_mask_ / dispatch_atom_pos_
-  /// (shared by build_dispatch and install_dispatch).
-  void build_compress_lanes(int k);
+  /// The letter matching behind validate() and build_dispatch(), driven by
+  /// the guards rather than the alphabet: walks q's transitions in
+  /// insertion order and enumerates the compressed letters each guard
+  /// matches. Fills 2^k entries of each array (k = relevant atoms):
+  /// first[m] = id of the first matching transition (-1: none), exactly
+  /// matching_transition_linear's order; to[m] = its target (-1: none);
+  /// conflict[m] = 1 when a later match has a different target.
+  void match_letters(int q, std::int32_t* first, std::int32_t* to,
+                     std::uint8_t* conflict) const;
 
   /// Per-byte compression lane: maps one byte of the letter to its packed
   /// relevant bits (a software pext, one lookup per mask-covered byte).
@@ -211,9 +182,8 @@ class MonitorAutomaton {
 
   // -- O(1) dispatch (built by build_dispatch) --
   bool dispatch_built_ = false;
-  int dispatch_bits_ = 0;                        ///< popcount(relevant_mask_)
-  std::vector<std::uint8_t> dispatch_atom_pos_;  ///< bit i <- atom position
-  std::vector<CompressLane> compress_lanes_;     ///< bytes the mask covers
+  int dispatch_bits_ = 0;                     ///< popcount(relevant_mask_)
+  std::vector<CompressLane> compress_lanes_;  ///< bytes the mask covers
   /// [q << dispatch_bits_ | compressed letter] -> transition id (-1 = none).
   std::vector<std::int32_t> dispatch_;
   /// Same indexing -> target state (-1 = none); lets step() skip the

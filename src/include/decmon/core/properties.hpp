@@ -54,32 +54,28 @@ FormulaPtr formula(Property p, int num_processes, AtomRegistry& registry);
 MonitorAutomaton build_automaton(Property p, int num_processes,
                                  const AtomRegistry& registry);
 
-/// build_automaton without the memo or the AOT registry: always constructs,
-/// validates, and builds the dispatch table. The reference path for
-/// decmon_gen and the generated-vs-synthesized equivalence tests.
+/// build_automaton without the memo: always constructs, validates, and
+/// builds the dispatch table. The reference path for the memo-vs-synthesis
+/// differential tests.
 MonitorAutomaton build_automaton_uncached(Property p, int num_processes,
                                           const AtomRegistry& registry);
 
 /// Zero-copy admission: the shared immutable artifact (registry + automaton
-/// + compiled property) for the scaled paper property. Lookup order:
-///   1. the process-wide memo (hit = refcount bump, no copy);
-///   2. the CompiledPropertyRegistry of ahead-of-time generated monitors
-///      (src/generated/), keyed formula text + atom signature -- a known
-///      property admits with zero synthesis;
-///   3. runtime synthesis (build_automaton_uncached), memoized for next
-///      time.
-/// `registry` must match make_registry(num_processes) in signature for the
-/// AOT step to hit; any registry of num_processes processes is accepted
-/// (the artifact then owns a copy of it). Thread-safe; clearing either
-/// cache never invalidates artifacts already handed out (shared_ptr keeps
-/// them alive).
+/// + compiled property) for the scaled paper property. A hit in the
+/// process-wide memo, keyed formula text + atom signature, is a refcount
+/// bump with no copy; a miss synthesizes (build_automaton_uncached, whose
+/// validation and dispatch build enumerate the letters each guard matches)
+/// and memoizes the artifact for next time. Any registry of num_processes
+/// processes is accepted (the artifact then owns a copy of it).
+/// Thread-safe; clearing the memo never invalidates artifacts already
+/// handed out (shared_ptr keeps them alive).
 SharedProperty shared_property(Property p, int num_processes,
                                const AtomRegistry& registry);
 
 /// Registry fingerprint pinning every input automaton construction reads:
 /// process count plus each atom's (name, process, var, op, rhs). Two
 /// registries with the same signature yield byte-identical automata; the
-/// synthesis cache and the AOT CompiledPropertyRegistry key on it.
+/// synthesis memo keys on it.
 std::string atom_signature(const AtomRegistry& registry);
 
 /// Hit/miss counters for the build_automaton memo (process-wide,

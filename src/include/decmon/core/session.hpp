@@ -53,9 +53,8 @@ class MonitorSession {
 
   /// Share an existing immutable artifact -- zero-copy admission: no
   /// registry/automaton/property is built or copied, the session only bumps
-  /// the artifact's refcount (see paper::shared_property and the
-  /// CompiledPropertyRegistry). The artifact outlives the session even if
-  /// every cache is cleared meanwhile.
+  /// the artifact's refcount (see paper::shared_property). The artifact
+  /// outlives the session even if the synthesis memo is cleared meanwhile.
   explicit MonitorSession(SharedProperty artifact);
 
   /// Parse + synthesize from LTL text.

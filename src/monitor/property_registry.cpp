@@ -1,9 +1,6 @@
 #include "decmon/monitor/property_registry.hpp"
 
-#include <mutex>
 #include <utility>
-
-#include "decmon/generated/gen_tables.hpp"
 
 namespace decmon {
 namespace {
@@ -20,73 +17,5 @@ PropertyArtifact::PropertyArtifact(AtomRegistry registry,
     : registry_(std::move(registry)),
       automaton_(with_dispatch(std::move(automaton))),
       property_(&automaton_, &registry_) {}
-
-CompiledPropertyRegistry& CompiledPropertyRegistry::instance() {
-  static CompiledPropertyRegistry registry;
-  static std::once_flag once;
-  // The generated set registers through the reference, never through
-  // instance() -- re-entering here would deadlock the call_once.
-  std::call_once(once, [] { gen::register_builtin(registry); });
-  return registry;
-}
-
-void CompiledPropertyRegistry::add(const std::string& formula,
-                                   const std::string& signature,
-                                   SharedProperty artifact) {
-  std::unique_lock lock(mutex_);
-  std::vector<Entry>& rows = entries_[formula];
-  for (Entry& row : rows) {
-    if (row.signature == signature) {
-      row.artifact = std::move(artifact);
-      return;  // shadowed, not re-counted
-    }
-  }
-  rows.push_back(Entry{signature, std::move(artifact)});
-  registered_.fetch_add(1, std::memory_order_relaxed);
-}
-
-SharedProperty CompiledPropertyRegistry::find(const std::string& formula,
-                                              const std::string& signature) {
-  std::shared_lock lock(mutex_);
-  auto it = entries_.find(formula);
-  if (it == entries_.end()) {
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    return nullptr;
-  }
-  for (const Entry& row : it->second) {
-    if (row.signature == signature && row.artifact) {
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      return row.artifact;
-    }
-  }
-  // Formula generated, but against a different registry (or only as a
-  // tombstone): stale artifact -- the caller must synthesize.
-  mismatches_.fetch_add(1, std::memory_order_relaxed);
-  return nullptr;
-}
-
-CompiledPropertyRegistry::Stats CompiledPropertyRegistry::stats() const {
-  Stats s;
-  s.registered = registered_.load(std::memory_order_relaxed);
-  s.hits = hits_.load(std::memory_order_relaxed);
-  s.misses = misses_.load(std::memory_order_relaxed);
-  s.mismatches = mismatches_.load(std::memory_order_relaxed);
-  return s;
-}
-
-void CompiledPropertyRegistry::clear() {
-  {
-    std::unique_lock lock(mutex_);
-    entries_.clear();
-    registered_.store(0, std::memory_order_relaxed);
-    hits_.store(0, std::memory_order_relaxed);
-    misses_.store(0, std::memory_order_relaxed);
-    mismatches_.store(0, std::memory_order_relaxed);
-  }
-  // Outstanding SharedProperty handles keep the dropped artifacts alive;
-  // only the registry's own references are gone. Restore the generated set
-  // outside the lock (register_builtin re-enters through add()).
-  gen::register_builtin(*this);
-}
 
 }  // namespace decmon

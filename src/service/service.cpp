@@ -116,9 +116,9 @@ MonitorSession& MonitoringService::session_for(Shard& shard,
   auto it = shard.catalog.find(key);
   if (it == shard.catalog.end()) {
     // Zero-copy warm-up: every shard's catalog holds the same immutable
-    // artifact (AOT generated monitor or one fleet-wide synthesis, see
-    // paper::shared_property) -- admission is a lookup plus a refcount
-    // bump, nothing property-sized is copied per shard.
+    // artifact (one fleet-wide synthesis, see paper::shared_property) --
+    // admission is a lookup plus a refcount bump, nothing property-sized
+    // is copied per shard.
     it = shard.catalog
              .emplace(key, std::make_unique<MonitorSession>(
                                paper::shared_property(

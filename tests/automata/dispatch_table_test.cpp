@@ -61,7 +61,7 @@ void check_dispatch_matches_linear(const MonitorAutomaton& m,
 
 TEST(DispatchTable, MatchesLinearScanOnThesisAutomata) {
   for (paper::Property p : paper::kAllProperties) {
-    for (int n : {2, 3, 4, 5}) {
+    for (int n : {2, 3, 4, 5, 6}) {
       AtomRegistry reg = paper::make_registry(n);
       MonitorAutomaton m = paper::build_automaton(p, n, reg);
       check_dispatch_matches_linear(

@@ -475,10 +475,10 @@ TEST(SocketRuntime, VerdictsMatchSimRuntimeOnThesisProperties) {
 }
 
 TEST(SocketRuntime, AotGeneratedPropertyMatchesSynthesisVerdicts) {
-  // Generated-vs-synthesized differential over real sockets: an AOT
-  // registry admission (zero synthesis, shared artifact, aliasing property
-  // handles in every replica) must produce the same schedule-invariant
-  // verdict set as a runtime-synthesized property on the same trace.
+  // Memo-vs-synthesis differential over real sockets: a memo-served
+  // admission (shared artifact, aliasing property handles in every
+  // replica) must produce the same schedule-invariant verdict set as an
+  // uncached synthesis on the same trace.
   for (paper::Property p : paper::kAllProperties) {
     const int n = 3;
     const std::uint64_t seed = 2015;  // first equivalence-golden seed
@@ -494,19 +494,21 @@ TEST(SocketRuntime, AotGeneratedPropertyMatchesSynthesisVerdicts) {
     synth_rt.set_hooks(&synth_dm);
     synth_rt.run();
 
-    paper::synthesis_cache_clear();  // force the AOT registry to serve
-    SharedProperty artifact =
+    const SharedProperty first =
         paper::shared_property(p, n, paper::make_registry(n));
-    SocketRuntime aot_rt(trace, &artifact->registry(), fast_config());
-    DecentralizedMonitor aot_dm(
-        property_handle(artifact), &aot_rt,
-        initial_letters_of(artifact->registry(), aot_rt.initial_states()));
-    aot_rt.set_hooks(&aot_dm);
-    aot_rt.run();
+    const SharedProperty artifact =
+        paper::shared_property(p, n, paper::make_registry(n));
+    ASSERT_EQ(artifact.get(), first.get()) << paper::name(p);  // memo hit
+    SocketRuntime memo_rt(trace, &artifact->registry(), fast_config());
+    DecentralizedMonitor memo_dm(
+        property_handle(artifact), &memo_rt,
+        initial_letters_of(artifact->registry(), memo_rt.initial_states()));
+    memo_rt.set_hooks(&memo_dm);
+    memo_rt.run();
 
     EXPECT_TRUE(synth_dm.all_finished()) << paper::name(p);
-    EXPECT_TRUE(aot_dm.all_finished()) << paper::name(p);
-    EXPECT_EQ(aot_dm.result().verdicts, synth_dm.result().verdicts)
+    EXPECT_TRUE(memo_dm.all_finished()) << paper::name(p);
+    EXPECT_EQ(memo_dm.result().verdicts, synth_dm.result().verdicts)
         << paper::name(p);
   }
 }
@@ -554,21 +556,16 @@ TEST(SocketRuntime, ReliableChannelOverSocketsDeliversAndDrains) {
 
 TEST(SocketFault, KilledConnectionReconnectsAndRetiresLostRecords) {
   // Transport-only: seeded frames cross one channel whose connection is
-  // abortively killed (RST) after a few records. The run must still drain
-  // to quiescence -- every encoded record is either dispatched or
-  // reconciled as lost at the HELLO exchange, never leaked -- and the link
-  // must have come back exactly once.
+  // abortively killed (RST) while written records sit unread. The run must
+  // still drain to quiescence -- every encoded record is either dispatched
+  // or reconciled as lost at the HELLO exchange, never leaked -- and the
+  // link must have come back exactly once.
   const int n = 2;
   std::mt19937_64 rng(4242);
   AtomRegistry reg = paper::make_registry(n);
   SocketConfig config = fast_config();
   config.sndbuf = 2048;
   config.rcvbuf = 2048;
-  config.fault.enabled = true;
-  config.fault.seed = 11;
-  config.fault.kill_after_min = 2;
-  config.fault.kill_after_max = 4;
-  config.fault.max_kills = 1;
   SocketRuntime rt(transport_trace(n), &reg, config);
   CaptureHooks hooks;
   rt.set_hooks(&hooks);
@@ -576,6 +573,12 @@ TEST(SocketFault, KilledConnectionReconnectsAndRetiresLostRecords) {
   for (int i = 0; i < 10; ++i) {
     rt.send(MonitorMessage{0, 1, seeded_frame(rng, n, 2, 4)});
   }
+  // Pre-run sends are written straight into the socket, and no node reads
+  // before run(). Killing from the receiving side makes the loss
+  // deterministic: node 1 services the pending kill before its first read,
+  // and its abortive close discards every byte still unread in its receive
+  // buffer -- at least the first record, which always fits.
+  rt.kill_connection(1, 0);
   rt.run();  // must not throw and must not hang
 
   EXPECT_EQ(rt.connections_killed(), 1u);

@@ -269,11 +269,11 @@ TEST(ThreadRuntime, OffThreadSendsAreSafeAndCounted) {
 }
 
 TEST(ThreadRuntime, AotGeneratedPropertyMatchesSynthesisVerdicts) {
-  // Generated-vs-synthesized differential under real threads: the verdict
-  // set is a function of the recorded computation for these workloads, so
-  // a monitor admitted through the AOT CompiledPropertyRegistry must land
-  // on exactly the verdicts a runtime-synthesized property produces on the
-  // same trace.
+  // Memo-vs-synthesis differential under real threads: the verdict set is
+  // a function of the recorded computation for these workloads, so a
+  // monitor admitted from the synthesis memo (one shared artifact, property
+  // handles aliasing into it from every replica) must land on exactly the
+  // verdicts an uncached synthesis produces on the same trace.
   for (paper::Property p : paper::kAllProperties) {
     const int n = 3;
     const std::uint64_t seed = 2015;  // first equivalence-golden seed
@@ -289,19 +289,22 @@ TEST(ThreadRuntime, AotGeneratedPropertyMatchesSynthesisVerdicts) {
     synth_rt.set_hooks(&synth_dm);
     synth_rt.run();
 
-    paper::synthesis_cache_clear();  // force the AOT registry to serve
-    SharedProperty artifact =
+    const SharedProperty first =
         paper::shared_property(p, n, paper::make_registry(n));
-    ThreadRuntime aot_rt(trace, &artifact->registry(), fast_config());
-    DecentralizedMonitor aot_dm(
-        property_handle(artifact), &aot_rt,
-        initial_letters_of(artifact->registry(), aot_rt.initial_states()));
-    aot_rt.set_hooks(&aot_dm);
-    aot_rt.run();
+    const SharedProperty artifact =
+        paper::shared_property(p, n, paper::make_registry(n));
+    // A memo hit hands out the same artifact, never a copy.
+    ASSERT_EQ(artifact.get(), first.get()) << paper::name(p);
+    ThreadRuntime memo_rt(trace, &artifact->registry(), fast_config());
+    DecentralizedMonitor memo_dm(
+        property_handle(artifact), &memo_rt,
+        initial_letters_of(artifact->registry(), memo_rt.initial_states()));
+    memo_rt.set_hooks(&memo_dm);
+    memo_rt.run();
 
     EXPECT_TRUE(synth_dm.all_finished()) << paper::name(p);
-    EXPECT_TRUE(aot_dm.all_finished()) << paper::name(p);
-    EXPECT_EQ(aot_dm.result().verdicts, synth_dm.result().verdicts)
+    EXPECT_TRUE(memo_dm.all_finished()) << paper::name(p);
+    EXPECT_EQ(memo_dm.result().verdicts, synth_dm.result().verdicts)
         << paper::name(p);
   }
 }

@@ -1,72 +1,14 @@
-// Generated-code equivalence, layer 2: sessions admitted through the
-// ahead-of-time CompiledPropertyRegistry produce BIT-IDENTICAL verdict sets
-// and counters to sessions built by runtime synthesis, over the full
-// equivalence-golden grid (A-F x n in {3,5} x three seeds) on the
-// deterministic simulator. The structural tests (automata/) prove the
-// automata identical; this proves the whole admission path -- registry
-// lookup, shared artifact, aliasing property handles in every monitor
-// replica -- changes nothing observable.
+// Shared admission: a property admitted twice through the synthesis memo is
+// the same immutable artifact both times, and sessions built from it alias
+// one CompiledProperty instead of copying the automaton and dispatch tables.
+// (Suite name kept from when admissions could also be served by checked-in
+// generated tables; the zero-copy contract outlived that path.)
 #include <gtest/gtest.h>
 
-#include <cstdint>
-#include <string>
-
 #include "decmon/decmon.hpp"
-#include "decmon/monitor/property_registry.hpp"
 
 namespace decmon {
 namespace {
-
-constexpr std::uint64_t kGoldenSeeds[] = {2015, 2016, 2017};
-
-RunResult run_workload(const MonitorSession& session, paper::Property p,
-                       int n, std::uint64_t seed) {
-  TraceParams params = paper::experiment_params(p, n, seed);
-  SystemTrace trace = generate_trace(params);
-  force_final_all_true(trace);
-  return session.run(trace);
-}
-
-std::string fingerprint(const RunResult& r) {
-  std::string fp;
-  for (Verdict v : r.verdict.verdicts) fp += to_string(v) + ";";
-  fp += "m=" + std::to_string(r.monitor_messages);
-  fp += ",v=" + std::to_string(r.verdict.aggregate.global_views_created);
-  fp += ",h=" + std::to_string(r.verdict.aggregate.token_hops);
-  fp += ",fin=" + std::to_string(r.verdict.all_finished);
-  return fp;
-}
-
-TEST(GeneratedDifferential, AotAdmissionMatchesRuntimeSynthesisBitExact) {
-  for (paper::Property p : paper::kAllProperties) {
-    for (int n : {3, 5}) {
-      // Admit through the registry: with the synthesis memo cold, every
-      // golden (property, n) must be served by the generated set, not
-      // synthesized.
-      paper::synthesis_cache_clear();
-      const auto before = CompiledPropertyRegistry::instance().stats();
-      SharedProperty artifact =
-          paper::shared_property(p, n, paper::make_registry(n));
-      const auto after = CompiledPropertyRegistry::instance().stats();
-      ASSERT_EQ(after.hits, before.hits + 1)
-          << paper::name(p) << " n=" << n
-          << ": golden property not served by the AOT registry";
-      MonitorSession aot(artifact);
-
-      // Reference: uncached runtime synthesis, no memo, no registry.
-      AtomRegistry reg = paper::make_registry(n);
-      MonitorSession synthesized(paper::make_registry(n),
-                                 paper::build_automaton_uncached(p, n, reg));
-
-      for (std::uint64_t seed : kGoldenSeeds) {
-        SCOPED_TRACE(paper::name(p) + " n=" + std::to_string(n) +
-                     " seed=" + std::to_string(seed));
-        EXPECT_EQ(fingerprint(run_workload(aot, p, n, seed)),
-                  fingerprint(run_workload(synthesized, p, n, seed)));
-      }
-    }
-  }
-}
 
 TEST(GeneratedDifferential, SharedAdmissionIsZeroCopy) {
   paper::synthesis_cache_clear();
@@ -81,63 +23,6 @@ TEST(GeneratedDifferential, SharedAdmissionIsZeroCopy) {
   EXPECT_EQ(&a.property(), &b.property());
   const auto stats = paper::synthesis_cache_stats();
   EXPECT_GE(stats.hits, 1u);
-}
-
-TEST(GeneratedDifferential, ClearedCachesNeverInvalidateLiveSessions) {
-  // The clear() race the shared posture closes: admit, clear every cache,
-  // then run -- the session's artifact outlives both catalogs through its
-  // shared_ptr, so the run still completes and agrees with a fresh session.
-  paper::synthesis_cache_clear();
-  MonitorSession session(
-      paper::shared_property(paper::Property::kF, 3, paper::make_registry(3)));
-  paper::synthesis_cache_clear();
-  CompiledPropertyRegistry::instance().clear();
-
-  const RunResult survivor =
-      run_workload(session, paper::Property::kF, 3, kGoldenSeeds[0]);
-  MonitorSession fresh(
-      paper::shared_property(paper::Property::kF, 3, paper::make_registry(3)));
-  const RunResult reference =
-      run_workload(fresh, paper::Property::kF, 3, kGoldenSeeds[0]);
-  EXPECT_EQ(fingerprint(survivor), fingerprint(reference));
-}
-
-TEST(GeneratedDifferential, StaleGeneratedArtifactFallsBackToSynthesis) {
-  // Hostile posture: a generated artifact whose atom signature no longer
-  // matches the live registry (stale src/generated/ after a registry
-  // change) must be rejected -- counted as a registry mismatch -- and
-  // admission must fall back to runtime synthesis, not serve stale tables.
-  // D at n=4 is outside the golden set, so the formula is otherwise
-  // unknown to the registry.
-  paper::synthesis_cache_clear();
-  const int n = 4;
-  AtomRegistry reg = paper::make_registry(n);
-  const std::string formula = paper::formula_text(paper::Property::kD, n);
-  ASSERT_FALSE(CompiledPropertyRegistry::instance().find(
-      formula, paper::atom_signature(reg)));
-
-  // Plant the stale artifact (a tombstone, exactly what register_generated
-  // does when the recorded signature has drifted).
-  CompiledPropertyRegistry::instance().add(formula, "stale-signature",
-                                           nullptr);
-
-  paper::synthesis_cache_clear();
-  const auto before = CompiledPropertyRegistry::instance().stats();
-  SharedProperty artifact =
-      paper::shared_property(paper::Property::kD, n, reg);
-  const auto after = CompiledPropertyRegistry::instance().stats();
-  EXPECT_EQ(after.mismatches, before.mismatches + 1);
-  EXPECT_EQ(after.hits, before.hits);
-
-  // The fallback is a real synthesized artifact, equivalent to uncached.
-  ASSERT_TRUE(artifact);
-  MonitorAutomaton synthesized =
-      paper::build_automaton_uncached(paper::Property::kD, n, reg);
-  synthesized.build_dispatch();
-  EXPECT_TRUE(artifact->automaton().same_structure(synthesized));
-
-  // Cleanup: drop the planted entry so other tests see a pristine registry.
-  CompiledPropertyRegistry::instance().clear();
 }
 
 }  // namespace

@@ -186,11 +186,12 @@ TEST(CrossShardDeterminism, StreamingPostureIsDeterministicAcrossShards) {
 }
 
 TEST(CrossShardDeterminism, AotAdmittedShardsMatchUncachedSynthesis) {
-  // The 4-shard service warms every catalog through shared_property, which
-  // with a cold memo serves the golden grid straight from the generated
-  // CompiledPropertyRegistry. Reference legs here deliberately bypass every
-  // cache (build_automaton_uncached), so agreement proves the AOT artifacts
-  // are bit-identical to fresh synthesis through the full sharded path.
+  // The 4-shard service warms every catalog through shared_property: with
+  // a cleared memo the first shard to need a property synthesizes it and
+  // every later admission is a memo hit on that one artifact. Reference
+  // legs here deliberately bypass the memo (build_automaton_uncached), so
+  // agreement proves memo-served artifacts behave exactly like fresh
+  // synthesis through the full sharded path.
   const std::vector<SessionSpec> specs = golden_grid();
 
   std::vector<Fingerprint> uncached;
@@ -207,15 +208,8 @@ TEST(CrossShardDeterminism, AotAdmittedShardsMatchUncachedSynthesis) {
     uncached.push_back(Fingerprint::of(session.run(trace)));
   }
 
-  paper::synthesis_cache_clear();  // force shard admission through the registry
-  const auto before = CompiledPropertyRegistry::instance().stats();
+  paper::synthesis_cache_clear();
   const std::vector<Fingerprint> sharded = run_through_service(specs, 4);
-  const auto after = CompiledPropertyRegistry::instance().stats();
-  // Every golden formula was served ahead-of-time at least once. The grid
-  // has 11 distinct formulas, not 12: A and C coincide at n=3 (both reduce
-  // to G((P0.p) U (P1.p && P2.p))), so they share one admission key.
-  EXPECT_GE(after.hits, before.hits + 11);
-  EXPECT_EQ(after.mismatches, before.mismatches);
 
   ASSERT_EQ(sharded.size(), specs.size());
   for (std::size_t i = 0; i < specs.size(); ++i) {

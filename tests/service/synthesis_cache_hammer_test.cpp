@@ -126,10 +126,10 @@ TEST(SynthesisCacheHammer, CountersAccountForEveryCall) {
 
 TEST(SynthesisCacheHammer, ClearNeverInvalidatesOutstandingArtifacts) {
   // The shared-posture clear() race: threads admit via shared_property and
-  // keep USING their artifacts while an antagonist clears the memo and the
-  // AOT registry in a loop. A cleared table only drops the caches' own
-  // references -- every outstanding shared_ptr must keep its artifact
-  // (registry + automaton + compiled property) fully alive.
+  // keep USING their artifacts while an antagonist clears the memo in a
+  // loop. A cleared memo only drops its own references -- every
+  // outstanding shared_ptr must keep its artifact (registry + automaton +
+  // compiled property) fully alive.
   constexpr int kThreads = 6;
   constexpr int kItersPerThread = 150;
   paper::synthesis_cache_clear();
@@ -162,7 +162,6 @@ TEST(SynthesisCacheHammer, ClearNeverInvalidatesOutstandingArtifacts) {
     while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
     while (!stop.load(std::memory_order_acquire)) {
       paper::synthesis_cache_clear();
-      CompiledPropertyRegistry::instance().clear();
       std::this_thread::yield();
     }
   });

@@ -330,19 +330,12 @@ int main(int argc, char** argv) {
   std::printf("  peak rss %.1f MB%s\n", rss_mb,
               opt.streaming ? " (streaming posture)" : "");
   // Admission economics: how the fleet's property admissions were served.
-  // cache hits are zero-copy refcount bumps on the process-wide memo,
-  // registry hits were served ahead-of-time by generated code, and a
-  // nonzero mismatch count means src/generated/ is stale for this build.
+  // cache hits are zero-copy refcount bumps on the process-wide memo;
+  // misses synthesized the property.
   const paper::SynthesisCacheStats cache_stats = paper::synthesis_cache_stats();
-  const CompiledPropertyRegistry::Stats registry_stats =
-      CompiledPropertyRegistry::instance().stats();
-  std::printf(
-      "  admission: cache hits %llu / misses %llu, aot registry hits %llu, "
-      "mismatches %llu\n",
-      static_cast<unsigned long long>(cache_stats.hits),
-      static_cast<unsigned long long>(cache_stats.misses),
-      static_cast<unsigned long long>(registry_stats.hits),
-      static_cast<unsigned long long>(registry_stats.mismatches));
+  std::printf("  admission: cache hits %llu / misses %llu\n",
+              static_cast<unsigned long long>(cache_stats.hits),
+              static_cast<unsigned long long>(cache_stats.misses));
   if (opt.retry_failed > 0) {
     std::printf("  retried %llu, recovered %llu, unrecovered %zu\n",
                 static_cast<unsigned long long>(retried),
@@ -376,9 +369,7 @@ int main(int argc, char** argv) {
        << "    \"lat_p99_ms\": " << q_ms(st.latency_ns, 0.99) << ",\n"
        << "    \"queue_p99_ms\": " << q_ms(st.queue_ns, 0.99) << ",\n"
        << "    \"cache_hits\": " << cache_stats.hits << ",\n"
-       << "    \"cache_misses\": " << cache_stats.misses << ",\n"
-       << "    \"registry_hits\": " << registry_stats.hits << ",\n"
-       << "    \"registry_mismatches\": " << registry_stats.mismatches << "\n"
+       << "    \"cache_misses\": " << cache_stats.misses << "\n"
        << "  }\n"
        << "}\n";
   }
