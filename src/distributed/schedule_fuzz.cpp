@@ -353,9 +353,13 @@ std::string to_string(Mode mode) {
 }
 
 std::vector<Cell> default_cells() {
-  return {{paper::Property::kA, 3},
-          {paper::Property::kB, 2},
-          {paper::Property::kE, 3}};
+  // The first three cells keep their positions (and so their per-cell
+  // case seeds); the rest cover the largest automata, D and F, which also
+  // dominate the token walk.
+  return {{paper::Property::kA, 3}, {paper::Property::kB, 2},
+          {paper::Property::kE, 3}, {paper::Property::kC, 3},
+          {paper::Property::kD, 3}, {paper::Property::kF, 3},
+          {paper::Property::kD, 2}, {paper::Property::kF, 2}};
 }
 
 Report run_sweep(const Options& options, std::ostream* progress) {

@@ -34,8 +34,9 @@ struct Cell {
   int num_processes = 2;
 };
 
-/// The ISSUE's CI-smoke grid: three cells spanning a G-shaped and an
-/// F-shaped property at two system sizes.
+/// The CI-smoke grid: eight cells spanning the G-shaped and F-shaped
+/// properties at two and three processes -- A/3, B/2, E/3, C/3, D/3, F/3,
+/// D/2 and F/2.
 std::vector<Cell> default_cells();
 
 struct Options {

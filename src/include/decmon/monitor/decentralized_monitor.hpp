@@ -4,6 +4,7 @@
 // ThreadRuntime to monitor a property.
 #pragma once
 
+#include <atomic>
 #include <memory>
 #include <set>
 #include <vector>
@@ -71,8 +72,11 @@ class DecentralizedMonitor final : public MonitorHooks {
  private:
   std::shared_ptr<const CompiledProperty> property_;
   std::vector<std::unique_ptr<MonitorProcess>> monitors_;
-  double first_violation_ = -1.0;
-  double first_satisfaction_ = -1.0;
+  /// First violation / satisfaction times (-1 = none yet). Atomic: every
+  /// replica's verdict callback writes them, and under ThreadRuntime and
+  /// SocketRuntime the replicas run on different node threads.
+  std::atomic<double> first_violation_{-1.0};
+  std::atomic<double> first_satisfaction_{-1.0};
 };
 
 /// Convenience: build initial letters from initial local states.

@@ -261,8 +261,25 @@ class MonitorProcess {
   /// Walk the token over local history from its target event; parks it in
   /// w_tokens_ when the event has not happened yet.
   void process_token(Token token, double now);
-  /// Apply local event `e` to the entries targeting it (Alg. 4-5).
-  void apply_event_to_token(Token& token, const Event& e);
+  /// Apply local event `sn` to the entries targeting it (Alg. 4-5), then
+  /// fast-forward the entries that stay here over the following events at
+  /// which none of them can decide (DESIGN.md §6.2): an entry stays at an
+  /// event when the event repairs its cut (depend(i) > sn) or leaves its
+  /// local conjunct open, every lower process is consistent and closed, and
+  /// a consistent cut keeps the source state on a self-loop. Such a run
+  /// is applied as one update; the walk resumes at the first event where
+  /// some stayer decides, another entry waits, or the history ends.
+  void apply_event_to_token(Token& token, std::uint32_t sn);
+  /// Outcome of one walk step for an entry that has stayed since the run
+  /// began: it leaves (resolves or retargets), stays at an inconsistent
+  /// cut, or stays at a consistent cut and certifies it as a stay-point.
+  enum class StayKind : std::uint8_t { kLeave, kStay, kStayCertified };
+  StayKind stay_kind(const TransitionEntry& entry, const CompiledTransition& ct,
+                     AtomSet others, const Event& e) const;
+  /// Apply the longest run [first, J <= last] of events at which every
+  /// entry in `stayed` stays, as one update per entry.
+  void fast_forward(Token& token, const SmallVec<std::uint32_t, 32>& stayed,
+                    std::uint32_t first, std::uint32_t last);
   /// Retarget entries after evaluation; returns false when the token wants
   /// to stay at this monitor (waiting for a later local event). On true the
   /// token has been consumed (sent, recycled, or handled as returned).

@@ -11,6 +11,10 @@ namespace decmon {
 struct MonitorStats {
   // -- communication --
   std::uint64_t tokens_created = 0;
+  /// Home tokens retired by their creator (entries exhausted, or an orphan
+  /// whose view is gone). Lemma 1: equals tokens_created once the monitor
+  /// has finished on a fault-free run.
+  std::uint64_t tokens_returned = 0;
   std::uint64_t token_messages_sent = 0;  ///< network sends (excl. self)
   std::uint64_t token_hops = 0;           ///< total hops over all tokens
   std::uint64_t termination_messages = 0;

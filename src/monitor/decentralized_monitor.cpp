@@ -1,10 +1,23 @@
 #include "decmon/monitor/decentralized_monitor.hpp"
 
+#include <atomic>
 #include <stdexcept>
 
 #include "decmon/monitor/token.hpp"
 
 namespace decmon {
+namespace {
+
+/// slot := min(slot, now), where a negative slot means "no verdict yet".
+/// Node threads of the real runtimes declare verdicts concurrently, so the
+/// update is a CAS loop; a failed exchange reloads `cur` and re-checks.
+void record_first(std::atomic<double>& slot, double now) {
+  double cur = slot.load();
+  while ((cur < 0 || now < cur) && !slot.compare_exchange_weak(cur, now)) {
+  }
+}
+
+}  // namespace
 
 DecentralizedMonitor::DecentralizedMonitor(
     std::shared_ptr<const CompiledProperty> property, MonitorNetwork* network,
@@ -18,14 +31,8 @@ DecentralizedMonitor::DecentralizedMonitor(
     monitors_.push_back(std::make_unique<MonitorProcess>(
         i, property_, network, initial_letters, options));
     monitors_.back()->set_verdict_callback([this](Verdict v, double now) {
-      if (v == Verdict::kFalse &&
-          (first_violation_ < 0 || now < first_violation_)) {
-        first_violation_ = now;
-      }
-      if (v == Verdict::kTrue &&
-          (first_satisfaction_ < 0 || now < first_satisfaction_)) {
-        first_satisfaction_ = now;
-      }
+      if (v == Verdict::kFalse) record_first(first_violation_, now);
+      if (v == Verdict::kTrue) record_first(first_satisfaction_, now);
     });
   }
 }
@@ -78,8 +85,8 @@ bool DecentralizedMonitor::all_finished() const {
 SystemVerdict DecentralizedMonitor::result() const {
   SystemVerdict out;
   out.all_finished = all_finished();
-  out.first_violation_time = first_violation_;
-  out.first_satisfaction_time = first_satisfaction_;
+  out.first_violation_time = first_violation_.load();
+  out.first_satisfaction_time = first_satisfaction_.load();
   for (const auto& m : monitors_) {
     for (Verdict v : m->verdicts()) out.verdicts.insert(v);
     for (int q : m->current_states()) out.states.insert(q);

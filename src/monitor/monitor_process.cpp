@@ -728,47 +728,53 @@ void MonitorProcess::process_token(Token token, double now) {
       }
       return;
     }
-    apply_event_to_token(token, event_at(sn));
+    apply_event_to_token(token, sn);
     if (route_token(token, now)) return;
     // Token stays here, now targeting a later local event; keep walking.
   }
 }
 
-void MonitorProcess::apply_event_to_token(Token& token, const Event& e) {
-  SmallVec<std::uint32_t, 32> updated;
+void MonitorProcess::apply_event_to_token(Token& token, std::uint32_t sn) {
+  const Event& e = event_at(sn);
+  const std::size_t me = static_cast<std::size_t>(index_);
+  // Entries that stay here after this event (retargeted to sn + 1): the
+  // candidates for the fast-forward below.
+  SmallVec<std::uint32_t, 32> stayed;
+  // Last event a fast-forward may cover: one before the next event another
+  // live entry awaits here (it joins the walk there), and the history's end.
+  std::uint32_t run_end = history_end() - 1;
+  bool any_true = false;
   for (std::size_t idx = 0; idx < token.entries.size(); ++idx) {
     TransitionEntry& entry = token.entries[idx];
     if (entry.eval != EntryEval::kUnset) continue;
-    if (entry.next_target_process != index_ ||
-        entry.next_target_event != e.sn) {
+    if (entry.next_target_process != index_) continue;
+    if (entry.next_target_event != sn) {
+      // The token targets the earliest request here, so this entry awaits
+      // a later event; were it an earlier one, no run may start.
+      run_end =
+          std::min(run_end, std::max(entry.next_target_event, sn + 1) - 1);
       continue;
     }
-    entry.cut(static_cast<std::size_t>(index_)) = e.sn;
-    entry.gstate(static_cast<std::size_t>(index_)) = e.letter;
+    entry.cut(me) = sn;
+    entry.gstate(me) = e.letter;
     entry.merge_depend(e.vc);
     entry.raise_depend_to_cut();
     const CompiledTransition& ct = prop_->transition(entry.transition_id);
-    if (!ct.local[static_cast<std::size_t>(index_)].is_true()) {
-      entry.conj(static_cast<std::size_t>(index_)) =
+    if (!ct.local[me].is_true()) {
+      entry.conj(me) =
           prop_->locally_satisfied(entry.transition_id, index_, e.letter)
               ? ConjunctEval::kTrue
               : ConjunctEval::kUnset;
     } else {
       // Non-participant visit (successor verification or consistency
       // repair): nothing to evaluate here.
-      entry.conj(static_cast<std::size_t>(index_)) = ConjunctEval::kTrue;
+      entry.conj(me) = ConjunctEval::kTrue;
     }
-    updated.push_back(static_cast<std::uint32_t>(idx));
-  }
 
-  // Resolve or retarget each updated entry (Alg. 4 lines 13-25, with the
-  // generalized order check replacing Alg. 5's sibling-only flag rule).
-  for (std::uint32_t idx : updated) {
-    TransitionEntry& entry = token.entries[idx];
-    if (entry.eval != EntryEval::kUnset) continue;
-
-    // Find what still keeps the entry open: a lagging cut component (the
-    // frontier depends on events not yet included) or an open conjunct.
+    // Resolve or retarget (Alg. 4 lines 13-25, with the generalized order
+    // check replacing Alg. 5's sibling-only flag rule). Find what still
+    // keeps the entry open: a lagging cut component (the frontier depends
+    // on events not yet included) or an open conjunct.
     int next = -1;
     for (int k = 0; k < n_; ++k) {
       if (entry.cut(static_cast<std::size_t>(k)) <
@@ -782,6 +788,7 @@ void MonitorProcess::apply_event_to_token(Token& token, const Event& e) {
       // All conjuncts verified at a consistent cut: enabled (the pivot
       // global state is found).
       entry.eval = EntryEval::kTrue;
+      any_true = true;
       continue;
     }
 
@@ -789,7 +796,7 @@ void MonitorProcess::apply_event_to_token(Token& token, const Event& e) {
     // any self-loop (X-shaped) leaves on *every* letter: the transition can
     // only fire exactly one event past the creation cut, so an entry that
     // did not complete on this event is infeasible.
-    if (!prop_->transition(entry.transition_id).from_has_self_loop) {
+    if (!ct.from_has_self_loop) {
       entry.eval = EntryEval::kFalse;
       continue;
     }
@@ -799,9 +806,8 @@ void MonitorProcess::apply_event_to_token(Token& token, const Event& e) {
     // competing sibling entries). An inconsistent cut is not a global state
     // of any path, so it is repaired, not judged.
     if (entry.cut_covers_depend()) {
-      const AtomSet letter = entry.combined_gstate();
       const MonitorTransition* t =
-          prop_->match(prop_->transition(entry.transition_id).from, letter);
+          prop_->match(ct.from, entry.combined_gstate());
       if (t && !t->self_loop()) {
         entry.eval = EntryEval::kFalse;
         continue;
@@ -811,12 +817,118 @@ void MonitorProcess::apply_event_to_token(Token& token, const Event& e) {
       entry.certify_loop();
     }
     // A conjunct re-opens when its process's slice will move.
-    const CompiledTransition& ct = prop_->transition(entry.transition_id);
     if (!ct.local[static_cast<std::size_t>(next)].is_true()) {
       entry.conj(static_cast<std::size_t>(next)) = ConjunctEval::kUnset;
     }
     entry.next_target_process = next;
     entry.next_target_event = entry.cut(static_cast<std::size_t>(next)) + 1;
+    if (next == index_) stayed.push_back(static_cast<std::uint32_t>(idx));
+  }
+  // An enabled entry sends the token home right away; otherwise the token
+  // stays and the stayers walk on.
+  if (!any_true && !stayed.empty() && run_end > sn) {
+    fast_forward(token, stayed, sn + 1, run_end);
+  }
+}
+
+MonitorProcess::StayKind MonitorProcess::stay_kind(
+    const TransitionEntry& entry, const CompiledTransition& ct,
+    AtomSet others, const Event& e) const {
+  // One step of the loop above, reduced to its outcome for an entry that
+  // stayed at every event since the run began: the entry's cut and
+  // gstate off this process are frozen, and its dependency clock after the
+  // step is max(depend, e.vc) because clocks grow along the local history.
+  const std::size_t me = static_cast<std::size_t>(index_);
+  const TransitionEntry::ProcSlot* s = entry.slots();
+  bool consistent = true;
+  for (int k = 0; k < n_; ++k) {
+    if (k == index_) continue;
+    const std::size_t j = static_cast<std::size_t>(k);
+    if (std::max(s[j].depend, e.vc[j]) > s[j].cut) {
+      if (k < index_) return StayKind::kLeave;  // retargets to k
+      consistent = false;
+    }
+  }
+  const bool repair = std::max(s[me].depend, e.vc[me]) > e.sn;
+  if (!repair && !(!ct.local[me].is_true() &&
+                   !prop_->locally_satisfied(ct.id, index_, e.letter))) {
+    return StayKind::kLeave;  // completes or retargets past this process
+  }
+  if (repair || !consistent) return StayKind::kStay;
+  const MonitorTransition* t = prop_->match(ct.from, others | e.letter);
+  if (t && !t->self_loop()) return StayKind::kLeave;  // resolves kFalse
+  return StayKind::kStayCertified;
+}
+
+void MonitorProcess::fast_forward(Token& token,
+                                  const SmallVec<std::uint32_t, 32>& stayed,
+                                  std::uint32_t first, std::uint32_t last) {
+  // Find the largest `last` such that every stayer stays at every event of
+  // [first, last] (DESIGN.md §6.2). Over such a run route_token keeps the
+  // token here with no side effects, so the run collapses into one update
+  // per entry, bit-identical to walking it event by event.
+  struct Run {
+    std::uint32_t idx;
+    AtomSet others;             ///< frozen frontier letters off this process
+    std::uint32_t first_cert;   ///< first certified event scanned (0: none)
+    std::uint32_t last_cert;    ///< last certified event scanned (0: none)
+  };
+  const std::size_t me = static_cast<std::size_t>(index_);
+  SmallVec<Run, 32> runs;
+  for (std::uint32_t idx : stayed) {
+    const TransitionEntry& entry = token.entries[idx];
+    const CompiledTransition& ct = prop_->transition(entry.transition_id);
+    // Staying at first - 1 already showed every conjunct below this process
+    // closed; nothing off this process changes while the walk stays here.
+    Run run{idx, 0, 0, 0};
+    for (int k = 0; k < n_; ++k) {
+      if (k != index_) run.others |= entry.gstate(static_cast<std::size_t>(k));
+    }
+    std::uint32_t sn = first;
+    for (; sn <= last; ++sn) {
+      const StayKind kind = stay_kind(entry, ct, run.others, event_at(sn));
+      if (kind == StayKind::kLeave) break;
+      if (kind == StayKind::kStayCertified) {
+        if (run.first_cert == 0) run.first_cert = sn;
+        run.last_cert = sn;
+      }
+    }
+    if (sn == first) return;  // this entry decides at `first`: walk it
+    last = sn - 1;
+    runs.push_back(run);
+  }
+
+  const Event& end = event_at(last);
+  for (const Run& run : runs) {
+    TransitionEntry& entry = token.entries[run.idx];
+    // The stay-point is the largest certified event in the final range.
+    // Certification holds on an interval (the cut is consistent here once
+    // depend(i) is passed, and off this process until a receive outruns
+    // the frozen cut), so this almost always settles at `last` itself.
+    std::uint32_t cert = run.last_cert;
+    if (cert > last) {
+      cert = 0;
+      const CompiledTransition& ct = prop_->transition(entry.transition_id);
+      for (std::uint32_t sn = last; sn >= run.first_cert; --sn) {
+        if (stay_kind(entry, ct, run.others, event_at(sn)) ==
+            StayKind::kStayCertified) {
+          cert = sn;
+          break;
+        }
+      }
+    }
+    if (cert != 0) {
+      entry.cut(me) = cert;
+      entry.gstate(me) = event_at(cert).letter;
+      entry.certify_loop();
+    }
+    entry.cut(me) = last;
+    entry.gstate(me) = end.letter;
+    entry.merge_depend(end.vc);
+    entry.raise_depend_to_cut();
+    // conj(me) keeps the value the stay at first - 1 left: open for a
+    // participant, true otherwise.
+    entry.next_target_event = last + 1;
   }
 }
 
@@ -920,6 +1032,7 @@ void MonitorProcess::handle_returned_token(Token token, double now) {
       spawn_view(entry, now);
       spawned = true;
     }
+    ++stats_.tokens_returned;
     recycle_token(std::move(token));
     if (spawned) check_finished(now);
     return;
@@ -975,6 +1088,7 @@ void MonitorProcess::handle_returned_token(Token token, double now) {
   });
 
   if (token.entries.empty()) {
+    ++stats_.tokens_returned;
     recycle_token(std::move(token));
     gv->waiting = false;
     outstanding_sigs_.erase(gv->probe_sig);

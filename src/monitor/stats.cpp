@@ -7,6 +7,7 @@ namespace decmon {
 
 MonitorStats& MonitorStats::operator+=(const MonitorStats& other) {
   tokens_created += other.tokens_created;
+  tokens_returned += other.tokens_returned;
   token_messages_sent += other.token_messages_sent;
   token_hops += other.token_hops;
   termination_messages += other.termination_messages;
