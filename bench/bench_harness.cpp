@@ -10,7 +10,10 @@
 //               embedded under "baseline" and per-metric speedups for the
 //               time-valued entries are computed under "speedup"
 //
-// Schema (decmon-bench-core-v1): every metric is "name": number.
+// Schema (decmon-bench-core-v1): a "host" object ({"nproc": N, "compiler":
+// "..."}, the machine that produced the file; bench_check bands wall-clock
+// rows only between files from the same host), then every metric is
+// "name": number.
 //   micro.*.ns        nanoseconds per operation
 //   micro.*.ms        milliseconds per operation
 //   micro.BM_PropertyAdmission.<posture>.ns      one property admission
@@ -20,8 +23,7 @@
 //   cell.<P>.n<k>.<comm|nocomm>.global_views     (Fig. 5.8 metric)
 //   cell.<P>.n<k>.<comm|nocomm>.peak_views       aggregate peak live views
 //   cell.<P>.n<k>.<comm|nocomm>.token_hops       total token hops
-//   cell.<P>.n<k>.<comm|nocomm>.wire_bytes       encoded bytes sent (§9,
-//                                                sampled-stride estimate)
+//   cell.<P>.n<k>.<comm|nocomm>.wire_bytes       encoded bytes sent (§9)
 //   socket.<P>.n<k>.<batched|unbatched>.wall_ms  SocketRuntime run (§10)
 //   socket.<P>.n<k>.<batched|unbatched>.{wire_bytes,wire_frames}
 //                                                transport-truth counters
@@ -47,6 +49,8 @@
 //                                                history window (events)
 //   stream.F.n5.len<L>.<streaming|control>.{peak_views,wall_ms}
 //   stream.F.n5.len<L>.streaming.{history_trimmed,gc_sweeps}
+#include <sched.h>
+
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -55,6 +59,7 @@
 #include <random>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -332,12 +337,6 @@ void run_cell_metrics(Metrics& out, paper::Property prop, int n,
   SimConfig sim;
   sim.coalesce = CoalesceMode::kTransit;
 
-  // Deployment accounting posture: stamp 1-in-16 frames and extrapolate.
-  // The simulator is deterministic, so the estimate is still an exact
-  // replayable count for bench_check purposes.
-  MonitorOptions options;
-  options.wire_accounting = WireAccounting::kSampled;
-
   double wall_ms = 0;
   double monitor_messages = 0;
   double global_views = 0;
@@ -351,15 +350,14 @@ void run_cell_metrics(Metrics& out, paper::Property prop, int n,
     SystemTrace trace = generate_trace(params);
     force_final_all_true(trace);
     const auto t0 = Clock::now();
-    RunResult run = session.run(trace, sim, options);
+    RunResult run = session.run(trace, sim);
     wall_ms += elapsed_ms(t0);
     monitor_messages += static_cast<double>(run.monitor_messages);
     global_views += static_cast<double>(run.total_global_views);
     peak_views +=
         static_cast<double>(run.verdict.aggregate.peak_global_views);
     token_hops += static_cast<double>(run.verdict.aggregate.token_hops);
-    wire_bytes +=
-        static_cast<double>(run.verdict.aggregate.estimated_bytes_sent());
+    wire_bytes += static_cast<double>(run.verdict.aggregate.bytes_sent);
   }
   const double k = static_cast<double>(replications);
   const std::string base = "cell." + paper::name(prop) + ".n" +
@@ -417,9 +415,6 @@ void run_socket_cell(Metrics& out, paper::Property prop, int n,
   automaton.build_dispatch();
   CompiledProperty compiled(&automaton, &reg);
 
-  MonitorOptions options;
-  options.wire_accounting = WireAccounting::kSampled;
-
   const std::string base =
       "socket." + paper::name(prop) + ".n" + std::to_string(n);
   double program_events = 0, app_messages = 0;
@@ -449,7 +444,7 @@ void run_socket_cell(Metrics& out, paper::Property prop, int n,
       SocketRuntime runtime(std::move(trace), &reg, config);
       DecentralizedMonitor monitors(
           &compiled, &runtime,
-          initial_letters_of(reg, runtime.initial_states()), options);
+          initial_letters_of(reg, runtime.initial_states()));
       runtime.set_hooks(&monitors);
       runtime.run();
       wall_ms += elapsed_ms(t0);
@@ -726,7 +721,6 @@ void run_service_cell(Metrics& out, paper::Property prop, int n, int shards,
     spec.num_processes = n;
     spec.trace_seed = 2015 + static_cast<std::uint64_t>(i);
     spec.sim.coalesce = CoalesceMode::kTransit;
-    spec.options.wire_accounting = WireAccounting::kSampled;
     svc.submit(spec);
   }
   svc.drain();
@@ -903,6 +897,22 @@ bool is_time_metric(const std::string& name) {
   return suffix == ".ns" || suffix == ".ms" || suffix == ".wall_ms";
 }
 
+/// CPUs this process may run on (what `nproc` prints).
+int host_nproc() {
+  cpu_set_t set;
+  if (sched_getaffinity(0, sizeof set, &set) == 0) return CPU_COUNT(&set);
+  return static_cast<int>(std::thread::hardware_concurrency());
+}
+
+constexpr const char* kCompiler =
+#if defined(__clang__)
+    "clang " __clang_version__;
+#elif defined(__GNUC__)
+    "g++ " __VERSION__;
+#else
+    "unknown";
+#endif
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -962,7 +972,9 @@ int main(int argc, char** argv) {
   }
   os << "{\n"
      << "  \"schema\": \"decmon-bench-core-v1\",\n"
-     << "  \"mode\": \"" << (quick ? "quick" : "full") << "\",\n";
+     << "  \"mode\": \"" << (quick ? "quick" : "full") << "\",\n"
+     << "  \"host\": {\"nproc\": " << host_nproc() << ", \"compiler\": \""
+     << kCompiler << "\"},\n";
   const bool have_baseline = !baseline.empty();
   write_object(os, "metrics", metrics.entries, have_baseline);
   if (have_baseline) {

@@ -571,7 +571,8 @@ void SocketRuntime::enqueue_monitor(int from, int to,
       return;
     }
     if (!config_.batch) {
-      // Unbatched control posture: every unit crosses as its own record.
+      // Unbatched control posture: every unit crosses as its own record,
+      // encoded as a one-unit frame (encode_payload_into on a bare unit).
       // The frame's single work credit becomes one credit per record; add
       // the difference before any record can complete at the receiver.
       outstanding_.fetch_add(

@@ -117,7 +117,8 @@ struct SocketConfig {
   double time_scale = 0.002;
   /// Coalesce same-destination PayloadFrames while the channel has queued
   /// bytes (the batched posture). false = the unbatched control: every
-  /// frame is split and each unit crosses the wire as its own record.
+  /// frame is split and each unit crosses the wire as its own record (a
+  /// one-unit frame).
   bool batch = true;
   /// Socket buffer sizes in bytes; 0 keeps the kernel default. Tests use
   /// tiny values to force partial reads/writes.

@@ -13,13 +13,13 @@
 // Format ("DMCK" blob):
 //   magic "DMCK" | version u8 | index u32 | n u32 | body_size u32 |
 //   body | crc32 u32
-// Version 2 prepends the streaming-GC window state to the body -- the
-// history base offset, per-peer trim floors and the GC cadence counter --
-// and the history section holds only the retained window (events
-// base..base+count). Version 3 appends the floor-resync epoch state
-// (DESIGN.md §13): our advertisement epoch plus the stored epoch of each
-// peer's floor. Version-1 blobs still restore (base 0, floors 0), as do
-// version-2 blobs (all epochs 0 -- the pre-resync world).
+// The body opens with the streaming-GC window state -- the history base
+// offset, per-peer trim floors and the GC cadence counter -- and the
+// floor-resync epochs (DESIGN.md §13): our advertisement epoch plus the
+// stored epoch of each peer's floor. The history section holds only the
+// retained window (events base..base+count). Parked tokens use the wire
+// codec's token unit layout (write_token). Only the current version is
+// read: blobs never outlive the process that wrote them.
 // The CRC (wire_crc32, reflected 0xEDB88320) covers every byte before it.
 // Unordered sets are written sorted, so snapshot -> restore -> snapshot is
 // byte-identical. Decoding is all-or-nothing: any truncation, flipped byte,
@@ -43,7 +43,7 @@ class CheckpointError : public WireError {
   explicit CheckpointError(const std::string& what) : WireError(what) {}
 };
 
-inline constexpr std::uint8_t kCheckpointVersion = 3;
+inline constexpr std::uint8_t kCheckpointVersion = 4;
 
 /// Snapshot the monitor's full algorithmic state. The monitor must be
 /// quiescent (not inside a dispatch) -- checkpoints are taken between hook

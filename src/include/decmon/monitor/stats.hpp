@@ -21,7 +21,6 @@ struct MonitorStats {
 
   // -- wire (batched frames; see DESIGN.md §9) --
   std::uint64_t frames_sent = 0;     ///< batched frames flushed to the net
-  std::uint64_t frames_sampled = 0;  ///< frames whose size was measured
   std::uint64_t bytes_sent = 0;      ///< wire-v2 encoded bytes, send side
   std::uint64_t bytes_received = 0;  ///< wire-v2 encoded bytes, receive side
 
@@ -55,17 +54,6 @@ struct MonitorStats {
   std::uint64_t pending_samples = 0;
   std::uint64_t max_pending = 0;
   double finish_time = 0.0;           ///< when the monitor fully drained
-
-  /// Send-side bytes extrapolated to all frames. Under exact accounting
-  /// every frame is sampled and this equals bytes_sent; under sampled
-  /// accounting (WireAccounting::kSampled) it scales the measured bytes by
-  /// the sampling ratio. Integer arithmetic keeps aggregates deterministic.
-  std::uint64_t estimated_bytes_sent() const {
-    if (frames_sampled == 0 || frames_sampled == frames_sent) {
-      return bytes_sent;
-    }
-    return bytes_sent * frames_sent / frames_sampled;
-  }
 
   double average_delayed_events() const {
     return pending_samples ? static_cast<double>(pending_sum) /

@@ -2,9 +2,12 @@
 //
 // The in-process runtimes pass payload objects directly; a deployment
 // across real machines needs tokens and termination signals on the wire.
-// This module defines a compact, versioned, endian-stable binary encoding
+// This module defines one compact, versioned, endian-stable binary codec
 // with full round-trip fidelity, plus defensive decoding (truncated or
-// corrupt buffers yield errors, never UB).
+// corrupt buffers yield errors, never UB). Every monitor message is a
+// batched frame (a bare unit is sent as a one-unit frame) or a
+// reliable-channel envelope around one; the writers that produce the bytes
+// also produce the accounted sizes (DESIGN.md §9).
 //
 // The primitive codec (WireWriter / WireReader) is public: the reliable
 // channel and the checkpoint module reuse it so every durable byte in the
@@ -28,37 +31,22 @@ class WireError : public std::runtime_error {
   explicit WireError(const std::string& what) : std::runtime_error(what) {}
 };
 
-/// Hard ceiling on per-process array widths a decoder will accept when the
-/// caller does not pass the session's actual process count.
+/// Hard ceiling on per-process array widths and process indexes a decoder
+/// will accept when the caller does not pass the session's process count.
 inline constexpr std::size_t kMaxWireProcesses = 4096;
 
 /// Little-endian primitive encoder appending into a caller-owned buffer, so
 /// pooled buffers can be refilled without reallocating (the reliable
-/// channel's clean path depends on this). Default-constructed writers run
-/// in *counting* mode: no buffer, every write only advances `written()`, so
-/// encoded sizes can be measured without touching memory (bytes-on-wire
-/// accounting stamps frame sizes this way on the flush path).
+/// channel's clean path depends on this).
 class WireWriter {
  public:
-  explicit WireWriter(std::vector<std::uint8_t>& buf) : buf_(&buf) {}
-  WireWriter() = default;  ///< counting mode
+  explicit WireWriter(std::vector<std::uint8_t>& buf) : buf_(buf) {}
 
-  void u8(std::uint8_t x) {
-    ++written_;
-    if (buf_) buf_->push_back(x);
-  }
+  void u8(std::uint8_t x) { buf_.push_back(x); }
   void u32(std::uint32_t x) {
-    if (!buf_) {  // counting mode: fixed-width, no per-byte work
-      written_ += 4;
-      return;
-    }
     for (int i = 0; i < 4; ++i) u8(static_cast<std::uint8_t>(x >> (8 * i)));
   }
   void u64(std::uint64_t x) {
-    if (!buf_) {
-      written_ += 8;
-      return;
-    }
     for (int i = 0; i < 8; ++i) u8(static_cast<std::uint8_t>(x >> (8 * i)));
   }
   /// Encoded LEB128 length of `x` without emitting anything: ceil of the
@@ -67,12 +55,14 @@ class WireWriter {
   static std::size_t var_size(std::uint64_t x) {
     return static_cast<std::size_t>((std::bit_width(x | 1) + 6) / 7);
   }
+  /// Zigzag map (0, -1, 1, -2, ... -> 0, 1, 2, 3, ...), so small deltas of
+  /// either sign stay one varint byte.
+  static std::uint64_t zigzag(std::int64_t x) {
+    const auto ux = static_cast<std::uint64_t>(x);
+    return (ux << 1) ^ (x < 0 ? ~std::uint64_t{0} : std::uint64_t{0});
+  }
   /// LEB128 unsigned varint: 7 value bits per byte, high bit = continue.
   void var(std::uint64_t x) {
-    if (!buf_) {  // counting mode: arithmetic size, skip the emit loop
-      written_ += var_size(x);
-      return;
-    }
     do {
       std::uint8_t b = static_cast<std::uint8_t>(x & 0x7F);
       x >>= 7;
@@ -80,31 +70,19 @@ class WireWriter {
       u8(b);
     } while (x != 0);
   }
-  /// Zigzag-mapped signed varint (0, -1, 1, -2, ... -> 0, 1, 2, 3, ...), so
-  /// small deltas of either sign stay one byte.
-  void zig(std::int64_t x) {
-    const auto ux = static_cast<std::uint64_t>(x);
-    var((ux << 1) ^ (x < 0 ? ~std::uint64_t{0} : std::uint64_t{0}));
-  }
+  /// Zigzag-mapped signed varint.
+  void zig(std::int64_t x) { var(zigzag(x)); }
   void vc(const VectorClock& clock) {
     u32(static_cast<std::uint32_t>(clock.size()));
     for (std::size_t i = 0; i < clock.size(); ++i) u32(clock[i]);
   }
   /// Append `len` pre-encoded bytes verbatim (envelope payload embedding).
   void raw(const std::uint8_t* data, std::size_t len) {
-    written_ += len;
-    if (buf_) buf_->insert(buf_->end(), data, data + len);
+    buf_.insert(buf_.end(), data, data + len);
   }
 
-  /// Bytes emitted so far (both modes).
-  std::size_t written() const { return written_; }
-
-  /// Buffered mode only.
-  std::vector<std::uint8_t>& buffer() { return *buf_; }
-
  private:
-  std::vector<std::uint8_t>* buf_ = nullptr;
-  std::size_t written_ = 0;
+  std::vector<std::uint8_t>& buf_;
 };
 
 /// Bounds-checked little-endian decoder over a borrowed buffer. Every
@@ -174,83 +152,67 @@ class WireReader {
   std::size_t pos_ = 0;
 };
 
-/// Serialize a token (message kind + version header included).
-std::vector<std::uint8_t> encode_token(const Token& token);
-
-/// Serialize a termination signal.
-std::vector<std::uint8_t> encode_termination(const TerminationMessage& msg);
-
-/// What kind of monitor message a buffer holds. kToken / kTermination are
-/// version-1 frames (byte layout frozen -- checkpoints embed them); kFrame
-/// is the version-2 batched frame (varints + delta-compressed clocks);
-/// kEnvelope is the version-2 reliable-channel envelope (seq/ack header
-/// around an embedded payload encoding), added so a channel stacked over a
-/// socket transport can serialize its protocol messages.
+/// What a buffer holds (byte 1, after the version byte 2). kFrame is a
+/// batched frame (varints + delta-compressed clocks); kEnvelope is a
+/// reliable-channel envelope (seq/ack header around an embedded payload
+/// encoding), so a channel stacked over a socket transport can serialize its
+/// protocol messages. kToken, kTermination and kFloor only tag units inside
+/// a frame.
 enum class WireKind : std::uint8_t {
   kToken = 1,
   kTermination = 2,
   kFrame = 3,
   kEnvelope = 4,
-  kFloor = 5,  ///< streaming-GC history floor gossip (v2 only)
+  kFloor = 5,  ///< streaming-GC history floor gossip
 };
 
-/// Peek at the kind; throws WireError on garbage. Accepts both wire
-/// versions: v1 buffers hold kToken/kTermination, v2 buffers hold
-/// kFrame/kEnvelope.
+/// Peek at the kind (kFrame or kEnvelope); throws WireError on garbage.
 WireKind wire_kind(const std::vector<std::uint8_t>& buffer);
 
-/// Decode; throws WireError on truncation, bad version or wrong kind.
-/// `max_width` bounds every decoded clock/entry width -- pass the session's
-/// process count so a corrupt or hostile length field cannot force a large
-/// allocation before validation fails.
-Token decode_token(const std::vector<std::uint8_t>& buffer,
-                   std::size_t max_width = kMaxWireProcesses);
-TerminationMessage decode_termination(const std::vector<std::uint8_t>& buffer);
-
-/// Headerless token body, for embedding a token inside a larger framed blob
-/// (monitor checkpoints). Byte-compatible with the encode_token payload.
-void write_token_body(WireWriter& w, const Token& token);
-Token read_token_body(WireReader& r, std::size_t max_width);
-
-/// Serialize any monitor-layer payload (token or termination) into `out`,
-/// appending. The bytes are exactly what encode_token / encode_termination
-/// produce, so either decoder family accepts them. Throws WireError for
-/// payload tags that have no wire form (transport-internal payloads never
-/// cross a process boundary).
+/// Serialize any monitor-layer payload into `out`, appending. A frame or a
+/// channel envelope keeps its form; a bare unit (token, termination, history
+/// floor) is written as a one-unit frame. Throws WireError for payload tags
+/// that have no wire form (transport-internal payloads never cross a process
+/// boundary).
 void encode_payload_into(const NetPayload& payload,
                          std::vector<std::uint8_t>& out);
 
-/// Decode a buffer produced by encode_payload_into back into a payload
-/// object, dispatching on the embedded kind byte. Accepts v1 buffers
-/// (single token / termination), v2 batched frames, and v2 channel
-/// envelopes. A decoded envelope carries its payload as raw `bytes` only
-/// (never a reconstructed `inner` object) -- the channel's receive path
-/// decodes those bytes itself, exactly as it does for retransmissions.
+/// Decode a buffer produced by encode_payload_into: a PayloadFrame or a
+/// ChannelEnvelope. Throws WireError on truncation, corruption, a bad
+/// version, or any width or process index at or beyond `max_width` -- pass
+/// the session's process count so a corrupt or hostile field can neither
+/// force a large allocation nor name a process that does not exist. A
+/// decoded envelope carries its payload as raw `bytes` only (never a
+/// reconstructed `inner` object) -- the channel's receive path decodes those
+/// bytes itself, exactly as it does for retransmissions.
 std::unique_ptr<NetPayload> decode_payload(
     const std::vector<std::uint8_t>& buffer,
     std::size_t max_width = kMaxWireProcesses);
 
-/// Serialize a batched frame (wire v2: varint integers, frame-level base
-/// clock with per-token zigzag deltas). Unit order is preserved exactly.
+/// Serialize a batched frame (varint integers, frame-level base clock with
+/// per-token zigzag deltas). Unit order is preserved exactly.
 std::vector<std::uint8_t> encode_frame(const PayloadFrame& frame);
 
-/// Decode a v2 frame buffer; throws WireError on truncation, corruption,
-/// or any width exceeding `max_width`.
+/// Decode a frame buffer; throws WireError like decode_payload, and for an
+/// envelope.
 std::unique_ptr<PayloadFrame> decode_frame(
     const std::vector<std::uint8_t>& buffer,
     std::size_t max_width = kMaxWireProcesses);
 
-/// Encoded size of `payload` under encode_payload_into, computed with a
-/// counting writer -- no bytes are materialized.
-std::size_t payload_wire_size(const NetPayload& payload);
-
-/// One counting-encode pass over a frame that stamps every unit's
-/// `wire_size` (its in-frame encoded bytes) and the frame's own `wire_size`
-/// (the full encoded frame, header + base clock included). Returns the
-/// frame total. This is the bytes-on-wire accounting hook: the monitor
-/// calls it once per flushed frame, and transports that re-batch frames
-/// just transfer the per-unit stamps.
+/// Stamp every unit's `wire_size` (its in-frame encoded bytes) and the
+/// frame's own `wire_size` (the full encoded frame, header and base clock
+/// included), and return the frame total. The sizes come from the encoder's
+/// own writers run over a byte counter, so they equal the encoding exactly
+/// and nothing is materialized. This is the bytes-on-wire accounting hook:
+/// the monitor calls it once per flushed frame, and transports that
+/// re-batch frames just transfer the per-unit stamps.
 std::size_t stamp_frame_wire_size(PayloadFrame& frame);
+
+/// A token in the frame-unit layout with an empty base clock, for embedding
+/// in a larger blob (parked tokens in monitor checkpoints). `max_width`
+/// bounds widths and process indexes as in decode_payload.
+void write_token(WireWriter& w, const Token& token);
+Token read_token(WireReader& r, std::size_t max_width);
 
 /// CRC-32 (reflected, polynomial 0xEDB88320 -- the zlib/PNG variant) used to
 /// seal checkpoint and channel-state blobs against corruption.

@@ -140,13 +140,13 @@ class CheckpointCodec {
     w.u32(0);  // body_size backpatched below
     const std::size_t body_start = blob.size();
 
-    // v2: streaming-GC window state. The history section below holds only
-    // the retained window, whose first event carries sn == history_base_.
+    // Streaming-GC window state. The history section below holds only the
+    // retained window, whose first event carries sn == history_base_.
     w.u32(m.history_base_);
     for (std::uint32_t f : m.peer_floor_) w.u32(f);
     w.u32(m.events_since_gc_);
 
-    // v3: floor-resync epochs (DESIGN.md §13). Durable so a restored node's
+    // Floor-resync epochs (DESIGN.md §13). Durable so a restored node's
     // resync bump is strictly above everything its dead incarnation sent,
     // and so stale pre-crash advertisements stay recognizable after restore.
     w.u32(m.floor_epoch_);
@@ -157,7 +157,7 @@ class CheckpointCodec {
     w.u32(static_cast<std::uint32_t>(m.views_.size()));
     for (const GlobalView& gv : m.views_) write_view(w, gv);
     w.u32(static_cast<std::uint32_t>(m.w_tokens_.size()));
-    for (const Token& t : m.w_tokens_) write_token_body(w, t);
+    for (const Token& t : m.w_tokens_) write_token(w, t);
     for (std::uint32_t sn : m.peer_last_sn_) w.u32(sn);
     w.u8(m.local_terminated_ ? 1 : 0);
     w.u8(m.finished_ ? 1 : 0);
@@ -187,8 +187,7 @@ class CheckpointCodec {
     for (std::uint8_t b : kMagic) {
       if (r.u8() != b) throw CheckpointError("bad checkpoint magic");
     }
-    const std::uint8_t version = r.u8();
-    if (version < 1 || version > kCheckpointVersion) {
+    if (r.u8() != kCheckpointVersion) {
       throw CheckpointError("unsupported checkpoint version");
     }
     if (r.u32() != static_cast<std::uint32_t>(m.index_)) {
@@ -204,23 +203,13 @@ class CheckpointCodec {
     }
     const std::size_t n = static_cast<std::size_t>(m.n_);
 
-    // v1 blobs predate the streaming GC: the window starts at 0 and no
-    // floors were ever advertised. v2 blobs predate the floor-resync
-    // epochs: everything sits in epoch 0.
-    std::uint32_t history_base = 0;
-    std::vector<std::uint32_t> peer_floor(n, 0);
-    std::uint32_t events_since_gc = 0;
-    std::uint32_t floor_epoch = 0;
-    std::vector<std::uint32_t> peer_floor_epoch(n, 0);
-    if (version >= 2) {
-      history_base = r.u32();
-      for (std::size_t i = 0; i < n; ++i) peer_floor[i] = r.u32();
-      events_since_gc = r.u32();
-    }
-    if (version >= 3) {
-      floor_epoch = r.u32();
-      for (std::size_t i = 0; i < n; ++i) peer_floor_epoch[i] = r.u32();
-    }
+    const std::uint32_t history_base = r.u32();
+    std::vector<std::uint32_t> peer_floor(n);
+    for (std::size_t i = 0; i < n; ++i) peer_floor[i] = r.u32();
+    const std::uint32_t events_since_gc = r.u32();
+    const std::uint32_t floor_epoch = r.u32();
+    std::vector<std::uint32_t> peer_floor_epoch(n);
+    for (std::size_t i = 0; i < n; ++i) peer_floor_epoch[i] = r.u32();
 
     const std::uint32_t history_n = r.u32();
     if (history_n > kMaxItems) throw CheckpointError("history too large");
@@ -251,7 +240,7 @@ class CheckpointCodec {
     std::vector<Token> w_tokens;
     w_tokens.reserve(tokens_n);
     for (std::uint32_t i = 0; i < tokens_n; ++i) {
-      w_tokens.push_back(read_token_body(r, n));
+      w_tokens.push_back(read_token(r, n));
     }
     std::vector<std::uint32_t> peer_last_sn(n);
     for (std::size_t i = 0; i < n; ++i) peer_last_sn[i] = r.u32();

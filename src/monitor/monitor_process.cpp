@@ -49,9 +49,6 @@ MonitorProcess::MonitorProcess(int index,
   if (static_cast<int>(initial_letters.size()) != n_) {
     throw std::invalid_argument("MonitorProcess: bad initial_letters size");
   }
-  // Stride 0 would divide by zero in flush_staged; treat it as "sample
-  // every frame".
-  if (options_.wire_sample_stride == 0) options_.wire_sample_stride = 1;
   if (options_.gc_interval == 0) options_.gc_interval = 64;
   // INIT (Alg. 1): the initial global view points at the bottom cut; the
   // initial global state is the first letter the automaton consumes.
@@ -142,10 +139,6 @@ std::unique_ptr<TokenMessage> MonitorProcess::acquire_token_payload() {
   if (payload_pool_.empty()) return std::make_unique<TokenMessage>();
   std::unique_ptr<TokenMessage> shell = std::move(payload_pool_.back());
   payload_pool_.pop_back();
-  // A recycled shell keeps its last stamp; under sampled accounting the
-  // next flush may skip restamping, and a stale size would masquerade as a
-  // fresh measurement downstream (SimRuntime's convoy merges transfer it).
-  shell->wire_size = 0;
   return shell;
 }
 
@@ -160,7 +153,6 @@ std::unique_ptr<PayloadFrame> MonitorProcess::acquire_frame() {
   if (frame_pool_.empty()) return std::make_unique<PayloadFrame>();
   std::unique_ptr<PayloadFrame> frame = std::move(frame_pool_.back());
   frame_pool_.pop_back();
-  frame->wire_size = 0;
   return frame;
 }
 
@@ -214,15 +206,9 @@ void MonitorProcess::flush_staged() {
       frame->units.push_back(std::move(staged_[i].unit));
       ++i;
     } while (i < staged_.size() && staged_[i].dest == dest);
-    // Single counting-encode pass: stamps each unit's in-frame size and the
-    // frame total, without materializing bytes (DESIGN.md §9). Under
-    // sampled accounting only every stride-th frame pays for the walk;
-    // estimated_bytes_sent() extrapolates from the measured subset.
-    if (options_.wire_accounting == WireAccounting::kExact ||
-        stats_.frames_sent % options_.wire_sample_stride == 0) {
-      stats_.bytes_sent += stamp_frame_wire_size(*frame);
-      ++stats_.frames_sampled;
-    }
+    // Stamps each unit's in-frame size and the frame total, without
+    // materializing bytes (DESIGN.md §9).
+    stats_.bytes_sent += stamp_frame_wire_size(*frame);
     ++stats_.frames_sent;
     net_->send(MonitorMessage{index_, dest, std::move(frame)});
   }

@@ -12,7 +12,6 @@ MonitorStats& MonitorStats::operator+=(const MonitorStats& other) {
   token_hops += other.token_hops;
   termination_messages += other.termination_messages;
   frames_sent += other.frames_sent;
-  frames_sampled += other.frames_sampled;
   bytes_sent += other.bytes_sent;
   bytes_received += other.bytes_received;
   global_views_created += other.global_views_created;

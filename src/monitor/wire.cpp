@@ -1,7 +1,6 @@
 #include "decmon/monitor/wire.hpp"
 
 #include <array>
-
 #include <limits>
 
 #include "decmon/distributed/reliable_channel.hpp"
@@ -9,93 +8,35 @@
 namespace decmon {
 namespace {
 
-constexpr std::uint8_t kVersion = 1;
-constexpr std::uint8_t kVersion2 = 2;
+constexpr std::uint8_t kVersion = 2;
 constexpr std::uint32_t kMaxFrameUnits = 65536;
 
-void write_header(WireWriter& w, WireKind kind) {
-  w.u8(kVersion);
-  w.u8(static_cast<std::uint8_t>(kind));
-}
-
-void read_header(WireReader& r, WireKind expected) {
-  const std::uint8_t version = r.u8();
-  if (version != kVersion) throw WireError("unsupported wire version");
-  const std::uint8_t kind = r.u8();
-  if (kind != static_cast<std::uint8_t>(expected)) {
-    throw WireError("unexpected message kind");
-  }
-}
-
-// Target processes travel as index+1 (0 = unset). A corrupt value near
-// UINT32_MAX would make the decoding subtraction overflow, so bound it by
-// the widest width any decoder accepts before converting.
-int read_target_process(WireReader& r) {
-  const std::uint32_t raw = r.u32();
-  if (raw > kMaxWireProcesses) throw WireError("bad target process");
-  return static_cast<int>(raw) - 1;
-}
-
-// The entry layout predates the flat ProcSlot storage and is kept
-// byte-for-byte: cut[], depend (as a width-prefixed clock), gstate[],
-// conj[], then the scalars and optional loop arrays.
-void write_entry(WireWriter& w, const TransitionEntry& e) {
-  const std::size_t n = e.width();
-  w.u32(static_cast<std::uint32_t>(e.transition_id));
-  w.u32(static_cast<std::uint32_t>(n));
-  for (std::size_t j = 0; j < n; ++j) w.u32(e.cut(j));
-  w.u32(static_cast<std::uint32_t>(n));  // depend clock width
-  for (std::size_t j = 0; j < n; ++j) w.u32(e.depend(j));
-  for (std::size_t j = 0; j < n; ++j) w.u64(e.gstate(j));
-  for (std::size_t j = 0; j < n; ++j) {
-    w.u8(static_cast<std::uint8_t>(e.conj(j)));
-  }
-  w.u8(static_cast<std::uint8_t>(e.eval));
-  w.u32(static_cast<std::uint32_t>(e.next_target_process + 1));
-  w.u32(e.next_target_event);
-  w.u8(e.loop_certified ? 1 : 0);
-  if (e.loop_certified) {
-    for (std::size_t j = 0; j < n; ++j) w.u32(e.loop_cut(j));
-    for (std::size_t j = 0; j < n; ++j) w.u64(e.loop_gstate(j));
-  }
-}
-
-TransitionEntry read_entry(WireReader& r, std::size_t max_width) {
-  TransitionEntry e;
-  e.transition_id = static_cast<int>(r.u32());
-  const std::uint32_t n = r.u32();
-  if (n > max_width) throw WireError("entry too wide");
-  e.set_width(n);
-  for (std::uint32_t j = 0; j < n; ++j) e.cut(j) = r.u32();
-  const std::uint32_t depend_n = r.u32();
-  if (depend_n != n) throw WireError("depend width mismatch");
-  for (std::uint32_t j = 0; j < n; ++j) e.depend(j) = r.u32();
-  for (std::uint32_t j = 0; j < n; ++j) e.gstate(j) = r.u64();
-  for (std::uint32_t j = 0; j < n; ++j) {
-    const std::uint8_t x = r.u8();
-    if (x > 2) throw WireError("bad conjunct eval");
-    e.conj(j) = static_cast<ConjunctEval>(x);
-  }
-  const std::uint8_t eval = r.u8();
-  if (eval > 2) throw WireError("bad entry eval");
-  e.eval = static_cast<EntryEval>(eval);
-  e.next_target_process = read_target_process(r);
-  e.next_target_event = r.u32();
-  e.loop_certified = r.u8() != 0;
-  if (e.loop_certified) {
-    for (std::uint32_t j = 0; j < n; ++j) e.loop_cut(j) = r.u32();
-    for (std::uint32_t j = 0; j < n; ++j) e.loop_gstate(j) = r.u64();
-  }
-  return e;
-}
-
 // ---------------------------------------------------------------------------
-// Wire v2: batched frames. Integers travel as LEB128 varints, clocks and
-// cuts as zigzag deltas against a frame-level base clock (the first token
-// unit's parent_vc -- tokens in one batch walk the same neighborhood, so
-// deltas are small). Per-entry arrays delta against the entry's own cut.
-// The v1 single-message layouts above are frozen; everything below is new.
+// Frames. Integers travel as LEB128 varints, clocks and cuts as zigzag
+// deltas against a frame-level base clock (the first token unit's
+// parent_vc -- tokens in one batch walk the same neighborhood, so deltas
+// are small). Per-entry fields delta against the entry's own cut.
+//
+// Every writer is a template over its sink: WireWriter appends the bytes,
+// WireSizer only adds up their lengths. stamp_frame_wire_size runs the same
+// writers as the encoder, so an accounted size cannot drift from the
+// encoding.
 // ---------------------------------------------------------------------------
+
+class WireSizer {
+ public:
+  void u8(std::uint8_t) { ++size_; }
+  void var(std::uint64_t x) { size_ += WireWriter::var_size(x); }
+  void zig(std::int64_t x) { var(WireWriter::zigzag(x)); }
+  std::size_t size() const { return size_; }
+
+ private:
+  std::size_t size_ = 0;
+};
+
+std::int64_t delta(std::uint32_t x, std::uint32_t from) {
+  return static_cast<std::int64_t>(x) - static_cast<std::int64_t>(from);
+}
 
 // Clamp helpers: every delta-decoded component must land back in u32.
 std::uint32_t checked_u32(std::int64_t v, const char* what) {
@@ -110,25 +51,35 @@ std::uint32_t checked_u32(std::uint64_t v, const char* what) {
   return static_cast<std::uint32_t>(v);
 }
 
-// Target / parent process indexes travel zigzagged (-1 = unset) and are
-// bounded like the v1 +1 scheme.
-void write_process_v2(WireWriter& w, int process) { w.zig(process); }
+// Process indexes travel zigzagged (-1 = unset) and must name one of the
+// session's `max_width` processes.
+template <class Sink>
+void write_process_v2(Sink& w, int process) {
+  w.zig(process);
+}
 
-int read_process_v2(WireReader& r) {
+int read_process_v2(WireReader& r, std::size_t max_width) {
   const std::int64_t v = r.zig();
-  if (v < -1 || v > static_cast<std::int64_t>(kMaxWireProcesses)) {
+  if (v < -1 || v >= static_cast<std::int64_t>(max_width)) {
     throw WireError("bad target process");
   }
   return static_cast<int>(v);
 }
 
-void write_clock_v2(WireWriter& w, const VectorClock& clock,
+// Termination and floor units name their sender as a plain varint.
+int read_unit_process(WireReader& r, std::size_t max_width) {
+  const std::uint64_t process = r.var();
+  if (process >= max_width) throw WireError("bad unit process");
+  return static_cast<int>(process);
+}
+
+template <class Sink>
+void write_clock_v2(Sink& w, const VectorClock& clock,
                     const VectorClock& base) {
   w.var(clock.size());
   if (clock.size() == base.size()) {
     for (std::size_t i = 0; i < clock.size(); ++i) {
-      w.zig(static_cast<std::int64_t>(clock[i]) -
-            static_cast<std::int64_t>(base[i]));
+      w.zig(delta(clock[i], base[i]));
     }
   } else {
     for (std::size_t i = 0; i < clock.size(); ++i) w.var(clock[i]);
@@ -153,28 +104,26 @@ VectorClock read_clock_v2(WireReader& r, std::size_t max_width,
   return clock;
 }
 
-void write_entry_v2(WireWriter& w, const TransitionEntry& e,
+// Each process slot's fields travel together: cut (delta against the base
+// when the widths agree), depend (delta against the slot's own cut, which
+// it tracks closely), gstate, conj. The loop slots follow the scalars.
+template <class Sink>
+void write_entry_v2(Sink& w, const TransitionEntry& e,
                     const VectorClock& base) {
   const std::size_t n = e.width();
+  const bool base_delta = n == base.size();
+  const TransitionEntry::ProcSlot* s = e.slots();
   w.zig(e.transition_id);
   w.var(n);
-  if (n == base.size()) {
-    for (std::size_t j = 0; j < n; ++j) {
-      w.zig(static_cast<std::int64_t>(e.cut(j)) -
-            static_cast<std::int64_t>(base[j]));
+  for (std::size_t j = 0; j < n; ++j) {
+    if (base_delta) {
+      w.zig(delta(s[j].cut, base[j]));
+    } else {
+      w.var(s[j].cut);
     }
-  } else {
-    for (std::size_t j = 0; j < n; ++j) w.var(e.cut(j));
-  }
-  // depend tracks the cut closely (it is the cut rolled back through one
-  // frontier event), so delta it against the entry's own cut.
-  for (std::size_t j = 0; j < n; ++j) {
-    w.zig(static_cast<std::int64_t>(e.depend(j)) -
-          static_cast<std::int64_t>(e.cut(j)));
-  }
-  for (std::size_t j = 0; j < n; ++j) w.var(e.gstate(j));
-  for (std::size_t j = 0; j < n; ++j) {
-    w.u8(static_cast<std::uint8_t>(e.conj(j)));
+    w.zig(delta(s[j].depend, s[j].cut));
+    w.var(s[j].gstate);
+    w.u8(static_cast<std::uint8_t>(s[j].conj));
   }
   w.u8(static_cast<std::uint8_t>(e.eval));
   write_process_v2(w, e.next_target_process);
@@ -182,10 +131,9 @@ void write_entry_v2(WireWriter& w, const TransitionEntry& e,
   w.u8(e.loop_certified ? 1 : 0);
   if (e.loop_certified) {
     for (std::size_t j = 0; j < n; ++j) {
-      w.zig(static_cast<std::int64_t>(e.loop_cut(j)) -
-            static_cast<std::int64_t>(e.cut(j)));
+      w.zig(delta(s[j].loop_cut, s[j].cut));
+      w.var(s[j].loop_gstate);
     }
-    for (std::size_t j = 0; j < n; ++j) w.var(e.loop_gstate(j));
   }
 }
 
@@ -201,44 +149,39 @@ TransitionEntry read_entry_v2(WireReader& r, std::size_t max_width,
   const std::uint64_t n = r.var();
   if (n > max_width) throw WireError("entry too wide");
   e.set_width(static_cast<std::size_t>(n));
-  if (n == base.size()) {
-    for (std::size_t j = 0; j < n; ++j) {
-      e.cut(j) = checked_u32(static_cast<std::int64_t>(base[j]) + r.zig(),
-                             "cut delta out of range");
-    }
-  } else {
-    for (std::size_t j = 0; j < n; ++j) {
-      e.cut(j) = checked_u32(r.var(), "cut component out of range");
-    }
-  }
+  const bool base_delta = n == base.size();
+  TransitionEntry::ProcSlot* s = e.slots();
   for (std::size_t j = 0; j < n; ++j) {
-    e.depend(j) = checked_u32(static_cast<std::int64_t>(e.cut(j)) + r.zig(),
+    s[j].cut = base_delta
+                   ? checked_u32(static_cast<std::int64_t>(base[j]) + r.zig(),
+                                 "cut delta out of range")
+                   : checked_u32(r.var(), "cut component out of range");
+    s[j].depend = checked_u32(static_cast<std::int64_t>(s[j].cut) + r.zig(),
                               "depend delta out of range");
-  }
-  for (std::size_t j = 0; j < n; ++j) e.gstate(j) = r.var();
-  for (std::size_t j = 0; j < n; ++j) {
+    s[j].gstate = r.var();
     const std::uint8_t x = r.u8();
     if (x > 2) throw WireError("bad conjunct eval");
-    e.conj(j) = static_cast<ConjunctEval>(x);
+    s[j].conj = static_cast<ConjunctEval>(x);
   }
   const std::uint8_t eval = r.u8();
   if (eval > 2) throw WireError("bad entry eval");
   e.eval = static_cast<EntryEval>(eval);
-  e.next_target_process = read_process_v2(r);
+  e.next_target_process = read_process_v2(r, max_width);
   e.next_target_event = checked_u32(r.var(), "bad target event");
   e.loop_certified = r.u8() != 0;
   if (e.loop_certified) {
     for (std::size_t j = 0; j < n; ++j) {
-      e.loop_cut(j) = checked_u32(
-          static_cast<std::int64_t>(e.cut(j)) + r.zig(),
+      s[j].loop_cut = checked_u32(
+          static_cast<std::int64_t>(s[j].cut) + r.zig(),
           "loop cut delta out of range");
+      s[j].loop_gstate = r.var();
     }
-    for (std::size_t j = 0; j < n; ++j) e.loop_gstate(j) = r.var();
   }
   return e;
 }
 
-void write_token_v2(WireWriter& w, const Token& t, const VectorClock& base) {
+template <class Sink>
+void write_token_v2(Sink& w, const Token& t, const VectorClock& base) {
   w.var(t.token_id);
   write_process_v2(w, t.parent);
   w.var(t.parent_sn);
@@ -254,10 +197,10 @@ Token read_token_v2(WireReader& r, std::size_t max_width,
                     const VectorClock& base) {
   Token t;
   t.token_id = r.var();
-  t.parent = read_process_v2(r);
+  t.parent = read_process_v2(r, max_width);
   t.parent_sn = checked_u32(r.var(), "bad parent sn");
   t.parent_vc = read_clock_v2(r, max_width, base);
-  t.next_target_process = read_process_v2(r);
+  t.next_target_process = read_process_v2(r, max_width);
   t.next_target_event = checked_u32(r.var(), "bad target event");
   const std::uint64_t hops = r.var();
   if (hops > std::numeric_limits<int>::max()) throw WireError("bad hop count");
@@ -271,19 +214,27 @@ Token read_token_v2(WireReader& r, std::size_t max_width,
   return t;
 }
 
-// The frame base clock: the first token unit's parent_vc (empty when the
-// frame holds only terminations). Encoders and decoders derive it the same
-// way, so it is written once in the frame header.
-VectorClock frame_base(const PayloadFrame& frame) {
-  for (const auto& unit : frame.units) {
-    if (unit && unit->tag == TokenMessage::kTag) {
-      return static_cast<const TokenMessage&>(*unit).token.parent_vc;
-    }
-  }
-  return VectorClock{};
+const VectorClock kEmptyBase{};
+
+// A unit's claim on the frame base clock: a token's parent_vc, else none.
+const VectorClock* unit_base(const NetPayload& unit) {
+  if (unit.tag != TokenMessage::kTag) return nullptr;
+  return &static_cast<const TokenMessage&>(unit).token.parent_vc;
 }
 
-void write_frame_unit(WireWriter& w, const NetPayload& unit,
+// The frame base clock: the first token unit's parent_vc (empty when the
+// frame holds no token). Written once in the frame header, so decoders read
+// it instead of deriving it.
+const VectorClock& frame_base(const PayloadFrame& frame) {
+  for (const auto& unit : frame.units) {
+    if (!unit) continue;
+    if (const VectorClock* base = unit_base(*unit)) return *base;
+  }
+  return kEmptyBase;
+}
+
+template <class Sink>
+void write_frame_unit(Sink& w, const NetPayload& unit,
                       const VectorClock& base) {
   if (unit.tag == TokenMessage::kTag) {
     w.u8(static_cast<std::uint8_t>(WireKind::kToken));
@@ -300,8 +251,7 @@ void write_frame_unit(WireWriter& w, const NetPayload& unit,
     w.var(msg.floor);
     w.var(msg.epoch);
   } else {
-    // Nested frames and transport-internal payloads never appear inside a
-    // monitor-built frame.
+    // Nested frames and transport-internal payloads have no unit form.
     throw WireError("frame unit tag has no wire form");
   }
 }
@@ -317,17 +267,13 @@ std::unique_ptr<NetPayload> read_frame_unit(WireReader& r,
   }
   if (tag == static_cast<std::uint8_t>(WireKind::kTermination)) {
     auto msg = std::make_unique<TerminationMessage>();
-    const std::uint64_t process = r.var();
-    if (process > kMaxWireProcesses) throw WireError("bad target process");
-    msg->process = static_cast<int>(process);
+    msg->process = read_unit_process(r, max_width);
     msg->last_sn = checked_u32(r.var(), "bad last sn");
     return msg;
   }
   if (tag == static_cast<std::uint8_t>(WireKind::kFloor)) {
     auto msg = std::make_unique<HistoryFloorMessage>();
-    const std::uint64_t process = r.var();
-    if (process > kMaxWireProcesses) throw WireError("bad target process");
-    msg->process = static_cast<int>(process);
+    msg->process = read_unit_process(r, max_width);
     msg->floor = checked_u32(r.var(), "bad floor");
     msg->epoch = checked_u32(r.var(), "bad floor epoch");
     return msg;
@@ -335,218 +281,20 @@ std::unique_ptr<NetPayload> read_frame_unit(WireReader& r,
   throw WireError("unknown frame unit kind");
 }
 
-void write_frame_header(WireWriter& w, const PayloadFrame& frame,
-                        const VectorClock& base) {
-  w.u8(kVersion2);
+template <class Sink>
+void write_frame_header(Sink& w, std::size_t units, const VectorClock& base) {
+  w.u8(kVersion);
   w.u8(static_cast<std::uint8_t>(WireKind::kFrame));
-  w.var(frame.units.size());
+  w.var(units);
   w.var(base.size());
   for (std::size_t i = 0; i < base.size(); ++i) w.var(base[i]);
 }
 
-// ---------------------------------------------------------------------------
-// Size-only walk of the v2 layout. stamp_frame_wire_size runs on every
-// flush (the accounting hot path), and a WireWriter-based counting pass
-// spends most of its time re-traversing each entry's slot array once per
-// field. These mirror the writers above field-for-field but visit each
-// ProcSlot exactly once; WireTest.StampMatchesEncodedSize pins them to the
-// real encoder, so they cannot drift silently.
-// ---------------------------------------------------------------------------
-
-std::size_t zig_size(std::int64_t x) {
-  const auto ux = static_cast<std::uint64_t>(x);
-  return WireWriter::var_size((ux << 1) ^
-                              (x < 0 ? ~std::uint64_t{0} : std::uint64_t{0}));
-}
-
-std::size_t entry_wire_size_v2(const TransitionEntry& e,
-                               const VectorClock& base) {
-  const std::size_t n = e.width();
-  const bool delta = n == base.size();
-  const TransitionEntry::ProcSlot* s = e.slots();
-  std::size_t size = zig_size(e.transition_id) + WireWriter::var_size(n);
-  for (std::size_t j = 0; j < n; ++j) {
-    size += delta ? zig_size(static_cast<std::int64_t>(s[j].cut) -
-                             static_cast<std::int64_t>(base[j]))
-                  : WireWriter::var_size(s[j].cut);
-    size += zig_size(static_cast<std::int64_t>(s[j].depend) -
-                     static_cast<std::int64_t>(s[j].cut));
-    size += WireWriter::var_size(s[j].gstate);
-    size += 1;  // conj
-  }
-  size += 1;  // eval
-  size += zig_size(e.next_target_process);
-  size += WireWriter::var_size(e.next_target_event);
-  size += 1;  // loop_certified
-  if (e.loop_certified) {
-    for (std::size_t j = 0; j < n; ++j) {
-      size += zig_size(static_cast<std::int64_t>(s[j].loop_cut) -
-                       static_cast<std::int64_t>(s[j].cut));
-      size += WireWriter::var_size(s[j].loop_gstate);
-    }
-  }
-  return size;
-}
-
-std::size_t clock_wire_size_v2(const VectorClock& clock,
-                               const VectorClock& base) {
-  std::size_t size = WireWriter::var_size(clock.size());
-  if (clock.size() == base.size()) {
-    for (std::size_t i = 0; i < clock.size(); ++i) {
-      size += zig_size(static_cast<std::int64_t>(clock[i]) -
-                       static_cast<std::int64_t>(base[i]));
-    }
-  } else {
-    for (std::size_t i = 0; i < clock.size(); ++i) {
-      size += WireWriter::var_size(clock[i]);
-    }
-  }
-  return size;
-}
-
-std::size_t frame_unit_wire_size(const NetPayload& unit,
-                                 const VectorClock& base) {
-  if (unit.tag == TokenMessage::kTag) {
-    const Token& t = static_cast<const TokenMessage&>(unit).token;
-    std::size_t size = 1;  // kind tag
-    size += WireWriter::var_size(t.token_id);
-    size += zig_size(t.parent);
-    size += WireWriter::var_size(t.parent_sn);
-    size += clock_wire_size_v2(t.parent_vc, base);
-    size += zig_size(t.next_target_process);
-    size += WireWriter::var_size(t.next_target_event);
-    size += WireWriter::var_size(static_cast<std::uint64_t>(t.hops));
-    size += WireWriter::var_size(t.entries.size());
-    for (const TransitionEntry& e : t.entries) {
-      size += entry_wire_size_v2(e, base);
-    }
-    return size;
-  }
-  if (unit.tag == TerminationMessage::kTag) {
-    const auto& msg = static_cast<const TerminationMessage&>(unit);
-    return 1 + WireWriter::var_size(static_cast<std::uint64_t>(msg.process)) +
-           WireWriter::var_size(msg.last_sn);
-  }
-  if (unit.tag == HistoryFloorMessage::kTag) {
-    const auto& msg = static_cast<const HistoryFloorMessage&>(unit);
-    return 1 + WireWriter::var_size(static_cast<std::uint64_t>(msg.process)) +
-           WireWriter::var_size(msg.floor) + WireWriter::var_size(msg.epoch);
-  }
-  throw WireError("frame unit tag has no wire form");
-}
-
-}  // namespace
-
-void write_token_body(WireWriter& w, const Token& token) {
-  w.u64(token.token_id);
-  w.u32(static_cast<std::uint32_t>(token.parent));
-  w.u32(token.parent_sn);
-  w.vc(token.parent_vc);
-  w.u32(static_cast<std::uint32_t>(token.next_target_process + 1));
-  w.u32(token.next_target_event);
-  w.u32(static_cast<std::uint32_t>(token.hops));
-  w.u32(static_cast<std::uint32_t>(token.entries.size()));
-  for (const TransitionEntry& e : token.entries) write_entry(w, e);
-}
-
-Token read_token_body(WireReader& r, std::size_t max_width) {
-  Token t;
-  t.token_id = r.u64();
-  t.parent = static_cast<int>(r.u32());
-  t.parent_sn = r.u32();
-  t.parent_vc = r.vc(max_width);
-  t.next_target_process = read_target_process(r);
-  t.next_target_event = r.u32();
-  t.hops = static_cast<int>(r.u32());
-  const std::uint32_t n = r.u32();
-  if (n > 65536) throw WireError("too many entries");
-  t.entries.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    t.entries.push_back(read_entry(r, max_width));
-  }
-  return t;
-}
-
-std::vector<std::uint8_t> encode_token(const Token& token) {
-  std::vector<std::uint8_t> buf;
-  WireWriter w(buf);
-  write_header(w, WireKind::kToken);
-  write_token_body(w, token);
-  return buf;
-}
-
-Token decode_token(const std::vector<std::uint8_t>& buffer,
-                   std::size_t max_width) {
-  WireReader r(buffer);
-  read_header(r, WireKind::kToken);
-  Token t = read_token_body(r, max_width);
-  r.done();
-  return t;
-}
-
-std::vector<std::uint8_t> encode_termination(const TerminationMessage& msg) {
-  std::vector<std::uint8_t> buf;
-  WireWriter w(buf);
-  write_header(w, WireKind::kTermination);
-  w.u32(static_cast<std::uint32_t>(msg.process));
-  w.u32(msg.last_sn);
-  return buf;
-}
-
-TerminationMessage decode_termination(
-    const std::vector<std::uint8_t>& buffer) {
-  WireReader r(buffer);
-  read_header(r, WireKind::kTermination);
-  TerminationMessage msg;
-  msg.process = static_cast<int>(r.u32());
-  msg.last_sn = r.u32();
-  r.done();
-  return msg;
-}
-
-WireKind wire_kind(const std::vector<std::uint8_t>& buffer) {
-  if (buffer.size() < 2) throw WireError("buffer too small");
-  const std::uint8_t kind = buffer[1];
-  if (buffer[0] == kVersion) {
-    if (kind != 1 && kind != 2) throw WireError("unknown message kind");
-    return static_cast<WireKind>(kind);
-  }
-  if (buffer[0] == kVersion2) {
-    if (kind != static_cast<std::uint8_t>(WireKind::kFrame) &&
-        kind != static_cast<std::uint8_t>(WireKind::kEnvelope) &&
-        kind != static_cast<std::uint8_t>(WireKind::kFloor)) {
-      throw WireError("unknown message kind");
-    }
-    return static_cast<WireKind>(kind);
-  }
-  throw WireError("unsupported wire version");
-}
-
-namespace {
-
-// Shared by the buffered encoder and the counting size probe: single
-// payloads keep their frozen v1 layout, frames use v2.
 void encode_payload_impl(WireWriter& w, const NetPayload& payload) {
-  if (payload.tag == TokenMessage::kTag) {
-    const auto& msg = static_cast<const TokenMessage&>(payload);
-    write_header(w, WireKind::kToken);
-    write_token_body(w, msg.token);
-  } else if (payload.tag == TerminationMessage::kTag) {
-    const auto& msg = static_cast<const TerminationMessage&>(payload);
-    write_header(w, WireKind::kTermination);
-    w.u32(static_cast<std::uint32_t>(msg.process));
-    w.u32(msg.last_sn);
-  } else if (payload.tag == HistoryFloorMessage::kTag) {
-    const auto& msg = static_cast<const HistoryFloorMessage&>(payload);
-    w.u8(kVersion2);
-    w.u8(static_cast<std::uint8_t>(WireKind::kFloor));
-    w.var(static_cast<std::uint64_t>(msg.process));
-    w.var(msg.floor);
-    w.var(msg.epoch);
-  } else if (payload.tag == PayloadFrame::kTag) {
+  if (payload.tag == PayloadFrame::kTag) {
     const auto& frame = static_cast<const PayloadFrame&>(payload);
-    const VectorClock base = frame_base(frame);
-    write_frame_header(w, frame, base);
+    const VectorClock& base = frame_base(frame);
+    write_frame_header(w, frame.units.size(), base);
     for (const auto& unit : frame.units) {
       if (!unit) throw WireError("null frame unit");
       write_frame_unit(w, *unit, base);
@@ -557,7 +305,7 @@ void encode_payload_impl(WireWriter& w, const NetPayload& payload) {
     // framed, so no inner length prefix is needed). First transmissions
     // carry the payload object; retransmissions carry the retained bytes.
     const auto& env = static_cast<const ChannelEnvelope&>(payload);
-    w.u8(kVersion2);
+    w.u8(kVersion);
     w.u8(static_cast<std::uint8_t>(WireKind::kEnvelope));
     w.var(env.seq);
     w.var(env.ack);
@@ -571,11 +319,33 @@ void encode_payload_impl(WireWriter& w, const NetPayload& payload) {
       w.u8(0);  // pure ack
     }
   } else {
-    throw WireError("payload tag has no wire form");
+    // A bare unit crosses as a one-unit frame.
+    const VectorClock* base = unit_base(payload);
+    write_frame_header(w, 1, base ? *base : kEmptyBase);
+    write_frame_unit(w, payload, base ? *base : kEmptyBase);
   }
 }
 
 }  // namespace
+
+void write_token(WireWriter& w, const Token& token) {
+  write_token_v2(w, token, kEmptyBase);
+}
+
+Token read_token(WireReader& r, std::size_t max_width) {
+  return read_token_v2(r, max_width, kEmptyBase);
+}
+
+WireKind wire_kind(const std::vector<std::uint8_t>& buffer) {
+  if (buffer.size() < 2) throw WireError("buffer too small");
+  if (buffer[0] != kVersion) throw WireError("unsupported wire version");
+  const std::uint8_t kind = buffer[1];
+  if (kind != static_cast<std::uint8_t>(WireKind::kFrame) &&
+      kind != static_cast<std::uint8_t>(WireKind::kEnvelope)) {
+    throw WireError("unknown message kind");
+  }
+  return static_cast<WireKind>(kind);
+}
 
 void encode_payload_into(const NetPayload& payload,
                          std::vector<std::uint8_t>& out) {
@@ -583,22 +353,17 @@ void encode_payload_into(const NetPayload& payload,
   encode_payload_impl(w, payload);
 }
 
-std::size_t payload_wire_size(const NetPayload& payload) {
-  WireWriter w;  // counting mode
-  encode_payload_impl(w, payload);
-  return w.written();
-}
-
 std::size_t stamp_frame_wire_size(PayloadFrame& frame) {
-  const VectorClock base = frame_base(frame);
-  WireWriter header;  // counting mode
-  write_frame_header(header, frame, base);
-  std::size_t total = header.written();
+  const VectorClock& base = frame_base(frame);
+  WireSizer header;
+  write_frame_header(header, frame.units.size(), base);
+  std::size_t total = header.size();
   for (auto& unit : frame.units) {
     if (!unit) throw WireError("null frame unit");
-    const std::size_t unit_size = frame_unit_wire_size(*unit, base);
-    unit->wire_size = static_cast<std::uint32_t>(unit_size);
-    total += unit_size;
+    WireSizer sizer;
+    write_frame_unit(sizer, *unit, base);
+    unit->wire_size = static_cast<std::uint32_t>(sizer.size());
+    total += sizer.size();
   }
   frame.wire_size = static_cast<std::uint32_t>(total);
   return total;
@@ -612,13 +377,12 @@ std::vector<std::uint8_t> encode_frame(const PayloadFrame& frame) {
 
 std::unique_ptr<PayloadFrame> decode_frame(
     const std::vector<std::uint8_t>& buffer, std::size_t max_width) {
-  WireReader r(buffer);
-  const std::uint8_t version = r.u8();
-  if (version != kVersion2) throw WireError("unsupported wire version");
-  const std::uint8_t kind = r.u8();
-  if (kind != static_cast<std::uint8_t>(WireKind::kFrame)) {
+  if (wire_kind(buffer) != WireKind::kFrame) {
     throw WireError("unexpected message kind");
   }
+  WireReader r(buffer);
+  r.u8();  // version, validated by wire_kind
+  r.u8();  // kind
   const std::uint64_t n_units = r.var();
   if (n_units > kMaxFrameUnits) throw WireError("too many frame units");
   const std::uint64_t base_n = r.var();
@@ -642,57 +406,28 @@ std::unique_ptr<PayloadFrame> decode_frame(
 
 std::unique_ptr<NetPayload> decode_payload(
     const std::vector<std::uint8_t>& buffer, std::size_t max_width) {
-  switch (wire_kind(buffer)) {
-    case WireKind::kToken: {
-      auto msg = std::make_unique<TokenMessage>();
-      msg->token = decode_token(buffer, max_width);
-      return msg;
-    }
-    case WireKind::kTermination: {
-      const TerminationMessage decoded = decode_termination(buffer);
-      auto msg = std::make_unique<TerminationMessage>();
-      msg->process = decoded.process;
-      msg->last_sn = decoded.last_sn;
-      return msg;
-    }
-    case WireKind::kFrame:
-      return decode_frame(buffer, max_width);
-    case WireKind::kFloor: {
-      WireReader r(buffer);
-      r.u8();  // version, validated by wire_kind
-      r.u8();  // kind
-      auto msg = std::make_unique<HistoryFloorMessage>();
-      const std::uint64_t process = r.var();
-      if (process > kMaxWireProcesses) throw WireError("bad target process");
-      msg->process = static_cast<int>(process);
-      msg->floor = checked_u32(r.var(), "bad floor");
-      msg->epoch = checked_u32(r.var(), "bad floor epoch");
-      r.done();
-      return msg;
-    }
-    case WireKind::kEnvelope: {
-      WireReader r(buffer);
-      r.u8();  // version, validated by wire_kind
-      r.u8();  // kind
-      auto env = std::make_unique<ChannelEnvelope>();
-      env->seq = r.var();
-      env->ack = r.var();
-      const bool has_payload = r.u8() != 0;
-      if (has_payload) {
-        if (r.remaining() == 0) throw WireError("empty envelope payload");
-        // The embedded encoding stays opaque bytes: the channel's receive
-        // path decodes them (and validates widths) exactly as it does for
-        // retransmissions.
-        env->bytes.assign(buffer.begin() + static_cast<std::ptrdiff_t>(
-                                               r.position()),
-                          buffer.end());
-      } else {
-        r.done();
-      }
-      return env;
-    }
+  if (wire_kind(buffer) == WireKind::kFrame) {
+    return decode_frame(buffer, max_width);
   }
-  throw WireError("unknown message kind");
+  WireReader r(buffer);
+  r.u8();  // version, validated by wire_kind
+  r.u8();  // kind
+  auto env = std::make_unique<ChannelEnvelope>();
+  env->seq = r.var();
+  env->ack = r.var();
+  const bool has_payload = r.u8() != 0;
+  if (has_payload) {
+    if (r.remaining() == 0) throw WireError("empty envelope payload");
+    // The embedded encoding stays opaque bytes: the channel's receive path
+    // decodes them (and validates widths) exactly as it does for
+    // retransmissions.
+    env->bytes.assign(
+        buffer.begin() + static_cast<std::ptrdiff_t>(r.position()),
+        buffer.end());
+  } else {
+    r.done();
+  }
+  return env;
 }
 
 std::uint32_t wire_crc32(const std::uint8_t* data, std::size_t len) {

@@ -21,9 +21,11 @@ TEST(Umbrella, EndToEndThroughSingleInclude) {
   EXPECT_TRUE(run.verdict.all_finished);
 
   // Wire format, event logs and the oracle are reachable too.
-  Token t;
-  t.parent_vc = VectorClock(2);
-  EXPECT_NO_THROW(decode_token(encode_token(t)));
+  TokenMessage msg;
+  msg.token.parent_vc = VectorClock(2);
+  std::vector<std::uint8_t> bytes;
+  encode_payload_into(msg, bytes);
+  EXPECT_NO_THROW(decode_payload(bytes));
   SimRuntime sim(trace, &session.registry());
   sim.run();
   Computation comp(sim.history());

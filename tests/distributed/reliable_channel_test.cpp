@@ -145,12 +145,16 @@ TEST(ReliableChannel, LostDataIsRetransmittedUntilAcked) {
   EXPECT_EQ(channel.stats(0).retransmissions, 1u);
   EXPECT_EQ(channel.stats(0).timer_fires, 1u);
 
-  // The retransmitted copy arrives: decoded from bytes, then acked.
+  // The retransmitted copy arrives: decoded from bytes, then acked. On the
+  // wire the bare termination travelled as a one-unit frame.
   channel.on_monitor_message(take(inner, 1), inner.now());
   ASSERT_EQ(hooks.received.size(), 1u);
-  EXPECT_EQ(hooks.received[0].payload->tag, TerminationMessage::kTag);
-  const auto& term =
-      static_cast<const TerminationMessage&>(*hooks.received[0].payload);
+  ASSERT_EQ(hooks.received[0].payload->tag, PayloadFrame::kTag);
+  const auto& frame =
+      static_cast<const PayloadFrame&>(*hooks.received[0].payload);
+  ASSERT_EQ(frame.units.size(), 1u);
+  ASSERT_EQ(frame.units[0]->tag, TerminationMessage::kTag);
+  const auto& term = static_cast<const TerminationMessage&>(*frame.units[0]);
   EXPECT_EQ(term.process, 0);
   EXPECT_EQ(term.last_sn, 5u);
 }

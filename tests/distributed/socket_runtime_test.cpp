@@ -37,6 +37,14 @@ TraceParams small_params(int n, std::uint64_t seed = 3) {
   return p;
 }
 
+std::set<Verdict> definite(const std::set<Verdict>& verdicts) {
+  std::set<Verdict> out;
+  for (Verdict v : verdicts) {
+    if (v != Verdict::kUnknown) out.insert(v);
+  }
+  return out;
+}
+
 SocketConfig fast_config() {
   SocketConfig c;
   c.time_scale = 0.0005;
@@ -77,12 +85,10 @@ class CaptureHooks final : public MonitorHooks {
     encode_payload_into(*msg.payload, bytes);
     const std::lock_guard<std::mutex> lock(mu);
     received.push_back(std::move(bytes));
-    tags.push_back(msg.payload->tag);
   }
 
   std::mutex mu;
   std::vector<std::vector<std::uint8_t>> received;
-  std::vector<std::uint8_t> tags;
 };
 
 Token seeded_token(std::mt19937_64& rng, int width, int entries) {
@@ -404,8 +410,13 @@ TEST(SocketRuntime, UnbatchedModeSplitsFramesIntoPerUnitRecords) {
 
   EXPECT_EQ(rt.wire_frames(), 12u);  // 3 frames x 4 units, one record each
   ASSERT_EQ(hooks.received.size(), 12u);
-  for (std::uint8_t tag : hooks.tags) {
-    EXPECT_EQ(tag, TokenMessage::kTag);  // bare units, no frame wrapper
+  for (const auto& bytes : hooks.received) {
+    // Each record is a one-unit frame.
+    auto payload = decode_payload(bytes, n);
+    ASSERT_EQ(payload->tag, PayloadFrame::kTag);
+    const auto& frame = static_cast<const PayloadFrame&>(*payload);
+    ASSERT_EQ(frame.units.size(), 1u);
+    EXPECT_EQ(frame.units[0]->tag, TokenMessage::kTag);
   }
 }
 
@@ -475,10 +486,14 @@ TEST(SocketRuntime, VerdictsMatchSimRuntimeOnThesisProperties) {
 }
 
 TEST(SocketRuntime, AotGeneratedPropertyMatchesSynthesisVerdicts) {
-  // Memo-vs-synthesis differential over real sockets: a memo-served
-  // admission (shared artifact, aliasing property handles in every
-  // replica) must produce the same schedule-invariant verdict set as an
-  // uncached synthesis on the same trace.
+  // Memo-vs-synthesis differential over real sockets: a monitor admitted
+  // from the synthesis memo (one shared artifact, property handles aliasing
+  // into it from every replica) must meet the contract of the uncached
+  // synthesis on the computation it recorded. Socket schedules differ from
+  // run to run, and the verdict set follows the recorded computation, so
+  // each run is judged on its own history: a simulator replay of that
+  // computation under the uncached automaton must reach the same definite
+  // verdicts (the lattice oracle is too costly on these computations).
   for (paper::Property p : paper::kAllProperties) {
     const int n = 3;
     const std::uint64_t seed = 2015;  // first equivalence-golden seed
@@ -508,8 +523,16 @@ TEST(SocketRuntime, AotGeneratedPropertyMatchesSynthesisVerdicts) {
 
     EXPECT_TRUE(synth_dm.all_finished()) << paper::name(p);
     EXPECT_TRUE(memo_dm.all_finished()) << paper::name(p);
-    EXPECT_EQ(memo_dm.result().verdicts, synth_dm.result().verdicts)
-        << paper::name(p);
+    const MonitorSession uncached(reg, m);
+    const std::pair<SocketRuntime*, DecentralizedMonitor*> runs[] = {
+        {&synth_rt, &synth_dm}, {&memo_rt, &memo_dm}};
+    for (const auto& [rt, dm] : runs) {
+      const RunResult replay = uncached.replay(Computation(rt->history()));
+      EXPECT_TRUE(replay.verdict.all_finished) << paper::name(p);
+      EXPECT_EQ(definite(dm->result().verdicts),
+                definite(replay.verdict.verdicts))
+          << paper::name(p);
+    }
   }
 }
 

@@ -226,6 +226,36 @@ TEST(Checkpoint, CorruptionFuzzNeverCrashesOrSilentlyRestores) {
   EXPECT_EQ(checkpoint_monitor(target), blob);  // every failure was clean
 }
 
+TEST(Checkpoint, OnlyTheCurrentVersionRestores) {
+  // Blobs never outlive the process that wrote them, so an older version is
+  // refused outright -- even one whose CRC is intact.
+  std::mt19937_64 rng(21);
+  AtomRegistry reg = testing::standard_registry(2);
+  MonitorAutomaton m =
+      synthesize_monitor(parse_ltl("G((P0.p) U (P1.p))", reg));
+  CompiledProperty prop(&m, &reg);
+  Computation comp = testing::random_computation(rng, 2, reg, 5);
+
+  ReplayDriver driver;
+  DecentralizedMonitor dm(&prop, &driver, initial_letters(comp));
+  driver.run(comp, dm, 1);
+  MonitorProcess& target = dm.monitor(0);
+  const std::vector<std::uint8_t> blob = checkpoint_monitor(target);
+  ASSERT_EQ(kCheckpointVersion, 4);
+  ASSERT_EQ(blob[4], kCheckpointVersion);  // after the "DMCK" magic
+  EXPECT_NO_THROW(restore_monitor(target, blob));
+
+  std::vector<std::uint8_t> old = blob;
+  old[4] = 3;
+  const std::size_t body_end = old.size() - 4;
+  const std::uint32_t crc = wire_crc32(old.data(), body_end);
+  for (std::size_t i = 0; i < 4; ++i) {
+    old[body_end + i] = static_cast<std::uint8_t>(crc >> (8 * i));
+  }
+  EXPECT_THROW(restore_monitor(target, old), CheckpointError);
+  EXPECT_EQ(checkpoint_monitor(target), blob);  // the failure was clean
+}
+
 /// Minimal sink for monitors driven directly (no runtime underneath):
 /// collects floor gossip so epoch stamps are observable.
 class FloorSink final : public MonitorNetwork {

@@ -183,48 +183,6 @@ TEST(Stress, TraceHookReceivesLines) {
   EXPECT_TRUE(saw_probe);
 }
 
-TEST(Stress, SampledWireAccountingEstimatesExactBytes) {
-  // Sampled mode must not change behaviour (identical verdicts and frame
-  // counts vs the exact run), must stamp only ~1/stride of the frames, and
-  // its extrapolated byte total must land near the exact total -- frame
-  // sizes are not adversarial in these workloads, so a wide band is a real
-  // check that the estimator is wired to the right counters.
-  AtomRegistry reg = paper::make_registry(5);
-  MonitorAutomaton automaton =
-      paper::build_automaton(paper::Property::kD, 5, reg);
-  MonitorSession session(std::move(reg), std::move(automaton));
-  TraceParams params = paper::experiment_params(paper::Property::kD, 5, 7,
-                                                3.0, true,
-                                                /*internal_events=*/25);
-  SystemTrace trace = generate_trace(params);
-  force_final_all_true(trace);
-  SimConfig sim;
-  sim.coalesce = CoalesceMode::kTransit;
-
-  RunResult exact = session.run(trace, sim);
-  const MonitorStats& es = exact.verdict.aggregate;
-  EXPECT_EQ(es.frames_sampled, es.frames_sent);  // exact = every frame
-  EXPECT_EQ(es.estimated_bytes_sent(), es.bytes_sent);
-
-  MonitorOptions options;
-  options.wire_accounting = WireAccounting::kSampled;
-  options.wire_sample_stride = 16;
-  RunResult sampled = session.run(trace, sim, options);
-  const MonitorStats& ss = sampled.verdict.aggregate;
-
-  EXPECT_EQ(sampled.verdict.verdicts, exact.verdict.verdicts);
-  EXPECT_EQ(ss.frames_sent, es.frames_sent);
-  ASSERT_GT(ss.frames_sent, 32u);  // workload big enough to sample
-  EXPECT_LT(ss.frames_sampled, ss.frames_sent);
-  EXPECT_GT(ss.frames_sampled, 0u);
-  EXPECT_LT(ss.bytes_sent, es.bytes_sent);  // only sampled frames stamped
-
-  const double est = static_cast<double>(ss.estimated_bytes_sent());
-  const double truth = static_cast<double>(es.bytes_sent);
-  EXPECT_GT(est, 0.5 * truth);
-  EXPECT_LT(est, 2.0 * truth);
-}
-
 TEST(Stress, RepeatedRunsShareNoState) {
   // Back-to-back runs through one session are independent and identical.
   AtomRegistry reg = paper::make_registry(3);

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
+
+#include "decmon/distributed/reliable_channel.hpp"
 
 namespace decmon {
 namespace {
@@ -96,17 +99,45 @@ void expect_equal(const Token& a, const Token& b) {
   }
 }
 
+std::vector<std::uint8_t> bytes_of(const NetPayload& unit) {
+  std::vector<std::uint8_t> bytes;
+  encode_payload_into(unit, bytes);
+  return bytes;
+}
+
+std::vector<std::uint8_t> token_bytes(const Token& t) {
+  TokenMessage msg;
+  msg.token = t;
+  return bytes_of(msg);
+}
+
+// A bare unit crosses as a one-unit frame: decode it and take the unit out.
+template <class Unit>
+Unit only_unit(const std::vector<std::uint8_t>& bytes,
+               std::size_t max_width = kMaxWireProcesses) {
+  std::unique_ptr<PayloadFrame> frame = decode_frame(bytes, max_width);
+  if (frame->units.size() != 1 || frame->units[0]->tag != Unit::kTag) {
+    throw WireError("not a one-unit frame of the expected kind");
+  }
+  return static_cast<const Unit&>(*frame->units[0]);
+}
+
+Token decode_token(const std::vector<std::uint8_t>& bytes,
+                   std::size_t max_width = kMaxWireProcesses) {
+  return only_unit<TokenMessage>(bytes, max_width).token;
+}
+
 TEST(Wire, TokenRoundTrip) {
   Token t = sample_token();
-  auto bytes = encode_token(t);
-  EXPECT_EQ(wire_kind(bytes), WireKind::kToken);
+  auto bytes = token_bytes(t);
+  EXPECT_EQ(wire_kind(bytes), WireKind::kFrame);
   expect_equal(t, decode_token(bytes));
 }
 
 TEST(Wire, EmptyTokenRoundTrip) {
   Token t;
   t.parent_vc = VectorClock(2);
-  auto bytes = encode_token(t);
+  auto bytes = token_bytes(t);
   expect_equal(t, decode_token(bytes));
 }
 
@@ -114,57 +145,68 @@ TEST(Wire, TerminationRoundTrip) {
   TerminationMessage msg;
   msg.process = 3;
   msg.last_sn = 42;
-  auto bytes = encode_termination(msg);
-  EXPECT_EQ(wire_kind(bytes), WireKind::kTermination);
-  TerminationMessage back = decode_termination(bytes);
+  auto bytes = bytes_of(msg);
+  EXPECT_EQ(wire_kind(bytes), WireKind::kFrame);
+  TerminationMessage back = only_unit<TerminationMessage>(bytes);
   EXPECT_EQ(back.process, 3);
   EXPECT_EQ(back.last_sn, 42u);
 }
 
 TEST(Wire, RejectsTruncation) {
-  auto bytes = encode_token(sample_token());
-  for (std::size_t cut : {std::size_t{0}, std::size_t{1}, bytes.size() / 2,
-                          bytes.size() - 1}) {
+  auto bytes = token_bytes(sample_token());
+  for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
     std::vector<std::uint8_t> shorter(bytes.begin(),
                                       bytes.begin() + static_cast<long>(cut));
-    EXPECT_THROW(decode_token(shorter), WireError) << "cut at " << cut;
+    EXPECT_THROW(decode_payload(shorter), WireError) << "cut at " << cut;
   }
 }
 
 TEST(Wire, RejectsTrailingGarbage) {
-  auto bytes = encode_token(sample_token());
+  auto bytes = token_bytes(sample_token());
   bytes.push_back(0xAB);
-  EXPECT_THROW(decode_token(bytes), WireError);
+  EXPECT_THROW(decode_payload(bytes), WireError);
 }
 
 TEST(Wire, RejectsWrongKind) {
-  auto token_bytes = encode_token(sample_token());
-  EXPECT_THROW(decode_termination(token_bytes), WireError);
-  TerminationMessage msg;
-  msg.process = 1;
-  EXPECT_THROW(decode_token(encode_termination(msg)), WireError);
+  // Unit tags are only valid inside a frame, never as a message kind.
+  auto bytes = token_bytes(sample_token());
+  for (WireKind unit_kind :
+       {WireKind::kToken, WireKind::kTermination, WireKind::kFloor}) {
+    bytes[1] = static_cast<std::uint8_t>(unit_kind);
+    EXPECT_THROW(wire_kind(bytes), WireError);
+    EXPECT_THROW(decode_payload(bytes), WireError);
+  }
+  // A frame decoder refuses an envelope.
+  ChannelEnvelope ack;
+  ack.ack = 3;
+  EXPECT_THROW(decode_frame(bytes_of(ack)), WireError);
 }
 
 TEST(Wire, RejectsBadVersion) {
-  auto bytes = encode_token(sample_token());
-  bytes[0] = 99;
-  EXPECT_THROW(decode_token(bytes), WireError);
-  EXPECT_THROW(wire_kind(bytes), WireError);
+  // Version 1, the retired fixed-width layout, is as foreign as garbage.
+  for (std::uint8_t version : {std::uint8_t{1}, std::uint8_t{99}}) {
+    auto bytes = token_bytes(sample_token());
+    bytes[0] = version;
+    EXPECT_THROW(decode_payload(bytes), WireError);
+    EXPECT_THROW(wire_kind(bytes), WireError);
+  }
 }
 
 Token random_token(std::mt19937_64& rng) {
   // Widths up to 12 deliberately cross the inline small-buffer boundary (8)
-  // so heap-spilled entries round-trip too.
+  // so heap-spilled entries round-trip too. Process indexes stay within the
+  // width, as they do in a real session.
   const std::size_t width = rng() % 13;
+  const std::size_t procs = std::max<std::size_t>(width, 1);
   Token t;
   t.token_id = rng();
-  t.parent = static_cast<int>(rng() % 16);
+  t.parent = static_cast<int>(rng() % procs);
   t.parent_sn = static_cast<std::uint32_t>(rng());
   t.parent_vc = VectorClock(width);
   for (std::size_t j = 0; j < width; ++j) {
     t.parent_vc[j] = static_cast<std::uint32_t>(rng() % 1000);
   }
-  t.next_target_process = static_cast<int>(rng() % 17) - 1;  // may be -1
+  t.next_target_process = static_cast<int>(rng() % (procs + 1)) - 1;
   t.next_target_event = static_cast<std::uint32_t>(rng() % 100);
   t.hops = static_cast<int>(rng() % 50);
   const std::size_t num_entries = rng() % 5;
@@ -179,7 +221,7 @@ Token random_token(std::mt19937_64& rng) {
       e.conj(j) = static_cast<ConjunctEval>(rng() % 3);
     }
     e.eval = static_cast<EntryEval>(rng() % 3);
-    e.next_target_process = static_cast<int>(rng() % 17) - 1;
+    e.next_target_process = static_cast<int>(rng() % (procs + 1)) - 1;
     e.next_target_event = static_cast<std::uint32_t>(rng() % 100);
     e.loop_certified = (rng() % 3) == 0;
     if (e.loop_certified) {
@@ -199,7 +241,7 @@ TEST(WireProperty, RandomTokensRoundTrip) {
   std::mt19937_64 rng(0xC0FFEE);
   for (int iter = 0; iter < 500; ++iter) {
     Token t = random_token(rng);
-    expect_equal(t, decode_token(encode_token(t)));
+    expect_equal(t, decode_token(token_bytes(t)));
   }
 }
 
@@ -209,7 +251,7 @@ TEST(WireProperty, RandomTerminationsRoundTrip) {
     TerminationMessage msg;
     msg.process = static_cast<int>(rng() % 4096);
     msg.last_sn = static_cast<std::uint32_t>(rng());
-    TerminationMessage back = decode_termination(encode_termination(msg));
+    TerminationMessage back = only_unit<TerminationMessage>(bytes_of(msg));
     EXPECT_EQ(back.process, msg.process);
     EXPECT_EQ(back.last_sn, msg.last_sn);
   }
@@ -224,7 +266,7 @@ TEST(WireProperty, MaxWidthBoundsDecodedArrays) {
   do {
     t = random_token(rng);
   } while (t.parent_vc.size() < 6);
-  const auto bytes = encode_token(t);
+  const auto bytes = token_bytes(t);
   expect_equal(t, decode_token(bytes, t.parent_vc.size()));
   EXPECT_THROW(decode_token(bytes, t.parent_vc.size() - 1), WireError);
 }
@@ -233,7 +275,7 @@ TEST(WireProperty, MaxWidthBoundsDecodedArrays) {
 // never crash or loop.
 TEST(WireFuzz, RandomCorruptionIsSafe) {
   std::mt19937_64 rng(0xF00D);
-  const auto original = encode_token(sample_token());
+  const auto original = token_bytes(sample_token());
   for (int iter = 0; iter < 2000; ++iter) {
     auto bytes = original;
     const int flips = 1 + static_cast<int>(rng() % 4);
@@ -242,26 +284,26 @@ TEST(WireFuzz, RandomCorruptionIsSafe) {
           static_cast<std::uint8_t>(1u << (rng() % 8));
     }
     try {
-      Token t = decode_token(bytes);
-      (void)t;
+      (void)decode_payload(bytes);
     } catch (const WireError&) {
       // expected for most corruptions
     }
   }
 }
 
-// Fuzz: random buffers never crash the decoder.
+// Fuzz: random buffers never crash the decoder. Half of them carry a valid
+// frame header so the unit decoders see garbage too.
 TEST(WireFuzz, RandomBuffersAreSafe) {
   std::mt19937_64 rng(0xBEEF);
   for (int iter = 0; iter < 2000; ++iter) {
     std::vector<std::uint8_t> bytes(rng() % 64);
     for (auto& b : bytes) b = static_cast<std::uint8_t>(rng());
-    try {
-      decode_token(bytes);
-    } catch (const WireError&) {
+    if (iter % 2 == 0 && bytes.size() >= 2) {
+      bytes[0] = 2;
+      bytes[1] = static_cast<std::uint8_t>(WireKind::kFrame);
     }
     try {
-      decode_termination(bytes);
+      (void)decode_payload(bytes);
     } catch (const WireError&) {
     }
   }
@@ -275,10 +317,7 @@ TEST(WireFuzz, RandomBuffersAreSafe) {
 // ---------------------------------------------------------------------------
 
 HistoryFloorMessage decode_floor(const std::vector<std::uint8_t>& bytes) {
-  std::unique_ptr<NetPayload> payload = decode_payload(bytes, 16);
-  EXPECT_NE(payload, nullptr);
-  EXPECT_EQ(payload->tag, HistoryFloorMessage::kTag);
-  return *static_cast<HistoryFloorMessage*>(payload.get());
+  return only_unit<HistoryFloorMessage>(bytes, 16);
 }
 
 TEST(Wire, HistoryFloorRoundTripCarriesEpoch) {
@@ -317,9 +356,8 @@ TEST(Wire, HistoryFloorExtremesRoundTrip) {
 }
 
 TEST(Wire, HistoryFloorInsideFrameRoundTrips) {
-  // Resync floors travel in batched frames like every other staged payload;
-  // the frame-unit codec must preserve the epoch too (it has a separate
-  // wire path from the bare-payload codec).
+  // Resync floors travel in batched frames like every other staged payload,
+  // next to other units; the epoch must survive there too.
   auto frame = std::make_unique<PayloadFrame>();
   auto floor = std::make_unique<HistoryFloorMessage>();
   floor->process = 1;

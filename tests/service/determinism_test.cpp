@@ -234,7 +234,6 @@ TEST(CrossShardDeterminism, RepeatedShardedRunsAgree) {
     spec.num_processes = 5;
     spec.trace_seed = seed;
     spec.sim.coalesce = CoalesceMode::kTransit;
-    spec.options.wire_accounting = WireAccounting::kSampled;
     specs.push_back(spec);
   }
   const std::vector<Fingerprint> a = run_through_service(specs, 3);

@@ -47,6 +47,13 @@
 // rows are the committed bounded-memory evidence -- a drift here means the
 // GC window changed shape.
 //
+// Wall-clock rows are only comparable on the machine that produced the
+// baseline. Both files record their host ({"nproc", "compiler"}); when the
+// hosts differ, or either file predates the host record, every
+// host-dependent row -- .ns/.ms/.wall_ms times and the service throughput,
+// latency and speedup rows -- is skipped and reported as such. Count rows
+// are compared on every host.
+//
 //   bench_check <baseline.json> <candidate.json>
 //               [--wall-tol FACTOR] [--socket-tol FACTOR]
 //               [--service-tol FACTOR]
@@ -132,6 +139,24 @@ bool is_exact_service_count(const std::string& name) {
          has_suffix(name, ".monitor_messages");
 }
 
+/// The producing host, as bench_harness records it on one line:
+///   "host": {"nproc": 4, "compiler": "g++ 12.2.0"},
+/// Empty when the file has no host record.
+std::string parse_host(const char* path) {
+  std::ifstream in(path);
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.find("\"metrics\"") != std::string::npos) break;
+    const auto key = line.find("\"host\"");
+    if (key == std::string::npos) continue;
+    const auto open = line.find('{', key);
+    const auto close = line.rfind('}');
+    if (open == std::string::npos || close == std::string::npos) break;
+    return line.substr(open, close - open + 1);
+  }
+  return "";
+}
+
 const double* lookup(const std::vector<std::pair<std::string, double>>& m,
                      const std::string& name) {
   for (const auto& [n, v] : m) {
@@ -179,7 +204,20 @@ int main(int argc, char** argv) {
     return 2;
   }
 
+  const std::string baseline_host = parse_host(baseline_path);
+  const std::string candidate_host = parse_host(candidate_path);
+  const bool same_host =
+      !baseline_host.empty() && baseline_host == candidate_host;
+  if (!same_host) {
+    std::printf(
+        "bench_check: hosts differ (baseline %s, candidate %s); wall, "
+        "throughput and speedup rows are not compared\n",
+        baseline_host.empty() ? "unrecorded" : baseline_host.c_str(),
+        candidate_host.empty() ? "unrecorded" : candidate_host.c_str());
+  }
+
   int compared = 0;
+  int skipped = 0;
   int failures = 0;
   for (const auto& [name, cand] : candidate) {
     const bool is_service = name.rfind("service.", 0) == 0;
@@ -191,6 +229,12 @@ int main(int argc, char** argv) {
     }
     const double* base = lookup(baseline, name);
     if (!base) continue;  // sub-grid runs simply cover fewer cells
+    const bool host_dependent =
+        is_time_metric(name) || (is_service && !is_exact_service_count(name));
+    if (host_dependent && !same_host) {
+      ++skipped;
+      continue;
+    }
     ++compared;
     if (is_service && !is_exact_service_count(name)) {
       // Threaded-run throughput/latency: band like wall time, with the same
@@ -243,7 +287,7 @@ int main(int argc, char** argv) {
                  baseline_path, candidate_path);
     return 1;
   }
-  std::printf("bench_check: %d metrics compared, %d failed\n", compared,
-              failures);
+  std::printf("bench_check: %d metrics compared, %d failed, %d skipped\n",
+              compared, failures, skipped);
   return failures == 0 ? 0 : 1;
 }

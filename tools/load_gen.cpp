@@ -208,7 +208,6 @@ int main(int argc, char** argv) {
     spec.comm_enabled = opt.comm_enabled;
     spec.internal_events = opt.internal_events;
     spec.sim.coalesce = CoalesceMode::kTransit;
-    spec.options.wire_accounting = WireAccounting::kSampled;
     spec.options.streaming = opt.streaming;
     if (opt.gc_interval > 0) spec.options.gc_interval = opt.gc_interval;
     spec.options.max_views = opt.max_views;
