@@ -19,9 +19,8 @@ struct Numbers {
 
 Numbers run_once(paper::Property prop, int n, bool centralized,
                  MonitorOptions options = {}) {
-  AtomRegistry reg = paper::make_registry(n);
-  MonitorAutomaton automaton = paper::build_automaton(prop, n, reg);
-  MonitorSession session(std::move(reg), std::move(automaton));
+  MonitorSession session(
+      paper::shared_property(prop, n, paper::make_registry(n)));
   Numbers out;
   const int reps = 3;
   for (int r = 0; r < reps; ++r) {

@@ -11,7 +11,8 @@ int main() {
   using namespace decmon;
 
   AtomRegistry reg = paper::make_registry(3);
-  MonitorAutomaton m = paper::build_automaton(paper::Property::kC, 3, reg);
+  const SharedProperty art =
+      paper::shared_property(paper::Property::kC, 3, reg);
   TraceParams params =
       paper::experiment_params(paper::Property::kC, 3, 2015, 3.0, true, 12);
   SystemTrace trace = generate_trace(params);
@@ -26,7 +27,8 @@ int main() {
               "pivot states", "verdicts");
   const double epsilons[] = {1e9, 10.0, 3.0, 1.0, 0.3, 0.05, 0.001};
   for (double eps : epsilons) {
-    OracleResult r = oracle_evaluate_timed(TimedComputation(&comp, eps), m);
+    OracleResult r =
+        oracle_evaluate_timed(TimedComputation(&comp, eps), art->automaton());
     std::string verdicts;
     for (Verdict v : r.verdicts) verdicts += to_string(v) + " ";
     std::printf("%-14g %14llu %14llu %10s\n", eps,

@@ -30,9 +30,8 @@ struct Cell {
 inline Cell run_cell(paper::Property prop, int n, double comm_mu,
                      bool comm_enabled, int internal_events = 25,
                      int replications = 3, std::uint64_t base_seed = 2015) {
-  AtomRegistry reg = paper::make_registry(n);
-  MonitorAutomaton automaton = paper::build_automaton(prop, n, reg);
-  MonitorSession session(std::move(reg), std::move(automaton));
+  MonitorSession session(
+      paper::shared_property(prop, n, paper::make_registry(n)));
 
   // The figure benches measure the communication cost of monitoring, so run
   // with in-transit frame coalescing (the deployment posture); equivalence

@@ -17,7 +17,7 @@
 //   micro.*.ns        nanoseconds per operation
 //   micro.*.ms        milliseconds per operation
 //   micro.BM_PropertyAdmission.<posture>.ns      one property admission
-//     (D, n=5): cold_synthesis / cache_hit_copy / shared_registry
+//     (D, n=5): cold_synthesis / shared_registry
 //   cell.<P>.n<k>.<comm|nocomm>.wall_ms          end-to-end monitored run
 //   cell.<P>.n<k>.<comm|nocomm>.monitor_messages (Fig. 5.4/5.5 metric)
 //   cell.<P>.n<k>.<comm|nocomm>.global_views     (Fig. 5.8 metric)
@@ -106,8 +106,9 @@ constexpr int kMicroRuns = 3;
 
 [[gnu::noinline]] void micro_automaton_step(Metrics& out, bool quick) {
   // Automaton stepping (the BM_AutomatonStep workload: property F, n=4).
-  AtomRegistry reg = paper::make_registry(4);
-  MonitorAutomaton m = paper::build_automaton(paper::Property::kF, 4, reg);
+  const SharedProperty art = paper::shared_property(
+      paper::Property::kF, 4, paper::make_registry(4));
+  const MonitorAutomaton& m = art->automaton();
   std::mt19937_64 rng(7);
   std::vector<AtomSet> letters;
   for (int i = 0; i < 256; ++i) letters.push_back(rng() & 0xFF);
@@ -129,12 +130,13 @@ constexpr int kMicroRuns = 3;
 [[gnu::noinline]] void micro_locally_satisfied(Metrics& out, bool quick) {
   // Per-process conjunct checks (the token walk's inner loop: D, n=5).
   AtomRegistry reg = paper::make_registry(5);
-  MonitorAutomaton m = paper::build_automaton(paper::Property::kD, 5, reg);
-  CompiledProperty prop(&m, &reg);
+  const SharedProperty art =
+      paper::shared_property(paper::Property::kD, 5, reg);
+  const CompiledProperty& prop = art->property();
   std::mt19937_64 rng(11);
   std::vector<AtomSet> letters;
   for (int i = 0; i < 256; ++i) letters.push_back(rng() & 0x3FF);
-  const int tids = m.num_transitions();
+  const int tids = art->automaton().num_transitions();
   const std::int64_t iters = quick ? (1 << 16) : (1 << 19);
   volatile int sink = 0;
   const double ms = best_of(kMicroRuns, [&] {
@@ -195,45 +197,11 @@ constexpr int kMicroRuns = 3;
   out.put("micro.BM_MonitorSynthesis.ms", ms / iters);
 }
 
-[[gnu::noinline]] void micro_monitor_synthesis_cached(Metrics& out,
-                                                      bool quick) {
-  // The fleet-warm path: after one miss populates the process-wide memo,
-  // every further build_automaton call is a shared-lock lookup plus an
-  // automaton copy. This is the per-shard catalog-warm cost in the service.
-  const int n = 3;
-  paper::synthesis_cache_clear();
-  AtomRegistry reg = paper::make_registry(n);
-  {
-    MonitorAutomaton warm =
-        paper::build_automaton(paper::Property::kD, n, reg);
-    if (warm.num_states() == 0) std::abort();
-  }
-  const int iters = quick ? 500 : 5000;
-  volatile int sink = 0;
-  const double ms = best_of(kMicroRuns, [&] {
-    int acc = 0;
-    const auto t0 = Clock::now();
-    for (int i = 0; i < iters; ++i) {
-      MonitorAutomaton m =
-          paper::build_automaton(paper::Property::kD, n, reg);
-      acc += m.num_states();
-    }
-    sink = acc;
-    return elapsed_ms(t0);
-  });
-  (void)sink;
-  out.put("micro.BM_MonitorSynthesisCached.ns",
-          ms * 1e6 / static_cast<double>(iters));
-}
-
 [[gnu::noinline]] void micro_property_admission(Metrics& out, bool quick) {
-  // The three admission postures for one golden property (D, n=5), worst
-  // to best. cold_synthesis is construction + validation + dispatch build
-  // with the memo bypassed (what a process pays on first admission);
-  // cache_hit_copy is the legacy memo hit that still copies the automaton
-  // out (the cost build_automaton keeps paying for compat);
-  // shared_registry is the zero-copy path on a warm memo (a refcount
-  // bump).
+  // Admission of one golden property (D, n=5), cold and warm.
+  // cold_synthesis is construction + validation + dispatch build with the
+  // memo bypassed (what a process pays on first admission);
+  // shared_registry is shared_property on a warm memo (a refcount bump).
   constexpr paper::Property kProp = paper::Property::kD;
   constexpr int n = 5;
   AtomRegistry reg = paper::make_registry(n);
@@ -253,24 +221,6 @@ constexpr int kMicroRuns = 3;
 
   paper::synthesis_cache_clear();
   if (!paper::shared_property(kProp, n, reg)) std::abort();  // warm the memo
-  {
-    const int iters = quick ? 500 : 5000;
-    volatile int sink = 0;
-    const double ms = best_of(kMicroRuns, [&] {
-      int acc = 0;
-      const auto t0 = Clock::now();
-      for (int i = 0; i < iters; ++i) {
-        MonitorAutomaton m = paper::build_automaton(kProp, n, reg);
-        acc += m.num_states();
-      }
-      sink = acc;
-      return elapsed_ms(t0);
-    });
-    (void)sink;
-    out.put("micro.BM_PropertyAdmission.cache_hit_copy.ns",
-            ms * 1e6 / iters);
-  }
-
   {
     const int iters = quick ? (1 << 14) : (1 << 17);
     volatile int sink = 0;
@@ -292,10 +242,8 @@ constexpr int kMicroRuns = 3;
 
 [[gnu::noinline]] void micro_monitored_run(Metrics& out, bool quick) {
   // Whole monitored run, property C, n=4 (BM_MonitoredRun workload).
-  AtomRegistry reg = paper::make_registry(4);
-  MonitorAutomaton automaton =
-      paper::build_automaton(paper::Property::kC, 4, reg);
-  MonitorSession session(std::move(reg), std::move(automaton));
+  MonitorSession session(
+      paper::shared_property(paper::Property::kC, 4, paper::make_registry(4)));
   TraceParams params = paper::experiment_params(paper::Property::kC, 4, 9);
   SystemTrace trace = generate_trace(params);
   const int iters = quick ? 2 : 10;
@@ -315,7 +263,6 @@ void micro_suite(Metrics& out, bool quick) {
   micro_locally_satisfied(out, quick);
   micro_vector_clock_compare(out, quick);
   micro_monitor_synthesis(out, quick);
-  micro_monitor_synthesis_cached(out, quick);
   micro_property_admission(out, quick);
   micro_monitored_run(out, quick);
 }
@@ -328,9 +275,8 @@ void micro_suite(Metrics& out, bool quick) {
 void run_cell_metrics(Metrics& out, paper::Property prop, int n,
                       double comm_mu, bool comm_enabled, int replications,
                       std::uint64_t base_seed = 2015) {
-  AtomRegistry reg = paper::make_registry(n);
-  MonitorAutomaton automaton = paper::build_automaton(prop, n, reg);
-  MonitorSession session(std::move(reg), std::move(automaton));
+  MonitorSession session(
+      paper::shared_property(prop, n, paper::make_registry(n)));
 
   // Same posture as bench_common.hpp: cells measure the deployment
   // configuration, which batches frames while they are in flight.
@@ -411,9 +357,7 @@ void cell_grid(Metrics& out, bool quick) {
 void run_socket_cell(Metrics& out, paper::Property prop, int n,
                      int replications, std::uint64_t base_seed = 2015) {
   AtomRegistry reg = paper::make_registry(n);
-  MonitorAutomaton automaton = paper::build_automaton(prop, n, reg);
-  automaton.build_dispatch();
-  CompiledProperty compiled(&automaton, &reg);
+  const SharedProperty art = paper::shared_property(prop, n, reg);
 
   const std::string base =
       "socket." + paper::name(prop) + ".n" + std::to_string(n);
@@ -443,7 +387,7 @@ void run_socket_cell(Metrics& out, paper::Property prop, int n,
       const auto t0 = Clock::now();
       SocketRuntime runtime(std::move(trace), &reg, config);
       DecentralizedMonitor monitors(
-          &compiled, &runtime,
+          property_handle(art), &runtime,
           initial_letters_of(reg, runtime.initial_states()));
       runtime.set_hooks(&monitors);
       runtime.run();
@@ -503,10 +447,8 @@ MonitorStats run_recovery_once(RecoveryVariant variant, std::uint64_t seed,
                                double* wall_ms) {
   constexpr int n = 4;
   AtomRegistry reg = paper::make_registry(n);
-  MonitorAutomaton automaton =
-      paper::build_automaton(paper::Property::kD, n, reg);
-  automaton.build_dispatch();
-  CompiledProperty prop(&automaton, &reg);
+  const SharedProperty art =
+      paper::shared_property(paper::Property::kD, n, reg);
   TraceParams params =
       paper::experiment_params(paper::Property::kD, n, seed, 3.0,
                                /*comm_enabled=*/true);
@@ -534,7 +476,8 @@ MonitorStats run_recovery_once(RecoveryVariant variant, std::uint64_t seed,
   MonitorNetwork* net =
       channel ? static_cast<MonitorNetwork*>(&*channel) : &faulty;
   DecentralizedMonitor monitors(
-      &prop, net, initial_letters_of(reg, runtime.initial_states()));
+      property_handle(art), net,
+      initial_letters_of(reg, runtime.initial_states()));
   MonitorHooks* hooks = &monitors;
   if (channel) {
     channel->set_hooks(&monitors);
@@ -588,10 +531,8 @@ void run_recovery_socket_once(bool fault, std::uint64_t seed,
                               SocketRecoveryRow* row) {
   constexpr int n = 3;
   AtomRegistry reg = paper::make_registry(n);
-  MonitorAutomaton automaton =
-      paper::build_automaton(paper::Property::kD, n, reg);
-  automaton.build_dispatch();
-  CompiledProperty prop(&automaton, &reg);
+  const SharedProperty art =
+      paper::shared_property(paper::Property::kD, n, reg);
   SystemTrace trace = generate_trace(paper::experiment_params(
       paper::Property::kD, n, seed, /*comm_mu=*/1.5));
   force_final_all_true(trace);
@@ -617,7 +558,8 @@ void run_recovery_socket_once(bool fault, std::uint64_t seed,
   channel_config.rto = 0.05;
   ReliableChannel channel(&runtime, n, channel_config);
   DecentralizedMonitor monitors(
-      &prop, &channel, initial_letters_of(reg, runtime.initial_states()));
+      property_handle(art), &channel,
+      initial_letters_of(reg, runtime.initial_states()));
   channel.set_hooks(&monitors);
   runtime.set_hooks(&channel);
   runtime.run();
@@ -796,10 +738,8 @@ void service_grid(Metrics& out, bool quick) {
 
 void run_stream_cell(Metrics& out, int internal_events, bool streaming) {
   constexpr int n = 5;
-  AtomRegistry reg = paper::make_registry(n);
-  MonitorAutomaton automaton =
-      paper::build_automaton(paper::Property::kF, n, reg);
-  MonitorSession session(std::move(reg), std::move(automaton));
+  MonitorSession session(
+      paper::shared_property(paper::Property::kF, n, paper::make_registry(n)));
   TraceParams params = paper::experiment_params(
       paper::Property::kF, n, 2015, 3.0, /*comm_enabled=*/true,
       internal_events);

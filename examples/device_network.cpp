@@ -54,15 +54,15 @@ int main(int argc, char** argv) {
   SystemTrace trace = generate_trace(params);
   force_final_all_true(trace);
 
-  AtomRegistry reg = paper::make_registry(n);
-  MonitorAutomaton automaton = paper::build_automaton(prop, n, reg);
+  MonitorSession session(
+      paper::shared_property(prop, n, paper::make_registry(n)));
+  const MonitorAutomaton& automaton = session.automaton();
   std::cout << "property " << paper::name(prop) << "(" << n
             << "): " << paper::formula_text(prop, n) << "\n";
   std::cout << "automaton: " << automaton.num_states() << " states, "
             << automaton.count_outgoing() << " outgoing + "
             << automaton.count_self_loops() << " self-loop transitions\n";
 
-  MonitorSession session(std::move(reg), std::move(automaton));
   RunResult r = session.run(trace);
 
   std::cout << "\n--- run (seed " << seed << ", CommMu = "

@@ -78,15 +78,16 @@ int main() {
   std::cout << "mission rule: " << rule << "\n";
 
   FormulaPtr f = parse_ltl(rule, reg);
-  MonitorAutomaton automaton = synthesize_monitor(f);
-  CompiledProperty property(&automaton, &reg);
+  const SharedProperty art =
+      std::make_shared<const PropertyArtifact>(reg, synthesize_monitor(f));
 
   // Real threads: one per drone, telemetry with latency.
   ThreadConfig config;
   config.time_scale = 0.002;  // 1 trace second = 2 ms wall
   ThreadRuntime runtime(trace, &reg, config);
   DecentralizedMonitor monitors(
-      &property, &runtime, initial_letters_of(reg, runtime.initial_states()));
+      property_handle(art), &runtime,
+      initial_letters_of(reg, runtime.initial_states()));
   std::atomic<int> alarms{0};
   for (int d = 0; d < kDrones; ++d) {
     monitors.monitor(d).set_verdict_callback(

@@ -215,7 +215,7 @@ FormulaPtr formula(Property p, int n, AtomRegistry& registry) {
 
 namespace {
 
-/// Process-wide memo for shared_property / build_automaton. Entries are
+/// Process-wide memo for shared_property. Entries are
 /// SharedProperty artifacts: a hit under the shared lock is a refcount
 /// bump, never a copy, and an artifact stays alive for as long as any
 /// session holds it -- clear() only drops the memo's own reference (the
@@ -277,7 +277,8 @@ void synthesis_cache_clear() {
 MonitorAutomaton build_automaton_uncached(Property p, int n,
                                           const AtomRegistry& registry) {
   if (registry.num_processes() != n) {
-    throw std::invalid_argument("build_automaton: registry/process mismatch");
+    throw std::invalid_argument(
+        "build_automaton_uncached: registry/process mismatch");
   }
   auto p_atoms = [&](int from, int to) {
     std::vector<int> out;
@@ -314,7 +315,7 @@ MonitorAutomaton build_automaton_uncached(Property p, int n,
       break;
   }
   if (auto err = m.validate()) {
-    throw std::logic_error("paper::build_automaton: " + *err);
+    throw std::logic_error("paper::build_automaton_uncached: " + *err);
   }
   m.build_dispatch();
   return m;
@@ -344,13 +345,6 @@ SharedProperty shared_property(Property p, int n,
   // A racing builder may have inserted meanwhile; both built the same
   // immutable value, so either artifact serves (emplace keeps the first).
   return cache.memo.emplace(key, std::move(artifact)).first->second;
-}
-
-MonitorAutomaton build_automaton(Property p, int n,
-                                 const AtomRegistry& registry) {
-  // Compatibility path: callers that want to own a mutable automaton pay
-  // the copy; the admission hot path holds the shared artifact instead.
-  return shared_property(p, n, registry)->automaton();
 }
 
 TraceParams experiment_params(Property p, int num_processes,

@@ -67,7 +67,7 @@ RunResult MonitorSession::run_centralized(const SystemTrace& trace,
                                           int central_node) const {
   SimRuntime runtime(trace, &artifact_->registry(), sim);
   CentralizedMonitor central(
-      &artifact_->property(), &runtime,
+      property_handle(artifact_), &runtime,
       initial_letters_of(registry(), runtime.initial_states()), central_node);
   runtime.set_hooks(&central);
   runtime.run();

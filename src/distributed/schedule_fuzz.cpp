@@ -12,7 +12,7 @@
 #include "decmon/lattice/event_log.hpp"
 #include "decmon/lattice/oracle.hpp"
 #include "decmon/monitor/decentralized_monitor.hpp"
-#include "decmon/monitor/predicate.hpp"
+#include "decmon/monitor/property_registry.hpp"
 #include "decmon/util/rng.hpp"
 
 namespace decmon::fuzz {
@@ -126,11 +126,10 @@ struct CaseStack {
 /// Run one case. `recorded` (replay repros) substitutes for regenerating
 /// the computation; null means record it fresh from the trace seeds.
 CaseOutcome execute_case(const CaseSpec& spec, const Computation* recorded) {
-  AtomRegistry registry = paper::make_registry(spec.num_processes);
-  MonitorAutomaton automaton =
-      paper::build_automaton(spec.property, spec.num_processes, registry);
-  automaton.build_dispatch();
-  CompiledProperty prop(&automaton, &registry);
+  const SharedProperty art =
+      paper::shared_property(spec.property, spec.num_processes,
+                             paper::make_registry(spec.num_processes));
+  const AtomRegistry& registry = art->registry();
 
   const TraceParams params = paper::experiment_params(
       spec.property, spec.num_processes, spec.trace_seed, spec.comm_mu,
@@ -148,7 +147,7 @@ CaseOutcome execute_case(const CaseSpec& spec, const Computation* recorded) {
     SimRuntime runtime(generate_trace(params), &registry, sim);
     CaseStack stack(spec, &runtime);
     DecentralizedMonitor monitors(
-        &prop, stack.net(),
+        property_handle(art), stack.net(),
         initial_letters_of(registry, runtime.initial_states()), mopts);
     runtime.set_hooks(stack.attach(spec, &monitors));
     runtime.run();
@@ -171,7 +170,8 @@ CaseOutcome execute_case(const CaseSpec& spec, const Computation* recorded) {
     }
     ReplayRuntime runtime;
     CaseStack stack(spec, &runtime);
-    DecentralizedMonitor monitors(&prop, stack.net(), letters, mopts);
+    DecentralizedMonitor monitors(property_handle(art), stack.net(), letters,
+                                  mopts);
     MonitorHooks* hooks = stack.attach(spec, &monitors);
     runtime.run(out.comp, *hooks, spec.schedule_seed);
     stack.collect(out);
@@ -180,7 +180,8 @@ CaseOutcome execute_case(const CaseSpec& spec, const Computation* recorded) {
     out.all_finished = v.all_finished;
   }
   out.oracle =
-      oracle_evaluate(out.comp, automaton, spec.oracle_max_nodes).verdicts;
+      oracle_evaluate(out.comp, art->automaton(), spec.oracle_max_nodes)
+          .verdicts;
   return out;
 }
 

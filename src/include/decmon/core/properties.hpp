@@ -38,37 +38,28 @@ std::string formula_text(Property p, int num_processes);
 /// Parse the scaled formula against `registry` (made by make_registry).
 FormulaPtr formula(Property p, int num_processes, AtomRegistry& registry);
 
-/// Build the thesis-shaped monitor automaton for the property. `registry`
-/// must come from make_registry(num_processes). The result is validated
-/// (deterministic + complete).
-///
-/// Results are memoized process-wide, keyed by (formula text, registry atom
-/// signature): the bench grid, the fuzz drivers, repeated sessions and the
-/// sharded service request identical automata thousands of times, and
-/// construction + validation + dispatch-table build is pure. Cache hits
-/// return a copy -- callers that only need read access should prefer
-/// shared_property(), which returns the memoized artifact itself with no
-/// copy. Thread-safe: hits run concurrently under a shared lock (the
-/// service's shards all warm their catalogs from this one memo); misses
-/// serialize only the insert.
-MonitorAutomaton build_automaton(Property p, int num_processes,
-                                 const AtomRegistry& registry);
-
-/// build_automaton without the memo: always constructs, validates, and
-/// builds the dispatch table. The reference path for the memo-vs-synthesis
-/// differential tests.
+/// Build the thesis-shaped monitor automaton for the property, with no memo:
+/// always constructs, validates (deterministic + complete) and builds the
+/// dispatch table. `registry` must come from make_registry(num_processes).
+/// For callers that need an automaton they own and may mutate, and the
+/// reference path for the memo-vs-synthesis differential tests; everyone
+/// else admits through shared_property().
 MonitorAutomaton build_automaton_uncached(Property p, int num_processes,
                                           const AtomRegistry& registry);
 
-/// Zero-copy admission: the shared immutable artifact (registry + automaton
-/// + compiled property) for the scaled paper property. A hit in the
-/// process-wide memo, keyed formula text + atom signature, is a refcount
-/// bump with no copy; a miss synthesizes (build_automaton_uncached, whose
-/// validation and dispatch build enumerate the letters each guard matches)
-/// and memoizes the artifact for next time. Any registry of num_processes
-/// processes is accepted (the artifact then owns a copy of it).
-/// Thread-safe; clearing the memo never invalidates artifacts already
-/// handed out (shared_ptr keeps them alive).
+/// The shared immutable artifact (registry + automaton + compiled property)
+/// for the scaled paper property -- the way a paper property reaches a
+/// monitor. Results are memoized process-wide, keyed by formula text plus
+/// atom_signature(registry): the bench grid, the fuzz drivers, repeated
+/// sessions and the sharded service request identical properties thousands
+/// of times, and synthesis is pure. A hit returns the memoized artifact
+/// itself (a refcount bump, never a copy); a miss synthesizes
+/// (build_automaton_uncached) and memoizes the artifact for next time. Any
+/// registry of num_processes processes is accepted (the artifact then owns
+/// a copy of it). Thread-safe: hits run concurrently under a shared lock
+/// (the service's shards all warm their catalogs from this one memo);
+/// misses serialize only the insert. Clearing the memo never invalidates
+/// artifacts already handed out (shared_ptr keeps them alive).
 SharedProperty shared_property(Property p, int num_processes,
                                const AtomRegistry& registry);
 
@@ -78,7 +69,7 @@ SharedProperty shared_property(Property p, int num_processes,
 /// synthesis memo keys on it.
 std::string atom_signature(const AtomRegistry& registry);
 
-/// Hit/miss counters for the build_automaton memo (process-wide,
+/// Hit/miss counters for the shared_property memo (process-wide,
 /// monotonic; thread-safe snapshot).
 struct SynthesisCacheStats {
   std::uint64_t hits = 0;
@@ -86,7 +77,7 @@ struct SynthesisCacheStats {
 };
 SynthesisCacheStats synthesis_cache_stats();
 
-/// Drop every memoized automaton and zero the counters (tests).
+/// Drop every memoized artifact and zero the counters (tests).
 void synthesis_cache_clear();
 
 /// Workload parameters for the experiments of Chapter 5: Evt ~ N(3, 1),

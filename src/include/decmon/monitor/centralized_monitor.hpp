@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <set>
 #include <unordered_map>
 #include <vector>
@@ -39,7 +40,9 @@ struct CentralTerminationMessage final : NetPayload {
 
 class CentralizedMonitor final : public MonitorHooks {
  public:
-  CentralizedMonitor(const CompiledProperty* property,
+  /// Holds the property handle (and so its owning artifact) for the
+  /// monitor's lifetime.
+  CentralizedMonitor(std::shared_ptr<const CompiledProperty> property,
                      MonitorNetwork* network,
                      std::vector<AtomSet> initial_letters,
                      int central_node = 0,
@@ -84,7 +87,7 @@ class CentralizedMonitor final : public MonitorHooks {
   void check_finished(double now);
   AtomSet letter_at(const Cut& cut) const;
 
-  const CompiledProperty* prop_;
+  std::shared_ptr<const CompiledProperty> prop_;
   MonitorNetwork* net_;
   int central_;
   std::size_t max_cuts_;

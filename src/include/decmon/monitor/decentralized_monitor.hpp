@@ -35,23 +35,12 @@ struct SystemVerdict {
 class DecentralizedMonitor final : public MonitorHooks {
  public:
   /// `initial_letters[p]`: process p's initial local letter (every monitor
-  /// replica receives the full initial global state, Alg. 1). The shared
-  /// overload keeps the property's owning artifact alive for the monitor's
-  /// lifetime (zero-copy admission); the raw-pointer overload wraps a
-  /// non-owning handle -- the caller guarantees the property outlives the
-  /// monitor, as before.
+  /// replica receives the full initial global state, Alg. 1). The handle
+  /// keeps the property's owning artifact alive for the monitor's lifetime.
   DecentralizedMonitor(std::shared_ptr<const CompiledProperty> property,
                        MonitorNetwork* network,
                        std::vector<AtomSet> initial_letters,
                        MonitorOptions options = {});
-  DecentralizedMonitor(const CompiledProperty* property,
-                       MonitorNetwork* network,
-                       std::vector<AtomSet> initial_letters,
-                       MonitorOptions options = {})
-      : DecentralizedMonitor(
-            std::shared_ptr<const CompiledProperty>(
-                std::shared_ptr<const void>(), property),
-            network, std::move(initial_letters), options) {}
 
   // MonitorHooks:
   void on_local_event(int proc, const Event& event, double now) override;
@@ -70,7 +59,6 @@ class DecentralizedMonitor final : public MonitorHooks {
   SystemVerdict result() const;
 
  private:
-  std::shared_ptr<const CompiledProperty> property_;
   std::vector<std::unique_ptr<MonitorProcess>> monitors_;
   /// First violation / satisfaction times (-1 = none yet). Atomic: every
   /// replica's verdict callback writes them, and under ThreadRuntime and

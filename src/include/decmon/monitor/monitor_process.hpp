@@ -131,21 +131,12 @@ class MonitorProcess {
  public:
   /// `initial_letters[p]` is process p's local letter at its initial state
   /// (the monitor receives the initial global state as input, Alg. 1).
-  /// The shared overload pins the property's owning artifact for the
-  /// replica's lifetime; the raw-pointer overload wraps a non-owning handle
-  /// (caller guarantees the property outlives the replica).
+  /// The handle pins the property's owning artifact for the replica's
+  /// lifetime.
   MonitorProcess(int index, std::shared_ptr<const CompiledProperty> property,
                  MonitorNetwork* network,
                  std::vector<AtomSet> initial_letters,
                  MonitorOptions options = {});
-  MonitorProcess(int index, const CompiledProperty* property,
-                 MonitorNetwork* network,
-                 std::vector<AtomSet> initial_letters,
-                 MonitorOptions options = {})
-      : MonitorProcess(index,
-                       std::shared_ptr<const CompiledProperty>(
-                           std::shared_ptr<const void>(), property),
-                       network, std::move(initial_letters), options) {}
 
   // -- runtime-facing interface --
   void on_local_event(const Event& event, double now);

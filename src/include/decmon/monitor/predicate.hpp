@@ -27,13 +27,18 @@ struct CompiledTransition {
   std::vector<int> participants;  ///< processes with non-empty local cubes
 };
 
+class PropertyArtifact;
+
 /// A monitor automaton compiled against an atom registry for `n` processes.
 /// Immutable after construction; shared read-only by all monitor replicas
-/// (CP.mess: no mutable sharing).
+/// (CP.mess: no mutable sharing). Only a PropertyArtifact builds one, and
+/// it is never copied out: the artifact owns the automaton and registry
+/// this object points into, so the pointees outlive the property by
+/// construction.
 class CompiledProperty {
  public:
-  CompiledProperty(const MonitorAutomaton* automaton,
-                   const AtomRegistry* registry);
+  CompiledProperty(const CompiledProperty&) = delete;
+  CompiledProperty& operator=(const CompiledProperty&) = delete;
 
   const MonitorAutomaton& automaton() const { return *automaton_; }
   const AtomRegistry& registry() const { return *registry_; }
@@ -104,6 +109,10 @@ class CompiledProperty {
   }
 
  private:
+  friend class PropertyArtifact;
+  CompiledProperty(const MonitorAutomaton* automaton,
+                   const AtomRegistry* registry);
+
   const MonitorAutomaton* automaton_;
   const AtomRegistry* registry_;
   AutomatonAnalysis analysis_;

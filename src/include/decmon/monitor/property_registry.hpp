@@ -30,6 +30,9 @@ class PropertyArtifact {
  public:
   /// Takes ownership of both inputs; builds the automaton's dispatch table
   /// if not already built, then compiles the property against the registry.
+  /// The only way a property reaches a monitor, and so the single admission
+  /// check: throws std::invalid_argument when a guard reads an atom at or
+  /// above registry.num_atoms().
   PropertyArtifact(AtomRegistry registry, MonitorAutomaton automaton);
 
   PropertyArtifact(const PropertyArtifact&) = delete;
@@ -49,8 +52,9 @@ class PropertyArtifact {
 using SharedProperty = std::shared_ptr<const PropertyArtifact>;
 
 /// A handle to the artifact's CompiledProperty that keeps the whole
-/// artifact alive (shared_ptr aliasing): what MonitorProcess and
-/// DecentralizedMonitor hold.
+/// artifact alive (shared_ptr aliasing): the only form in which the
+/// monitors (MonitorProcess, DecentralizedMonitor, CentralizedMonitor)
+/// take and hold a property.
 inline std::shared_ptr<const CompiledProperty> property_handle(
     const SharedProperty& artifact) {
   return std::shared_ptr<const CompiledProperty>(artifact,

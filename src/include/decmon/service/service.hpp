@@ -16,10 +16,11 @@
 //     from the shared immutable PropertyArtifact (registry + automaton +
 //     compiled property) once per (property, n) per shard. Sessions NEVER
 //     share mutable monitor state -- the only cross-shard sharing is the
-//     immutable artifact behind the process-wide synthesis cache
-//     (paper::build_automaton), which is immutable-value, copy-on-hit, and
-//     guarded for concurrent readers, so a property is synthesized once per
-//     fleet rather than once per session.
+//     immutable artifact behind the process-wide synthesis memo
+//     (paper::shared_property), which hands out the same artifact on every
+//     hit (a refcount bump, never a copy) and is guarded for concurrent
+//     readers, so a property is synthesized once per fleet rather than once
+//     per session.
 //   * Outcomes are a pure function of the SessionSpec: placement, stealing
 //     and shard count never change a verdict or a counter (the cross-shard
 //     determinism test pins this against the 1-shard serial run).

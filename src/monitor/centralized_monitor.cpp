@@ -1,21 +1,22 @@
 #include "decmon/monitor/centralized_monitor.hpp"
 
 #include <stdexcept>
+#include <utility>
 
 namespace decmon {
 namespace {
 constexpr std::uint32_t kRunning = 0xFFFFFFFFu;
 }
 
-CentralizedMonitor::CentralizedMonitor(const CompiledProperty* property,
-                                       MonitorNetwork* network,
-                                       std::vector<AtomSet> initial_letters,
-                                       int central_node, std::size_t max_cuts)
-    : prop_(property),
+CentralizedMonitor::CentralizedMonitor(
+    std::shared_ptr<const CompiledProperty> property, MonitorNetwork* network,
+    std::vector<AtomSet> initial_letters, int central_node,
+    std::size_t max_cuts)
+    : prop_(std::move(property)),
       net_(network),
       central_(central_node),
       max_cuts_(max_cuts) {
-  const int n = property->num_processes();
+  const int n = prop_->num_processes();
   if (static_cast<int>(initial_letters.size()) != n) {
     throw std::invalid_argument("CentralizedMonitor: bad initial letters");
   }

@@ -21,15 +21,14 @@ void record_first(std::atomic<double>& slot, double now) {
 
 DecentralizedMonitor::DecentralizedMonitor(
     std::shared_ptr<const CompiledProperty> property, MonitorNetwork* network,
-    std::vector<AtomSet> initial_letters, MonitorOptions options)
-    : property_(std::move(property)) {
-  const int n = property_->num_processes();
+    std::vector<AtomSet> initial_letters, MonitorOptions options) {
+  const int n = property->num_processes();
   monitors_.reserve(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
     // Replicas share the one property (and, through the aliasing
     // shared_ptr, its owning artifact); nothing per-replica is copied.
     monitors_.push_back(std::make_unique<MonitorProcess>(
-        i, property_, network, initial_letters, options));
+        i, property, network, initial_letters, options));
     monitors_.back()->set_verdict_callback([this](Verdict v, double now) {
       if (v == Verdict::kFalse) record_first(first_violation_, now);
       if (v == Verdict::kTrue) record_first(first_satisfaction_, now);

@@ -109,9 +109,9 @@ TEST(Monitorability, PaperPropertiesClassify) {
   // A/C/D/F are safety-shaped (G of an until: never satisfiable finitely);
   // B/E are co-safety (F of a state predicate).
   for (paper::Property p : paper::kAllProperties) {
-    AtomRegistry reg = paper::make_registry(3);
-    MonitorAutomaton m = paper::build_automaton(p, 3, reg);
-    const Monitorability cls = classify(m);
+    const SharedProperty art =
+        paper::shared_property(p, 3, paper::make_registry(3));
+    const Monitorability cls = classify(art->automaton());
     if (p == paper::Property::kB || p == paper::Property::kE) {
       EXPECT_EQ(cls, Monitorability::kCoSafety) << paper::name(p);
     } else {

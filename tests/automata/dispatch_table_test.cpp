@@ -62,10 +62,10 @@ void check_dispatch_matches_linear(const MonitorAutomaton& m,
 TEST(DispatchTable, MatchesLinearScanOnThesisAutomata) {
   for (paper::Property p : paper::kAllProperties) {
     for (int n : {2, 3, 4, 5, 6}) {
-      AtomRegistry reg = paper::make_registry(n);
-      MonitorAutomaton m = paper::build_automaton(p, n, reg);
+      const SharedProperty art =
+          paper::shared_property(p, n, paper::make_registry(n));
       check_dispatch_matches_linear(
-          m, paper::name(p) + " n=" + std::to_string(n));
+          art->automaton(), paper::name(p) + " n=" + std::to_string(n));
     }
   }
 }
@@ -97,8 +97,9 @@ TEST(DispatchTable, MatchesLinearScanOnRandomFormulas) {
 }
 
 TEST(DispatchTable, StepAgreesWithMatchingTransition) {
-  AtomRegistry reg = paper::make_registry(4);
-  MonitorAutomaton m = paper::build_automaton(paper::Property::kF, 4, reg);
+  const SharedProperty art = paper::shared_property(
+      paper::Property::kF, 4, paper::make_registry(4));
+  const MonitorAutomaton& m = art->automaton();
   std::mt19937_64 rng(5);
   for (int q = 0; q < m.num_states(); ++q) {
     for (int i = 0; i < 256; ++i) {
@@ -113,7 +114,8 @@ TEST(DispatchTable, StepAgreesWithMatchingTransition) {
 
 TEST(DispatchTable, MutationInvalidatesAndRebuilds) {
   AtomRegistry reg = paper::make_registry(2);
-  MonitorAutomaton m = paper::build_automaton(paper::Property::kB, 2, reg);
+  MonitorAutomaton m =
+      paper::build_automaton_uncached(paper::Property::kB, 2, reg);
   EXPECT_TRUE(m.dispatch_built());
   const int q = m.add_state(Verdict::kUnknown);
   EXPECT_FALSE(m.dispatch_built());  // stale table must not be consulted

@@ -1,14 +1,18 @@
 // Shared test helper: random computations over n processes with boolean
-// propositions p and q per process, plus the standard registry and a suite
-// of representative LTL properties.
+// propositions p and q per process, plus the standard registry, a suite
+// of representative LTL properties, and their admission as artifacts.
 #pragma once
 
+#include <memory>
 #include <random>
 #include <string>
 #include <vector>
 
+#include "decmon/automata/ltl3_monitor.hpp"
 #include "decmon/lattice/computation.hpp"
 #include "decmon/ltl/atoms.hpp"
+#include "decmon/ltl/parser.hpp"
+#include "decmon/monitor/property_registry.hpp"
 
 namespace decmon::testing {
 
@@ -96,6 +100,14 @@ inline std::vector<std::string> property_suite_3() {
       "G((P0.p) -> F(P1.p && P2.q))",
       "G(!(P0.p && P1.p && P2.p))",
   };
+}
+
+/// `ltl` parsed over `reg` (which may gain comparison atoms), synthesized,
+/// and admitted as a shared artifact holding its own copy of `reg`.
+inline SharedProperty admit(AtomRegistry& reg, const std::string& ltl,
+                            const SynthesisOptions& options = {}) {
+  MonitorAutomaton m = synthesize_monitor(parse_ltl(ltl, reg), options);
+  return std::make_shared<const PropertyArtifact>(reg, std::move(m));
 }
 
 }  // namespace decmon::testing

@@ -39,8 +39,9 @@ const Row kTable51[] = {
 
 TEST(PaperProperties, Table51TransitionCounts) {
   for (const Row& row : kTable51) {
-    AtomRegistry reg = paper::make_registry(row.n);
-    MonitorAutomaton m = paper::build_automaton(row.prop, row.n, reg);
+    const SharedProperty art = paper::shared_property(
+        row.prop, row.n, paper::make_registry(row.n));
+    const MonitorAutomaton& m = art->automaton();
     EXPECT_EQ(m.count_total(), row.total)
         << paper::name(row.prop) << "(" << row.n << ")";
     EXPECT_EQ(m.count_outgoing(), row.outgoing)
@@ -54,8 +55,9 @@ TEST(PaperProperties, PropertyFCounts) {
   // Our principled product construction for F (4 live states + violation;
   // see EXPERIMENTS.md for the comparison against the thesis's counts).
   for (int n = 2; n <= 5; ++n) {
-    AtomRegistry reg = paper::make_registry(n);
-    MonitorAutomaton m = paper::build_automaton(Property::kF, n, reg);
+    const SharedProperty art =
+        paper::shared_property(Property::kF, n, paper::make_registry(n));
+    const MonitorAutomaton& m = art->automaton();
     const int b = n - 1;
     EXPECT_EQ(m.count_total(), 4 * b * b + 16 * b + 5) << n;
     EXPECT_EQ(m.count_self_loops(), b * b + 2 * b + 2) << n;
@@ -66,9 +68,9 @@ TEST(PaperProperties, PropertyFCounts) {
 TEST(PaperProperties, AllAutomataValidate) {
   for (Property p : paper::kAllProperties) {
     for (int n = 2; n <= 5; ++n) {
-      AtomRegistry reg = paper::make_registry(n);
-      MonitorAutomaton m = paper::build_automaton(p, n, reg);
-      EXPECT_FALSE(m.validate().has_value())
+      const SharedProperty art =
+          paper::shared_property(p, n, paper::make_registry(n));
+      EXPECT_FALSE(art->automaton().validate().has_value())
           << paper::name(p) << "(" << n << ")";
     }
   }
@@ -95,8 +97,10 @@ TEST(PaperProperties, AAndCIdenticalForSmallN) {
   // identical" (5.1).
   for (int n = 2; n <= 3; ++n) {
     AtomRegistry reg = paper::make_registry(n);
-    MonitorAutomaton a = paper::build_automaton(Property::kA, n, reg);
-    MonitorAutomaton c = paper::build_automaton(Property::kC, n, reg);
+    const SharedProperty a_art = paper::shared_property(Property::kA, n, reg);
+    const SharedProperty c_art = paper::shared_property(Property::kC, n, reg);
+    const MonitorAutomaton& a = a_art->automaton();
+    const MonitorAutomaton& c = c_art->automaton();
     EXPECT_EQ(a.count_total(), c.count_total());
     EXPECT_EQ(a.count_outgoing(), c.count_outgoing());
   }
@@ -109,7 +113,8 @@ TEST(PaperPropertiesSemantics, HandbuiltMatchesSynthesized) {
   for (Property p : paper::kAllProperties) {
     for (int n = 2; n <= 4; ++n) {
       AtomRegistry reg = paper::make_registry(n);
-      MonitorAutomaton hand = paper::build_automaton(p, n, reg);
+      const SharedProperty art = paper::shared_property(p, n, reg);
+      const MonitorAutomaton& hand = art->automaton();
       MonitorAutomaton synth = synthesize_monitor(paper::formula(p, n, reg));
       const int atoms = 2 * n;
       for (int w = 0; w < 40; ++w) {
@@ -127,7 +132,8 @@ TEST(PaperProperties, SynthesizedAreSmallerOrEqual) {
   // Minimization pays: the synthesized automata never have more states.
   for (Property p : paper::kAllProperties) {
     AtomRegistry reg = paper::make_registry(3);
-    MonitorAutomaton hand = paper::build_automaton(p, 3, reg);
+    const SharedProperty art = paper::shared_property(p, 3, reg);
+    const MonitorAutomaton& hand = art->automaton();
     MonitorAutomaton synth = synthesize_monitor(paper::formula(p, 3, reg));
     EXPECT_LE(synth.num_states(), hand.num_states()) << paper::name(p);
   }
@@ -139,28 +145,28 @@ TEST(PaperProperties, RejectsTooFewProcesses) {
 
 TEST(PaperProperties, RegistryMismatchThrows) {
   AtomRegistry reg = paper::make_registry(3);
-  EXPECT_THROW(paper::build_automaton(Property::kA, 4, reg),
+  EXPECT_THROW(paper::shared_property(Property::kA, 4, reg),
                std::invalid_argument);
 }
 
 TEST(SynthesisCache, CountsHitsAndMissesPerDistinctKey) {
   paper::synthesis_cache_clear();
   AtomRegistry reg3 = paper::make_registry(3);
-  paper::build_automaton(Property::kD, 3, reg3);
+  paper::shared_property(Property::kD, 3, reg3);
   auto s = paper::synthesis_cache_stats();
   EXPECT_EQ(s.misses, 1u);
   EXPECT_EQ(s.hits, 0u);
 
-  paper::build_automaton(Property::kD, 3, reg3);
+  paper::shared_property(Property::kD, 3, reg3);
   AtomRegistry other3 = paper::make_registry(3);  // same signature
-  paper::build_automaton(Property::kD, 3, other3);
+  paper::shared_property(Property::kD, 3, other3);
   s = paper::synthesis_cache_stats();
   EXPECT_EQ(s.misses, 1u);
   EXPECT_EQ(s.hits, 2u);
 
   AtomRegistry reg4 = paper::make_registry(4);  // different key: n changed
-  paper::build_automaton(Property::kD, 4, reg4);
-  paper::build_automaton(Property::kA, 3, reg3);  // different key: formula
+  paper::shared_property(Property::kD, 4, reg4);
+  paper::shared_property(Property::kA, 3, reg3);  // different key: formula
   s = paper::synthesis_cache_stats();
   EXPECT_EQ(s.misses, 3u);
   EXPECT_EQ(s.hits, 2u);
@@ -170,8 +176,10 @@ TEST(SynthesisCache, HitReturnsAutomatonEqualToFreshBuild) {
   paper::synthesis_cache_clear();
   for (Property p : paper::kAllProperties) {
     AtomRegistry reg = paper::make_registry(3);
-    MonitorAutomaton fresh = paper::build_automaton(p, 3, reg);
-    MonitorAutomaton cached = paper::build_automaton(p, 3, reg);
+    const MonitorAutomaton fresh = paper::build_automaton_uncached(p, 3, reg);
+    paper::shared_property(p, 3, reg);  // miss: populate the memo
+    const SharedProperty art = paper::shared_property(p, 3, reg);  // hit
+    const MonitorAutomaton& cached = art->automaton();
     EXPECT_EQ(cached.num_states(), fresh.num_states()) << paper::name(p);
     EXPECT_EQ(cached.initial_state(), fresh.initial_state())
         << paper::name(p);
@@ -191,23 +199,26 @@ TEST(SynthesisCache, HitReturnsAutomatonEqualToFreshBuild) {
 TEST(SynthesisCache, HandsOutIndependentCopies) {
   paper::synthesis_cache_clear();
   AtomRegistry reg = paper::make_registry(3);
-  MonitorAutomaton first = paper::build_automaton(Property::kB, 3, reg);
-  const int states = first.num_states();
-  first.add_state(Verdict::kUnknown);  // mutate the handed-out copy
-  MonitorAutomaton second = paper::build_automaton(Property::kB, 3, reg);
-  EXPECT_EQ(second.num_states(), states);  // memoized value untouched
+  const SharedProperty first = paper::shared_property(Property::kB, 3, reg);
+  const SharedProperty second = paper::shared_property(Property::kB, 3, reg);
+  EXPECT_EQ(first.get(), second.get());  // a hit is the same artifact
+  const int states = first->automaton().num_states();
+  MonitorAutomaton copy = first->automaton();
+  copy.add_state(Verdict::kUnknown);  // mutate a caller-owned copy
+  const SharedProperty again = paper::shared_property(Property::kB, 3, reg);
+  EXPECT_EQ(again->automaton().num_states(), states);  // memo untouched
 }
 
 TEST(SynthesisCache, ClearResetsMemoAndCounters) {
   paper::synthesis_cache_clear();
   AtomRegistry reg = paper::make_registry(3);
-  paper::build_automaton(Property::kC, 3, reg);
-  paper::build_automaton(Property::kC, 3, reg);
+  paper::shared_property(Property::kC, 3, reg);
+  paper::shared_property(Property::kC, 3, reg);
   paper::synthesis_cache_clear();
   auto s = paper::synthesis_cache_stats();
   EXPECT_EQ(s.hits, 0u);
   EXPECT_EQ(s.misses, 0u);
-  paper::build_automaton(Property::kC, 3, reg);
+  paper::shared_property(Property::kC, 3, reg);
   s = paper::synthesis_cache_stats();
   EXPECT_EQ(s.misses, 1u);  // really rebuilt, not served stale
   EXPECT_EQ(s.hits, 0u);

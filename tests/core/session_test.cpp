@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "decmon/core/properties.hpp"
 #include "decmon/lattice/event_log.hpp"
 
@@ -132,15 +134,42 @@ TEST(Session, RunsArePerfectlyReproducible) {
 TEST(Session, PaperPropertySuiteRunsAtScale) {
   // Smoke: all six properties on 4 processes complete and stay finished.
   for (paper::Property p : paper::kAllProperties) {
-    AtomRegistry reg = paper::make_registry(4);
-    MonitorAutomaton m = paper::build_automaton(p, 4, reg);
-    MonitorSession s(std::move(reg), std::move(m));
+    MonitorSession s(paper::shared_property(p, 4, paper::make_registry(4)));
     SystemTrace trace = generate_trace(small_params(4));
     RunResult r = s.run(trace);
     EXPECT_TRUE(r.verdict.all_finished) << paper::name(p);
   }
 }
 
+TEST(Session, AdmissionRejectsAtomsTheRegistryNeverDeclares) {
+  // B(3) reads P2.p, which a 2-process registry never declares. Admitted,
+  // no local split would own that literal, every replica would call the
+  // final guard locally satisfied, and the monitors would declare TRUE on
+  // runs where the oracle (which reads P2.p as false) gives only "?".
+  const auto admit = [] {
+    return MonitorSession(paper::make_registry(2),
+                          paper::build_automaton_uncached(
+                              paper::Property::kB, 3, paper::make_registry(3)));
+  };
+  EXPECT_THROW(admit(), std::invalid_argument);
+}
+
+TEST(Session, AdmissionAcceptsAllSixtyFourAtoms) {
+  // A 32-process registry declares exactly 64 atoms, the width of AtomSet,
+  // so a guard on atom 63 is in range; against a 31-process registry (62
+  // atoms) the same guard is not.
+  MonitorAutomaton m;
+  const int wait = m.add_state(Verdict::kUnknown);
+  const int done = m.add_state(Verdict::kTrue);
+  m.set_initial(wait);
+  const AtomSet top = AtomSet{1} << 63;
+  m.add_transition(wait, done, Cube{top, 0});
+  m.add_transition(wait, wait, Cube{0, top});
+  m.add_transition(done, done, Cube{});
+  EXPECT_NO_THROW(PropertyArtifact(paper::make_registry(32), m));
+  EXPECT_THROW(PropertyArtifact(paper::make_registry(31), m),
+               std::invalid_argument);
+}
 
 TEST(Session, OfflineReplayMatchesContract) {
   // Record once, analyze offline (6.2.1): the replayed decentralized run

@@ -285,20 +285,20 @@ TEST(SocketRuntime, AppMessageCountAndBytesMatchTrace) {
 TEST(SocketRuntime, MonitorsFinishAndSatisfyContract) {
   for (int round = 0; round < 3; ++round) {
     AtomRegistry reg = paper::make_registry(3);
-    MonitorAutomaton m = paper::build_automaton(paper::Property::kD, 3, reg);
-    CompiledProperty prop(&m, &reg);
+    const SharedProperty art =
+        paper::shared_property(paper::Property::kD, 3, reg);
     SystemTrace trace = generate_trace(
         small_params(3, 100 + static_cast<std::uint64_t>(round)));
 
     SocketRuntime rt(trace, &reg, fast_config());
-    DecentralizedMonitor dm(&prop, &rt,
+    DecentralizedMonitor dm(property_handle(art), &rt,
                             initial_letters_of(reg, rt.initial_states()));
     rt.set_hooks(&dm);
     rt.run();
 
     EXPECT_TRUE(dm.all_finished()) << "round " << round;
     Computation comp(rt.history());
-    OracleResult oracle = oracle_evaluate(comp, m);
+    OracleResult oracle = oracle_evaluate(comp, art->automaton());
     SystemVerdict v = dm.result();
     for (Verdict x : oracle.verdicts) {
       EXPECT_TRUE(v.verdicts.count(x)) << "round " << round;
@@ -464,17 +464,15 @@ TEST(SocketRuntime, VerdictsMatchSimRuntimeOnThesisProperties) {
     const int n = 3;
     const std::uint64_t seed = 2015;  // first equivalence-golden seed
     AtomRegistry reg = paper::make_registry(n);
-    MonitorAutomaton m = paper::build_automaton(p, n, reg);
-    CompiledProperty prop(&m, &reg);
+    const SharedProperty art = paper::shared_property(p, n, reg);
     SystemTrace trace = generate_trace(paper::experiment_params(p, n, seed));
     force_final_all_true(trace);
 
-    MonitorSession session(paper::make_registry(n),
-                           paper::build_automaton(p, n, reg));
+    MonitorSession session(art);
     RunResult sim = session.run(trace);
 
     SocketRuntime rt(trace, &reg, fast_config());
-    DecentralizedMonitor dm(&prop, &rt,
+    DecentralizedMonitor dm(property_handle(art), &rt,
                             initial_letters_of(reg, rt.initial_states()));
     rt.set_hooks(&dm);
     rt.run();
@@ -501,11 +499,12 @@ TEST(SocketRuntime, AotGeneratedPropertyMatchesSynthesisVerdicts) {
     force_final_all_true(trace);
 
     AtomRegistry reg = paper::make_registry(n);
-    MonitorAutomaton m = paper::build_automaton_uncached(p, n, reg);
-    CompiledProperty prop(&m, &reg);
+    const SharedProperty art = std::make_shared<const PropertyArtifact>(
+        reg, paper::build_automaton_uncached(p, n, reg));
     SocketRuntime synth_rt(trace, &reg, fast_config());
     DecentralizedMonitor synth_dm(
-        &prop, &synth_rt, initial_letters_of(reg, synth_rt.initial_states()));
+        property_handle(art), &synth_rt,
+        initial_letters_of(reg, synth_rt.initial_states()));
     synth_rt.set_hooks(&synth_dm);
     synth_rt.run();
 
@@ -523,7 +522,7 @@ TEST(SocketRuntime, AotGeneratedPropertyMatchesSynthesisVerdicts) {
 
     EXPECT_TRUE(synth_dm.all_finished()) << paper::name(p);
     EXPECT_TRUE(memo_dm.all_finished()) << paper::name(p);
-    const MonitorSession uncached(reg, m);
+    const MonitorSession uncached(art);
     const std::pair<SocketRuntime*, DecentralizedMonitor*> runs[] = {
         {&synth_rt, &synth_dm}, {&memo_rt, &memo_dm}};
     for (const auto& [rt, dm] : runs) {
@@ -545,14 +544,14 @@ TEST(SocketRuntime, ReliableChannelOverSocketsDeliversAndDrains) {
   for (int round = 0; round < 2; ++round) {
     const int n = 3;
     AtomRegistry reg = paper::make_registry(n);
-    MonitorAutomaton m = paper::build_automaton(paper::Property::kD, n, reg);
-    CompiledProperty prop(&m, &reg);
+    const SharedProperty art =
+        paper::shared_property(paper::Property::kD, n, reg);
     SystemTrace trace = generate_trace(
         small_params(n, 300 + static_cast<std::uint64_t>(round)));
 
     SocketRuntime rt(trace, &reg, fast_config());
     ReliableChannel channel(&rt, n, socket_channel_config());
-    DecentralizedMonitor dm(&prop, &channel,
+    DecentralizedMonitor dm(property_handle(art), &channel,
                             initial_letters_of(reg, rt.initial_states()));
     channel.set_hooks(&dm);
     rt.set_hooks(&channel);
@@ -563,7 +562,7 @@ TEST(SocketRuntime, ReliableChannelOverSocketsDeliversAndDrains) {
       EXPECT_EQ(channel.unacked_count(i), 0u) << "round " << round;
     }
     Computation comp(rt.history());
-    OracleResult oracle = oracle_evaluate(comp, m);
+    OracleResult oracle = oracle_evaluate(comp, art->automaton());
     SystemVerdict v = dm.result();
     for (Verdict x : oracle.verdicts) {
       EXPECT_TRUE(v.verdicts.count(x)) << "round " << round;
@@ -623,13 +622,11 @@ TEST(SocketFault, GoldenVerdictsSurviveConnectionKillUnderReliableChannel) {
     const int n = 3;
     const std::uint64_t seed = 2015;  // first equivalence-golden seed
     AtomRegistry reg = paper::make_registry(n);
-    MonitorAutomaton m = paper::build_automaton(p, n, reg);
-    CompiledProperty prop(&m, &reg);
+    const SharedProperty art = paper::shared_property(p, n, reg);
     SystemTrace trace = generate_trace(paper::experiment_params(p, n, seed));
     force_final_all_true(trace);
 
-    MonitorSession session(paper::make_registry(n),
-                           paper::build_automaton(p, n, reg));
+    MonitorSession session(art);
     RunResult sim = session.run(trace);
 
     SocketConfig config = fast_config();
@@ -640,7 +637,7 @@ TEST(SocketFault, GoldenVerdictsSurviveConnectionKillUnderReliableChannel) {
     config.fault.max_kills = 1;
     SocketRuntime rt(trace, &reg, config);
     ReliableChannel channel(&rt, n, socket_channel_config());
-    DecentralizedMonitor dm(&prop, &channel,
+    DecentralizedMonitor dm(property_handle(art), &channel,
                             initial_letters_of(reg, rt.initial_states()));
     channel.set_hooks(&dm);
     rt.set_hooks(&channel);
@@ -663,13 +660,13 @@ TEST(SocketFault, KillConnectionApiIsSafeFromOutsideTheMesh) {
   // still converges on the golden verdicts.
   const int n = 3;
   AtomRegistry reg = paper::make_registry(n);
-  MonitorAutomaton m = paper::build_automaton(paper::Property::kD, n, reg);
-  CompiledProperty prop(&m, &reg);
+  const SharedProperty art =
+      paper::shared_property(paper::Property::kD, n, reg);
   SystemTrace trace = generate_trace(small_params(n, 901));
 
   SocketRuntime rt(trace, &reg, fast_config());
   ReliableChannel channel(&rt, n, socket_channel_config());
-  DecentralizedMonitor dm(&prop, &channel,
+  DecentralizedMonitor dm(property_handle(art), &channel,
                           initial_letters_of(reg, rt.initial_states()));
   channel.set_hooks(&dm);
   rt.set_hooks(&channel);
@@ -683,7 +680,7 @@ TEST(SocketFault, KillConnectionApiIsSafeFromOutsideTheMesh) {
   EXPECT_GE(rt.reconnects(), 1u);
   EXPECT_TRUE(dm.all_finished());
   Computation comp(rt.history());
-  OracleResult oracle = oracle_evaluate(comp, m);
+  OracleResult oracle = oracle_evaluate(comp, art->automaton());
   SystemVerdict v = dm.result();
   for (Verdict x : oracle.verdicts) {
     EXPECT_TRUE(v.verdicts.count(x));
@@ -699,8 +696,8 @@ TEST(SocketFault, NodeKillCheckpointRestoreAndMeshRejoin) {
   // dead node swallowed, and the verdicts still satisfy the contract.
   const int n = 3;
   AtomRegistry reg = paper::make_registry(n);
-  MonitorAutomaton m = paper::build_automaton(paper::Property::kD, n, reg);
-  CompiledProperty prop(&m, &reg);
+  const SharedProperty art =
+      paper::shared_property(paper::Property::kD, n, reg);
   SystemTrace trace = generate_trace(small_params(n, 505));
 
   SocketConfig config = fast_config();
@@ -711,7 +708,7 @@ TEST(SocketFault, NodeKillCheckpointRestoreAndMeshRejoin) {
   config.fault.kill_node_after = 1;  // fires at node 1's 2nd monitor record
   SocketRuntime rt(trace, &reg, config);
   ReliableChannel channel(&rt, n, socket_channel_config());
-  DecentralizedMonitor dm(&prop, &channel,
+  DecentralizedMonitor dm(property_handle(art), &channel,
                           initial_letters_of(reg, rt.initial_states()));
   channel.set_hooks(&dm);
   CrashPlan plan;
@@ -729,7 +726,7 @@ TEST(SocketFault, NodeKillCheckpointRestoreAndMeshRejoin) {
   EXPECT_TRUE(injector.recovered());
   EXPECT_TRUE(dm.all_finished());
   Computation comp(rt.history());
-  OracleResult oracle = oracle_evaluate(comp, m);
+  OracleResult oracle = oracle_evaluate(comp, art->automaton());
   SystemVerdict v = dm.result();
   for (Verdict x : oracle.verdicts) {
     EXPECT_TRUE(v.verdicts.count(x));
@@ -782,12 +779,12 @@ TEST(SocketFault, AppRecordsAreReplayedNeverLost) {
 
 TEST(SocketRuntime, QuiescenceIsExactNoWorkAfterRunReturns) {
   AtomRegistry reg = paper::make_registry(3);
-  MonitorAutomaton m = paper::build_automaton(paper::Property::kA, 3, reg);
-  CompiledProperty prop(&m, &reg);
+  const SharedProperty art =
+      paper::shared_property(paper::Property::kA, 3, reg);
   SystemTrace trace = generate_trace(small_params(3, 77));
 
   SocketRuntime rt(trace, &reg, fast_config());
-  DecentralizedMonitor dm(&prop, &rt,
+  DecentralizedMonitor dm(property_handle(art), &rt,
                           initial_letters_of(reg, rt.initial_states()));
   rt.set_hooks(&dm);
   rt.run();

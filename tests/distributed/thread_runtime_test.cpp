@@ -6,6 +6,7 @@
 #include <chrono>
 #include <thread>
 
+#include "../common/random_computation.hpp"
 #include "decmon/automata/ltl3_monitor.hpp"
 #include "decmon/core/properties.hpp"
 #include "decmon/distributed/faulty_network.hpp"
@@ -61,21 +62,20 @@ TEST(ThreadRuntime, MonitorsFinishAndSatisfyContract) {
   // (thread schedules vary run to run; the oracle is recomputed per run).
   for (int round = 0; round < 3; ++round) {
     AtomRegistry reg = paper::make_registry(3);
-    FormulaPtr f = parse_ltl("G((P0.p) U (P1.p && P2.p))", reg);
-    MonitorAutomaton m = synthesize_monitor(f);
-    CompiledProperty prop(&m, &reg);
+    const SharedProperty art =
+        testing::admit(reg, "G((P0.p) U (P1.p && P2.p))");
     SystemTrace trace = generate_trace(
         small_params(3, 100 + static_cast<std::uint64_t>(round)));
 
     ThreadRuntime rt(trace, &reg, fast_config());
-    DecentralizedMonitor dm(&prop, &rt,
+    DecentralizedMonitor dm(property_handle(art), &rt,
                             initial_letters_of(reg, rt.initial_states()));
     rt.set_hooks(&dm);
     rt.run();
 
     EXPECT_TRUE(dm.all_finished()) << "round " << round;
     Computation comp(rt.history());
-    OracleResult oracle = oracle_evaluate(comp, m);
+    OracleResult oracle = oracle_evaluate(comp, art->automaton());
     SystemVerdict v = dm.result();
     for (Verdict x : oracle.verdicts) {
       EXPECT_TRUE(v.verdicts.count(x)) << "round " << round;
@@ -121,21 +121,20 @@ TEST(ThreadRuntime, ZeroTimeScaleStormSatisfiesContract) {
   storm.time_scale = 0.0;
   for (int round = 0; round < 3; ++round) {
     AtomRegistry reg = paper::make_registry(3);
-    FormulaPtr f = parse_ltl("G((P0.p) U (P1.p && P2.p))", reg);
-    MonitorAutomaton m = synthesize_monitor(f);
-    CompiledProperty prop(&m, &reg);
+    const SharedProperty art =
+        testing::admit(reg, "G((P0.p) U (P1.p && P2.p))");
     SystemTrace trace = generate_trace(
         small_params(3, 500 + static_cast<std::uint64_t>(round)));
 
     ThreadRuntime rt(trace, &reg, storm);
-    DecentralizedMonitor dm(&prop, &rt,
+    DecentralizedMonitor dm(property_handle(art), &rt,
                             initial_letters_of(reg, rt.initial_states()));
     rt.set_hooks(&dm);
     rt.run();
 
     EXPECT_TRUE(dm.all_finished()) << "round " << round;
     Computation comp(rt.history());
-    OracleResult oracle = oracle_evaluate(comp, m);
+    OracleResult oracle = oracle_evaluate(comp, art->automaton());
     SystemVerdict v = dm.result();
     for (Verdict x : oracle.verdicts) {
       EXPECT_TRUE(v.verdicts.count(x)) << "round " << round;
@@ -150,20 +149,18 @@ TEST(ThreadRuntime, LargeLatencySigmaSatisfiesContract) {
   jittery.latency_mu = 0.02;
   jittery.latency_sigma = 2.0;
   AtomRegistry reg = paper::make_registry(3);
-  FormulaPtr f = parse_ltl("G((P0.p) U (P1.p && P2.p))", reg);
-  MonitorAutomaton m = synthesize_monitor(f);
-  CompiledProperty prop(&m, &reg);
+  const SharedProperty art = testing::admit(reg, "G((P0.p) U (P1.p && P2.p))");
   SystemTrace trace = generate_trace(small_params(3, 42));
 
   ThreadRuntime rt(trace, &reg, jittery);
-  DecentralizedMonitor dm(&prop, &rt,
+  DecentralizedMonitor dm(property_handle(art), &rt,
                           initial_letters_of(reg, rt.initial_states()));
   rt.set_hooks(&dm);
   rt.run();
 
   EXPECT_TRUE(dm.all_finished());
   Computation comp(rt.history());
-  OracleResult oracle = oracle_evaluate(comp, m);
+  OracleResult oracle = oracle_evaluate(comp, art->automaton());
   SystemVerdict v = dm.result();
   for (Verdict x : oracle.verdicts) EXPECT_TRUE(v.verdicts.count(x));
 }
@@ -173,13 +170,11 @@ TEST(ThreadRuntime, QuiescenceIsExactNoWorkAfterRunReturns) {
   // proof of quiescence (outstanding work counter hit zero and every node
   // thread joined), so no counter may advance afterwards.
   AtomRegistry reg = paper::make_registry(3);
-  FormulaPtr f = parse_ltl("G((P0.p) U (P1.p && P2.p))", reg);
-  MonitorAutomaton m = synthesize_monitor(f);
-  CompiledProperty prop(&m, &reg);
+  const SharedProperty art = testing::admit(reg, "G((P0.p) U (P1.p && P2.p))");
   SystemTrace trace = generate_trace(small_params(3, 77));
 
   ThreadRuntime rt(trace, &reg, fast_config());
-  DecentralizedMonitor dm(&prop, &rt,
+  DecentralizedMonitor dm(property_handle(art), &rt,
                           initial_letters_of(reg, rt.initial_states()));
   rt.set_hooks(&dm);
   rt.run();
@@ -209,22 +204,21 @@ TEST(ThreadRuntime, FaultyNetworkOverThreadsSatisfiesContract) {
   fc.seed = 11;
   for (int round = 0; round < 3; ++round) {
     AtomRegistry reg = paper::make_registry(3);
-    FormulaPtr f = parse_ltl("G((P0.p) U (P1.p && P2.p))", reg);
-    MonitorAutomaton m = synthesize_monitor(f);
-    CompiledProperty prop(&m, &reg);
+    const SharedProperty art =
+        testing::admit(reg, "G((P0.p) U (P1.p && P2.p))");
     SystemTrace trace = generate_trace(
         small_params(3, 900 + static_cast<std::uint64_t>(round)));
 
     ThreadRuntime rt(trace, &reg, fast_config());
     FaultyNetwork net(&rt, 3, fc);
-    DecentralizedMonitor dm(&prop, &net,
+    DecentralizedMonitor dm(property_handle(art), &net,
                             initial_letters_of(reg, rt.initial_states()));
     rt.set_hooks(&dm);
     rt.run();
 
     EXPECT_TRUE(dm.all_finished()) << "round " << round;
     Computation comp(rt.history());
-    OracleResult oracle = oracle_evaluate(comp, m);
+    OracleResult oracle = oracle_evaluate(comp, art->automaton());
     SystemVerdict v = dm.result();
     for (Verdict x : oracle.verdicts) {
       EXPECT_TRUE(v.verdicts.count(x)) << "round " << round;
@@ -284,11 +278,12 @@ TEST(ThreadRuntime, AotGeneratedPropertyMatchesSynthesisVerdicts) {
     force_final_all_true(trace);
 
     AtomRegistry reg = paper::make_registry(n);
-    MonitorAutomaton m = paper::build_automaton_uncached(p, n, reg);
-    CompiledProperty prop(&m, &reg);
+    const SharedProperty art = std::make_shared<const PropertyArtifact>(
+        reg, paper::build_automaton_uncached(p, n, reg));
     ThreadRuntime synth_rt(trace, &reg, fast_config());
     DecentralizedMonitor synth_dm(
-        &prop, &synth_rt, initial_letters_of(reg, synth_rt.initial_states()));
+        property_handle(art), &synth_rt,
+        initial_letters_of(reg, synth_rt.initial_states()));
     synth_rt.set_hooks(&synth_dm);
     synth_rt.run();
 
@@ -311,7 +306,7 @@ TEST(ThreadRuntime, AotGeneratedPropertyMatchesSynthesisVerdicts) {
         {&synth_rt, &synth_dm}, {&memo_rt, &memo_dm}};
     for (const auto& [rt, dm] : runs) {
       const OracleResult oracle =
-          oracle_evaluate(Computation(rt->history()), m);
+          oracle_evaluate(Computation(rt->history()), art->automaton());
       const SystemVerdict v = dm->result();
       for (Verdict x : oracle.verdicts) {
         EXPECT_TRUE(v.verdicts.count(x)) << paper::name(p);
@@ -365,13 +360,12 @@ TEST(ThreadRuntime, ConcurrentVerdictDeclarationsAreRaceFree) {
   // verdict callback; the first-violation time must be the minimum, and
   // TSan must see no race on it.
   AtomRegistry reg = paper::make_registry(2);
-  MonitorAutomaton m = synthesize_monitor(parse_ltl("G(P0.p && P1.p)", reg));
-  CompiledProperty prop(&m, &reg);
+  const SharedProperty art = testing::admit(reg, "G(P0.p && P1.p)");
   const AtomSet p0 = AtomSet{1} << 0;  // P0.p
   const AtomSet p1 = AtomSet{1} << 2;  // P1.p
   for (int round = 0; round < 50; ++round) {
     NullNetwork net;
-    DecentralizedMonitor dm(&prop, &net, {p0, p1});
+    DecentralizedMonitor dm(property_handle(art), &net, {p0, p1});
     const double t0 = 1.0 + (round % 2);
     const double t1 = 2.0 - (round % 2);
     std::atomic<int> ready{0};

@@ -10,6 +10,7 @@
 #include "decmon/automata/ltl3_monitor.hpp"
 #include "decmon/lattice/oracle.hpp"
 #include "decmon/ltl/parser.hpp"
+#include "decmon/monitor/property_registry.hpp"
 
 namespace decmon {
 namespace {
@@ -27,14 +28,12 @@ std::vector<AtomSet> initial_letters(const Computation& comp) {
 
 TEST(Centralized, MatchesOracleOnPaperExample) {
   PaperExample ex;
-  FormulaPtr psi =
-      parse_ltl("G((x1 >= 5) -> ((x2 >= 15) U (x1 == 10)))", ex.registry);
-  MonitorAutomaton m = synthesize_monitor(psi);
-  CompiledProperty prop(&m, &ex.registry);
-  OracleResult oracle = oracle_evaluate(ex.computation, m);
+  const SharedProperty art =
+      testing::admit(ex.registry, "G((x1 >= 5) -> ((x2 >= 15) U (x1 == 10)))");
+  OracleResult oracle = oracle_evaluate(ex.computation, art->automaton());
   for (std::uint64_t seed = 0; seed < 10; ++seed) {
     ReplayDriver driver;
-    CentralizedMonitor central(&prop, &driver,
+    CentralizedMonitor central(property_handle(art), &driver,
                                initial_letters(ex.computation));
     driver.run(ex.computation, central, seed);
     EXPECT_TRUE(central.finished()) << "seed " << seed;
@@ -52,12 +51,11 @@ TEST(CentralizedProperty, AlwaysMatchesOracle) {
   const auto props = testing::property_suite_2();
   for (int iter = 0; iter < 60; ++iter) {
     Computation comp = testing::random_computation(rng, 2, reg, 4);
-    MonitorAutomaton m =
-        synthesize_monitor(parse_ltl(props[iter % props.size()], reg));
-    CompiledProperty prop(&m, &reg);
-    OracleResult oracle = oracle_evaluate(comp, m);
+    const SharedProperty art = testing::admit(reg, props[iter % props.size()]);
+    OracleResult oracle = oracle_evaluate(comp, art->automaton());
     ReplayDriver driver;
-    CentralizedMonitor central(&prop, &driver, initial_letters(comp));
+    CentralizedMonitor central(property_handle(art), &driver,
+                               initial_letters(comp));
     driver.run(comp, central, rng());
     EXPECT_TRUE(central.finished());
     EXPECT_EQ(central.verdicts(), oracle.verdicts)
@@ -68,11 +66,10 @@ TEST(CentralizedProperty, AlwaysMatchesOracle) {
 
 TEST(Centralized, CountsForwardedMessages) {
   PaperExample ex;
-  FormulaPtr psi = parse_ltl("F(x1 >= 5)", ex.registry);
-  MonitorAutomaton m = synthesize_monitor(psi);
-  CompiledProperty prop(&m, &ex.registry);
+  const SharedProperty art = testing::admit(ex.registry, "F(x1 >= 5)");
   ReplayDriver driver;
-  CentralizedMonitor central(&prop, &driver, initial_letters(ex.computation),
+  CentralizedMonitor central(property_handle(art), &driver,
+                             initial_letters(ex.computation),
                              /*central_node=*/0);
   driver.run(ex.computation, central, 1);
   // P1 is central: only P2's 4 events cross the network.
@@ -89,12 +86,10 @@ TEST(Centralized, LatticeCapThrows) {
     b.internal(1, {1, 0});
   }
   Computation comp = b.build();
-  FormulaPtr f = parse_ltl("F(P0.p && P1.q)", reg);
-  MonitorAutomaton m = synthesize_monitor(f);
-  CompiledProperty prop(&m, &reg);
+  const SharedProperty art = testing::admit(reg, "F(P0.p && P1.q)");
   ReplayDriver driver;
-  CentralizedMonitor central(&prop, &driver, initial_letters(comp), 0,
-                             /*max_cuts=*/50);
+  CentralizedMonitor central(property_handle(art), &driver,
+                             initial_letters(comp), 0, /*max_cuts=*/50);
   EXPECT_THROW(driver.run(comp, central, 1), std::length_error);
 }
 
@@ -105,11 +100,11 @@ TEST(Centralized, DeclaresVerdictBeforeCompletion) {
   b.internal(0, {0, 0});
   b.internal(1, {0, 0});
   Computation comp = b.build();
-  FormulaPtr f = parse_ltl("G(P0.p || P1.p)", reg);  // violated at bottom
-  MonitorAutomaton m = synthesize_monitor(f);
-  CompiledProperty prop(&m, &reg);
+  // Violated at the bottom cut.
+  const SharedProperty art = testing::admit(reg, "G(P0.p || P1.p)");
   ReplayDriver driver;
-  CentralizedMonitor central(&prop, &driver, initial_letters(comp));
+  CentralizedMonitor central(property_handle(art), &driver,
+                             initial_letters(comp));
   // Verdict known from the initial state alone, before any event arrives.
   EXPECT_TRUE(central.verdicts().count(Verdict::kFalse));
 }

@@ -17,7 +17,7 @@
 #include "decmon/automata/ltl3_monitor.hpp"
 #include "decmon/ltl/parser.hpp"
 #include "decmon/monitor/decentralized_monitor.hpp"
-#include "decmon/monitor/predicate.hpp"
+#include "decmon/monitor/property_registry.hpp"
 
 namespace decmon {
 namespace {
@@ -75,14 +75,13 @@ TEST(Checkpoint, RoundTripIsByteIdenticalAtEveryHookOfAFuzzGrid) {
   AtomRegistry reg = testing::standard_registry(2);
   int total_round_trips = 0;
   for (const std::string& text : testing::property_suite_2()) {
-    MonitorAutomaton m = synthesize_monitor(parse_ltl(text, reg));
-    CompiledProperty prop(&m, &reg);
+    const SharedProperty art = testing::admit(reg, text);
     for (int c = 0; c < 3; ++c) {
       Computation comp = testing::random_computation(rng, 2, reg, 6);
       for (std::uint64_t seed = 0; seed < 2; ++seed) {
         // Reference run, undisturbed.
         ReplayDriver plain_driver;
-        DecentralizedMonitor plain(&prop, &plain_driver,
+        DecentralizedMonitor plain(property_handle(art), &plain_driver,
                                    initial_letters(comp));
         plain_driver.run(comp, plain, seed);
 
@@ -91,7 +90,8 @@ TEST(Checkpoint, RoundTripIsByteIdenticalAtEveryHookOfAFuzzGrid) {
         // equality with the plain run proves restore is also semantically
         // lossless.
         ReplayDriver driver;
-        DecentralizedMonitor dm(&prop, &driver, initial_letters(comp));
+        DecentralizedMonitor dm(property_handle(art), &driver,
+                                initial_letters(comp));
         RoundTripHooks hooks(&dm);
         driver.run(comp, hooks, seed);
 
@@ -119,12 +119,12 @@ TEST(Checkpoint, RestoreAfterViewCapBreach) {
 
   int trips = 0;
   for (const std::string& text : testing::property_suite_2()) {
-    MonitorAutomaton m = synthesize_monitor(parse_ltl(text, reg));
-    CompiledProperty prop(&m, &reg);
+    const SharedProperty art = testing::admit(reg, text);
     for (int c = 0; c < 4; ++c) {
       Computation comp = testing::random_computation(rng, 2, reg, 8);
       ReplayDriver driver;
-      DecentralizedMonitor dm(&prop, &driver, initial_letters(comp), tight);
+      DecentralizedMonitor dm(property_handle(art), &driver,
+                              initial_letters(comp), tight);
       bool tripped = false;
       try {
         driver.run(comp, dm, /*seed=*/c);
@@ -141,7 +141,7 @@ TEST(Checkpoint, RestoreAfterViewCapBreach) {
         const std::vector<std::uint8_t> blob = checkpoint_monitor(mon);
 
         ReplayDriver fresh_driver;
-        DecentralizedMonitor fresh(&prop, &fresh_driver,
+        DecentralizedMonitor fresh(property_handle(art), &fresh_driver,
                                    initial_letters(comp), tight);
         restore_monitor(fresh.monitor(i), blob);
         EXPECT_EQ(checkpoint_monitor(fresh.monitor(i)), blob)
@@ -156,17 +156,17 @@ TEST(Checkpoint, RestoreAfterViewCapBreach) {
 TEST(Checkpoint, RestoreIntoFreshMonitorTransfersTheFullState) {
   std::mt19937_64 rng(7);
   AtomRegistry reg = testing::standard_registry(3);
-  MonitorAutomaton m =
-      synthesize_monitor(parse_ltl("G((P0.p) -> F(P1.p && P2.q))", reg));
-  CompiledProperty prop(&m, &reg);
+  const SharedProperty art =
+      testing::admit(reg, "G((P0.p) -> F(P1.p && P2.q))");
   Computation comp = testing::random_computation(rng, 3, reg, 6);
 
   ReplayDriver driver;
-  DecentralizedMonitor dm(&prop, &driver, initial_letters(comp));
+  DecentralizedMonitor dm(property_handle(art), &driver, initial_letters(comp));
   driver.run(comp, dm, /*seed=*/11);
 
   ReplayDriver fresh_driver;
-  DecentralizedMonitor fresh(&prop, &fresh_driver, initial_letters(comp));
+  DecentralizedMonitor fresh(property_handle(art), &fresh_driver,
+                             initial_letters(comp));
   for (int i = 0; i < 3; ++i) {
     const std::vector<std::uint8_t> blob = checkpoint_monitor(dm.monitor(i));
     restore_monitor(fresh.monitor(i), blob);
@@ -178,13 +178,12 @@ TEST(Checkpoint, RestoreIntoFreshMonitorTransfersTheFullState) {
 
 TEST(Checkpoint, RestoreRejectsIndexMismatch) {
   AtomRegistry reg = testing::standard_registry(2);
-  MonitorAutomaton m = synthesize_monitor(parse_ltl("F(P0.p && P1.p)", reg));
-  CompiledProperty prop(&m, &reg);
+  const SharedProperty art = testing::admit(reg, "F(P0.p && P1.p)");
   std::mt19937_64 rng(3);
   Computation comp = testing::random_computation(rng, 2, reg, 4);
 
   ReplayDriver driver;
-  DecentralizedMonitor dm(&prop, &driver, initial_letters(comp));
+  DecentralizedMonitor dm(property_handle(art), &driver, initial_letters(comp));
   driver.run(comp, dm, 0);
   const std::vector<std::uint8_t> blob = checkpoint_monitor(dm.monitor(0));
   EXPECT_THROW(restore_monitor(dm.monitor(1), blob), CheckpointError);
@@ -197,13 +196,11 @@ TEST(Checkpoint, CorruptionFuzzNeverCrashesOrSilentlyRestores) {
   // monitor exactly as it was.
   std::mt19937_64 rng(99);
   AtomRegistry reg = testing::standard_registry(2);
-  MonitorAutomaton m =
-      synthesize_monitor(parse_ltl("G((P0.p) U (P1.p))", reg));
-  CompiledProperty prop(&m, &reg);
+  const SharedProperty art = testing::admit(reg, "G((P0.p) U (P1.p))");
   Computation comp = testing::random_computation(rng, 2, reg, 5);
 
   ReplayDriver driver;
-  DecentralizedMonitor dm(&prop, &driver, initial_letters(comp));
+  DecentralizedMonitor dm(property_handle(art), &driver, initial_letters(comp));
   driver.run(comp, dm, 1);
   MonitorProcess& target = dm.monitor(0);
   const std::vector<std::uint8_t> blob = checkpoint_monitor(target);
@@ -231,13 +228,11 @@ TEST(Checkpoint, OnlyTheCurrentVersionRestores) {
   // refused outright -- even one whose CRC is intact.
   std::mt19937_64 rng(21);
   AtomRegistry reg = testing::standard_registry(2);
-  MonitorAutomaton m =
-      synthesize_monitor(parse_ltl("G((P0.p) U (P1.p))", reg));
-  CompiledProperty prop(&m, &reg);
+  const SharedProperty art = testing::admit(reg, "G((P0.p) U (P1.p))");
   Computation comp = testing::random_computation(rng, 2, reg, 5);
 
   ReplayDriver driver;
-  DecentralizedMonitor dm(&prop, &driver, initial_letters(comp));
+  DecentralizedMonitor dm(property_handle(art), &driver, initial_letters(comp));
   driver.run(comp, dm, 1);
   MonitorProcess& target = dm.monitor(0);
   const std::vector<std::uint8_t> blob = checkpoint_monitor(target);
@@ -286,14 +281,13 @@ TEST(Checkpoint, StreamingWindowSurvivesAMidGcCrash) {
   // views. A restore that forgot an epoch would either accept pre-crash
   // stragglers (unsound trims) or mis-stamp its own resync.
   AtomRegistry reg = testing::standard_registry(2);
-  MonitorAutomaton m = synthesize_monitor(parse_ltl("F(P0.p && P1.p)", reg));
-  CompiledProperty prop(&m, &reg);
+  const SharedProperty art = testing::admit(reg, "F(P0.p && P1.p)");
   MonitorOptions options;
   options.streaming = true;
   options.gc_interval = 1000;  // manual sweeps keep the scenario exact
 
   FloorSink net;
-  MonitorProcess mon(0, &prop, &net, {0, 0}, options);
+  MonitorProcess mon(0, property_handle(art), &net, {0, 0}, options);
   for (std::uint32_t sn = 1; sn <= 8; ++sn) {
     Event e;
     e.type = EventType::kInternal;
@@ -313,7 +307,7 @@ TEST(Checkpoint, StreamingWindowSurvivesAMidGcCrash) {
 
   const std::vector<std::uint8_t> blob = checkpoint_monitor(mon);
   FloorSink fresh_net;
-  MonitorProcess fresh(0, &prop, &fresh_net, {0, 0}, options);
+  MonitorProcess fresh(0, property_handle(art), &fresh_net, {0, 0}, options);
   restore_monitor(fresh, blob);
   EXPECT_EQ(checkpoint_monitor(fresh), blob);
   EXPECT_EQ(fresh.history_base(), 5u);
@@ -339,12 +333,11 @@ TEST(Checkpoint, StreamingWindowSurvivesAMidGcCrash) {
 
 TEST(Checkpoint, GarbageIsRejected) {
   AtomRegistry reg = testing::standard_registry(2);
-  MonitorAutomaton m = synthesize_monitor(parse_ltl("F(P0.p)", reg));
-  CompiledProperty prop(&m, &reg);
+  const SharedProperty art = testing::admit(reg, "F(P0.p)");
   ReplayDriver driver;
   std::mt19937_64 rng(1);
   Computation comp = testing::random_computation(rng, 2, reg, 3);
-  DecentralizedMonitor dm(&prop, &driver, initial_letters(comp));
+  DecentralizedMonitor dm(property_handle(art), &driver, initial_letters(comp));
 
   EXPECT_THROW(restore_monitor(dm.monitor(0), {}), CheckpointError);
   std::vector<std::uint8_t> noise(200);

@@ -54,9 +54,8 @@ std::string verdict_set_string(const std::set<Verdict>& vs) {
 // Must stay in lockstep with tools/golden_gen.cpp.
 RunResult run_golden_workload(paper::Property prop, int n, std::uint64_t seed,
                               const MonitorOptions& options = {}) {
-  AtomRegistry reg = paper::make_registry(n);
-  MonitorAutomaton automaton = paper::build_automaton(prop, n, reg);
-  MonitorSession session(std::move(reg), std::move(automaton));
+  MonitorSession session(
+      paper::shared_property(prop, n, paper::make_registry(n)));
   TraceParams params = paper::experiment_params(prop, n, seed);
   SystemTrace trace = generate_trace(params);
   force_final_all_true(trace);

@@ -5,9 +5,8 @@
 
 #include <gtest/gtest.h>
 
-#include "decmon/automata/ltl3_monitor.hpp"
+#include "../common/random_computation.hpp"
 #include "decmon/core/properties.hpp"
-#include "decmon/ltl/parser.hpp"
 
 namespace decmon {
 namespace {
@@ -66,16 +65,18 @@ Event make_event(int proc, std::uint32_t sn, VectorClock vc, AtomSet letter,
   return e;
 }
 
+/// The synthesized monitor for `formula` over paper::make_registry(n).
+std::shared_ptr<const CompiledProperty> compile(
+    const std::string& formula, int n, const SynthesisOptions& synth = {}) {
+  AtomRegistry reg = paper::make_registry(n);
+  return property_handle(testing::admit(reg, formula, synth));
+}
+
 struct Fixture {
-  AtomRegistry reg;
-  MonitorAutomaton automaton;
-  CompiledProperty prop;
+  std::shared_ptr<const CompiledProperty> prop;
   CapturingNetwork net;
 
-  Fixture(const std::string& formula, int n)
-      : reg(paper::make_registry(n)),
-        automaton(synthesize_monitor(parse_ltl(formula, reg))),
-        prop(&automaton, &reg) {}
+  Fixture(const std::string& formula, int n) : prop(compile(formula, n)) {}
 };
 
 // Atoms for n=2: P0.p=bit0, P0.q=bit1, P1.p=bit2, P1.q=bit3.
@@ -84,7 +85,7 @@ TEST(MonitorProcessUnit, NoProbeWhenLocallyForbidden) {
   // F(P0.p && P1.p): M0's local p is false, so M0 forbids the transition
   // and sends nothing.
   Fixture f("F(P0.p && P1.p)", 2);
-  MonitorProcess m(0, &f.prop, &f.net, {0, 0});
+  MonitorProcess m(0, f.prop, &f.net, {0, 0});
   m.on_local_event(make_event(0, 1, VectorClock{1, 0}, 0), 1.0);
   EXPECT_TRUE(f.net.sent.empty());
   EXPECT_EQ(m.stats().tokens_created, 0u);
@@ -92,7 +93,7 @@ TEST(MonitorProcessUnit, NoProbeWhenLocallyForbidden) {
 
 TEST(MonitorProcessUnit, ProbeSentWhenLocalConjunctHolds) {
   Fixture f("F(P0.p && P1.p)", 2);
-  MonitorProcess m(0, &f.prop, &f.net, {0, 0});
+  MonitorProcess m(0, f.prop, &f.net, {0, 0});
   m.on_local_event(make_event(0, 1, VectorClock{1, 0}, 0b01), 1.0);
   auto tokens = f.net.tokens_to(1);
   ASSERT_EQ(tokens.size(), 1u);
@@ -110,7 +111,7 @@ TEST(MonitorProcessUnit, DuplicateProbesSuppressed) {
   // Two consecutive events with the same letter and state: the second probe
   // is deduplicated (4.3.2) while the first token is outstanding.
   Fixture f("F(P0.p && P1.p)", 2);
-  MonitorProcess m(0, &f.prop, &f.net, {0, 0});
+  MonitorProcess m(0, f.prop, &f.net, {0, 0});
   m.on_local_event(make_event(0, 1, VectorClock{1, 0}, 0b01), 1.0);
   m.on_local_event(make_event(0, 2, VectorClock{2, 0}, 0b01), 2.0);
   EXPECT_EQ(f.net.tokens_to(1).size(), 1u);
@@ -118,7 +119,7 @@ TEST(MonitorProcessUnit, DuplicateProbesSuppressed) {
   CapturingNetwork net2;
   MonitorOptions options;
   options.dedupe_probes = false;
-  MonitorProcess m2(0, &f.prop, &net2, {0, 0}, options);
+  MonitorProcess m2(0, f.prop, &net2, {0, 0}, options);
   m2.on_local_event(make_event(0, 1, VectorClock{1, 0}, 0b01), 1.0);
   m2.on_local_event(make_event(0, 2, VectorClock{2, 0}, 0b01), 2.0);
   EXPECT_EQ(net2.tokens_to(1).size(), 2u);
@@ -128,12 +129,12 @@ TEST(MonitorProcessUnit, VisitingTokenWalksHistoryAndAnswers) {
   // M1 receives a token from M0 asking for P1.p; the satisfying event is
   // already in M1's history, so the token returns immediately.
   Fixture f("F(P0.p && P1.p)", 2);
-  MonitorProcess m0(0, &f.prop, &f.net, {0, 0});
+  MonitorProcess m0(0, f.prop, &f.net, {0, 0});
   m0.on_local_event(make_event(0, 1, VectorClock{1, 0}, 0b01), 1.0);
   Token probe = f.net.tokens_to(1).at(0);
 
   CapturingNetwork net1;
-  MonitorProcess m1(1, &f.prop, &net1, {0, 0});
+  MonitorProcess m1(1, f.prop, &net1, {0, 0});
   m1.on_local_event(make_event(1, 1, VectorClock{0, 1}, 0b100), 1.5);
   m1.on_token(probe, 2.0);
   // Filter to the reply: M1 also launches its own probe towards P0.
@@ -147,12 +148,12 @@ TEST(MonitorProcessUnit, VisitingTokenWalksHistoryAndAnswers) {
 
 TEST(MonitorProcessUnit, VisitingTokenParksForFutureEvent) {
   Fixture f("F(P0.p && P1.p)", 2);
-  MonitorProcess m0(0, &f.prop, &f.net, {0, 0});
+  MonitorProcess m0(0, f.prop, &f.net, {0, 0});
   m0.on_local_event(make_event(0, 1, VectorClock{1, 0}, 0b01), 1.0);
   Token probe = f.net.tokens_to(1).at(0);
 
   CapturingNetwork net1;
-  MonitorProcess m1(1, &f.prop, &net1, {0, 0});
+  MonitorProcess m1(1, f.prop, &net1, {0, 0});
   m1.on_token(probe, 2.0);  // P1 has no events yet
   EXPECT_EQ(m1.num_waiting_tokens(), 1u);
   EXPECT_TRUE(net1.tokens_to(0).empty());
@@ -167,12 +168,12 @@ TEST(MonitorProcessUnit, TerminationFlushesParkedTokens) {
   // Theorem 1 / Lemma 1: the awaited event never happens; termination sends
   // the token home with the entry disabled.
   Fixture f("F(P0.p && P1.p)", 2);
-  MonitorProcess m0(0, &f.prop, &f.net, {0, 0});
+  MonitorProcess m0(0, f.prop, &f.net, {0, 0});
   m0.on_local_event(make_event(0, 1, VectorClock{1, 0}, 0b01), 1.0);
   Token probe = f.net.tokens_to(1).at(0);
 
   CapturingNetwork net1;
-  MonitorProcess m1(1, &f.prop, &net1, {0, 0});
+  MonitorProcess m1(1, f.prop, &net1, {0, 0});
   m1.on_token(probe, 2.0);
   ASSERT_EQ(m1.num_waiting_tokens(), 1u);
   m1.on_local_termination(3.0);
@@ -185,7 +186,7 @@ TEST(MonitorProcessUnit, TerminationFlushesParkedTokens) {
 
 TEST(MonitorProcessUnit, ReturnedEnabledTokenSpawnsAndDeclares) {
   Fixture f("F(P0.p && P1.p)", 2);
-  MonitorProcess m0(0, &f.prop, &f.net, {0, 0});
+  MonitorProcess m0(0, f.prop, &f.net, {0, 0});
   m0.on_local_event(make_event(0, 1, VectorClock{1, 0}, 0b01), 1.0);
   Token probe = f.net.tokens_to(1).at(0);
   // Simulate M1's answer: the entry enabled at cut {1,1}.
@@ -207,19 +208,16 @@ TEST(MonitorProcessUnit, SettledStateProbesPruned) {
   // collapse the monitor to one state; an *unminimized* monitor keeps
   // several '?' states with outgoing transitions between them -- all
   // settled, so the 7.2.2 pruning drops every probe.
-  AtomRegistry reg = paper::make_registry(2);
   SynthesisOptions synth;
   synth.minimize = false;
-  MonitorAutomaton automaton =
-      synthesize_monitor(parse_ltl("G(F(P0.p && P1.p))", reg), synth);
-  ASSERT_GT(automaton.num_states(), 1);
-  CompiledProperty prop(&automaton, &reg);
-  for (int q = 0; q < automaton.num_states(); ++q) {
-    EXPECT_TRUE(prop.verdict_settled(q));
+  const auto prop = compile("G(F(P0.p && P1.p))", 2, synth);
+  ASSERT_GT(prop->automaton().num_states(), 1);
+  for (int q = 0; q < prop->automaton().num_states(); ++q) {
+    EXPECT_TRUE(prop->verdict_settled(q));
   }
 
   CapturingNetwork net;
-  MonitorProcess m(0, &prop, &net, {0, 0});
+  MonitorProcess m(0, prop, &net, {0, 0});
   m.on_local_event(make_event(0, 1, VectorClock{1, 0}, 0b01), 1.0);
   m.on_local_event(make_event(0, 2, VectorClock{2, 0}, 0b00), 2.0);
   EXPECT_EQ(m.stats().tokens_created, 0u);
@@ -229,7 +227,7 @@ TEST(MonitorProcessUnit, SettledStateProbesPruned) {
   CapturingNetwork net2;
   MonitorOptions options;
   options.prune_settled_states = false;
-  MonitorProcess m2(0, &prop, &net2, {0, 0}, options);
+  MonitorProcess m2(0, prop, &net2, {0, 0}, options);
   m2.on_local_event(make_event(0, 1, VectorClock{1, 0}, 0b01), 1.0);
   m2.on_local_event(make_event(0, 2, VectorClock{2, 0}, 0b00), 2.0);
   EXPECT_GT(m2.stats().tokens_created, 0u);
@@ -237,7 +235,7 @@ TEST(MonitorProcessUnit, SettledStateProbesPruned) {
 
 TEST(MonitorProcessUnit, FinishesAfterAllTermination) {
   Fixture f("F(P0.p && P1.p)", 2);
-  MonitorProcess m(0, &f.prop, &f.net, {0, 0});
+  MonitorProcess m(0, f.prop, &f.net, {0, 0});
   EXPECT_FALSE(m.finished());
   m.on_local_event(make_event(0, 1, VectorClock{1, 0}, 0), 1.0);
   m.on_local_termination(2.0);
@@ -249,7 +247,7 @@ TEST(MonitorProcessUnit, FinishesAfterAllTermination) {
 
 TEST(MonitorProcessUnit, RejectsOutOfOrderEvents) {
   Fixture f("F(P0.p && P1.p)", 2);
-  MonitorProcess m(0, &f.prop, &f.net, {0, 0});
+  MonitorProcess m(0, f.prop, &f.net, {0, 0});
   EXPECT_THROW(
       m.on_local_event(make_event(0, 5, VectorClock{5, 0}, 0), 1.0),
       std::logic_error);
@@ -258,13 +256,13 @@ TEST(MonitorProcessUnit, RejectsOutOfOrderEvents) {
 TEST(MonitorProcessUnit, ImmediateVerdictAtInitialState) {
   // G(P0.p && P1.p) with an all-false initial state: violated at INIT.
   Fixture f("G(P0.p && P1.p)", 2);
-  MonitorProcess m(0, &f.prop, &f.net, {0, 0});
+  MonitorProcess m(0, f.prop, &f.net, {0, 0});
   EXPECT_TRUE(m.declared().count(Verdict::kFalse));
 }
 
 TEST(MonitorProcessUnit, VerdictCallbackFires) {
   Fixture f("F(P0.p)", 2);
-  MonitorProcess m(0, &f.prop, &f.net, {0, 0});
+  MonitorProcess m(0, f.prop, &f.net, {0, 0});
   Verdict seen = Verdict::kUnknown;
   double at = -1;
   m.set_verdict_callback([&](Verdict v, double now) {
@@ -278,7 +276,7 @@ TEST(MonitorProcessUnit, VerdictCallbackFires) {
 
 TEST(MonitorProcessUnit, EventsQueueBehindOutstandingToken) {
   Fixture f("F(P0.p && P1.p)", 2);
-  MonitorProcess m(0, &f.prop, &f.net, {0, 0});
+  MonitorProcess m(0, f.prop, &f.net, {0, 0});
   m.on_local_event(make_event(0, 1, VectorClock{1, 0}, 0b01), 1.0);
   ASSERT_EQ(f.net.tokens_to(1).size(), 1u);
   // While the token is away, further events are delayed for the launchpad
@@ -308,7 +306,7 @@ TEST(MonitorProcessUnit, FloorFoldMaxesWithinAnEpoch) {
   // Duplicated and reordered gossip within one epoch is absorbed by the
   // max; the fold never regresses without an epoch bump.
   Fixture f("F(P0.p && P1.p)", 2);
-  MonitorProcess m(0, &f.prop, &f.net, {0, 0});
+  MonitorProcess m(0, f.prop, &f.net, {0, 0});
   for (std::uint32_t sn = 1; sn <= 8; ++sn) {
     m.on_local_event(make_event(0, sn, VectorClock{sn, 0}, 0), double(sn));
   }
@@ -330,7 +328,7 @@ TEST(MonitorProcessUnit, FloorEpochBumpReplacesEvenDownward) {
   // regression. Stragglers from the dead epoch are then ignored no matter
   // how they reorder with the resync.
   Fixture f("F(P0.p && P1.p)", 2);
-  MonitorProcess m(0, &f.prop, &f.net, {0, 0});
+  MonitorProcess m(0, f.prop, &f.net, {0, 0});
   for (std::uint32_t sn = 1; sn <= 8; ++sn) {
     m.on_local_event(make_event(0, sn, VectorClock{sn, 0}, 0), double(sn));
   }
@@ -351,7 +349,7 @@ TEST(MonitorProcessUnit, FloorFromHostileSenderIsIgnored) {
   // The floor handler sits on the decode path: out-of-range and self
   // senders must be dropped, not trusted or crashed on.
   Fixture f("F(P0.p && P1.p)", 2);
-  MonitorProcess m(0, &f.prop, &f.net, {0, 0});
+  MonitorProcess m(0, f.prop, &f.net, {0, 0});
   for (std::uint32_t sn = 1; sn <= 4; ++sn) {
     m.on_local_event(make_event(0, sn, VectorClock{sn, 0}, 0), double(sn));
   }
@@ -366,15 +364,12 @@ TEST(MonitorProcessUnit, ResyncBumpsEpochAndReAdvertises) {
   // resync_floors is the recovery half of the handshake: each call stamps a
   // strictly higher epoch on freshly advertised floors, so receivers can
   // tell a post-restore advertisement from a pre-crash straggler.
-  AtomRegistry reg = paper::make_registry(2);
-  MonitorAutomaton automaton =
-      synthesize_monitor(parse_ltl("F(P0.p && P1.p)", reg));
-  CompiledProperty prop(&automaton, &reg);
+  const auto prop = compile("F(P0.p && P1.p)", 2);
   CapturingNetwork net;
   MonitorOptions options;
   options.streaming = true;
   options.gc_interval = 1000;  // manual sweeps only
-  MonitorProcess m(0, &prop, &net, {0, 0}, options);
+  MonitorProcess m(0, prop, &net, {0, 0}, options);
   m.on_local_event(make_event(0, 1, VectorClock{1, 0}, 0), 1.0);
 
   m.resync_floors(2.0);
@@ -389,7 +384,7 @@ TEST(MonitorProcessUnit, ResyncBumpsEpochAndReAdvertises) {
   // Outside the streaming posture the handshake is a no-op (there is no
   // window to resync, and goldens must stay silent).
   CapturingNetwork net2;
-  MonitorProcess plain(0, &prop, &net2, {0, 0});
+  MonitorProcess plain(0, prop, &net2, {0, 0});
   plain.on_local_event(make_event(0, 1, VectorClock{1, 0}, 0), 1.0);
   plain.resync_floors(2.0);
   EXPECT_TRUE(floors_sent(net2).empty());
@@ -401,15 +396,12 @@ TEST(MonitorProcessUnit, ResyncFloorBelowTrimmedBaseBlocksFutureTrims) {
   // re-advertises the rewound floor. We cannot un-trim -- the below-base
   // guard covers re-walks into the gone prefix -- but the clamp must block
   // all further trimming until the peer's fold catches back up.
-  AtomRegistry reg = paper::make_registry(2);
-  MonitorAutomaton automaton =
-      synthesize_monitor(parse_ltl("F(P0.p && P1.p)", reg));
-  CompiledProperty prop(&automaton, &reg);
+  const auto prop = compile("F(P0.p && P1.p)", 2);
   CapturingNetwork net;
   MonitorOptions options;
   options.streaming = true;
   options.gc_interval = 1000;
-  MonitorProcess m(0, &prop, &net, {0, 0}, options);
+  MonitorProcess m(0, prop, &net, {0, 0}, options);
   for (std::uint32_t sn = 1; sn <= 8; ++sn) {
     m.on_local_event(make_event(0, sn, VectorClock{sn, 0}, 0), double(sn));
   }

@@ -3,21 +3,18 @@
 #include <gtest/gtest.h>
 
 #include "../common/random_computation.hpp"
-#include "decmon/automata/ltl3_monitor.hpp"
-#include "decmon/ltl/parser.hpp"
 
 namespace decmon {
 namespace {
 
 TEST(CompiledProperty, SplitsGuardsByProcess) {
   AtomRegistry reg = testing::standard_registry(2);
-  FormulaPtr f = parse_ltl("F(P0.p && P1.p)", reg);
-  MonitorAutomaton m = synthesize_monitor(f);
-  CompiledProperty prop(&m, &reg);
+  const SharedProperty art = testing::admit(reg, "F(P0.p && P1.p)");
+  const CompiledProperty& prop = art->property();
   EXPECT_EQ(prop.num_processes(), 2);
 
   // The outgoing transition from the initial state is P0.p && P1.p.
-  const auto& out = prop.outgoing(m.initial_state());
+  const auto& out = prop.outgoing(prop.initial_state());
   ASSERT_EQ(out.size(), 1u);
   const CompiledTransition& t = prop.transition(out[0]);
   EXPECT_EQ(t.participants, (std::vector<int>{0, 1}));
@@ -30,9 +27,9 @@ TEST(CompiledProperty, SplitsGuardsByProcess) {
 
 TEST(CompiledProperty, SelfLoopsAndOutgoingPartition) {
   AtomRegistry reg = testing::standard_registry(2);
-  FormulaPtr f = parse_ltl("F(P0.p && P1.p)", reg);
-  MonitorAutomaton m = synthesize_monitor(f);
-  CompiledProperty prop(&m, &reg);
+  const SharedProperty art = testing::admit(reg, "F(P0.p && P1.p)");
+  const CompiledProperty& prop = art->property();
+  const MonitorAutomaton& m = art->automaton();
   int total = 0;
   for (int q = 0; q < m.num_states(); ++q) {
     total += static_cast<int>(prop.outgoing(q).size());
@@ -49,10 +46,9 @@ TEST(CompiledProperty, SelfLoopsAndOutgoingPartition) {
 
 TEST(CompiledProperty, LocallySatisfied) {
   AtomRegistry reg = testing::standard_registry(2);
-  FormulaPtr f = parse_ltl("F(P0.p && !P0.q && P1.p)", reg);
-  MonitorAutomaton m = synthesize_monitor(f);
-  CompiledProperty prop(&m, &reg);
-  const int tid = prop.outgoing(m.initial_state())[0];
+  const SharedProperty art = testing::admit(reg, "F(P0.p && !P0.q && P1.p)");
+  const CompiledProperty& prop = art->property();
+  const int tid = prop.outgoing(prop.initial_state())[0];
   // P0's part: p && !q. Atom bits: P0.p=0, P0.q=1.
   EXPECT_TRUE(prop.locally_satisfied(tid, 0, 0b01));
   EXPECT_FALSE(prop.locally_satisfied(tid, 0, 0b11));
@@ -64,10 +60,9 @@ TEST(CompiledProperty, LocallySatisfied) {
 
 TEST(CompiledProperty, NonParticipantTriviallySatisfied) {
   AtomRegistry reg = testing::standard_registry(3);
-  FormulaPtr f = parse_ltl("F(P0.p && P2.p)", reg);
-  MonitorAutomaton m = synthesize_monitor(f);
-  CompiledProperty prop(&m, &reg);
-  const int tid = prop.outgoing(m.initial_state())[0];
+  const SharedProperty art = testing::admit(reg, "F(P0.p && P2.p)");
+  const CompiledProperty& prop = art->property();
+  const int tid = prop.outgoing(prop.initial_state())[0];
   EXPECT_TRUE(prop.transition(tid).local[1].is_true());
   EXPECT_TRUE(prop.locally_satisfied(tid, 1, 0));
   EXPECT_EQ(prop.transition(tid).participants, (std::vector<int>{0, 2}));
@@ -75,9 +70,9 @@ TEST(CompiledProperty, NonParticipantTriviallySatisfied) {
 
 TEST(CompiledProperty, StepMatchesAutomaton) {
   AtomRegistry reg = testing::standard_registry(2);
-  FormulaPtr f = parse_ltl("G(P0.p || P1.p)", reg);
-  MonitorAutomaton m = synthesize_monitor(f);
-  CompiledProperty prop(&m, &reg);
+  const SharedProperty art = testing::admit(reg, "G(P0.p || P1.p)");
+  const CompiledProperty& prop = art->property();
+  const MonitorAutomaton& m = art->automaton();
   for (AtomSet letter = 0; letter < 16; ++letter) {
     EXPECT_EQ(prop.step(m.initial_state(), letter),
               *m.step(m.initial_state(), letter));

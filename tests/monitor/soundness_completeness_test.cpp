@@ -12,7 +12,7 @@
 #include "decmon/lattice/oracle.hpp"
 #include "decmon/ltl/parser.hpp"
 #include "decmon/monitor/decentralized_monitor.hpp"
-#include "decmon/monitor/predicate.hpp"
+#include "decmon/monitor/property_registry.hpp"
 
 namespace decmon {
 namespace {
@@ -30,11 +30,12 @@ std::vector<AtomSet> initial_letters(const Computation& comp) {
 
 /// Run the decentralized monitor over `comp` under schedule `seed`.
 SystemVerdict run_decentralized(const Computation& comp,
-                                const CompiledProperty& prop,
+                                const SharedProperty& art,
                                 std::uint64_t seed,
                                 MonitorOptions options = {}) {
   ReplayDriver driver;
-  DecentralizedMonitor dm(&prop, &driver, initial_letters(comp), options);
+  DecentralizedMonitor dm(property_handle(art), &driver, initial_letters(comp),
+                          options);
   driver.run(comp, dm, seed);
   return dm.result();
 }
@@ -76,15 +77,13 @@ std::string show(const std::set<Verdict>& vs) {
 
 TEST(Decentralized, PaperExampleVerdictSet) {
   PaperExample ex;
-  FormulaPtr psi =
-      parse_ltl("G((x1 >= 5) -> ((x2 >= 15) U (x1 == 10)))", ex.registry);
-  MonitorAutomaton m = synthesize_monitor(psi);
-  CompiledProperty prop(&m, &ex.registry);
-  OracleResult oracle = oracle_evaluate(ex.computation, m);
+  const SharedProperty art =
+      testing::admit(ex.registry, "G((x1 >= 5) -> ((x2 >= 15) U (x1 == 10)))");
+  OracleResult oracle = oracle_evaluate(ex.computation, art->automaton());
   ASSERT_EQ(oracle.verdicts,
             (std::set<Verdict>{Verdict::kFalse, Verdict::kUnknown}));
   for (std::uint64_t seed = 0; seed < 25; ++seed) {
-    SystemVerdict v = run_decentralized(ex.computation, prop, seed);
+    SystemVerdict v = run_decentralized(ex.computation, art, seed);
     EXPECT_TRUE(v.all_finished) << "seed " << seed;
     EXPECT_EQ(v.verdicts, oracle.verdicts) << "seed " << seed;
   }
@@ -92,13 +91,11 @@ TEST(Decentralized, PaperExampleVerdictSet) {
 
 TEST(Decentralized, PaperExamplePsiPrime) {
   PaperExample ex;
-  FormulaPtr psi =
-      parse_ltl("G((x1 >= 5) -> ((x2 == 15) U (x1 == 10)))", ex.registry);
-  MonitorAutomaton m = synthesize_monitor(psi);
-  CompiledProperty prop(&m, &ex.registry);
-  OracleResult oracle = oracle_evaluate(ex.computation, m);
+  const SharedProperty art =
+      testing::admit(ex.registry, "G((x1 >= 5) -> ((x2 == 15) U (x1 == 10)))");
+  OracleResult oracle = oracle_evaluate(ex.computation, art->automaton());
   for (std::uint64_t seed = 0; seed < 25; ++seed) {
-    SystemVerdict v = run_decentralized(ex.computation, prop, seed);
+    SystemVerdict v = run_decentralized(ex.computation, art, seed);
     EXPECT_TRUE(v.all_finished);
     EXPECT_EQ(v.verdicts, oracle.verdicts) << "seed " << seed;
   }
@@ -108,13 +105,12 @@ TEST(Decentralized, DeadlockFreedomOnPaperExample) {
   // Theorem 1: monitors of a terminating program terminate; no waiting
   // tokens or views survive.
   PaperExample ex;
-  FormulaPtr psi =
-      parse_ltl("G((x1 >= 5) -> ((x2 >= 15) U (x1 == 10)))", ex.registry);
-  MonitorAutomaton m = synthesize_monitor(psi);
-  CompiledProperty prop(&m, &ex.registry);
+  const SharedProperty art =
+      testing::admit(ex.registry, "G((x1 >= 5) -> ((x2 >= 15) U (x1 == 10)))");
   for (std::uint64_t seed = 0; seed < 10; ++seed) {
     ReplayDriver driver;
-    DecentralizedMonitor dm(&prop, &driver, initial_letters(ex.computation));
+    DecentralizedMonitor dm(property_handle(art), &driver,
+                            initial_letters(ex.computation));
     driver.run(ex.computation, dm, seed);
     for (int i = 0; i < 2; ++i) {
       EXPECT_TRUE(dm.monitor(i).finished());
@@ -129,13 +125,10 @@ TEST(DecentralizedProperty, VerdictSetEqualsOracleTwoProcs) {
   std::mt19937_64 rng(424242);
   AtomRegistry reg = testing::standard_registry(2);
   const auto props = testing::property_suite_2();
-  std::vector<CompiledProperty> compiled;
-  std::vector<MonitorAutomaton> automata;
-  automata.reserve(props.size());
+  std::vector<SharedProperty> compiled;
   for (const auto& text : props) {
-    automata.push_back(synthesize_monitor(parse_ltl(text, reg)));
+    compiled.push_back(testing::admit(reg, text));
   }
-  for (const auto& m : automata) compiled.emplace_back(&m, &reg);
 
   int exact = 0;
   const int iterations = 150;
@@ -143,7 +136,7 @@ TEST(DecentralizedProperty, VerdictSetEqualsOracleTwoProcs) {
     Computation comp =
         testing::random_computation(rng, 2, reg, 3 + static_cast<int>(rng() % 4));
     const std::size_t pi = iter % props.size();
-    OracleResult oracle = oracle_evaluate(comp, automata[pi]);
+    OracleResult oracle = oracle_evaluate(comp, compiled[pi]->automaton());
     SystemVerdict v = run_decentralized(comp, compiled[pi], rng());
     EXPECT_TRUE(v.all_finished);
     EXPECT_TRUE(contract_holds(oracle, v)) << "property: " << props[pi];
@@ -161,19 +154,17 @@ TEST(DecentralizedProperty, VerdictSetEqualsOracleThreeProcs) {
   std::mt19937_64 rng(777);
   AtomRegistry reg = testing::standard_registry(3);
   const auto props = testing::property_suite_3();
-  std::vector<MonitorAutomaton> automata;
+  std::vector<SharedProperty> compiled;
   for (const auto& text : props) {
-    automata.push_back(synthesize_monitor(parse_ltl(text, reg)));
+    compiled.push_back(testing::admit(reg, text));
   }
-  std::vector<CompiledProperty> compiled;
-  for (const auto& m : automata) compiled.emplace_back(&m, &reg);
 
   int exact = 0;
   const int iterations = 60;
   for (int iter = 0; iter < iterations; ++iter) {
     Computation comp = testing::random_computation(rng, 3, reg, 3);
     const std::size_t pi = iter % props.size();
-    OracleResult oracle = oracle_evaluate(comp, automata[pi]);
+    OracleResult oracle = oracle_evaluate(comp, compiled[pi]->automaton());
     SystemVerdict v = run_decentralized(comp, compiled[pi], rng());
     EXPECT_TRUE(v.all_finished);
     EXPECT_TRUE(contract_holds(oracle, v)) << props[pi];
@@ -189,14 +180,12 @@ TEST(DecentralizedProperty, VerdictSetEqualsOracleThreeProcs) {
 TEST(DecentralizedProperty, ScheduleIndependence) {
   std::mt19937_64 rng(1001);
   AtomRegistry reg = testing::standard_registry(2);
-  FormulaPtr f = parse_ltl("G((P0.p) U (P1.p))", reg);
-  MonitorAutomaton m = synthesize_monitor(f);
-  CompiledProperty prop(&m, &reg);
+  const SharedProperty art = testing::admit(reg, "G((P0.p) U (P1.p))");
   for (int iter = 0; iter < 10; ++iter) {
     Computation comp = testing::random_computation(rng, 2, reg, 4);
-    OracleResult oracle = oracle_evaluate(comp, m);
+    OracleResult oracle = oracle_evaluate(comp, art->automaton());
     for (std::uint64_t seed = 0; seed < 20; ++seed) {
-      SystemVerdict v = run_decentralized(comp, prop, seed);
+      SystemVerdict v = run_decentralized(comp, art, seed);
       EXPECT_TRUE(contract_holds(oracle, v)) << "schedule seed " << seed;
     }
   }
@@ -210,15 +199,13 @@ TEST(DecentralizedProperty, OptimizationsPreserveVerdicts) {
   const auto props = testing::property_suite_2();
   for (int iter = 0; iter < 40; ++iter) {
     Computation comp = testing::random_computation(rng, 2, reg, 4);
-    MonitorAutomaton m =
-        synthesize_monitor(parse_ltl(props[iter % props.size()], reg));
-    CompiledProperty prop(&m, &reg);
+    const SharedProperty art = testing::admit(reg, props[iter % props.size()]);
     const std::uint64_t seed = rng();
     MonitorOptions plain;
     plain.dedupe_probes = false;
     plain.prune_same_destination = false;
-    SystemVerdict with = run_decentralized(comp, prop, seed);
-    SystemVerdict without = run_decentralized(comp, prop, seed, plain);
+    SystemVerdict with = run_decentralized(comp, art, seed);
+    SystemVerdict without = run_decentralized(comp, art, seed, plain);
     // Optimizations are overhead reductions: definite verdicts must agree.
     for (Verdict v : {Verdict::kTrue, Verdict::kFalse}) {
       EXPECT_EQ(with.verdicts.count(v), without.verdicts.count(v))

@@ -16,10 +16,8 @@ namespace decmon {
 namespace {
 
 TEST(Stress, LongRunFiveProcessesDrains) {
-  AtomRegistry reg = paper::make_registry(5);
-  MonitorAutomaton automaton =
-      paper::build_automaton(paper::Property::kD, 5, reg);
-  MonitorSession session(std::move(reg), std::move(automaton));
+  MonitorSession session(
+      paper::shared_property(paper::Property::kD, 5, paper::make_registry(5)));
   TraceParams params = paper::experiment_params(paper::Property::kD, 5, 404,
                                                 3.0, true,
                                                 /*internal_events=*/60);
@@ -32,10 +30,8 @@ TEST(Stress, LongRunFiveProcessesDrains) {
 
 TEST(Stress, PeakViewsStayBounded) {
   // Memory claim (4.4.2): live views do not grow with the event count.
-  AtomRegistry reg = paper::make_registry(3);
-  MonitorAutomaton automaton =
-      paper::build_automaton(paper::Property::kC, 3, reg);
-  MonitorSession session(std::move(reg), std::move(automaton));
+  MonitorSession session(
+      paper::shared_property(paper::Property::kC, 3, paper::make_registry(3)));
   std::uint64_t prev_peak = 0;
   for (int events : {20, 40, 80}) {
     TraceParams params =
@@ -54,10 +50,8 @@ TEST(Stress, PeakViewsStayBounded) {
 }
 
 TEST(Stress, ViewCapGuardsRunaway) {
-  AtomRegistry reg = paper::make_registry(3);
-  MonitorAutomaton automaton =
-      paper::build_automaton(paper::Property::kF, 3, reg);
-  MonitorSession session(std::move(reg), std::move(automaton));
+  MonitorSession session(
+      paper::shared_property(paper::Property::kF, 3, paper::make_registry(3)));
   TraceParams params =
       paper::experiment_params(paper::Property::kF, 3, 9, 3.0, true, 20);
   MonitorOptions tight;
@@ -77,16 +71,14 @@ struct CapBreach {
 CapBreach run_with_cap(paper::Property prop, int n, std::uint64_t seed,
                        std::size_t max_views) {
   AtomRegistry reg = paper::make_registry(n);
-  MonitorAutomaton automaton = paper::build_automaton(prop, n, reg);
-  automaton.build_dispatch();
-  CompiledProperty property(&automaton, &reg);
+  const SharedProperty art = paper::shared_property(prop, n, reg);
   TraceParams params =
       paper::experiment_params(prop, n, seed, 3.0, true, 20);
   SimRuntime runtime(generate_trace(params), &reg, SimConfig{});
   MonitorOptions tight;
   tight.max_views = max_views;
   DecentralizedMonitor monitors(
-      &property, &runtime,
+      property_handle(art), &runtime,
       initial_letters_of(reg, runtime.initial_states()), tight);
   runtime.set_hooks(&monitors);
 
@@ -138,10 +130,8 @@ TEST(Stress, ViewCapBreachIsCleanAtBothSites) {
 TEST(Stress, HeavyCommunicationStillDrains) {
   // Communication every ~0.5s: receives dominate, views churn through
   // inconsistency repair constantly.
-  AtomRegistry reg = paper::make_registry(4);
-  MonitorAutomaton automaton =
-      paper::build_automaton(paper::Property::kA, 4, reg);
-  MonitorSession session(std::move(reg), std::move(automaton));
+  MonitorSession session(
+      paper::shared_property(paper::Property::kA, 4, paper::make_registry(4)));
   TraceParams params =
       paper::experiment_params(paper::Property::kA, 4, 5, 0.5, true, 15);
   RunResult r = session.run(generate_trace(params));
@@ -150,10 +140,8 @@ TEST(Stress, HeavyCommunicationStillDrains) {
 
 TEST(Stress, HighLatencyNetworkStillDrains) {
   // Token replies arrive long after the program finished.
-  AtomRegistry reg = paper::make_registry(3);
-  MonitorAutomaton automaton =
-      paper::build_automaton(paper::Property::kD, 3, reg);
-  MonitorSession session(std::move(reg), std::move(automaton));
+  MonitorSession session(
+      paper::shared_property(paper::Property::kD, 3, paper::make_registry(3)));
   SimConfig slow;
   slow.mon_latency_mu = 30.0;  // monitor messages are 10x slower than events
   slow.mon_latency_sigma = 10.0;
@@ -165,10 +153,8 @@ TEST(Stress, HighLatencyNetworkStillDrains) {
 }
 
 TEST(Stress, TraceHookReceivesLines) {
-  AtomRegistry reg = paper::make_registry(2);
-  MonitorAutomaton automaton =
-      paper::build_automaton(paper::Property::kB, 2, reg);
-  MonitorSession session(std::move(reg), std::move(automaton));
+  MonitorSession session(
+      paper::shared_property(paper::Property::kB, 2, paper::make_registry(2)));
   TraceParams params =
       paper::experiment_params(paper::Property::kB, 2, 3, 3.0, true, 10);
   MonitorOptions options;
@@ -185,10 +171,8 @@ TEST(Stress, TraceHookReceivesLines) {
 
 TEST(Stress, RepeatedRunsShareNoState) {
   // Back-to-back runs through one session are independent and identical.
-  AtomRegistry reg = paper::make_registry(3);
-  MonitorAutomaton automaton =
-      paper::build_automaton(paper::Property::kE, 3, reg);
-  MonitorSession session(std::move(reg), std::move(automaton));
+  MonitorSession session(
+      paper::shared_property(paper::Property::kE, 3, paper::make_registry(3)));
   TraceParams params =
       paper::experiment_params(paper::Property::kE, 3, 12, 3.0, true, 20);
   SystemTrace trace = generate_trace(params);

@@ -19,9 +19,8 @@ class ExperimentSweep : public ::testing::TestWithParam<SweepParam> {};
 
 TEST_P(ExperimentSweep, ContractAndInvariants) {
   const auto [prop, n, comm_mu] = GetParam();
-  AtomRegistry reg = paper::make_registry(n);
-  MonitorAutomaton automaton = paper::build_automaton(prop, n, reg);
-  MonitorSession session(std::move(reg), std::move(automaton));
+  MonitorSession session(
+      paper::shared_property(prop, n, paper::make_registry(n)));
 
   for (std::uint64_t seed = 1; seed <= 2; ++seed) {
     TraceParams params = paper::experiment_params(prop, n, seed, comm_mu,

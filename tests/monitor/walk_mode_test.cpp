@@ -13,6 +13,7 @@
 #include "decmon/lattice/oracle.hpp"
 #include "decmon/ltl/parser.hpp"
 #include "decmon/monitor/decentralized_monitor.hpp"
+#include "decmon/monitor/property_registry.hpp"
 
 namespace decmon {
 namespace {
@@ -37,9 +38,7 @@ Violations run_corpus(WalkMode mode) {
   AtomRegistry reg = testing::standard_registry(2);
   // X-shaped properties have states without self-loops: the join-jump
   // walk's weak spot.
-  FormulaPtr f = parse_ltl("X X (P0.p && P1.q)", reg);
-  MonitorAutomaton m = synthesize_monitor(f);
-  CompiledProperty prop(&m, &reg);
+  const SharedProperty art = testing::admit(reg, "X X (P0.p && P1.q)");
   MonitorOptions options;
   options.walk_mode = mode;
 
@@ -47,10 +46,11 @@ Violations run_corpus(WalkMode mode) {
   for (int iter = 0; iter < 400; ++iter) {
     Computation comp = testing::random_computation(
         rng, 2, reg, 3 + static_cast<int>(rng() % 4));
-    OracleResult oracle = oracle_evaluate(comp, m);
+    OracleResult oracle = oracle_evaluate(comp, art->automaton());
     const std::uint64_t seed = rng();
     testing::ReplayDriver driver;
-    DecentralizedMonitor dm(&prop, &driver, initial_letters(comp), options);
+    DecentralizedMonitor dm(property_handle(art), &driver,
+                            initial_letters(comp), options);
     driver.run(comp, dm, seed);
     SystemVerdict result = dm.result();
     for (Verdict x : result.verdicts) {
@@ -85,16 +85,15 @@ TEST(WalkMode, JoinJumpStillDetectsPlainReachableVerdicts) {
   // the definite verdicts.
   std::mt19937_64 rng(99);
   AtomRegistry reg = testing::standard_registry(2);
-  FormulaPtr f = parse_ltl("F(P0.p && P1.p)", reg);
-  MonitorAutomaton m = synthesize_monitor(f);
-  CompiledProperty prop(&m, &reg);
+  const SharedProperty art = testing::admit(reg, "F(P0.p && P1.p)");
   MonitorOptions jump;
   jump.walk_mode = WalkMode::kJoinJump;
   for (int iter = 0; iter < 40; ++iter) {
     Computation comp = testing::random_computation(rng, 2, reg, 5);
-    OracleResult oracle = oracle_evaluate(comp, m);
+    OracleResult oracle = oracle_evaluate(comp, art->automaton());
     testing::ReplayDriver driver;
-    DecentralizedMonitor dm(&prop, &driver, initial_letters(comp), jump);
+    DecentralizedMonitor dm(property_handle(art), &driver,
+                            initial_letters(comp), jump);
     driver.run(comp, dm, rng());
     if (oracle.verdicts.count(Verdict::kTrue)) {
       EXPECT_TRUE(dm.result().verdicts.count(Verdict::kTrue));

@@ -66,10 +66,8 @@ TEST(AllocBudget, CellDStaysUnderBudget) {
   GTEST_SKIP() << "allocation counting is disabled under sanitizers";
 #endif
   const int n = 5;
-  AtomRegistry reg = paper::make_registry(n);
-  MonitorAutomaton automaton =
-      paper::build_automaton(paper::Property::kD, n, reg);
-  MonitorSession session(std::move(reg), std::move(automaton));
+  MonitorSession session(
+      paper::shared_property(paper::Property::kD, n, paper::make_registry(n)));
 
   TraceParams params = paper::experiment_params(
       paper::Property::kD, n, /*seed=*/1, /*comm_mu=*/3.0,
@@ -104,10 +102,8 @@ TEST(AllocBudget, BatchedTransitSendsStayUnderBudget) {
   // staging buffer reuses its capacity, so after warm-up the flush must add
   // no per-send heap traffic; the budget is the same as the bare run.
   const int n = 5;
-  AtomRegistry reg = paper::make_registry(n);
-  MonitorAutomaton automaton =
-      paper::build_automaton(paper::Property::kD, n, reg);
-  MonitorSession session(std::move(reg), std::move(automaton));
+  MonitorSession session(
+      paper::shared_property(paper::Property::kD, n, paper::make_registry(n)));
 
   TraceParams params = paper::experiment_params(
       paper::Property::kD, n, /*seed=*/1, /*comm_mu=*/3.0,
@@ -147,10 +143,8 @@ TEST(AllocBudget, ReliableChannelCleanPathStaysUnderBudget) {
   // per-event rate must hold under the same budget as the bare run.
   const int n = 5;
   AtomRegistry reg = paper::make_registry(n);
-  MonitorAutomaton automaton =
-      paper::build_automaton(paper::Property::kD, n, reg);
-  automaton.build_dispatch();
-  CompiledProperty prop(&automaton, &reg);
+  const SharedProperty art =
+      paper::shared_property(paper::Property::kD, n, reg);
 
   TraceParams params = paper::experiment_params(
       paper::Property::kD, n, /*seed=*/1, /*comm_mu=*/3.0,
@@ -161,7 +155,8 @@ TEST(AllocBudget, ReliableChannelCleanPathStaysUnderBudget) {
   SimRuntime runtime(std::move(trace), &reg, SimConfig{});
   ReliableChannel channel(&runtime, n);
   DecentralizedMonitor monitors(
-      &prop, &channel, initial_letters_of(reg, runtime.initial_states()));
+      property_handle(art), &channel,
+      initial_letters_of(reg, runtime.initial_states()));
   channel.set_hooks(&monitors);
   runtime.set_hooks(&channel);
 

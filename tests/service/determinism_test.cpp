@@ -94,10 +94,9 @@ TEST(CrossShardDeterminism, OneShardSerialMatchesFourShardsConcurrent) {
   // Reference: the facade, exactly as the goldens drive it.
   std::vector<Fingerprint> direct;
   for (const SessionSpec& spec : specs) {
-    AtomRegistry reg = paper::make_registry(spec.num_processes);
-    MonitorAutomaton automaton =
-        paper::build_automaton(spec.property, spec.num_processes, reg);
-    MonitorSession session(std::move(reg), std::move(automaton));
+    MonitorSession session(
+        paper::shared_property(spec.property, spec.num_processes,
+                               paper::make_registry(spec.num_processes)));
     TraceParams params = paper::experiment_params(
         spec.property, spec.num_processes, spec.trace_seed, spec.comm_mu,
         spec.comm_enabled, spec.internal_events);
@@ -145,10 +144,9 @@ TEST(CrossShardDeterminism, StreamingPostureIsDeterministicAcrossShards) {
   std::vector<Fingerprint> direct;
   std::vector<std::string> plain_verdicts;
   for (const SessionSpec& spec : specs) {
-    AtomRegistry reg = paper::make_registry(spec.num_processes);
-    MonitorAutomaton automaton =
-        paper::build_automaton(spec.property, spec.num_processes, reg);
-    MonitorSession session(std::move(reg), std::move(automaton));
+    MonitorSession session(
+        paper::shared_property(spec.property, spec.num_processes,
+                               paper::make_registry(spec.num_processes)));
     TraceParams params = paper::experiment_params(
         spec.property, spec.num_processes, spec.trace_seed, spec.comm_mu,
         spec.comm_enabled, spec.internal_events);

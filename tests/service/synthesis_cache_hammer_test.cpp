@@ -1,15 +1,15 @@
-// Multi-threaded hammer for the paper synthesis cache (build_automaton and
-// the zero-copy shared_property admission path it now rides on).
+// Multi-threaded hammer for the paper synthesis cache (shared_property, the
+// one admission path for paper properties).
 //
 // The sharded service warms every shard's catalog from this one process-
 // wide memo, so hits must be safe from many threads at once (shared-lock
-// lookups; shared_property bumps a refcount, build_automaton copies out)
-// while misses insert and clear() swaps the whole table out from under
-// them. The shared posture adds a lifetime clause: an artifact handed out
-// before a clear() must stay fully usable afterwards -- outstanding
+// lookups that bump a refcount) while misses insert and clear() swaps the
+// whole table out from under them. The lifetime clause: an artifact handed
+// out before a clear() must stay fully usable afterwards -- outstanding
 // shared_ptrs keep it alive. Run under TSan this is the test that falsifies
 // the locking; in a plain build it still checks the returned automata are
-// complete, independently owned copies and the hit/miss counters add up.
+// complete, that a hit is the memoized artifact itself, and that the
+// hit/miss counters add up.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -60,8 +60,9 @@ TEST(SynthesisCacheHammer, ConcurrentHitsMissesAndClears) {
       while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
       for (int i = 0; i < kItersPerThread; ++i) {
         const Key& key = kKeys[(t + i) % std::size(kKeys)];
-        AtomRegistry reg = paper::make_registry(key.n);
-        MonitorAutomaton m = paper::build_automaton(key.prop, key.n, reg);
+        const SharedProperty art = paper::shared_property(
+            key.prop, key.n, paper::make_registry(key.n));
+        const MonitorAutomaton& m = art->automaton();
         if (m.num_states() == 0 || !m.step(m.initial_state(), 0)) {
           failures.fetch_add(1, std::memory_order_relaxed);
         }
@@ -81,14 +82,20 @@ TEST(SynthesisCacheHammer, ConcurrentHitsMissesAndClears) {
   for (std::thread& t : threads) t.join();
   EXPECT_EQ(failures.load(), 0);
 
-  // Every returned automaton is an independent copy: mutating one obtained
-  // now cannot affect what the cache serves next.
+  // A hit hands out the memoized artifact itself, and mutating a
+  // caller-owned copy of its automaton cannot affect what the cache serves.
   AtomRegistry reg = paper::make_registry(3);
-  MonitorAutomaton mine = paper::build_automaton(paper::Property::kA, 3, reg);
-  const int states_before = mine.num_states();
+  const SharedProperty first =
+      paper::shared_property(paper::Property::kA, 3, reg);
+  const SharedProperty hit =
+      paper::shared_property(paper::Property::kA, 3, reg);
+  EXPECT_EQ(hit.get(), first.get());
+  const int states_before = first->automaton().num_states();
+  MonitorAutomaton mine = first->automaton();
   mine.add_state(Verdict::kUnknown);
-  MonitorAutomaton again = paper::build_automaton(paper::Property::kA, 3, reg);
-  EXPECT_EQ(again.num_states(), states_before);
+  const SharedProperty again =
+      paper::shared_property(paper::Property::kA, 3, reg);
+  EXPECT_EQ(again->automaton().num_states(), states_before);
 }
 
 TEST(SynthesisCacheHammer, CountersAccountForEveryCall) {
@@ -103,9 +110,9 @@ TEST(SynthesisCacheHammer, CountersAccountForEveryCall) {
       while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
       for (int i = 0; i < kItersPerThread; ++i) {
         const Key& key = kKeys[(t + i) % std::size(kKeys)];
-        AtomRegistry reg = paper::make_registry(key.n);
-        MonitorAutomaton m = paper::build_automaton(key.prop, key.n, reg);
-        check_automaton(m, key.n);
+        const SharedProperty art = paper::shared_property(
+            key.prop, key.n, paper::make_registry(key.n));
+        check_automaton(art->automaton(), key.n);
       }
     });
   }

@@ -58,9 +58,8 @@ void print_equivalence_goldens() {
   for (paper::Property prop : paper::kAllProperties) {
     for (int n : {3, 5}) {
       for (std::uint64_t seed : {2015ull, 2016ull, 2017ull}) {
-        AtomRegistry reg = paper::make_registry(n);
-        MonitorAutomaton automaton = paper::build_automaton(prop, n, reg);
-        MonitorSession session(std::move(reg), std::move(automaton));
+        MonitorSession session(
+            paper::shared_property(prop, n, paper::make_registry(n)));
         TraceParams params = paper::experiment_params(prop, n, seed);
         SystemTrace trace = generate_trace(params);
         force_final_all_true(trace);
@@ -100,9 +99,8 @@ RunResult run_walk_workload(paper::Property prop, int n, std::uint64_t seed,
   }
   if (posture == "joinjump") options.walk_mode = WalkMode::kJoinJump;
   const double comm_mu = posture == "mu1.5" ? 1.5 : 3.0;
-  AtomRegistry reg = paper::make_registry(n);
-  MonitorAutomaton automaton = paper::build_automaton(prop, n, reg);
-  MonitorSession session(std::move(reg), std::move(automaton));
+  MonitorSession session(
+      paper::shared_property(prop, n, paper::make_registry(n)));
   SystemTrace trace =
       generate_trace(paper::experiment_params(prop, n, seed, comm_mu));
   force_final_all_true(trace);
