@@ -43,7 +43,7 @@ class CheckpointError : public WireError {
   explicit CheckpointError(const std::string& what) : WireError(what) {}
 };
 
-inline constexpr std::uint8_t kCheckpointVersion = 4;
+inline constexpr std::uint8_t kCheckpointVersion = 5;
 
 /// Snapshot the monitor's full algorithmic state. The monitor must be
 /// quiescent (not inside a dispatch) -- checkpoints are taken between hook

@@ -14,6 +14,7 @@
 // system shares one bounds-checked little-endian encoding.
 #pragma once
 
+#include <array>
 #include <bit>
 #include <cstdint>
 #include <memory>
@@ -51,9 +52,9 @@ class WireWriter {
   }
   /// Encoded LEB128 length of `x` without emitting anything: ceil of the
   /// significant bit count over the 7 value bits per byte (x = 0 is one
-  /// byte, covered by the `| 1`).
+  /// byte), looked up by bit count -- the stamp sizes every field this way.
   static std::size_t var_size(std::uint64_t x) {
-    return static_cast<std::size_t>((std::bit_width(x | 1) + 6) / 7);
+    return kVarSizes[std::bit_width(x)];
   }
   /// Zigzag map (0, -1, 1, -2, ... -> 0, 1, 2, 3, ...), so small deltas of
   /// either sign stay one varint byte.
@@ -82,6 +83,14 @@ class WireWriter {
   }
 
  private:
+  static constexpr std::array<std::uint8_t, 65> kVarSizes = [] {
+    std::array<std::uint8_t, 65> sizes{};
+    for (int bits = 0; bits <= 64; ++bits) {
+      sizes[static_cast<std::size_t>(bits)] =
+          static_cast<std::uint8_t>(bits == 0 ? 1 : (bits + 6) / 7);
+    }
+    return sizes;
+  }();
   std::vector<std::uint8_t>& buf_;
 };
 
@@ -152,7 +161,7 @@ class WireReader {
   std::size_t pos_ = 0;
 };
 
-/// What a buffer holds (byte 1, after the version byte 2). kFrame is a
+/// What a buffer holds (byte 1, after the version byte 3). kFrame is a
 /// batched frame (varints + delta-compressed clocks); kEnvelope is a
 /// reliable-channel envelope (seq/ack header around an embedded payload
 /// encoding), so a channel stacked over a socket transport can serialize its

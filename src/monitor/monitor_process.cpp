@@ -992,6 +992,11 @@ bool MonitorProcess::route_token(Token& token, double now) {
     return true;
   }
   ++stats_.token_messages_sent;
+  // An entry resolved false without a certified stay-point is dead: no
+  // monitor reads it again (DESIGN.md §6.3), so it does not travel.
+  std::erase_if(token.entries, [](const TransitionEntry& e) {
+    return e.eval == EntryEval::kFalse && !e.loop_certified;
+  });
   // Swap the token into a recycled message shell: the shell's previous
   // token husk lands in `token` and goes back to the pool, so its spilled
   // capacity (entry vector, wide clocks) keeps circulating. The shell is

@@ -483,7 +483,7 @@ TEST(SocketRuntime, VerdictsMatchSimRuntimeOnThesisProperties) {
   }
 }
 
-TEST(SocketRuntime, AotGeneratedPropertyMatchesSynthesisVerdicts) {
+TEST(SocketRuntime, SharedArtifactMatchesUncachedSynthesisVerdicts) {
   // Memo-vs-synthesis differential over real sockets: a monitor admitted
   // from the synthesis memo (one shared artifact, property handles aliasing
   // into it from every replica) must meet the contract of the uncached

@@ -263,7 +263,7 @@ TEST(ThreadRuntime, OffThreadSendsAreSafeAndCounted) {
   EXPECT_GE(rt.monitor_messages_processed(), 25u);
 }
 
-TEST(ThreadRuntime, AotGeneratedPropertyMatchesSynthesisVerdicts) {
+TEST(ThreadRuntime, SharedArtifactMatchesUncachedSynthesisVerdicts) {
   // Memo-vs-synthesis differential under real threads: a monitor admitted
   // from the synthesis memo (one shared artifact, property handles aliasing
   // into it from every replica) must meet the contract of the uncached

@@ -236,12 +236,12 @@ TEST(Checkpoint, OnlyTheCurrentVersionRestores) {
   driver.run(comp, dm, 1);
   MonitorProcess& target = dm.monitor(0);
   const std::vector<std::uint8_t> blob = checkpoint_monitor(target);
-  ASSERT_EQ(kCheckpointVersion, 4);
+  ASSERT_EQ(kCheckpointVersion, 5);
   ASSERT_EQ(blob[4], kCheckpointVersion);  // after the "DMCK" magic
   EXPECT_NO_THROW(restore_monitor(target, blob));
 
   std::vector<std::uint8_t> old = blob;
-  old[4] = 3;
+  old[4] = 4;
   const std::size_t body_end = old.size() - 4;
   const std::uint32_t crc = wire_crc32(old.data(), body_end);
   for (std::size_t i = 0; i < 4; ++i) {

@@ -166,7 +166,9 @@ TEST(MonitorProcessUnit, VisitingTokenParksForFutureEvent) {
 
 TEST(MonitorProcessUnit, TerminationFlushesParkedTokens) {
   // Theorem 1 / Lemma 1: the awaited event never happens; termination sends
-  // the token home with the entry disabled.
+  // the token home with the entry disabled. A disabled entry without a
+  // certified stay-point is dead and does not travel, so the token arrives
+  // with nothing live and nothing enabled.
   Fixture f("F(P0.p && P1.p)", 2);
   MonitorProcess m0(0, f.prop, &f.net, {0, 0});
   m0.on_local_event(make_event(0, 1, VectorClock{1, 0}, 0b01), 1.0);
@@ -178,10 +180,63 @@ TEST(MonitorProcessUnit, TerminationFlushesParkedTokens) {
   ASSERT_EQ(m1.num_waiting_tokens(), 1u);
   m1.on_local_termination(3.0);
   EXPECT_EQ(m1.num_waiting_tokens(), 0u);
-  ASSERT_EQ(net1.tokens_to(0, /*parent=*/0).size(), 1u);
-  EXPECT_EQ(net1.tokens_to(0, 0).at(0).entries.at(0).eval,
-            EntryEval::kFalse);
+  const std::vector<Token> home = net1.tokens_to(0, /*parent=*/0);
+  ASSERT_EQ(home.size(), 1u);
+  for (const TransitionEntry& e : home[0].entries) {
+    EXPECT_NE(e.eval, EntryEval::kUnset);
+    EXPECT_NE(e.eval, EntryEval::kTrue);
+  }
   EXPECT_EQ(net1.terminations(), 1);
+}
+
+TEST(MonitorProcessUnit, OnlyCertifiedDisabledEntriesTravel) {
+  // P0's receive {1,1} is inconsistent with its view's cut {0,0}, so the
+  // launchpad forks no copy and waits for its token. At P1 the walk never
+  // finds the event it awaits, and termination disables every entry. Of
+  // two disabled entries, the one with a certified stay-point rides home
+  // and resurrects the launchpad there (it probes again); the uncertified
+  // one is dropped, and a token with nothing certified quarantines the
+  // launchpad instead.
+  auto run = [](bool certify) {
+    Fixture f("F(P0.p && P1.p)", 2);
+    MonitorProcess m0(0, f.prop, &f.net, {0, 0});
+    m0.on_local_event(
+        make_event(0, 1, VectorClock{1, 1}, 0b01, EventType::kReceive), 1.0);
+    EXPECT_EQ(m0.stats().tokens_created, 1u);
+    Token probe = f.net.tokens_to(1).at(0);
+    EXPECT_EQ(probe.entries.size(), 1u);
+    if (certify) {
+      // The same walk, certified at the initial cut {0,0}.
+      TransitionEntry certified = probe.entries.at(0);
+      certified.loop_certified = true;
+      for (std::size_t j = 0; j < certified.width(); ++j) {
+        certified.loop_cut(j) = 0;
+        certified.loop_gstate(j) = 0;
+      }
+      probe.entries.push_back(certified);
+    }
+
+    CapturingNetwork net1;
+    MonitorProcess m1(1, f.prop, &net1, {0, 0});
+    m1.on_token(probe, 2.0);
+    EXPECT_EQ(m1.num_waiting_tokens(), 1u);
+    m1.on_local_termination(3.0);
+    const std::vector<Token> home = net1.tokens_to(0, /*parent=*/0);
+    EXPECT_EQ(home.size(), 1u);
+    if (home.empty()) return std::uint64_t{0};
+    EXPECT_EQ(home[0].entries.size(), certify ? 1u : 0u);
+    for (const TransitionEntry& e : home[0].entries) {
+      EXPECT_EQ(e.eval, EntryEval::kFalse);
+      EXPECT_TRUE(e.loop_certified);
+      EXPECT_EQ(e.loop_cut(0), 0u);
+      EXPECT_EQ(e.loop_cut(1), 0u);
+    }
+    m0.on_token(home[0], 4.0);
+    EXPECT_EQ(m0.stats().tokens_returned, 1u);
+    return m0.stats().tokens_created;
+  };
+  EXPECT_EQ(run(/*certify=*/true), 2u);   // resurrected: probes again
+  EXPECT_EQ(run(/*certify=*/false), 1u);  // quarantined: never probes again
 }
 
 TEST(MonitorProcessUnit, ReturnedEnabledTokenSpawnsAndDeclares) {

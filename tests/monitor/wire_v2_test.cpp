@@ -91,7 +91,7 @@ Token random_token(std::mt19937_64& rng, std::size_t width) {
   t.next_target_process = static_cast<int>(rng() % (width + 1)) - 1;
   t.next_target_event = edge();
   t.hops = static_cast<int>(rng() % 1000);
-  const std::size_t entries = rng() % 4;
+  const std::size_t entries = rng() % 6;
   for (std::size_t i = 0; i < entries; ++i) {
     TransitionEntry e;
     e.transition_id = static_cast<int>(rng() % 64) - 1;
@@ -112,6 +112,26 @@ Token random_token(std::mt19937_64& rng, std::size_t width) {
       for (std::size_t j = 0; j < e.width(); ++j) {
         e.loop_cut(j) = edge();
         e.loop_gstate(j) = rng();
+      }
+    }
+    // Sometimes share an earlier entry's frontier block or stay-point
+    // block, as entries of one walk do, so the reference paths are covered.
+    if (i > 0) {
+      const TransitionEntry& earlier = t.entries[rng() % i];
+      if (earlier.width() == e.width() && rng() % 2 == 0) {
+        for (std::size_t j = 0; j < e.width(); ++j) {
+          e.cut(j) = earlier.cut(j);
+          e.depend(j) = earlier.depend(j);
+          e.gstate(j) = earlier.gstate(j);
+        }
+      }
+      if (earlier.width() == e.width() && earlier.loop_certified &&
+          rng() % 2 == 0) {
+        e.loop_certified = true;
+        for (std::size_t j = 0; j < e.width(); ++j) {
+          e.loop_cut(j) = earlier.loop_cut(j);
+          e.loop_gstate(j) = earlier.loop_gstate(j);
+        }
       }
     }
     t.entries.push_back(std::move(e));
@@ -290,7 +310,7 @@ TEST(WireV2, SingleUnitFrameIsNotV1) {
   std::mt19937_64 rng(13);
   auto frame = random_frame(rng, 1, 3);
   const auto bytes = encode_frame(*frame);
-  EXPECT_EQ(bytes[0], 2);
+  EXPECT_EQ(bytes[0], 3);
   EXPECT_EQ(wire_kind(bytes), WireKind::kFrame);
 }
 
@@ -346,11 +366,126 @@ TEST(WireV2, RejectsOversizedUnitCount) {
   // ceiling before trusting the count.
   std::vector<std::uint8_t> buf;
   WireWriter w(buf);
-  w.u8(2);
+  w.u8(3);
   w.u8(3);  // WireKind::kFrame
   w.var(std::uint64_t{1} << 20);
   w.var(0);  // empty base clock
   EXPECT_THROW(decode_frame(buf, 4), WireError);
+}
+
+// ---------------------------------------------------------------------------
+// Hand-built token units: the shared-block references and packed conj
+// values must be checked before they are trusted.
+// ---------------------------------------------------------------------------
+
+struct HandEntry {
+  std::uint64_t frontier = 0;  ///< 0 inline, k >= 1 the k-th distinct block
+  std::uint8_t conj = 0;       ///< both slots' conj values, packed
+  std::uint64_t loop = 0;      ///< 0 none, 1 inline, k + 1 a reuse
+};
+
+// One frame holding one token with `count` claimed entries, of which
+// `entries` are written: width 2, empty base clock (cuts are raw varints).
+std::vector<std::uint8_t> hand_frame(std::uint64_t count,
+                                     const std::vector<HandEntry>& entries,
+                                     std::uint8_t version = 3) {
+  std::vector<std::uint8_t> buf;
+  WireWriter w(buf);
+  w.u8(version);
+  w.u8(3);  // WireKind::kFrame
+  w.var(1);
+  w.var(0);  // empty base clock
+  w.u8(1);   // token unit
+  w.var(9);  // token_id
+  w.zig(0);  // parent
+  w.var(0);  // parent_sn
+  w.var(0);  // parent_vc width
+  w.zig(-1);
+  w.var(0);
+  w.var(0);  // hops
+  w.var(count);
+  for (const HandEntry& e : entries) {
+    w.zig(4);  // transition_id
+    w.var(2);  // width
+    w.var(e.frontier);
+    if (e.frontier == 0) {
+      for (int j = 0; j < 2; ++j) {
+        w.var(5);  // cut
+        w.zig(1);  // depend - cut
+        w.var(0b10);
+      }
+    }
+    w.u8(e.conj);
+    w.u8(0);    // eval
+    w.zig(-1);  // next_target_process
+    w.var(0);
+    w.var(e.loop);
+    if (e.loop == 1) {
+      for (int j = 0; j < 2; ++j) {
+        w.zig(-2);  // loop_cut - cut
+        w.var(0b01);
+      }
+    }
+  }
+  return buf;
+}
+
+TEST(WireV2, HandBuiltReferencesCopyTheEarlierBlocks) {
+  const auto bytes = hand_frame(3, {{0, 0b1001, 1}, {1, 0b0110, 2}, {0, 0, 0}});
+  auto frame = decode_frame(bytes, 2);
+  const Token& t = static_cast<const TokenMessage&>(*frame->units[0]).token;
+  ASSERT_EQ(t.entries.size(), 3u);
+  const TransitionEntry& shared = t.entries[1];
+  EXPECT_EQ(shared.cut(1), 5u);
+  EXPECT_EQ(shared.depend(1), 6u);
+  EXPECT_EQ(shared.gstate(1), 0b10u);
+  EXPECT_EQ(shared.conj(0), ConjunctEval::kFalse);
+  EXPECT_EQ(shared.conj(1), ConjunctEval::kTrue);
+  EXPECT_TRUE(shared.loop_certified);
+  EXPECT_EQ(shared.loop_cut(0), 3u);
+  EXPECT_EQ(shared.loop_gstate(0), 0b01u);
+  EXPECT_FALSE(t.entries[2].loop_certified);
+}
+
+TEST(WireV2, RejectsBlockReferencesAtOrBeyondTheDistinctCount) {
+  // No block written yet, then one distinct block: references 1 and 2.
+  EXPECT_THROW(decode_frame(hand_frame(1, {{1, 0, 0}}), 2), WireError);
+  EXPECT_THROW(decode_frame(hand_frame(2, {{0, 0, 0}, {2, 0, 0}}), 2),
+               WireError);
+  EXPECT_THROW(decode_frame(hand_frame(1, {{0, 0, 2}}), 2), WireError);
+  EXPECT_THROW(decode_frame(hand_frame(2, {{0, 0, 1}, {0, 0, 3}}), 2),
+               WireError);
+  EXPECT_NO_THROW(decode_frame(hand_frame(2, {{0, 0, 1}, {1, 0, 2}}), 2));
+}
+
+TEST(WireV2, RejectsBadPackedConjuncts) {
+  EXPECT_THROW(decode_frame(hand_frame(1, {{0, 0b0011, 0}}), 2), WireError);
+  EXPECT_THROW(decode_frame(hand_frame(1, {{0, 0b1100, 0}}), 2), WireError);
+  // Width 2 uses the low four bits; the padding must be zero.
+  EXPECT_THROW(decode_frame(hand_frame(1, {{0, 0b010000, 0}}), 2), WireError);
+  EXPECT_THROW(decode_frame(hand_frame(1, {{0, 0x80, 0}}), 2), WireError);
+  EXPECT_NO_THROW(decode_frame(hand_frame(1, {{0, 0b1010, 0}}), 2));
+}
+
+TEST(WireV2, RejectsVersionTwoFrames) {
+  EXPECT_NO_THROW(decode_frame(hand_frame(1, {{0, 0, 0}}), 2));
+  EXPECT_THROW(decode_frame(hand_frame(1, {{0, 0, 0}}, 2), 2), WireError);
+}
+
+TEST(WireV2, RejectsEntryCountBeyondTheBytesLeft) {
+  // A frame of about a dozen bytes must not make the decoder reserve room
+  // for 65,536 entries (or units) before it finds out they are not there.
+  const auto bytes = hand_frame(65536, {});
+  ASSERT_LT(bytes.size(), 20u);
+  EXPECT_THROW(decode_frame(bytes, 2), WireError);
+
+  std::vector<std::uint8_t> units;
+  WireWriter w(units);
+  w.u8(3);
+  w.u8(3);  // WireKind::kFrame
+  w.var(65536);
+  w.var(0);  // empty base clock
+  EXPECT_THROW(decode_frame(units, 2), WireError);
 }
 
 // Process indexes name one of the session's processes: a peer's bytes must

@@ -183,7 +183,7 @@ TEST(CrossShardDeterminism, StreamingPostureIsDeterministicAcrossShards) {
   }
 }
 
-TEST(CrossShardDeterminism, AotAdmittedShardsMatchUncachedSynthesis) {
+TEST(CrossShardDeterminism, MemoAdmittedShardsMatchUncachedSynthesis) {
   // The 4-shard service warms every catalog through shared_property: with
   // a cleared memo the first shard to need a property synthesizes it and
   // every later admission is a memo hit on that one artifact. Reference
