@@ -29,7 +29,7 @@ struct CaseSpec {
   std::uint64_t trace_seed = 1;
   std::uint64_t sim_seed = 1;
   std::uint64_t schedule_seed = 1;  ///< replay mode only
-  std::size_t oracle_max_nodes = std::size_t{1} << 22;
+  std::size_t oracle_max_nodes = kOracleMaxNodes;
   FaultConfig fault;
   bool reliable_channel = false;
   ReliableChannelConfig channel;

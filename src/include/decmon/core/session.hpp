@@ -87,7 +87,7 @@ class MonitorSession {
   /// lattice oracle over the recorded computation. Exponential; intended
   /// for tests and small studies.
   OracleResult oracle(const SystemTrace& trace, const SimConfig& sim = {},
-                      std::size_t max_nodes = std::size_t{1} << 22) const;
+                      std::size_t max_nodes = kOracleMaxNodes) const;
 
  private:
   // Heap-pinned so the CompiledProperty's internal pointers survive moves;

@@ -19,6 +19,7 @@
 #include "decmon/automata/monitor_automaton.hpp"
 #include "decmon/core/properties.hpp"
 #include "decmon/distributed/faulty_network.hpp"
+#include "decmon/lattice/oracle.hpp"
 #include "decmon/monitor/crash_injector.hpp"
 
 namespace decmon::fuzz {
@@ -48,7 +49,7 @@ struct Options {
   /// Workload size; kept small so the oracle lattice stays tractable.
   int internal_events = 5;
   double comm_mu = 4.0;
-  std::size_t oracle_max_nodes = std::size_t{1} << 22;
+  std::size_t oracle_max_nodes = kOracleMaxNodes;
   /// Injected-bug self-test: violate the bounded-loss fault model (dropped
   /// messages are swallowed, not redelivered). The sweep must then report
   /// violations -- this is how the harness proves it can catch bugs.

@@ -35,20 +35,17 @@ class TimedComputation {
 
   bool can_advance(const Computation::Cut& cut, int p) const;
 
-  /// Number of consistent cuts under the refined order (throws
-  /// std::length_error past `max_nodes`).
-  std::uint64_t count_cuts(std::size_t max_nodes = std::size_t{1} << 22) const;
-
  private:
   const Computation* comp_;
   double epsilon_;
 };
 
-/// The oracle's DP over the refined order: same outputs as
-/// `oracle_evaluate`, fewer cuts and (possibly) fewer verdicts.
+/// The oracle's walk over the refined order: same outputs as
+/// `oracle_evaluate`, fewer cuts and (possibly) fewer verdicts; its
+/// `lattice_nodes` counts the refined order's consistent cuts. Throws
+/// std::logic_error when the refined order cannot reach the top cut.
 OracleResult oracle_evaluate_timed(const TimedComputation& timed,
                                    const MonitorAutomaton& monitor,
-                                   std::size_t max_nodes = std::size_t{1}
-                                                           << 22);
+                                   std::size_t max_nodes = kOracleMaxNodes);
 
 }  // namespace decmon

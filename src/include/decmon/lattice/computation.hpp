@@ -4,6 +4,7 @@
 // slicer and the lattice builder operate on this representation.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -57,6 +58,18 @@ class Computation {
 
  private:
   std::vector<std::vector<Event>> events_;
+};
+
+/// FNV-1a over a cut's words, for hash maps keyed by cuts.
+struct CutHash {
+  std::size_t operator()(const Computation::Cut& c) const noexcept {
+    std::size_t h = 1469598103934665603ull;
+    for (std::uint32_t x : c) {
+      h ^= x;
+      h *= 1099511628211ull;
+    }
+    return h;
+  }
 };
 
 /// Convenience builder for hand-written computations in tests and examples.

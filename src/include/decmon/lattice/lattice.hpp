@@ -35,17 +35,6 @@ class Lattice {
   int find(const Computation::Cut& cut) const;
 
  private:
-  struct CutHash {
-    std::size_t operator()(const Computation::Cut& c) const noexcept {
-      std::size_t h = 1469598103934665603ull;
-      for (std::uint32_t x : c) {
-        h ^= x;
-        h *= 1099511628211ull;
-      }
-      return h;
-    }
-  };
-
   std::vector<Node> nodes_;
   std::unordered_map<Computation::Cut, int, CutHash> index_;
   int bottom_ = -1;

@@ -3,12 +3,14 @@
 // deterministic and final verdicts are absorbing, the set of verdicts over
 // all paths equals the verdict labels of the automaton-state set reachable
 // at the top cut -- computed by dynamic programming over consistent cuts,
-// without enumerating paths.
+// layer by layer (cuts with the same number of events), without
+// enumerating paths and without keeping more than two layers alive.
 //
 // This is the ground truth for the soundness (Eq. 3.2) and completeness
 // (Eq. 3.1) tests of the decentralized algorithm.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <set>
 
@@ -29,10 +31,13 @@ struct OracleResult {
   std::uint64_t pivot_states = 0;
 };
 
+/// Default cap on the cuts one oracle evaluation may visit.
+inline constexpr std::size_t kOracleMaxNodes = std::size_t{1} << 22;
+
 /// Evaluate the oracle. Exponential in the worst case; throws
-/// std::length_error past `max_nodes` cuts.
+/// std::length_error once more than `max_nodes` cuts have been visited.
 OracleResult oracle_evaluate(const Computation& comp,
                              const MonitorAutomaton& monitor,
-                             std::size_t max_nodes = 1u << 20);
+                             std::size_t max_nodes = kOracleMaxNodes);
 
 }  // namespace decmon

@@ -19,6 +19,7 @@
 #include "decmon/distributed/event.hpp"
 #include "decmon/distributed/message.hpp"
 #include "decmon/distributed/runtime.hpp"
+#include "decmon/lattice/computation.hpp"
 #include "decmon/monitor/predicate.hpp"
 
 namespace decmon {
@@ -66,17 +67,7 @@ class CentralizedMonitor final : public MonitorHooks {
   double finish_time() const { return finish_time_; }
 
  private:
-  using Cut = std::vector<std::uint32_t>;
-  struct CutHash {
-    std::size_t operator()(const Cut& c) const noexcept {
-      std::size_t h = 1469598103934665603ull;
-      for (std::uint32_t x : c) {
-        h ^= x;
-        h *= 1099511628211ull;
-      }
-      return h;
-    }
-  };
+  using Cut = Computation::Cut;
 
   void central_ingest(const Event& event, double now);
   void central_termination(int proc, std::uint32_t last_sn, double now);

@@ -1,24 +1,8 @@
 #include "decmon/lattice/augmented_time.hpp"
 
-#include <stdexcept>
-#include <unordered_map>
-#include <vector>
+#include "cut_walk.hpp"
 
 namespace decmon {
-namespace {
-
-struct CutHash {
-  std::size_t operator()(const Computation::Cut& c) const noexcept {
-    std::size_t h = 1469598103934665603ull;
-    for (std::uint32_t x : c) {
-      h ^= x;
-      h *= 1099511628211ull;
-    }
-    return h;
-  }
-};
-
-}  // namespace
 
 bool TimedComputation::can_advance(const Computation::Cut& cut, int p) const {
   if (!comp_->can_advance(cut, p)) return false;
@@ -36,109 +20,15 @@ bool TimedComputation::can_advance(const Computation::Cut& cut, int p) const {
   return true;
 }
 
-std::uint64_t TimedComputation::count_cuts(std::size_t max_nodes) const {
-  std::unordered_map<Computation::Cut, char, CutHash> seen;
-  std::vector<Computation::Cut> work{comp_->bottom()};
-  seen.emplace(comp_->bottom(), 1);
-  while (!work.empty()) {
-    Computation::Cut cut = std::move(work.back());
-    work.pop_back();
-    for (int p = 0; p < comp_->num_processes(); ++p) {
-      if (!can_advance(cut, p)) continue;
-      Computation::Cut succ = cut;
-      ++succ[static_cast<std::size_t>(p)];
-      if (seen.emplace(succ, 1).second) {
-        if (seen.size() > max_nodes) {
-          throw std::length_error("TimedComputation: too many cuts");
-        }
-        work.push_back(std::move(succ));
-      }
-    }
-  }
-  return seen.size();
-}
-
 OracleResult oracle_evaluate_timed(const TimedComputation& timed,
                                    const MonitorAutomaton& monitor,
                                    std::size_t max_nodes) {
-  const Computation& comp = timed.base();
-  if (monitor.num_states() > 64) {
-    throw std::invalid_argument("oracle_evaluate_timed: > 64 states");
-  }
-  const int n = comp.num_processes();
-  std::unordered_map<Computation::Cut, std::uint64_t, CutHash> states;
-  std::unordered_map<Computation::Cut, char, CutHash> pivot;
-
-  std::vector<Computation::Cut> layer{comp.bottom()};
-  {
-    const int q0 = monitor.initial_state();
-    auto first = monitor.step(q0, comp.letter(comp.bottom()));
-    if (!first) {
-      throw std::logic_error("oracle_evaluate_timed: incomplete automaton");
-    }
-    states[comp.bottom()] = std::uint64_t{1} << *first;
-    pivot[comp.bottom()] = (*first != q0) ? 1 : 0;
-  }
-
-  OracleResult result;
-  while (!layer.empty()) {
-    std::vector<Computation::Cut> next_layer;
-    for (const Computation::Cut& cut : layer) {
-      const std::uint64_t mask = states.at(cut);
-      for (int p = 0; p < n; ++p) {
-        if (!timed.can_advance(cut, p)) continue;
-        Computation::Cut succ = cut;
-        ++succ[static_cast<std::size_t>(p)];
-        const AtomSet letter = comp.letter(succ);
-        std::uint64_t succ_mask = 0;
-        bool changes_state = false;
-        for (int q = 0; q < monitor.num_states(); ++q) {
-          if (!(mask & (std::uint64_t{1} << q))) continue;
-          auto t = monitor.step(q, letter);
-          if (!t) {
-            throw std::logic_error(
-                "oracle_evaluate_timed: incomplete automaton");
-          }
-          succ_mask |= std::uint64_t{1} << *t;
-          if (*t != q) changes_state = true;
-        }
-        auto it = states.find(succ);
-        if (it == states.end()) {
-          if (states.size() >= max_nodes) {
-            throw std::length_error("oracle_evaluate_timed: too large");
-          }
-          states.emplace(succ, succ_mask);
-          pivot[succ] = changes_state ? 1 : 0;
-          next_layer.push_back(std::move(succ));
-        } else {
-          it->second |= succ_mask;
-          if (changes_state) pivot[succ] = 1;
-        }
-      }
-    }
-    layer = std::move(next_layer);
-  }
-
-  result.lattice_nodes = states.size();
-  for (const auto& [cut, is_pivot] : pivot) {
-    if (is_pivot) ++result.pivot_states;
-  }
-  auto top_it = states.find(comp.top());
-  if (top_it == states.end()) {
-    // Timestamps that contradict happened-before (possible in hand-edited
-    // logs) can wedge the refined order.
-    throw std::logic_error(
-        "oracle_evaluate_timed: top cut unreachable; timestamps must respect "
-        "happened-before");
-  }
-  const std::uint64_t final_mask = top_it->second;
-  for (int q = 0; q < monitor.num_states(); ++q) {
-    if (final_mask & (std::uint64_t{1} << q)) {
-      result.final_states.insert(q);
-      result.verdicts.insert(monitor.verdict(q));
-    }
-  }
-  return result;
+  return detail::walk_cuts(
+      timed.base(), monitor, max_nodes,
+      [&timed](const Computation::Cut& cut, int p) {
+        return timed.can_advance(cut, p);
+      },
+      "oracle_evaluate_timed");
 }
 
 }  // namespace decmon

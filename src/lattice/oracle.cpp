@@ -1,101 +1,18 @@
 #include "decmon/lattice/oracle.hpp"
 
-#include <stdexcept>
-#include <unordered_map>
-#include <vector>
+#include "cut_walk.hpp"
 
 namespace decmon {
-namespace {
-
-struct CutHash {
-  std::size_t operator()(const Computation::Cut& c) const noexcept {
-    std::size_t h = 1469598103934665603ull;
-    for (std::uint32_t x : c) {
-      h ^= x;
-      h *= 1099511628211ull;
-    }
-    return h;
-  }
-};
-
-}  // namespace
 
 OracleResult oracle_evaluate(const Computation& comp,
                              const MonitorAutomaton& monitor,
                              std::size_t max_nodes) {
-  if (monitor.num_states() > 64) {
-    throw std::invalid_argument("oracle_evaluate: > 64 automaton states");
-  }
-  const int n = comp.num_processes();
-
-  // states[cut] = bitmask of automaton states reachable at the cut.
-  std::unordered_map<Computation::Cut, std::uint64_t, CutHash> states;
-  std::unordered_map<Computation::Cut, char, CutHash> pivot;
-
-  // BFS in |cut| layers: every edge advances exactly one event, so a layer
-  // is fully settled before its successors are expanded.
-  std::vector<Computation::Cut> layer{comp.bottom()};
-  {
-    const int q0 = monitor.initial_state();
-    auto first = monitor.step(q0, comp.letter(comp.bottom()));
-    if (!first) {
-      throw std::logic_error("oracle_evaluate: incomplete automaton");
-    }
-    states[comp.bottom()] = std::uint64_t{1} << *first;
-    pivot[comp.bottom()] = (*first != q0) ? 1 : 0;
-  }
-
-  OracleResult result;
-  const Computation::Cut top = comp.top();
-  while (!layer.empty()) {
-    std::vector<Computation::Cut> next_layer;
-    for (const Computation::Cut& cut : layer) {
-      const std::uint64_t mask = states.at(cut);
-      for (int p = 0; p < n; ++p) {
-        if (!comp.can_advance(cut, p)) continue;
-        Computation::Cut succ = cut;
-        ++succ[static_cast<std::size_t>(p)];
-        const AtomSet letter = comp.letter(succ);
-        std::uint64_t succ_mask = 0;
-        bool changes_state = false;
-        for (int q = 0; q < monitor.num_states(); ++q) {
-          if (!(mask & (std::uint64_t{1} << q))) continue;
-          auto t = monitor.step(q, letter);
-          if (!t) {
-            throw std::logic_error("oracle_evaluate: incomplete automaton");
-          }
-          succ_mask |= std::uint64_t{1} << *t;
-          if (*t != q) changes_state = true;
-        }
-        auto it = states.find(succ);
-        if (it == states.end()) {
-          if (states.size() >= max_nodes) {
-            throw std::length_error("oracle_evaluate: lattice too large");
-          }
-          states.emplace(succ, succ_mask);
-          pivot[succ] = changes_state ? 1 : 0;
-          next_layer.push_back(std::move(succ));
-        } else {
-          it->second |= succ_mask;
-          if (changes_state) pivot[succ] = 1;
-        }
-      }
-    }
-    layer = std::move(next_layer);
-  }
-
-  result.lattice_nodes = states.size();
-  for (const auto& [cut, is_pivot] : pivot) {
-    if (is_pivot) ++result.pivot_states;
-  }
-  const std::uint64_t final_mask = states.at(top);
-  for (int q = 0; q < monitor.num_states(); ++q) {
-    if (final_mask & (std::uint64_t{1} << q)) {
-      result.final_states.insert(q);
-      result.verdicts.insert(monitor.verdict(q));
-    }
-  }
-  return result;
+  return detail::walk_cuts(
+      comp, monitor, max_nodes,
+      [&comp](const Computation::Cut& cut, int p) {
+        return comp.can_advance(cut, p);
+      },
+      "oracle_evaluate");
 }
 
 }  // namespace decmon

@@ -489,9 +489,10 @@ TEST(SocketRuntime, SharedArtifactMatchesUncachedSynthesisVerdicts) {
   // into it from every replica) must meet the contract of the uncached
   // synthesis on the computation it recorded. Socket schedules differ from
   // run to run, and the verdict set follows the recorded computation, so
-  // each run is judged on its own history: a simulator replay of that
-  // computation under the uncached automaton must reach the same definite
-  // verdicts (the lattice oracle is too costly on these computations).
+  // each run is judged on its own history: the lattice oracle under the
+  // uncached automaton must accept its verdicts (sound and complete), and a
+  // simulator replay of that computation must reach the same definite
+  // verdicts.
   for (paper::Property p : paper::kAllProperties) {
     const int n = 3;
     const std::uint64_t seed = 2015;  // first equivalence-golden seed
@@ -526,10 +527,18 @@ TEST(SocketRuntime, SharedArtifactMatchesUncachedSynthesisVerdicts) {
     const std::pair<SocketRuntime*, DecentralizedMonitor*> runs[] = {
         {&synth_rt, &synth_dm}, {&memo_rt, &memo_dm}};
     for (const auto& [rt, dm] : runs) {
-      const RunResult replay = uncached.replay(Computation(rt->history()));
+      const Computation comp(rt->history());
+      const OracleResult oracle = oracle_evaluate(comp, art->automaton());
+      const std::set<Verdict> verdicts = dm->result().verdicts;
+      for (Verdict x : oracle.verdicts) {
+        EXPECT_TRUE(verdicts.count(x)) << paper::name(p);  // complete
+      }
+      for (Verdict x : definite(verdicts)) {
+        EXPECT_TRUE(oracle.verdicts.count(x)) << paper::name(p);  // sound
+      }
+      const RunResult replay = uncached.replay(comp);
       EXPECT_TRUE(replay.verdict.all_finished) << paper::name(p);
-      EXPECT_EQ(definite(dm->result().verdicts),
-                definite(replay.verdict.verdicts))
+      EXPECT_EQ(definite(verdicts), definite(replay.verdict.verdicts))
           << paper::name(p);
     }
   }

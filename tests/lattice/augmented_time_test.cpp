@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+#include <vector>
+
 #include "../common/random_computation.hpp"
 #include "decmon/automata/ltl3_monitor.hpp"
 #include "decmon/distributed/sim_runtime.hpp"
@@ -34,17 +38,21 @@ TEST(AugmentedTime, InfiniteEpsilonMatchesPlainOracle) {
     EXPECT_EQ(timed.verdicts, plain.verdicts);
     EXPECT_EQ(timed.final_states, plain.final_states);
     EXPECT_EQ(timed.lattice_nodes, plain.lattice_nodes);
+    EXPECT_EQ(timed.pivot_states, plain.pivot_states);
   }
 }
 
 TEST(AugmentedTime, TighterSkewShrinksTheLattice) {
+  AtomRegistry reg = testing::standard_registry(3);
+  MonitorAutomaton m =
+      synthesize_monitor(parse_ltl("F(P0.p && P1.p && P2.p)", reg));
   Computation comp = simulated(3, 7, 10);
   std::uint64_t prev = 0;
   bool first = true;
   // Epsilon from hours down to milliseconds: cut counts must be monotone.
   for (double eps : {1e6, 10.0, 2.0, 0.5, 0.01}) {
     TimedComputation timed(&comp, eps);
-    const std::uint64_t cuts = timed.count_cuts();
+    const std::uint64_t cuts = oracle_evaluate_timed(timed, m).lattice_nodes;
     if (!first) EXPECT_LE(cuts, prev) << "eps " << eps;
     prev = cuts;
     first = false;
@@ -52,7 +60,51 @@ TEST(AugmentedTime, TighterSkewShrinksTheLattice) {
   // Near-zero skew leaves (almost) a single interleaving: one more cut per
   // event.
   TimedComputation tight(&comp, 0.0001);
-  EXPECT_EQ(tight.count_cuts(), comp.total_events() + 1);
+  EXPECT_EQ(oracle_evaluate_timed(tight, m).lattice_nodes,
+            comp.total_events() + 1);
+}
+
+TEST(AugmentedTime, CapCountsEveryVisitedCut) {
+  AtomRegistry reg = testing::standard_registry(3);
+  MonitorAutomaton m =
+      synthesize_monitor(parse_ltl("F(P0.p && P1.p && P2.p)", reg));
+  Computation comp = simulated(3, 7, 10);
+  const TimedComputation timed(&comp, 2.0);
+  const OracleResult r = oracle_evaluate_timed(timed, m);
+  ASSERT_GT(r.lattice_nodes, comp.total_events() + 1);
+  EXPECT_NO_THROW(oracle_evaluate_timed(timed, m, r.lattice_nodes));
+  EXPECT_THROW(oracle_evaluate_timed(timed, m, r.lattice_nodes - 1),
+               std::length_error);
+}
+
+TEST(AugmentedTime, TimestampsAgainstCausalityWedgeTheTopCut) {
+  // P0 sends at time 10 and P1 receives at time 0. With skew 1 the send
+  // must wait for the receive, which causally waits for the send.
+  AtomRegistry reg = testing::standard_registry(2);
+  MonitorAutomaton m = synthesize_monitor(parse_ltl("F(P1.p)", reg));
+  ComputationBuilder b(2, &reg);
+  b.receive(1, b.send(0));
+  const Computation built = b.build();
+  std::vector<std::vector<Event>> events(2);
+  for (int p = 0; p < 2; ++p) {
+    for (std::uint32_t sn = 0; sn <= built.num_events(p); ++sn) {
+      events[static_cast<std::size_t>(p)].push_back(built.event(p, sn));
+    }
+  }
+  events[0][1].time = 10.0;
+  events[1][1].time = 0.0;
+  const Computation comp(std::move(events));
+  EXPECT_EQ(oracle_evaluate(comp, m).lattice_nodes, 3u);
+  try {
+    oracle_evaluate_timed(TimedComputation(&comp, 1.0), m);
+    ADD_FAILURE() << "expected std::logic_error";
+  } catch (const std::length_error& e) {
+    ADD_FAILURE() << "wrong error: " << e.what();
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find("top cut unreachable"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(AugmentedTime, VerdictsNarrowMonotonically) {
