@@ -14,7 +14,6 @@
 #include <cerrno>
 #include <chrono>
 #include <cmath>
-#include <cstring>
 #include <limits>
 #include <optional>
 #include <stdexcept>
@@ -255,6 +254,14 @@ int accept_with_retry(int listen_fd,
   }
 }
 
+/// The node loop this thread runs, if any. A send made on the node thread
+/// that owns the channel is left to that loop's flush (flush_or_defer_locked).
+struct NodeThread {
+  const SocketRuntime* runtime = nullptr;
+  int index = -1;
+};
+thread_local NodeThread t_node_thread;
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -262,35 +269,33 @@ int accept_with_retry(int listen_fd,
 // ---------------------------------------------------------------------------
 
 void FrameReassembler::feed(const std::uint8_t* data, std::size_t len) {
-  // Compact the consumed prefix before it dominates the buffer, so a
-  // long-lived stream does not grow without bound.
-  if (pos_ > 4096 && pos_ >= buf_.size() / 2) {
+  // Records handed out by next() view buf_, so consumed bytes are reclaimed
+  // here, not there: all of them once everything was consumed, otherwise
+  // the prefix once it dominates the buffer, so a long-lived stream does not
+  // grow without bound.
+  if (pos_ == buf_.size()) {
+    buf_.clear();
+    pos_ = 0;
+  } else if (pos_ > 4096 && pos_ >= buf_.size() / 2) {
     buf_.erase(buf_.begin(), buf_.begin() + static_cast<std::ptrdiff_t>(pos_));
     pos_ = 0;
   }
   buf_.insert(buf_.end(), data, data + len);
 }
 
-bool FrameReassembler::next(std::vector<std::uint8_t>* out) {
+std::optional<FrameReassembler::Record> FrameReassembler::next() {
   const std::size_t avail = buf_.size() - pos_;
-  if (avail < 4) return false;
-  std::uint32_t len = 0;
-  for (int i = 0; i < 4; ++i) {
-    len |= static_cast<std::uint32_t>(buf_[pos_ + static_cast<std::size_t>(i)])
-           << (8 * i);
-  }
+  if (avail < 4) return std::nullopt;
+  const std::uint32_t len = read_le32(buf_.data() + pos_);
   if (len == 0 || len > kMaxRecordBytes) {
     throw WireError("bad record length prefix");
   }
-  if (avail - 4 < len) return false;
-  const auto body = buf_.begin() + static_cast<std::ptrdiff_t>(pos_ + 4);
-  out->assign(body, body + static_cast<std::ptrdiff_t>(len));
+  if (avail - 4 < len) return std::nullopt;
+  const Record rec{buf_[pos_ + 4],
+                   std::span<const std::uint8_t>(buf_.data() + pos_ + 5,
+                                                 len - 1)};
   pos_ += 4 + len;
-  if (pos_ == buf_.size()) {
-    buf_.clear();
-    pos_ = 0;
-  }
-  return true;
+  return rec;
 }
 
 // ---------------------------------------------------------------------------
@@ -462,21 +467,26 @@ void SocketRuntime::finish_one() {
 // Send path
 // ---------------------------------------------------------------------------
 
+std::size_t SocketRuntime::app_record_bytes() const {
+  // u32 sender + u32 send_sn + vector clock (u32 width + one u32 per node).
+  return kRecordHeader + 12 + 4 * nodes_.size();
+}
+
 void SocketRuntime::encode_record_locked(Channel& ch,
                                          const NetPayload& payload) {
-  std::vector<std::uint8_t> rec(kRecordHeader, 0);
-  rec[4] = kMonRecord;
-  encode_payload_into(payload, rec);
-  const std::size_t body = rec.size() - 4;  // type byte + payload bytes
-  write_le32(rec.data(), static_cast<std::uint32_t>(body));
+  const std::size_t start = ch.out.size();
+  ch.out.resize(start + kRecordHeader);
+  ch.out[start + 4] = kMonRecord;
+  encode_payload_into(payload, ch.out);
+  const std::size_t len = ch.out.size() - start;
+  write_le32(ch.out.data() + start, static_cast<std::uint32_t>(len - 4));
+  ch.marks.push_back(RecordMark{ch.out.size(), kMonRecord});
   // Transport-truth accounting: TCP delivers every queued byte, so the
   // encoded length is the on-wire cost -- no size-walking here. (Bytes a
   // reconnect re-sends -- the partially written front record -- are not
   // re-counted: counters stay logical-record-deterministic under faults.)
-  wire_bytes_.fetch_add(rec.size(), std::memory_order_relaxed);
+  wire_bytes_.fetch_add(len, std::memory_order_relaxed);
   wire_frames_.fetch_add(1, std::memory_order_relaxed);
-  ch.queued_bytes += rec.size();
-  ch.queue.push_back(OutRecord{std::move(rec), kMonRecord});
 }
 
 void SocketRuntime::materialize_staging_locked(Channel& ch) {
@@ -484,59 +494,90 @@ void SocketRuntime::materialize_staging_locked(Channel& ch) {
   ch.staging.reset();
 }
 
+void SocketRuntime::drop_written_locked(Channel& ch) {
+  if (ch.next_mark == 0) return;
+  const std::size_t done = ch.marks[ch.next_mark - 1].end;
+  ch.out.erase(ch.out.begin(),
+               ch.out.begin() + static_cast<std::ptrdiff_t>(done));
+  ch.marks.erase(ch.marks.begin(),
+                 ch.marks.begin() + static_cast<std::ptrdiff_t>(ch.next_mark));
+  for (RecordMark& m : ch.marks) m.end -= done;
+  ch.sent -= done;
+  ch.next_mark = 0;
+}
+
 void SocketRuntime::flush_locked(Channel& ch) {
   // Data writes are gated until the link is up and the HELLO exchange has
-  // re-armed the queue; a down (or dying) link just accumulates (staging
+  // rebuilt the buffer; a down (or dying) link just accumulates (staging
   // bounds the growth).
   if (ch.state != LinkState::kUp || ch.fd < 0 || ch.kill_pending ||
       ch.io_error) {
     return;
   }
-  bool blocked = false;
   bool failed = false;
-  while (!blocked) {
-    if (ch.queue.empty()) {
+  for (;;) {
+    if (ch.sent == ch.out.size()) {
+      // Everything written: reuse the buffer from the start.
+      ch.out.clear();
+      ch.marks.clear();
+      ch.sent = 0;
+      ch.next_mark = 0;
       if (!ch.staging) break;
       materialize_staging_locked(ch);
+    } else if (ch.staging && !ch.want_write) {
+      // The bytes ahead of the staged frame are unflushed, not pushed back
+      // by the socket: let the frame ride the same send().
+      materialize_staging_locked(ch);
     }
-    OutRecord& front = ch.queue.front();
-    while (ch.front_off < front.bytes.size()) {
-      const ssize_t k =
-          ::send(ch.fd, front.bytes.data() + ch.front_off,
-                 front.bytes.size() - ch.front_off, MSG_NOSIGNAL);
-      if (k >= 0) {
-        if (static_cast<std::size_t>(k) < front.bytes.size() - ch.front_off) {
-          partial_writes_.fetch_add(1, std::memory_order_relaxed);
+    // One send() for the whole unsent span, cut short at the record where
+    // an armed kill countdown reaches zero: the peer must never receive a
+    // record the writer has not counted before the connection dies.
+    std::size_t limit = ch.out.size();
+    if (ch.kill_countdown > 0) {
+      std::uint32_t left = ch.kill_countdown;
+      for (std::size_t m = ch.next_mark; m < ch.marks.size(); ++m) {
+        if (ch.marks[m].kind == kMonRecord && --left == 0) {
+          limit = ch.marks[m].end;
+          break;
         }
-        ch.front_off += static_cast<std::size_t>(k);
-        continue;
       }
+    }
+    const ssize_t k = ::send(ch.fd, ch.out.data() + ch.sent, limit - ch.sent,
+                             MSG_NOSIGNAL);
+    if (k < 0) {
       if (errno == EINTR) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK) {
         partial_writes_.fetch_add(1, std::memory_order_relaxed);
-        blocked = true;
-        break;
+      } else {
+        // Link failure (ECONNRESET, EPIPE, ...): flag it for the owner --
+        // the fd's lifecycle is owner-thread only -- and stop writing.
+        failed = true;
       }
-      // Link failure (ECONNRESET, EPIPE, ...): flag it for the owner --
-      // the fd's lifecycle is owner-thread only -- and stop writing.
-      failed = true;
-      blocked = true;
       break;
     }
-    if (!blocked) {
-      ch.queued_bytes -= front.bytes.size();
-      ch.front_off = 0;
-      if (front.kind == kMonRecord) {
-        ++ch.mon_written;
-        if (ch.kill_countdown > 0 && --ch.kill_countdown == 0 &&
-            kills_left_.fetch_sub(1, std::memory_order_acq_rel) > 0) {
-          // Seeded fault: this connection dies right here. The owner
-          // performs the abortive close; stop feeding the doomed socket.
-          ch.kill_pending = true;
-        }
+    send_calls_.fetch_add(1, std::memory_order_relaxed);
+    ch.sent += static_cast<std::size_t>(k);
+    for (; ch.next_mark < ch.marks.size() &&
+           ch.marks[ch.next_mark].end <= ch.sent;
+         ++ch.next_mark) {
+      if (ch.marks[ch.next_mark].kind != kMonRecord) continue;
+      ++ch.mon_written;
+      if (ch.kill_countdown > 0 && --ch.kill_countdown == 0 &&
+          kills_left_.fetch_sub(1, std::memory_order_acq_rel) > 0) {
+        // Seeded fault: this connection dies right here. The owner
+        // performs the abortive close; stop feeding the doomed socket.
+        ch.kill_pending = true;
       }
-      ch.queue.pop_front();
-      if (ch.kill_pending) blocked = true;
+    }
+    if (ch.kill_pending) break;
+    if (ch.sent < limit) {
+      // Short write: the socket buffer is full. Reclaim the written prefix
+      // once it dominates, so a long congested spell stays bounded.
+      partial_writes_.fetch_add(1, std::memory_order_relaxed);
+      if (ch.sent > 65536 && ch.sent >= ch.out.size() / 2) {
+        drop_written_locked(ch);
+      }
+      break;
     }
   }
   if (failed || ch.kill_pending) {
@@ -546,9 +587,9 @@ void SocketRuntime::flush_locked(Channel& ch) {
     wake(ch.self);
     return;
   }
-  // Keep epoll write-interest in sync with the queue state. epoll_ctl is
+  // Keep epoll write-interest in sync with the buffer state. epoll_ctl is
   // thread-safe; want_write is guarded by ch.mutex, which the caller holds.
-  const bool need_write = !ch.queue.empty() || ch.staging != nullptr;
+  const bool need_write = ch.sent < ch.out.size() || ch.staging != nullptr;
   if (need_write != ch.want_write) {
     epoll_event ev{};
     ev.events = EPOLLIN | (need_write ? EPOLLOUT : 0u);
@@ -557,6 +598,28 @@ void SocketRuntime::flush_locked(Channel& ch) {
       ch.want_write = need_write;
     }
   }
+}
+
+void SocketRuntime::flush_or_defer_locked(Channel& ch) {
+  if (t_node_thread.runtime == this && t_node_thread.index == ch.self) {
+    if (!ch.dirty) {
+      ch.dirty = true;
+      nodes_[static_cast<std::size_t>(ch.self)]->dirty.push_back(ch.peer);
+    }
+    return;
+  }
+  flush_locked(ch);
+}
+
+void SocketRuntime::flush_dirty(int index) {
+  Node& node = *nodes_[static_cast<std::size_t>(index)];
+  for (const int peer : node.dirty) {
+    Channel& ch = channel(index, peer);
+    std::scoped_lock lock(ch.mutex);
+    ch.dirty = false;
+    flush_locked(ch);
+  }
+  node.dirty.clear();
 }
 
 void SocketRuntime::enqueue_monitor(int from, int to,
@@ -588,20 +651,20 @@ void SocketRuntime::enqueue_monitor(int from, int to,
       }
       coalesced_frames_.fetch_add(1, std::memory_order_relaxed);
       finish_one();
-    } else if (!ch.queue.empty() || ch.queued_bytes >= config_.max_queue_bytes) {
-      // Earlier bytes still queued: park instead of encoding, so later
-      // frames can join and the queue stays bounded.
+    } else if (ch.sent < ch.out.size()) {
+      // Earlier bytes still unsent: park instead of encoding, so later
+      // frames can join and the buffer stays bounded.
       ch.staging = std::move(frame);
     } else {
       encode_record_locked(ch, *frame);
     }
   } else {
     // Singleton payloads (tokens, terminations, channel envelopes) keep
-    // FIFO order with frames: anything parked must hit the queue first.
+    // FIFO order with frames: anything parked must hit the buffer first.
     if (ch.staging) materialize_staging_locked(ch);
     encode_record_locked(ch, *payload);
   }
-  flush_locked(ch);
+  flush_or_defer_locked(ch);
 }
 
 void SocketRuntime::send(MonitorMessage msg) {
@@ -660,24 +723,24 @@ void SocketRuntime::record_event(int index, const Event& event) {
 }
 
 void SocketRuntime::dispatch_record(int index, int peer,
-                                    const std::vector<std::uint8_t>& rec) {
+                                    const FrameReassembler::Record& rec) {
   Node& node = *nodes_[static_cast<std::size_t>(index)];
-  if (rec.empty()) throw WireError("empty record");
-  if (rec[0] == kCtlRecord) {
+  const std::span<const std::uint8_t> body = rec.body;
+  if (rec.type == kCtlRecord) {
     // HELLO from a reconnected peer: reconcile our send direction.
-    if (rec.size() != kHelloRecordBytes - 4 || rec[1] != kCtlHello) {
+    if (body.size() != kHelloRecordBytes - kRecordHeader ||
+        body[0] != kCtlHello) {
       throw WireError("bad control record");
     }
-    if (static_cast<int>(read_le32(rec.data() + 2)) != peer) {
+    if (static_cast<int>(read_le32(body.data() + 1)) != peer) {
       throw WireError("hello from wrong peer");
     }
-    process_hello(index, peer, read_le64(rec.data() + 6),
-                  read_le64(rec.data() + 14));
+    process_hello(index, peer, read_le64(body.data() + 5),
+                  read_le64(body.data() + 13));
     return;
   }
-  node.scratch.assign(rec.begin() + 1, rec.end());
-  if (rec[0] == kAppRecord) {
-    WireReader r(node.scratch);
+  if (rec.type == kAppRecord) {
+    WireReader r(body);
     AppMessage msg;
     msg.from = static_cast<int>(r.u32());
     msg.to = index;
@@ -690,8 +753,8 @@ void SocketRuntime::dispatch_record(int index, int peer,
     --node.receives_left;
     record_event(index, e);
     finish_one();
-  } else if (rec[0] == kMonRecord) {
-    auto payload = decode_payload(node.scratch, nodes_.size());
+  } else if (rec.type == kMonRecord) {
+    auto payload = decode_payload(body, nodes_.size());
     ++node.mon_recv[static_cast<std::size_t>(peer)];
     ++node.mon_recv_total;
     monitor_deliveries_.fetch_add(1, std::memory_order_relaxed);
@@ -723,12 +786,14 @@ void SocketRuntime::read_peer(int index, int peer) {
   if (fd < 0) return;
   FrameReassembler& ra = node.reassembly[static_cast<std::size_t>(peer)];
   std::uint8_t buf[65536];
-  std::vector<std::uint8_t> rec;
   for (;;) {
     const ssize_t k = ::recv(fd, buf, sizeof buf, 0);
     if (k > 0) {
       ra.feed(buf, static_cast<std::size_t>(k));
-      while (ra.next(&rec)) dispatch_record(index, peer, rec);
+      while (const auto rec = ra.next()) dispatch_record(index, peer, *rec);
+      // A short read emptied the socket: level-triggered epoll reports the
+      // next bytes (or EOF), so skip the recv() that would only see EAGAIN.
+      if (static_cast<std::size_t>(k) < sizeof buf) return;
       continue;
     }
     if (k < 0) {
@@ -749,31 +814,34 @@ void SocketRuntime::read_peer(int index, int peer) {
 }
 
 void SocketRuntime::broadcast_app(int index, const AppMessage& message) {
-  // Encode the body once (identical for every destination: the receiver id
-  // is implied by the stream) and enqueue a copy per peer.
-  std::vector<std::uint8_t> body;
-  WireWriter w(body);
-  w.u32(static_cast<std::uint32_t>(message.from));
-  w.u32(message.send_sn);
-  w.vc(message.vc);
+  // The receiver id is implied by the stream, so every destination gets the
+  // same record, encoded straight into its channel's buffer.
+  const std::size_t rec_bytes = app_record_bytes();
   for (int to = 0; to < num_processes(); ++to) {
     if (to == index) continue;
     app_messages_.fetch_add(1, std::memory_order_relaxed);
     outstanding_.fetch_add(1, std::memory_order_acq_rel);
     Channel& ch = channel(index, to);
     std::scoped_lock lock(ch.mutex);
-    std::vector<std::uint8_t> rec(kRecordHeader + body.size());
-    write_le32(rec.data(), static_cast<std::uint32_t>(body.size() + 1));
-    rec[4] = kAppRecord;
-    std::memcpy(rec.data() + kRecordHeader, body.data(), body.size());
-    app_bytes_.fetch_add(rec.size(), std::memory_order_relaxed);
-    ch.queued_bytes += rec.size();
+    const std::size_t start = ch.out.size();
+    WireWriter w(ch.out);
+    w.u32(static_cast<std::uint32_t>(rec_bytes - 4));
+    w.u8(kAppRecord);
+    w.u32(static_cast<std::uint32_t>(message.from));
+    w.u32(message.send_sn);
+    w.vc(message.vc);
+    if (ch.out.size() - start != rec_bytes) {
+      throw std::logic_error("SocketRuntime: app clock width != node count");
+    }
+    ch.marks.push_back(RecordMark{ch.out.size(), kAppRecord});
+    app_bytes_.fetch_add(rec_bytes, std::memory_order_relaxed);
     // App records are transport-reliable: losing one would strand the
     // receiver's expected-receives count forever, so every record is
     // retained in the replay log until a peer HELLO confirms delivery.
-    ch.app_log.push_back(rec);
-    ch.queue.push_back(OutRecord{std::move(rec), kAppRecord});
-    flush_locked(ch);
+    ch.app_log.insert(ch.app_log.end(),
+                      ch.out.begin() + static_cast<std::ptrdiff_t>(start),
+                      ch.out.end());
+    flush_or_defer_locked(ch);
   }
 }
 
@@ -805,7 +873,6 @@ void SocketRuntime::link_down_locked(Channel& ch, bool abortive) {
   }
   ch.state = LinkState::kDown;
   ch.want_write = false;
-  ch.front_off = 0;  // partial front record is re-sent whole after HELLO
   node.peer_open[static_cast<std::size_t>(ch.peer)] = false;
   node.reassembly[static_cast<std::size_t>(ch.peer)].reset();
   ch.next_attempt_at = Clock::now();
@@ -935,7 +1002,6 @@ void SocketRuntime::finish_connect_locked(Channel& ch, int fd) {
   Node& node = *nodes_[static_cast<std::size_t>(ch.self)];
   apply_stream_options(fd);
   ch.fd = fd;
-  ch.front_off = 0;
   ch.want_write = false;
   ch.state = LinkState::kHelloWait;
   node.reassembly[static_cast<std::size_t>(ch.peer)].reset();
@@ -960,7 +1026,7 @@ void SocketRuntime::finish_connect_locked(Channel& ch, int fd) {
 }
 
 bool SocketRuntime::send_hello_locked(Channel& ch) {
-  // HELLO bypasses the data queue (which is gated until reconciliation)
+  // HELLO bypasses the data buffer (which is gated until reconciliation)
   // and is deliberately absent from wire/app byte accounting: it is
   // transport overhead, so the committed no-fault socket.* bench counts
   // stay untouched by the fault-tolerance machinery.
@@ -996,26 +1062,39 @@ void SocketRuntime::process_hello(int index, int peer,
   std::scoped_lock lock(ch.mutex);
   if (ch.state != LinkState::kHelloWait) return;  // stale or duplicate
   // Drop the app-log prefix the peer confirms it dispatched...
-  while (ch.app_log_base < app_received && !ch.app_log.empty()) {
-    ch.app_log.pop_front();
-    ++ch.app_log_base;
+  const std::size_t rec_bytes = app_record_bytes();
+  if (app_received > ch.app_log_base) {
+    const std::uint64_t confirmed = std::min<std::uint64_t>(
+        app_received - ch.app_log_base, ch.app_log.size() / rec_bytes);
+    ch.app_log.erase(ch.app_log.begin(),
+                     ch.app_log.begin() +
+                         static_cast<std::ptrdiff_t>(confirmed * rec_bytes));
+    ch.app_log_base += confirmed;
   }
-  // ...then rebuild the queue's app plane from the log: queued app records
-  // are a suffix of the log, so removing them and replaying everything the
-  // peer has not seen restores order without duplicates.
-  for (auto it = ch.queue.begin(); it != ch.queue.end();) {
-    if (it->kind == kAppRecord) {
-      ch.queued_bytes -= it->bytes.size();
-      it = ch.queue.erase(it);
-    } else {
-      ++it;
+  // ...then rebuild the buffer: the rest of the log (every app record the
+  // peer has not dispatched, in order -- buffered app records are a suffix
+  // of it), followed by the monitor records not yet fully written, in
+  // order. A partially written front record is re-sent whole.
+  std::vector<std::uint8_t> out(ch.app_log);
+  std::vector<RecordMark> marks;
+  for (std::size_t end = rec_bytes; end <= out.size(); end += rec_bytes) {
+    marks.push_back(RecordMark{end, kAppRecord});
+  }
+  std::size_t begin = ch.next_mark == 0 ? 0 : ch.marks[ch.next_mark - 1].end;
+  for (std::size_t m = ch.next_mark; m < ch.marks.size(); ++m) {
+    const RecordMark& mark = ch.marks[m];
+    if (mark.kind == kMonRecord) {
+      out.insert(out.end(),
+                 ch.out.begin() + static_cast<std::ptrdiff_t>(begin),
+                 ch.out.begin() + static_cast<std::ptrdiff_t>(mark.end));
+      marks.push_back(RecordMark{out.size(), kMonRecord});
     }
+    begin = mark.end;
   }
-  ch.front_off = 0;
-  for (auto it = ch.app_log.rbegin(); it != ch.app_log.rend(); ++it) {
-    ch.queued_bytes += it->size();
-    ch.queue.push_front(OutRecord{*it, kAppRecord});
-  }
+  ch.out.swap(out);
+  ch.marks.swap(marks);
+  ch.sent = 0;
+  ch.next_mark = 0;
   // Monitor records that were fully written but never dispatched died with
   // the old connection: retire their quiescence credits (the reliable
   // channel layered above re-sends the content; without one this is the
@@ -1118,7 +1197,6 @@ void SocketRuntime::identify_pending(int index, int pending_fd) {
       ::close(ch.fd);
     }
     ch.fd = pending_fd;
-    ch.front_off = 0;
     ch.want_write = false;
     ch.io_error = false;
     ch.kill_pending = false;
@@ -1141,8 +1219,7 @@ void SocketRuntime::identify_pending(int index, int pending_fd) {
   if (!leftovers.empty()) {
     FrameReassembler& ra = node.reassembly[static_cast<std::size_t>(sender)];
     ra.feed(leftovers.data(), leftovers.size());
-    std::vector<std::uint8_t> rec;
-    while (ra.next(&rec)) dispatch_record(index, sender, rec);
+    while (const auto rec = ra.next()) dispatch_record(index, sender, *rec);
   }
 }
 
@@ -1180,6 +1257,7 @@ void SocketRuntime::kill_node(int node) {
 // ---------------------------------------------------------------------------
 
 void SocketRuntime::node_main(int index) {
+  t_node_thread = NodeThread{this, index};
   try {
     node_body(index);
   } catch (...) {
@@ -1248,10 +1326,13 @@ void SocketRuntime::node_body(int index) {
       if (hooks_) hooks_->on_local_termination(index, now());
       finish_one();
     }
-    // 4. Service flagged links (teardowns, pending kills, due reconnect
+    // 4. Write what this iteration's sends left in the channel buffers, one
+    // send() per channel, before anything can block.
+    flush_dirty(index);
+    // 5. Service flagged links (teardowns, pending kills, due reconnect
     // attempts); the earliest backoff deadline bounds the epoll wait.
     const Clock::time_point link_deadline = service_links(index);
-    // 5. Block on epoll until bytes arrive, a socket drains, a wakeup is
+    // 6. Block on epoll until bytes arrive, a socket drains, a wakeup is
     // posted, or the earliest local deadline passes. The 50 ms cap is
     // insurance only -- every state change also posts a wakeup.
     Clock::time_point wake_at = std::min(next_action, link_deadline);

@@ -23,22 +23,27 @@
 // a prefix buffered; a peer that closes mid-record is detected as a
 // truncated stream, never silent data loss.
 //
-// Send path and backpressure: each (from, to) channel owns a bounded queue
-// of encoded records. send() never blocks -- it encodes, enqueues, and
-// attempts an immediate nonblocking flush; on EAGAIN the residue stays
-// queued and EPOLLOUT is armed. While earlier bytes are still queued (the
-// socket pushed back), newly sent PayloadFrames are not encoded at all:
-// they park in a per-channel *staging* frame and later frames to the same
-// destination merge into it (unit order preserved). This mirrors
-// SimRuntime's kTransit convoy -- congestion converts many small frames
-// into one large record -- and bounds queue growth by construction.
+// Send path and backpressure: each (from, to) channel owns one contiguous
+// output buffer of encoded records, with each record's end offset and kind
+// kept beside it. send() never blocks -- it encodes straight into that
+// buffer. A send made on the node thread that owns the channel only marks
+// the channel dirty: the node loop flushes every dirty channel once, just
+// before it blocks in epoll_wait, so one send() syscall carries everything
+// the iteration produced. Sends from any other thread flush at once. On
+// EAGAIN the residue stays buffered and EPOLLOUT is armed. While earlier
+// bytes are still unsent (unflushed or pushed back by the socket), newly
+// sent PayloadFrames are not encoded at all: they park in a per-channel
+// *staging* frame and later frames to the same destination merge into it
+// (unit order preserved). This mirrors SimRuntime's kTransit convoy --
+// congestion converts many small frames into one large record -- and
+// bounds buffer growth by construction.
 //
 // Fault tolerance (DESIGN.md §13): a peer disconnect (EOF, ECONNRESET,
 // EPIPE) is a peer-down state, not a fatal error. Each node keeps a
 // persistent listener; the pair's lower index reconnects with capped
 // exponential backoff + seeded jitter driven from the node's epoll loop.
 // Every (re)connection starts with a HELLO exchange carrying per-direction
-// received-record counts, from which each sender re-arms its deque:
+// received-record counts, from which each sender rebuilds its buffer:
 // application records are transport-reliable (retained in a replay log and
 // replayed from the receiver's count -- losing one would strand the
 // receiver's receives_left forever), while monitor records lost with the
@@ -51,7 +56,8 @@
 //
 // Accounting is transport-truth: wire_bytes()/wire_frames() count encoded
 // record bytes as they are queued (TCP delivers every queued byte), so no
-// size-walking ever runs on this path. Control records (HELLO) are
+// size-walking ever runs on this path; send_calls() counts the send()
+// syscalls that carried them. Control records (HELLO) are
 // transport overhead and deliberately excluded, so the committed no-fault
 // socket.* bench counts are untouched by the fault-tolerance machinery.
 //
@@ -70,17 +76,20 @@
 // legal, as in ThreadRuntime); epoll interest updates for a channel happen
 // under that same mutex. The channel fd's lifecycle (close, replace) is
 // owner-thread only: foreign senders that hit a dead socket set a flag and
-// wake the owner instead of touching the fd.
+// wake the owner instead of touching the fd. Only the owner's thread
+// defers a flush, so the list of dirty channels is touched by that thread
+// alone.
 #pragma once
 
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <exception>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <queue>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -115,7 +124,7 @@ struct SocketConfig {
   /// 0 collapses every wait to "now". There is no modeled message latency:
   /// delivery takes whatever the kernel takes.
   double time_scale = 0.002;
-  /// Coalesce same-destination PayloadFrames while the channel has queued
+  /// Coalesce same-destination PayloadFrames while the channel has unsent
   /// bytes (the batched posture). false = the unbatched control: every
   /// frame is split and each unit crosses the wire as its own record (a
   /// one-unit frame).
@@ -124,9 +133,6 @@ struct SocketConfig {
   /// tiny values to force partial reads/writes.
   int sndbuf = 0;
   int rcvbuf = 0;
-  /// Soft bound on encoded-but-unsent bytes per channel before frames stop
-  /// being encoded eagerly and coalesce in staging instead.
-  std::size_t max_queue_bytes = 1 << 20;
   std::uint64_t seed = 1;
   /// Reconnect backoff after a link failure: attempt k waits
   /// min(cap, base * 2^k) milliseconds, scaled by seeded jitter in
@@ -139,19 +145,26 @@ struct SocketConfig {
 
 /// Incremental reassembly of `[u32 len][type][body]` records from a TCP
 /// byte stream. feed() accepts arbitrary fragments; next() yields complete
-/// records ([type][body], length prefix stripped). Public for direct unit
-/// testing of the partial-read state machine.
+/// records in place (type byte plus a view of the body, length prefix
+/// stripped). Public for direct unit testing of the partial-read state
+/// machine.
 class FrameReassembler {
  public:
   /// Hard ceiling on a record body; a corrupt length field fails fast
   /// instead of asking the allocator for gigabytes.
   static constexpr std::uint32_t kMaxRecordBytes = 64u << 20;
 
+  /// One complete record. `body` views the reassembler's buffer and stays
+  /// valid until the next feed() or reset().
+  struct Record {
+    std::uint8_t type = 0;
+    std::span<const std::uint8_t> body;
+  };
+
   void feed(const std::uint8_t* data, std::size_t len);
-  /// Move the next complete record into `out` (type byte first). Returns
-  /// false when no complete record is buffered. Throws WireError on an
-  /// oversized or zero length prefix.
-  bool next(std::vector<std::uint8_t>* out);
+  /// The next complete record, or nullopt when none is buffered. Throws
+  /// WireError on an oversized or zero length prefix.
+  std::optional<Record> next();
   /// True when a partial record is buffered -- a stream that ends here was
   /// truncated mid-record.
   bool mid_record() const { return buf_.size() - pos_ > 0; }
@@ -222,6 +235,11 @@ class SocketRuntime final : public MonitorNetwork {
   /// Nonblocking writes that could not take the whole residue (EAGAIN or
   /// short write) -- proof the partial-write path actually ran.
   std::uint64_t partial_writes() const { return partial_writes_; }
+  /// Successful send() syscalls on data records (app and monitor; the
+  /// control-plane HELLO is excluded). One call carries every record a
+  /// flush finds unsent, so this stays below wire_frames() +
+  /// app_messages_sent() whenever records batch.
+  std::uint64_t send_calls() const { return send_calls_; }
   // Fault-tolerance counters (DESIGN.md §13).
   /// Successful link re-establishments (counted once per outage, on the
   /// reconnecting side).
@@ -243,11 +261,11 @@ class SocketRuntime final : public MonitorNetwork {
     kHelloWait,  ///< connected, our HELLO sent, waiting for the peer's
   };
 
-  /// One encoded record awaiting the socket, tagged with its plane so the
+  /// Where one buffered record ends in Channel::out, and its plane, so the
   /// reconnect path can tell replayable app records from droppable monitor
-  /// records and uncounted control records.
-  struct OutRecord {
-    std::vector<std::uint8_t> bytes;
+  /// records.
+  struct RecordMark {
+    std::size_t end = 0;
     std::uint8_t kind = 0;
   };
 
@@ -267,13 +285,19 @@ class SocketRuntime final : public MonitorNetwork {
     bool io_error = false;
     /// Fault injector tripped; the owner performs the abortive close.
     bool kill_pending = false;
-    /// Encoded records awaiting the socket; front record may be partially
-    /// written (`front_off` bytes already gone).
-    std::deque<OutRecord> queue;
-    std::size_t front_off = 0;
-    std::size_t queued_bytes = 0;
-    /// Congestion parking spot: frames coalesce here while queue is
-    /// nonempty (see file comment). Owns one outstanding_ credit when set.
+    /// An owner-thread send left bytes for the node loop's flush.
+    bool dirty = false;
+    /// Encoded records back to back; out[0, sent) is already written.
+    /// marks[k] is where record k ends; records before `next_mark` are
+    /// fully written, the one at `next_mark` may be partially written.
+    /// Grows on first use and keeps its capacity across flushes.
+    std::vector<std::uint8_t> out;
+    std::vector<RecordMark> marks;
+    std::size_t sent = 0;
+    std::size_t next_mark = 0;
+    /// Congestion parking spot: frames coalesce here while `out` holds
+    /// unsent bytes (see file comment). Owns one outstanding_ credit when
+    /// set.
     std::unique_ptr<PayloadFrame> staging;
     bool want_write = false;  ///< EPOLLOUT currently armed
     // -- fault-tolerance bookkeeping --
@@ -281,9 +305,12 @@ class SocketRuntime final : public MonitorNetwork {
     std::uint64_t mon_written = 0;
     /// Monitor records already reconciled as lost (subset of mon_written).
     std::uint64_t mon_lost = 0;
-    /// Replay log of app records: entry k holds logical app record
-    /// app_log_base + k. Replayed from the peer's HELLO count.
-    std::deque<std::vector<std::uint8_t>> app_log;
+    /// Replay log: every app record sent on this channel since logical
+    /// record app_log_base, back to back. App records of one session all
+    /// have the same size, so record k starts at
+    /// (k - app_log_base) * app_record_bytes(). Pruned to the peer's
+    /// received count at each HELLO.
+    std::vector<std::uint8_t> app_log;
     std::uint64_t app_log_base = 0;
     // -- reconnect backoff (owner thread) --
     int attempts = 0;
@@ -318,8 +345,9 @@ class SocketRuntime final : public MonitorNetwork {
     int event_fd = -1;   ///< cross-thread wakeup (timers, stop)
     int listen_fd = -1;  ///< persistent listener (accepts reconnects)
     std::uint16_t listen_port = 0;
-    /// Record-body scratch for decoding; own thread only.
-    std::vector<std::uint8_t> scratch;
+    /// Peers whose channel an owner-thread send marked dirty; flushed and
+    /// cleared before every epoll_wait. Own thread only.
+    std::vector<int> dirty;
     /// Self-delivery queue: immediate self-sends and due timers, guarded
     /// by `timer_mutex` (pushed by own thread and by channel layers above).
     std::mutex timer_mutex;
@@ -347,16 +375,27 @@ class SocketRuntime final : public MonitorNetwork {
   void broadcast_app(int index, const AppMessage& message);
   void read_peer(int index, int peer);
   void dispatch_record(int index, int peer,
-                       const std::vector<std::uint8_t>& rec);
+                       const FrameReassembler::Record& rec);
   void enqueue_monitor(int from, int to, std::unique_ptr<NetPayload> payload);
-  /// Encode `payload` as a monitor record appended to `ch.queue`.
+  /// Encode `payload` as a monitor record appended to `ch.out`.
   /// Caller must hold ch.mutex.
   void encode_record_locked(Channel& ch, const NetPayload& payload);
-  /// Drain ch.queue (and then staging) into the socket until empty or
-  /// EAGAIN; arms/clears EPOLLOUT to match. No-op unless the link is up.
-  /// Caller must hold ch.mutex.
+  /// Write the unsent span of ch.out (and then staging) to the socket, one
+  /// send() per pass, until empty, EAGAIN or a seeded kill; arms/clears
+  /// EPOLLOUT to match. No-op unless the link is up. Caller must hold
+  /// ch.mutex.
   void flush_locked(Channel& ch);
+  /// After a send: flush now, or -- on the channel owner's own node
+  /// thread -- leave it to the loop's flush_dirty. Caller must hold
+  /// ch.mutex.
+  void flush_or_defer_locked(Channel& ch);
+  /// Flush every channel an owner-thread send marked dirty (node thread).
+  void flush_dirty(int index);
+  /// Drop the fully written records from the front of ch.out.
+  static void drop_written_locked(Channel& ch);
   void materialize_staging_locked(Channel& ch);
+  /// Encoded size of one app record (header + body); fixed per session.
+  std::size_t app_record_bytes() const;
 
   // -- link lifecycle (owner thread unless noted) --
   /// Tear the link down after a failure (or abortively for a kill) and
@@ -385,12 +424,13 @@ class SocketRuntime final : public MonitorNetwork {
   /// the fd as the peer's channel socket once complete.
   void identify_pending(int index, int pending_fd);
   /// Process a peer HELLO for the (index -> peer) send direction: drop
-  /// delivered app-log prefix, requeue the rest, retire lost monitor
-  /// records, raise the link to kUp and flush.
+  /// the delivered app-log prefix, rebuild the buffer as the rest of the
+  /// log plus the unwritten monitor records, retire lost monitor records,
+  /// raise the link to kUp and flush.
   void process_hello(int index, int peer, std::uint64_t app_received,
                      std::uint64_t mon_received);
   /// Write a control record directly to the (fresh) socket, bypassing the
-  /// data queue; false on a socket failure. Caller must hold ch.mutex.
+  /// data buffer; false on a socket failure. Caller must hold ch.mutex.
   bool send_hello_locked(Channel& ch);
   /// Flag the channel for an abortive close by its owner (any thread).
   void request_kill(int from, int to);
@@ -433,6 +473,7 @@ class SocketRuntime final : public MonitorNetwork {
   std::atomic<std::uint64_t> app_bytes_{0};
   std::atomic<std::uint64_t> coalesced_frames_{0};
   std::atomic<std::uint64_t> partial_writes_{0};
+  std::atomic<std::uint64_t> send_calls_{0};
   std::atomic<std::uint64_t> timer_seq_{0};
   std::atomic<std::uint64_t> reconnects_{0};
   std::atomic<std::uint64_t> disconnect_drops_{0};

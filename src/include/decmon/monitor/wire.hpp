@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -98,7 +99,7 @@ class WireWriter {
 /// truncation throws WireError; no read is ever out of bounds.
 class WireReader {
  public:
-  explicit WireReader(const std::vector<std::uint8_t>& buf) : buf_(buf) {}
+  explicit WireReader(std::span<const std::uint8_t> buf) : buf_(buf) {}
 
   std::uint8_t u8() {
     need(1);
@@ -157,7 +158,7 @@ class WireReader {
     // comparing this way keeps a huge k from overflowing pos_ + k.
     if (k > buf_.size() - pos_) throw WireError("truncated buffer");
   }
-  const std::vector<std::uint8_t>& buf_;
+  std::span<const std::uint8_t> buf_;
   std::size_t pos_ = 0;
 };
 
@@ -176,7 +177,7 @@ enum class WireKind : std::uint8_t {
 };
 
 /// Peek at the kind (kFrame or kEnvelope); throws WireError on garbage.
-WireKind wire_kind(const std::vector<std::uint8_t>& buffer);
+WireKind wire_kind(std::span<const std::uint8_t> buffer);
 
 /// Serialize any monitor-layer payload into `out`, appending. A frame or a
 /// channel envelope keeps its form; a bare unit (token, termination, history
@@ -195,7 +196,7 @@ void encode_payload_into(const NetPayload& payload,
 /// reconstructed `inner` object) -- the channel's receive path decodes those
 /// bytes itself, exactly as it does for retransmissions.
 std::unique_ptr<NetPayload> decode_payload(
-    const std::vector<std::uint8_t>& buffer,
+    std::span<const std::uint8_t> buffer,
     std::size_t max_width = kMaxWireProcesses);
 
 /// Serialize a batched frame (varint integers, frame-level base clock with
@@ -205,7 +206,7 @@ std::vector<std::uint8_t> encode_frame(const PayloadFrame& frame);
 /// Decode a frame buffer; throws WireError like decode_payload, and for an
 /// envelope.
 std::unique_ptr<PayloadFrame> decode_frame(
-    const std::vector<std::uint8_t>& buffer,
+    std::span<const std::uint8_t> buffer,
     std::size_t max_width = kMaxWireProcesses);
 
 /// Stamp every unit's `wire_size` (its in-frame encoded bytes) and the

@@ -497,7 +497,7 @@ Token read_token(WireReader& r, std::size_t max_width) {
   return read_token_v2(r, max_width, kEmptyBase);
 }
 
-WireKind wire_kind(const std::vector<std::uint8_t>& buffer) {
+WireKind wire_kind(std::span<const std::uint8_t> buffer) {
   if (buffer.size() < 2) throw WireError("buffer too small");
   if (buffer[0] != kVersion) throw WireError("unsupported wire version");
   const std::uint8_t kind = buffer[1];
@@ -537,7 +537,7 @@ std::vector<std::uint8_t> encode_frame(const PayloadFrame& frame) {
 }
 
 std::unique_ptr<PayloadFrame> decode_frame(
-    const std::vector<std::uint8_t>& buffer, std::size_t max_width) {
+    std::span<const std::uint8_t> buffer, std::size_t max_width) {
   if (wire_kind(buffer) != WireKind::kFrame) {
     throw WireError("unexpected message kind");
   }
@@ -568,7 +568,7 @@ std::unique_ptr<PayloadFrame> decode_frame(
 }
 
 std::unique_ptr<NetPayload> decode_payload(
-    const std::vector<std::uint8_t>& buffer, std::size_t max_width) {
+    std::span<const std::uint8_t> buffer, std::size_t max_width) {
   if (wire_kind(buffer) == WireKind::kFrame) {
     return decode_frame(buffer, max_width);
   }

@@ -2,14 +2,18 @@
 // feeds, mid-record truncation, corrupt length prefixes), loopback
 // round-trips of seeded frame convoys across clock widths, forced partial
 // I/O under tiny socket buffers (which also exercises congestion
-// coalescing), the unbatched per-token control posture, verdict equivalence
-// against the deterministic simulator on the thesis properties, and the
-// reliable channel stacked over the socket transport (envelope wire form
-// end to end).
+// coalescing), the unbatched per-token control posture, gathered sends
+// (fewer send() calls than records, immediate off-thread flushes, a write
+// cut at the seeded kill boundary), verdict equivalence against the
+// deterministic simulator on the thesis properties, and the reliable
+// channel stacked over the socket transport (envelope wire form end to
+// end).
 #include "decmon/distributed/socket_runtime.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <memory>
 #include <mutex>
 #include <random>
@@ -91,6 +95,26 @@ class CaptureHooks final : public MonitorHooks {
   std::vector<std::vector<std::uint8_t>> received;
 };
 
+/// Sends `count` bare tokens from node 0 to node 1 inside node 0's first
+/// local-event hook -- one loop iteration, so they leave together in the
+/// loop's one flush -- and counts the monitor payloads delivered.
+class BurstHooks final : public MonitorHooks {
+ public:
+  BurstHooks(MonitorNetwork* net, int count) : net_(net), count_(count) {}
+  void on_local_event(int process, const Event&, double) override;
+  void on_local_termination(int, double) override {}
+  void on_monitor_message(MonitorMessage, double) override {
+    delivered.fetch_add(1, std::memory_order_relaxed);
+  }
+
+  std::atomic<std::uint64_t> delivered{0};
+
+ private:
+  MonitorNetwork* net_;
+  int count_;
+  bool fired_ = false;  ///< node 0's thread only
+};
+
 Token seeded_token(std::mt19937_64& rng, int width, int entries) {
   Token t;
   t.token_id = rng();
@@ -133,6 +157,17 @@ Token seeded_token(std::mt19937_64& rng, int width, int entries) {
   return t;
 }
 
+void BurstHooks::on_local_event(int process, const Event&, double) {
+  if (process != 0 || fired_) return;
+  fired_ = true;
+  std::mt19937_64 rng(31);
+  for (int i = 0; i < count_; ++i) {
+    auto msg = std::make_unique<TokenMessage>();
+    msg->token = seeded_token(rng, 2, 1);
+    net_->send(MonitorMessage{0, 1, std::move(msg)});
+  }
+}
+
 std::unique_ptr<PayloadFrame> seeded_frame(std::mt19937_64& rng, int width,
                                            int units, int entries_per_unit) {
   auto frame = std::make_unique<PayloadFrame>();
@@ -160,6 +195,14 @@ std::vector<std::uint8_t> make_record(std::uint8_t type,
   return rec;
 }
 
+/// A yielded record as one byte string, type byte first.
+std::vector<std::uint8_t> flat(const FrameReassembler::Record& rec) {
+  std::vector<std::uint8_t> out(1 + rec.body.size());
+  out[0] = rec.type;
+  std::copy(rec.body.begin(), rec.body.end(), out.begin() + 1);
+  return out;
+}
+
 TEST(FrameReassembler, ByteAtATimeFeedYieldsEveryRecord) {
   const auto r1 = make_record(0x02, {1, 2, 3, 4, 5});
   const auto r2 = make_record(0x01, {9});
@@ -168,10 +211,9 @@ TEST(FrameReassembler, ByteAtATimeFeedYieldsEveryRecord) {
 
   FrameReassembler ra;
   std::vector<std::vector<std::uint8_t>> out;
-  std::vector<std::uint8_t> rec;
   for (std::uint8_t b : stream) {
     ra.feed(&b, 1);
-    while (ra.next(&rec)) out.push_back(rec);
+    while (const auto rec = ra.next()) out.push_back(flat(*rec));
   }
   ASSERT_EQ(out.size(), 2u);
   EXPECT_EQ(out[0], std::vector<std::uint8_t>({0x02, 1, 2, 3, 4, 5}));
@@ -194,12 +236,12 @@ TEST(FrameReassembler, SplitAcrossArbitraryFragmentBoundaries) {
                             std::size_t{255}, std::size_t{1024}}) {
     FrameReassembler ra;
     std::size_t got = 0;
-    std::vector<std::uint8_t> rec;
     for (std::size_t off = 0; off < stream.size(); off += chunk) {
       const std::size_t len = std::min(chunk, stream.size() - off);
       ra.feed(stream.data() + off, len);
-      while (ra.next(&rec)) {
-        EXPECT_EQ(rec.size(), body.size() + 1);
+      while (const auto rec = ra.next()) {
+        EXPECT_EQ(flat(*rec), std::vector<std::uint8_t>(record.begin() + 4,
+                                                        record.end()));
         ++got;
       }
     }
@@ -216,8 +258,7 @@ TEST(FrameReassembler, PeerCloseMidRecordIsDetectable) {
   for (std::size_t cut = 1; cut < record.size(); ++cut) {
     FrameReassembler ra;
     ra.feed(record.data(), cut);
-    std::vector<std::uint8_t> rec;
-    EXPECT_FALSE(ra.next(&rec)) << "cut " << cut;
+    EXPECT_FALSE(ra.next()) << "cut " << cut;
     EXPECT_TRUE(ra.mid_record()) << "cut " << cut;
     EXPECT_EQ(ra.buffered(), cut);
   }
@@ -228,15 +269,13 @@ TEST(FrameReassembler, RejectsCorruptLengthPrefixes) {
     FrameReassembler ra;
     const std::uint8_t zero_len[4] = {0, 0, 0, 0};
     ra.feed(zero_len, 4);
-    std::vector<std::uint8_t> rec;
-    EXPECT_THROW(ra.next(&rec), WireError);
+    EXPECT_THROW(ra.next(), WireError);
   }
   {
     FrameReassembler ra;
     const std::uint8_t huge_len[4] = {0xFF, 0xFF, 0xFF, 0xFF};
     ra.feed(huge_len, 4);
-    std::vector<std::uint8_t> rec;
-    EXPECT_THROW(ra.next(&rec), WireError);
+    EXPECT_THROW(ra.next(), WireError);
   }
 }
 
@@ -452,6 +491,54 @@ TEST(SocketRuntime, BatchingReducesBytesOnWireUnderCongestion) {
 }
 
 // ---------------------------------------------------------------------------
+// Gathered sends: one send() per flush, deferred on the owner's thread.
+// ---------------------------------------------------------------------------
+
+TEST(SocketRuntime, GatheredSendsTakeFewerSyscallsThanRecords) {
+  // A monitored run at time_scale 0: the node loops defer their own sends
+  // and write each channel once per iteration, so one send() carries
+  // several records.
+  const int n = 3;
+  AtomRegistry reg = paper::make_registry(n);
+  const SharedProperty art =
+      paper::shared_property(paper::Property::kA, n, reg);
+  SystemTrace trace = generate_trace(
+      paper::experiment_params(paper::Property::kA, n, 2015));
+  SocketConfig config;
+  config.time_scale = 0.0;
+  config.batch = true;
+  SocketRuntime rt(trace, &reg, config);
+  DecentralizedMonitor dm(property_handle(art), &rt,
+                          initial_letters_of(reg, rt.initial_states()));
+  rt.set_hooks(&dm);
+  rt.run();
+
+  EXPECT_TRUE(dm.all_finished());
+  EXPECT_GT(rt.send_calls(), 0u);
+  EXPECT_LT(rt.send_calls(), rt.wire_frames() + rt.app_messages_sent());
+}
+
+TEST(SocketRuntime, OffThreadSendBeforeRunIsWrittenAtOnce) {
+  // Only a channel's own node thread defers; a send from any other thread
+  // -- here the test's, before any node loop exists -- is in the socket
+  // when send() returns.
+  const int n = 2;
+  std::mt19937_64 rng(12);
+  AtomRegistry reg = paper::make_registry(n);
+  SocketRuntime rt(transport_trace(n), &reg, fast_config());
+  CaptureHooks hooks;
+  rt.set_hooks(&hooks);
+  rt.send(MonitorMessage{0, 1, seeded_frame(rng, n, 2, 2)});
+  EXPECT_EQ(rt.send_calls(), 1u);
+  EXPECT_EQ(rt.partial_writes(), 0u);
+  EXPECT_EQ(rt.wire_frames(), 1u);
+
+  rt.run();
+  EXPECT_EQ(hooks.received.size(), 1u);
+  EXPECT_EQ(rt.send_calls(), 1u);
+}
+
+// ---------------------------------------------------------------------------
 // Differential: socket verdicts match the deterministic simulator.
 // ---------------------------------------------------------------------------
 
@@ -619,6 +706,36 @@ TEST(SocketFault, KilledConnectionReconnectsAndRetiresLostRecords) {
   EXPECT_EQ(rt.monitor_messages_processed() + rt.disconnect_drops(),
             rt.wire_frames());
   EXPECT_EQ(hooks.received.size(), rt.monitor_messages_processed());
+}
+
+TEST(SocketFault, GatheredWriteStopsAtTheKillBoundary) {
+  // Twenty records leave node 0 in one flush while the channel's seeded
+  // kill countdown is 5. The gathered write must end at the fifth record:
+  // anything past it would reach the peer uncounted, and the peer's HELLO
+  // count would then run ahead of the writer's.
+  const int n = 2;
+  const int kRecords = 20;
+  AtomRegistry reg = paper::make_registry(n);
+  SocketConfig config = fast_config();
+  config.fault.enabled = true;
+  config.fault.kill_after_min = 5;
+  config.fault.kill_after_max = 5;
+  config.fault.max_kills = 1;
+  SocketRuntime rt(transport_trace(n), &reg, config);
+  BurstHooks hooks(&rt, kRecords);
+  rt.set_hooks(&hooks);
+  ASSERT_NO_THROW(rt.run());
+
+  EXPECT_EQ(rt.wire_frames(), static_cast<std::uint64_t>(kRecords));
+  EXPECT_EQ(rt.connections_killed(), 1u);
+  // One write up to the kill boundary, one for the fifteen records the
+  // HELLO exchange re-queues on the new connection.
+  EXPECT_EQ(rt.send_calls(), 2u);
+  // Only records written before the kill can die with the connection.
+  EXPECT_LE(rt.disconnect_drops(), 5u);
+  EXPECT_EQ(rt.monitor_messages_processed() + rt.disconnect_drops(),
+            rt.wire_frames());
+  EXPECT_EQ(hooks.delivered.load(), rt.monitor_messages_processed());
 }
 
 TEST(SocketFault, GoldenVerdictsSurviveConnectionKillUnderReliableChannel) {
