@@ -1,8 +1,10 @@
 // Token-walk equivalence goldens: the monitor's observable behaviour on the
-// paper's properties A-F (n in {3, 4, 5}) under five postures -- kTransit
+// paper's properties A-F (n in {3, 4, 5}) under six postures -- kTransit
 // and kExact frame convoys, streaming GC every 16 events, dense
-// communication (comm_mu 1.5) and join-jump walks -- pinned against numbers
-// recorded before the walk fast-forward existed. Every walk-driven output
+// communication (comm_mu 1.5), join-jump walks, and views merged only when
+// their (state, cut) are equal -- pinned against numbers recorded before
+// the walk fast-forward (the first five) and the one-pass view merge (the
+// sixth) existed. Every walk-driven output
 // is compared exactly: verdict and state sets, all_finished, messages,
 // tokens, hops, bytes, views, delayed events and the first verdict times.
 // Each run also checks Lemma 1 (tokens_returned == tokens_created).
@@ -83,6 +85,10 @@ RunResult run_walk_workload(paper::Property prop, int n, std::uint64_t seed,
     options.gc_interval = 16;
   }
   if (posture == "joinjump") options.walk_mode = WalkMode::kJoinJump;
+  if (posture == "nomerge") {
+    options.merge_by_state = false;
+    options.subsume_views = false;
+  }
   const double comm_mu = posture == "mu1.5" ? 1.5 : 3.0;
   MonitorSession session(
       paper::shared_property(prop, n, paper::make_registry(n)));
@@ -93,7 +99,7 @@ RunResult run_walk_workload(paper::Property prop, int n, std::uint64_t seed,
 }
 
 TEST(WalkEquivalence, MatchesRecordedWalks) {
-  ASSERT_EQ(std::size(kWalkGoldens), 6u * 3u * 5u);
+  ASSERT_EQ(std::size(kWalkGoldens), 6u * 3u * 6u);
   for (const WalkRow& row : kWalkGoldens) {
     SCOPED_TRACE(std::string(row.prop) + " n=" + std::to_string(row.n) +
                  " seed=" + std::to_string(row.seed) + " " + row.posture);

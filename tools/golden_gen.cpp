@@ -9,11 +9,11 @@
 // token_hops counters so hot-path refactors can prove byte-identical
 // behaviour against the seed implementation.
 //
-// The --walk table pins the token walk: A-F x n in {3, 4, 5} x five
+// The --walk table pins the token walk: A-F x n in {3, 4, 5} x six
 // postures (kTransit convoys, kExact convoys, streaming GC, dense
-// communication, join-jump walks), with the verdict and state sets, every
-// walk-driven counter and the first verdict times (as hex floats, so they
-// compare bit-exactly).
+// communication, join-jump walks, and views merged by (state, cut) only),
+// with the verdict and state sets, every walk-driven counter and the first
+// verdict times (as hex floats, so they compare bit-exactly).
 //
 // The workloads must stay in lockstep with tests/monitor/
 // equivalence_golden_test.cpp and walk_equivalence_test.cpp respectively.
@@ -79,8 +79,8 @@ void print_equivalence_goldens() {
 }
 
 // Walk postures, in table order (see run_walk_workload).
-constexpr const char* kWalkPostures[] = {"transit", "exact", "stream16",
-                                         "mu1.5", "joinjump"};
+constexpr const char* kWalkPostures[] = {"transit", "exact",    "stream16",
+                                         "mu1.5",   "joinjump", "nomerge"};
 
 std::uint64_t walk_seed(int n, int posture_index) {
   return 2015 + 5 * static_cast<std::uint64_t>(n - 3) +
@@ -98,6 +98,10 @@ RunResult run_walk_workload(paper::Property prop, int n, std::uint64_t seed,
     options.gc_interval = 16;
   }
   if (posture == "joinjump") options.walk_mode = WalkMode::kJoinJump;
+  if (posture == "nomerge") {
+    options.merge_by_state = false;
+    options.subsume_views = false;
+  }
   const double comm_mu = posture == "mu1.5" ? 1.5 : 3.0;
   MonitorSession session(
       paper::shared_property(prop, n, paper::make_registry(n)));
