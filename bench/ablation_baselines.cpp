@@ -2,7 +2,8 @@
 //   1. Decentralized vs centralized monitoring (Table 6.1's trade-offs made
 //      quantitative): network messages and memory for the same workloads.
 //   2. The algorithm's own optimizations (4.3.2 probe dedup, 4.3.3
-//      same-destination pruning) switched off one at a time.
+//      same-destination pruning, 4.4.1 state-level view merge) switched off
+//      one at a time.
 #include <cstdio>
 
 #include "bench_common.hpp"
@@ -74,9 +75,8 @@ int main() {
   none.prune_same_destination = false;
   MonitorOptions jump;
   jump.walk_mode = WalkMode::kJoinJump;
-  MonitorOptions no_subsume;
-  no_subsume.subsume_views = false;
-  no_subsume.merge_by_state = false;
+  MonitorOptions no_state_merge;
+  no_state_merge.merge_by_state = false;
   const struct {
     const char* label;
     MonitorOptions options;
@@ -84,7 +84,7 @@ int main() {
       {"all optimizations (default)", all_on},
       {"without probe dedup (4.3.2)", no_dedupe},
       {"without same-dest pruning (4.3.3)", no_prune},
-      {"without view subsumption/merge", no_subsume},
+      {"without state-level merge (4.4.1)", no_state_merge},
       {"no optimizations", none},
       {"thesis join-jump walk (unsound)", jump},
   };

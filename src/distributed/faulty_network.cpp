@@ -7,16 +7,6 @@
 #include "decmon/util/rng.hpp"
 
 namespace decmon {
-namespace {
-
-std::uint64_t splitmix_next(std::uint64_t& state) {
-  std::uint64_t z = (state += 0x9E3779B97F4A7C15ull);
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-  return z ^ (z >> 31);
-}
-
-}  // namespace
 
 std::string FaultConfig::to_string() const {
   std::ostringstream os;
@@ -51,7 +41,8 @@ FaultyNetwork::Channel& FaultyNetwork::channel(int from, int to) {
 }
 
 double FaultyNetwork::uniform(Channel& ch) {
-  return static_cast<double>(splitmix_next(ch.rng_state) >> 11) * 0x1.0p-53;
+  return static_cast<double>(splitmix64_next(ch.rng_state) >> 11) *
+         0x1.0p-53;
 }
 
 double FaultyNetwork::spike(Channel& ch) {
@@ -101,7 +92,7 @@ void FaultyNetwork::send_perturbed(MonitorMessage msg,
     }
     if (roll_drop < config_.drop_prob) {
       const int drops =
-          1 + static_cast<int>(splitmix_next(ch.rng_state) %
+          1 + static_cast<int>(splitmix64_next(ch.rng_state) %
                                static_cast<std::uint64_t>(
                                    config_.max_drops > 0 ? config_.max_drops
                                                          : 1));

@@ -17,13 +17,6 @@ constexpr std::uint8_t kChannelMagic[4] = {'D', 'M', 'C', 'H'};
 constexpr double kDeadlineEps = 1e-9;
 constexpr std::size_t kPoolCap = 64;
 
-std::uint64_t splitmix_next(std::uint64_t& state) {
-  std::uint64_t z = (state += 0x9E3779B97F4A7C15ull);
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-  return z ^ (z >> 31);
-}
-
 }  // namespace
 
 std::unique_ptr<NetPayload> ChannelEnvelope::clone() const {
@@ -111,7 +104,8 @@ void ReliableChannel::recycle_buffer(NodeState& ns,
 }
 
 double ReliableChannel::jitter_uniform(NodeState& ns) {
-  return static_cast<double>(splitmix_next(ns.jitter_rng) >> 11) * 0x1.0p-53;
+  return static_cast<double>(splitmix64_next(ns.jitter_rng) >> 11) *
+         0x1.0p-53;
 }
 
 double ReliableChannel::backoff_interval(NodeState& ns, int attempts) {

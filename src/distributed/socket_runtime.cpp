@@ -14,13 +14,14 @@
 #include <cerrno>
 #include <chrono>
 #include <cmath>
-#include <limits>
 #include <optional>
 #include <stdexcept>
 #include <system_error>
 #include <utility>
 
 #include "decmon/monitor/wire.hpp"
+#include "decmon/util/rng.hpp"
+#include "wall_time.hpp"
 
 namespace decmon {
 
@@ -51,23 +52,8 @@ std::uint64_t make_tag(std::uint64_t kind, std::uint64_t value) {
   return (kind << 32) | value;
 }
 
-/// Saturation bound for trace-time -> wall-time conversion (same rationale
-/// as ThreadRuntime's).
-constexpr std::chrono::nanoseconds kMaxWall{
-    std::numeric_limits<std::int64_t>::max() / 4};
-
-std::chrono::nanoseconds to_wall(double trace_seconds, double scale) {
-  const double wall_ns = std::max(0.0, trace_seconds * scale) * 1e9;
-  if (!(wall_ns < static_cast<double>(kMaxWall.count()))) return kMaxWall;
-  return std::chrono::nanoseconds(static_cast<std::int64_t>(wall_ns));
-}
-
-std::chrono::steady_clock::time_point advance_saturated(
-    std::chrono::steady_clock::time_point tp, std::chrono::nanoseconds d) {
-  using TP = std::chrono::steady_clock::time_point;
-  if (tp >= TP::max() - d) return TP::max();
-  return tp + std::chrono::duration_cast<TP::duration>(d);
-}
+using detail::advance_saturated;
+using detail::to_wall;
 
 [[noreturn]] void throw_errno(const char* what) {
   throw std::system_error(errno, std::generic_category(), what);
@@ -174,14 +160,6 @@ std::vector<std::uint8_t> encode_hello(int sender, std::uint64_t app_received,
   write_le64(rec.data() + 10, app_received);
   write_le64(rec.data() + 18, mon_received);
   return rec;
-}
-
-std::uint64_t splitmix64(std::uint64_t& state) {
-  state += 0x9E3779B97F4A7C15ull;
-  std::uint64_t z = state;
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-  return z ^ (z >> 31);
 }
 
 /// Nonblocking connect with bounded retry: tolerates EINPROGRESS (waits
@@ -403,7 +381,7 @@ SocketRuntime::SocketRuntime(SystemTrace trace, const AtomRegistry* registry,
         const std::uint32_t hi = std::max(config_.fault.kill_after_min,
                                           config_.fault.kill_after_max);
         ch.kill_countdown =
-            lo + static_cast<std::uint32_t>(splitmix64(ch.rng_state) %
+            lo + static_cast<std::uint32_t>(splitmix64_next(ch.rng_state) %
                                             (hi - lo + 1));
       }
       epoll_event ev{};
@@ -888,7 +866,8 @@ void SocketRuntime::schedule_retry_locked(Channel& ch) {
   // Seeded jitter in [0.5, 1.5): reconnect storms decorrelate but stay
   // reproducible for a given (config seed, channel) pair.
   const double jitter =
-      0.5 + static_cast<double>(splitmix64(ch.rng_state) >> 11) * 0x1.0p-53;
+      0.5 +
+      static_cast<double>(splitmix64_next(ch.rng_state) >> 11) * 0x1.0p-53;
   delay_ms *= jitter;
   ch.next_attempt_at = advance_saturated(
       Clock::now(),

@@ -3,37 +3,15 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
-#include <limits>
 #include <optional>
 #include <stdexcept>
 
+#include "wall_time.hpp"
+
 namespace decmon {
 
-namespace {
-
-/// Saturation bound for trace-time -> wall-time conversion: far beyond any
-/// real run (~73 years) yet small enough that adding it to a steady_clock
-/// reading can never overflow the time_point representation.
-constexpr std::chrono::nanoseconds kMaxWall{
-    std::numeric_limits<std::int64_t>::max() / 4};
-
-std::chrono::nanoseconds to_wall(double trace_seconds, double scale) {
-  const double wall_ns = std::max(0.0, trace_seconds * scale) * 1e9;
-  // Saturate instead of casting out of range (the cast would be UB); the
-  // negated comparison also routes NaN to the saturated value.
-  if (!(wall_ns < static_cast<double>(kMaxWall.count()))) return kMaxWall;
-  return std::chrono::nanoseconds(static_cast<std::int64_t>(wall_ns));
-}
-
-/// tp + d without overflow: saturates to time_point::max().
-std::chrono::steady_clock::time_point advance_saturated(
-    std::chrono::steady_clock::time_point tp, std::chrono::nanoseconds d) {
-  using TP = std::chrono::steady_clock::time_point;
-  if (tp >= TP::max() - d) return TP::max();
-  return tp + std::chrono::duration_cast<TP::duration>(d);
-}
-
-}  // namespace
+using detail::advance_saturated;
+using detail::to_wall;
 
 ThreadRuntime::ThreadRuntime(SystemTrace trace, const AtomRegistry* registry,
                              ThreadConfig config)

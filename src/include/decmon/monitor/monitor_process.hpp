@@ -57,7 +57,7 @@ enum class WalkMode : std::uint8_t {
   kJoinJump,
 };
 
-/// An intentional resource bound tripped (max_views or max_history): the
+/// An intentional resource bound tripped (MonitorOptions::max_views): the
 /// monitored run exceeded its configured budget. Derives from
 /// std::length_error so existing cap handling keeps working, but is a
 /// distinct type so harnesses can tell "hit the configured bound" from a
@@ -79,27 +79,13 @@ struct MonitorOptions {
   /// target the same automaton state (optimization §4.3.3).
   bool prune_same_destination = true;
 
-  /// Stop probing from states where no definite verdict is reachable any
-  /// more (automaton static analysis, future-work 7.2.2): the verdict is
-  /// settled at '?' forever, so tokens there are pure overhead.
-  bool prune_settled_states = true;
-
-  /// Drop views subsumed by another view at the same automaton state with a
-  /// larger cut agreeing on the shared frontier (the slice-merge side of
-  /// 4.3.2); keeps the live view count near the automaton size.
-  bool subsume_views = true;
-
   /// Keep at most one settled view per automaton state (the most advanced
   /// cut). This is the aggressive reading of the paper's merge ("the final
   /// number of global views is bounded by the number of automaton states",
   /// 4.4.1) and what keeps its overhead linear; the dropped views' unprobed
   /// branches are covered by the surviving view and the peers' probes.
+  /// When false, only settled views with equal (state, cut) merge (4.3.2).
   bool merge_by_state = true;
-
-  /// Route tokens preferring transitions whose target state is closer to a
-  /// definite verdict (automaton static analysis, future-work 7.2.2 /
-  /// SendToNextProcess tuning note in 4.2.0.8).
-  bool prioritize_near_verdict = true;
 
   /// Hard cap on simultaneously live views (debugging guard; 0 = none).
   std::size_t max_views = 0;
@@ -114,10 +100,6 @@ struct MonitorOptions {
   /// Local events between GC sweeps (floor gossip + prefix trim) when
   /// streaming; 0 falls back to the default cadence.
   std::uint32_t gc_interval = 64;
-  /// Hard cap on the retained history window (events kept after GC; 0 =
-  /// none). Exceeding it throws MonitorOverflow -- the memory analogue of
-  /// max_views.
-  std::size_t max_history = 0;
 
   /// Optional trace sink: receives one line per significant monitor action
   /// (probe creation, entry resolution, view spawn/resurrect). For
@@ -353,7 +335,6 @@ class MonitorProcess {
   std::vector<GlobalView> view_pool_;
 
   /// Scratch for merge_similar_views (never re-entered; capacity persists).
-  std::vector<GlobalView*> merge_settled_;
   std::unordered_map<std::uint64_t, GlobalView*> merge_seen_;
   std::vector<GlobalView*> merge_best_;
 

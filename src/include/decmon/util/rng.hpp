@@ -7,18 +7,23 @@
 
 namespace decmon {
 
+/// One SplitMix64 step: advance `state` and return the next output. For
+/// streams whose state lives inside a larger object (a faulty link, a
+/// channel's jitter source) and is checkpointed with it.
+inline std::uint64_t splitmix64_next(std::uint64_t& state) {
+  std::uint64_t z = (state += 0x9E3779B97F4A7C15ull);
+  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
+  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
+  return z ^ (z >> 31);
+}
+
 /// SplitMix64: tiny, high-quality seed expander. Used to derive independent
 /// streams (per process, per replication) from one experiment seed.
 class SplitMix64 {
  public:
   explicit SplitMix64(std::uint64_t seed) : state_(seed) {}
 
-  std::uint64_t next() {
-    std::uint64_t z = (state_ += 0x9E3779B97F4A7C15ull);
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-    return z ^ (z >> 31);
-  }
+  std::uint64_t next() { return splitmix64_next(state_); }
 
  private:
   std::uint64_t state_;

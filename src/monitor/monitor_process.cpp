@@ -263,12 +263,6 @@ void MonitorProcess::on_local_event(const Event& event, double now) {
     events_since_gc_ = 0;
     gc_sweep(now);
   }
-  if (options_.max_history && history_.size() > options_.max_history) {
-    // The retained window outgrew its budget even after GC: surface the
-    // bound. Nothing is half-applied -- the event fully dispatched -- so
-    // the monitor stays valid and checkpointable.
-    throw MonitorOverflow("MonitorProcess: history cap exceeded");
-  }
   }  // dispatch scope: the flush below must see depth 0
   } catch (const MonitorOverflow&) {
     // An intentional bound tripped mid-dispatch. The DepthGuard has already
@@ -371,8 +365,7 @@ void MonitorProcess::probe_outgoing(GlobalView& gv, const Event& e,
   auto prunable = [&](int q) {
     // Final states have no outgoing transitions; settled states (no
     // definite verdict reachable, 7.2.2) are not worth probing.
-    return prop_->is_final(q) ||
-           (options_.prune_settled_states && prop_->verdict_settled(q));
+    return prop_->is_final(q) || prop_->verdict_settled(q);
   };
   SmallVec<Candidate, 32> candidates;
   if (!prunable(gv.q)) {
@@ -946,12 +939,10 @@ bool MonitorProcess::route_token(Token& token, double now) {
       } else if (e.next_target_process == token.parent) {
         parent_target = token.parent;
       } else {
-        int rank = 0;
-        if (options_.prioritize_near_verdict) {
-          const int d = prop_->distance_to_verdict(
-              prop_->transition(e.transition_id).to);
-          rank = d == AutomatonAnalysis::kUnreachable ? INT_MAX - 1 : d;
-        }
+        const int d = prop_->distance_to_verdict(
+            prop_->transition(e.transition_id).to);
+        const int rank =
+            d == AutomatonAnalysis::kUnreachable ? INT_MAX - 1 : d;
         if (third < 0 || rank < third_rank) {
           third = e.next_target_process;
           third_rank = rank;
@@ -1385,118 +1376,66 @@ void MonitorProcess::check_finished(double now) {
 // ---------------------------------------------------------------------------
 
 void MonitorProcess::merge_similar_views() {
-  // Collect the settled (non-waiting, fully drained) live views once;
-  // everything below works on this small set. Scratch containers are
-  // members so their capacity persists across calls (merge is never
-  // re-entered: it runs only at the tail of top-level dispatches).
-  std::vector<GlobalView*>& settled = merge_settled_;
-  settled.clear();
-  for (GlobalView& gv : views_) {
-    if (!gv.dead && !gv.waiting && gv.next_sn >= history_end()) {
-      settled.push_back(&gv);
-    }
-  }
-  // Merge views with equal (automaton state, cut): they trace the same
-  // sub-lattice from here on (4.3.2). Only settled views merge; waiting
-  // views own live tokens. Keys are a precomputed FNV-1a hash of (q, cut)
-  // -- no per-view key vector is materialized. A 64-bit hash collision
-  // between distinct keys would only *skip* a merge (verified below), never
-  // merge distinct views.
+  // Keep one settled (non-waiting, fully drained) view per key; waiting
+  // views own live tokens and never merge. Under merge_by_state the key is
+  // the automaton state -- 4.4.1's bound, "the final number of global views
+  // is bounded by the number of automaton states" -- held in a flat array
+  // indexed by state id. Otherwise the key is (state, cut): equal keys
+  // trace the same sub-lattice from here on (4.3.2). Those are looked up by
+  // a precomputed FNV-1a hash of (q, cut) and compared exactly, so a 64-bit
+  // collision between distinct keys only skips a merge. Scratch containers
+  // are members so their capacity persists (merge runs only at the tail of
+  // top-level dispatches, never re-entered).
+  std::vector<GlobalView*>& best = merge_best_;
   std::unordered_map<std::uint64_t, GlobalView*>& seen = merge_seen_;
-  seen.clear();
-  for (GlobalView* gv : settled) {
-    std::uint64_t h = 1469598103934665603ull;
-    auto mix = [&h](std::uint64_t x) {
-      h ^= x;
-      h *= 1099511628211ull;
-    };
-    mix(static_cast<std::uint64_t>(gv->q));
-    for (std::uint32_t x : gv->cut) mix(x + 1);
-    auto [it, inserted] = seen.emplace(h, gv);
-    if (!inserted && it->second->q == gv->q && it->second->cut == gv->cut) {
-      // Keep the healthy copy: a quarantined survivor would silence the
-      // pair's future probes.
-      if (it->second->quarantined && !gv->quarantined) {
-        it->second->dead = true;
-        it->second = gv;
-      } else {
-        gv->dead = true;
-      }
-      ++stats_.global_views_merged;
-    }
-  }
-  // Subsumption (the slice-merge of 4.3.2): a view is dropped when another
-  // view at the same automaton state has a componentwise-larger cut and
-  // agrees on every shared frontier letter -- the survivor continues the
-  // same slice further along.
-  if (options_.subsume_views) {
-    for (GlobalView* pa : settled) {
-      GlobalView& a = *pa;
-      if (a.dead) continue;
-      for (GlobalView* pb : settled) {
-        GlobalView& b = *pb;
-        if (&a == &b || b.dead) continue;
-        if (a.q != b.q) continue;
-        // A quarantined view never subsumes a healthy one (it cannot stand
-        // in for the healthy view's future probes).
-        if (b.quarantined && !a.quarantined) continue;
-        bool dominated = true;   // a.cut <= b.cut, strictly somewhere
-        bool strict = false;
-        bool frontier_agrees = true;
-        for (int j = 0; j < n_ && dominated; ++j) {
-          const auto ja = a.cut[static_cast<std::size_t>(j)];
-          const auto jb = b.cut[static_cast<std::size_t>(j)];
-          if (ja > jb) dominated = false;
-          if (ja < jb) strict = true;
-          if (ja == jb &&
-              a.gstate[static_cast<std::size_t>(j)] !=
-                  b.gstate[static_cast<std::size_t>(j)]) {
-            frontier_agrees = false;
-          }
-        }
-        if (dominated && strict && frontier_agrees) {
-          a.dead = true;
-          ++stats_.global_views_merged;
-          break;
-        }
-      }
-    }
-  }
-  // Aggressive state-level merge (4.4.1's bound): one settled view per
-  // automaton state, keeping the most advanced cut. Indexed by state id --
-  // the automaton is small, so a flat array beats any map.
   if (options_.merge_by_state) {
-    std::vector<GlobalView*>& best = merge_best_;
     best.assign(static_cast<std::size_t>(prop_->automaton().num_states()),
                 nullptr);
-    for (GlobalView* pgv : settled) {
-      GlobalView& gv = *pgv;
-      if (gv.dead) continue;
-      GlobalView*& keep = best[static_cast<std::size_t>(gv.q)];
-      if (!keep) {
-        keep = &gv;
+  } else {
+    seen.clear();
+  }
+  auto cut_sum = [](const GlobalView& gv) {
+    std::uint64_t sum = 0;
+    for (std::uint32_t x : gv.cut) sum += x;
+    return sum;
+  };
+  for (GlobalView& gv : views_) {
+    if (gv.dead || gv.waiting || gv.next_sn < history_end()) continue;
+    GlobalView** slot;
+    if (options_.merge_by_state) {
+      slot = &best[static_cast<std::size_t>(gv.q)];
+      if (!*slot) {
+        *slot = &gv;
         continue;
       }
-      // Healthy beats quarantined regardless of cut (the survivor carries
-      // the state's future probes); within a class the larger cut wins.
-      bool replace;
-      if (keep->quarantined != gv.quarantined) {
-        replace = keep->quarantined;
-      } else {
-        std::uint64_t a = 0;
-        std::uint64_t b = 0;
-        for (std::uint32_t x : gv.cut) a += x;
-        for (std::uint32_t x : keep->cut) b += x;
-        replace = a > b;
+    } else {
+      std::uint64_t h = 1469598103934665603ull;
+      auto mix = [&h](std::uint64_t x) {
+        h ^= x;
+        h *= 1099511628211ull;
+      };
+      mix(static_cast<std::uint64_t>(gv.q));
+      for (std::uint32_t x : gv.cut) mix(x + 1);
+      auto [it, inserted] = seen.emplace(h, &gv);
+      if (inserted || it->second->q != gv.q || it->second->cut != gv.cut) {
+        continue;
       }
-      if (replace) {
-        keep->dead = true;
-        keep = &gv;
-      } else {
-        gv.dead = true;
-      }
-      ++stats_.global_views_merged;
+      slot = &it->second;
     }
+    // One preference rule: a healthy view beats a quarantined one (the
+    // survivor carries the key's future probes), then the larger cut sum
+    // (the most advanced cut), then the view met first.
+    GlobalView*& keep = *slot;
+    const bool replace = keep->quarantined != gv.quarantined
+                             ? keep->quarantined
+                             : cut_sum(gv) > cut_sum(*keep);
+    if (replace) {
+      keep->dead = true;
+      keep = &gv;
+    } else {
+      gv.dead = true;
+    }
+    ++stats_.global_views_merged;
   }
 
   std::uint64_t live = 0;

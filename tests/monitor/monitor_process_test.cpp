@@ -277,15 +277,6 @@ TEST(MonitorProcessUnit, SettledStateProbesPruned) {
   m.on_local_event(make_event(0, 2, VectorClock{2, 0}, 0b00), 2.0);
   EXPECT_EQ(m.stats().tokens_created, 0u);
   EXPECT_TRUE(net.sent.empty());
-
-  // With pruning off, probes do go out.
-  CapturingNetwork net2;
-  MonitorOptions options;
-  options.prune_settled_states = false;
-  MonitorProcess m2(0, prop, &net2, {0, 0}, options);
-  m2.on_local_event(make_event(0, 1, VectorClock{1, 0}, 0b01), 1.0);
-  m2.on_local_event(make_event(0, 2, VectorClock{2, 0}, 0b00), 2.0);
-  EXPECT_GT(m2.stats().tokens_created, 0u);
 }
 
 TEST(MonitorProcessUnit, FinishesAfterAllTermination) {

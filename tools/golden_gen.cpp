@@ -98,10 +98,7 @@ RunResult run_walk_workload(paper::Property prop, int n, std::uint64_t seed,
     options.gc_interval = 16;
   }
   if (posture == "joinjump") options.walk_mode = WalkMode::kJoinJump;
-  if (posture == "nomerge") {
-    options.merge_by_state = false;
-    options.subsume_views = false;
-  }
+  if (posture == "nomerge") options.merge_by_state = false;
   const double comm_mu = posture == "mu1.5" ? 1.5 : 3.0;
   MonitorSession session(
       paper::shared_property(prop, n, paper::make_registry(n)));
