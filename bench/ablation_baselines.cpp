@@ -1,6 +1,7 @@
 // Ablations and baselines beyond the paper's figures:
 //   1. Decentralized vs centralized monitoring (Table 6.1's trade-offs made
-//      quantitative): network messages and memory for the same workloads.
+//      quantitative): network messages, work and memory for the same
+//      workloads.
 //   2. The algorithm's own optimizations (4.3.2 probe dedup, 4.3.3
 //      same-destination pruning, 4.4.1 state-level view merge) switched off
 //      one at a time.
@@ -15,6 +16,7 @@ using namespace decmon;
 struct Numbers {
   double messages = 0;
   double memory = 0;  // global views (dec) / explored cuts (cen)
+  double peak = 0;    // widest cut layer the central node held (cen)
   double tokens = 0;
 };
 
@@ -33,11 +35,13 @@ Numbers run_once(paper::Property prop, int n, bool centralized,
                                 : session.run(trace, SimConfig{}, options);
     out.messages += static_cast<double>(run.monitor_messages);
     out.memory += static_cast<double>(run.total_global_views);
+    out.peak += static_cast<double>(run.peak_layer_cuts);
     out.tokens +=
         static_cast<double>(run.verdict.aggregate.tokens_created);
   }
   out.messages /= reps;
   out.memory /= reps;
+  out.peak /= reps;
   out.tokens /= reps;
   return out;
 }
@@ -49,16 +53,16 @@ int main() {
 
   std::printf("Decentralized vs centralized (CommMu=3s, 25 internal events "
               "per process, avg of 3 runs)\n");
-  std::printf("%-9s %-4s | %12s %12s | %12s %12s\n", "property", "n",
-              "dec msgs", "dec views", "cen msgs", "cen cuts");
+  std::printf("%-9s %-4s | %12s %12s | %12s %12s %12s\n", "property", "n",
+              "dec msgs", "dec views", "cen msgs", "cen cuts", "cen peak");
   for (paper::Property p :
        {paper::Property::kB, paper::Property::kC, paper::Property::kD}) {
     for (int n = 2; n <= 5; ++n) {
       Numbers dec = run_once(p, n, /*centralized=*/false);
       Numbers cen = run_once(p, n, /*centralized=*/true);
-      std::printf("%-9s %-4d | %12.1f %12.1f | %12.1f %12.1f\n",
+      std::printf("%-9s %-4d | %12.1f %12.1f | %12.1f %12.1f %12.1f\n",
                   paper::name(p).c_str(), n, dec.messages, dec.memory,
-                  cen.messages, cen.memory);
+                  cen.messages, cen.memory, cen.peak);
     }
   }
 

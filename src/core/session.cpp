@@ -81,9 +81,10 @@ RunResult MonitorSession::run_centralized(const SystemTrace& trace,
   result.monitor_messages = runtime.monitor_messages_sent();
   result.program_end = runtime.program_end_time();
   result.monitor_end = runtime.monitor_end_time();
-  // The centralized design holds cuts, not views; report explored cuts as
-  // the comparable memory figure.
+  // The centralized design walks cuts, not views. Explored cuts measure its
+  // work; the widest layer is what it holds at once.
   result.total_global_views = central.explored_cuts();
+  result.peak_layer_cuts = central.peak_layer_cuts();
   return result;
 }
 

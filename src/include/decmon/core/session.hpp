@@ -34,8 +34,11 @@ struct RunResult {
   double program_end = 0.0;            ///< last program activity (s)
   double monitor_end = 0.0;            ///< last monitor activity (s)
 
-  /// Total global views created across all monitors (Fig. 5.8's metric).
+  /// Total global views created across all monitors (Fig. 5.8's metric);
+  /// for a centralized run, the consistent cuts its walk explored.
   std::uint64_t total_global_views = 0;
+  /// Centralized runs only: the widest cut layer the central node held.
+  std::uint64_t peak_layer_cuts = 0;
 
   /// Average events queued behind outstanding tokens (Fig. 5.7's metric).
   double average_delayed_events = 0.0;

@@ -25,6 +25,11 @@ class Computation {
   /// number, with the initial pseudo-event at index 0.
   explicit Computation(std::vector<std::vector<Event>> events);
 
+  /// Appends the next event of `event.process`, checked as the constructor
+  /// checks each event: it must carry the next sequence number and a clock
+  /// as wide as the computation.
+  void append(Event event);
+
   int num_processes() const { return static_cast<int>(events_.size()); }
 
   /// Number of real events of process `p` (excluding the initial one).

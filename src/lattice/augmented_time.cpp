@@ -1,6 +1,6 @@
 #include "decmon/lattice/augmented_time.hpp"
 
-#include "cut_walk.hpp"
+#include "decmon/lattice/cut_walk.hpp"
 
 namespace decmon {
 
@@ -23,12 +23,14 @@ bool TimedComputation::can_advance(const Computation::Cut& cut, int p) const {
 OracleResult oracle_evaluate_timed(const TimedComputation& timed,
                                    const MonitorAutomaton& monitor,
                                    std::size_t max_nodes) {
-  return detail::walk_cuts(
-      timed.base(), monitor, max_nodes,
-      [&timed](const Computation::Cut& cut, int p) {
-        return timed.can_advance(cut, p);
-      },
-      "oracle_evaluate_timed");
+  detail::CutWalk walk(timed.base(), monitor, max_nodes,
+                       "oracle_evaluate_timed");
+  do {
+    walk.settle();
+  } while (walk.advance([&timed](const Computation::Cut& cut, int p) {
+    return timed.can_advance(cut, p);
+  }));
+  return walk.result();
 }
 
 }  // namespace decmon

@@ -2,26 +2,36 @@
 
 #include <cassert>
 #include <stdexcept>
+#include <utility>
 
 namespace decmon {
 
 Computation::Computation(std::vector<std::vector<Event>> events)
-    : events_(std::move(events)) {
-  for (std::size_t p = 0; p < events_.size(); ++p) {
-    if (events_[p].empty()) {
+    : events_(events.size()) {
+  for (std::size_t p = 0; p < events.size(); ++p) {
+    if (events[p].empty()) {
       throw std::invalid_argument(
           "Computation: every process needs the initial pseudo-event");
     }
-    for (std::size_t sn = 0; sn < events_[p].size(); ++sn) {
-      const Event& e = events_[p][sn];
-      if (e.sn != sn || e.process != static_cast<int>(p)) {
+    events_[p].reserve(events[p].size());
+    for (Event& e : events[p]) {
+      if (e.process != static_cast<int>(p)) {
         throw std::invalid_argument("Computation: bad event indexing");
       }
-      if (e.vc.size() != events_.size()) {
-        throw std::invalid_argument("Computation: bad vector clock width");
-      }
+      append(std::move(e));
     }
   }
+}
+
+void Computation::append(Event event) {
+  const auto p = static_cast<std::size_t>(event.process);
+  if (p >= events_.size() || event.sn != events_[p].size()) {
+    throw std::invalid_argument("Computation: bad event indexing");
+  }
+  if (event.vc.size() != events_.size()) {
+    throw std::invalid_argument("Computation: bad vector clock width");
+  }
+  events_[p].push_back(std::move(event));
 }
 
 std::uint64_t Computation::total_events() const {

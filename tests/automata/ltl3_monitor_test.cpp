@@ -171,8 +171,12 @@ TEST(Ltl3MonitorProperty, VerdictSoundAgainstLassoOracle) {
         for_each_lasso(2, 0, llen, [&](const std::vector<AtomSet>&,
                                        const std::vector<AtomSet>& loop) {
           const bool sat = lasso_satisfies(f, word, loop);
-          if (v == Verdict::kTrue) EXPECT_TRUE(sat) << f->to_string();
-          if (v == Verdict::kFalse) EXPECT_FALSE(sat) << f->to_string();
+          if (v == Verdict::kTrue) {
+            EXPECT_TRUE(sat) << f->to_string();
+          }
+          if (v == Verdict::kFalse) {
+            EXPECT_FALSE(sat) << f->to_string();
+          }
           return true;
         });
       }

@@ -44,8 +44,12 @@ TEST_P(SynthesisSweep, MonitorAgreesWithLassoSemantics) {
         auto loop =
             testing::random_word(rng, atoms, 1 + static_cast<int>(rng() % 2));
         const bool sat = lasso_satisfies(f, word, loop);
-        if (v == Verdict::kTrue) EXPECT_TRUE(sat) << f->to_string();
-        if (v == Verdict::kFalse) EXPECT_FALSE(sat) << f->to_string();
+        if (v == Verdict::kTrue) {
+          EXPECT_TRUE(sat) << f->to_string();
+        }
+        if (v == Verdict::kFalse) {
+          EXPECT_FALSE(sat) << f->to_string();
+        }
       }
     }
   }

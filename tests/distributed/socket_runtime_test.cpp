@@ -317,7 +317,9 @@ TEST(SocketRuntime, AppMessageCountAndBytesMatchTrace) {
   rt.run();
   EXPECT_EQ(rt.app_messages_sent(),
             static_cast<std::uint64_t>(comm_actions));  // n-1 = 1 receiver
-  if (comm_actions > 0) EXPECT_GT(rt.app_bytes(), 0u);
+  if (comm_actions > 0) {
+    EXPECT_GT(rt.app_bytes(), 0u);
+  }
   EXPECT_EQ(rt.wire_frames(), 0u);  // no monitors attached
 }
 
@@ -858,7 +860,9 @@ TEST(SocketFault, NodeKillCheckpointRestoreAndMeshRejoin) {
     EXPECT_TRUE(v.verdicts.count(x));
   }
   for (Verdict x : v.verdicts) {
-    if (x != Verdict::kUnknown) EXPECT_TRUE(oracle.verdicts.count(x));
+    if (x != Verdict::kUnknown) {
+      EXPECT_TRUE(oracle.verdicts.count(x));
+    }
   }
 }
 

@@ -53,7 +53,9 @@ TEST(AugmentedTime, TighterSkewShrinksTheLattice) {
   for (double eps : {1e6, 10.0, 2.0, 0.5, 0.01}) {
     TimedComputation timed(&comp, eps);
     const std::uint64_t cuts = oracle_evaluate_timed(timed, m).lattice_nodes;
-    if (!first) EXPECT_LE(cuts, prev) << "eps " << eps;
+    if (!first) {
+      EXPECT_LE(cuts, prev) << "eps " << eps;
+    }
     prev = cuts;
     first = false;
   }

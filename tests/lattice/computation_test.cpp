@@ -83,6 +83,23 @@ TEST(Computation, RejectsBadIndexing) {
   EXPECT_THROW(Computation({{}, {}}), std::invalid_argument);
 }
 
+TEST(Computation, AppendChecksOrderAndClockWidth) {
+  PaperExample ex;
+  Computation c({{ex.computation.event(0, 0)}, {ex.computation.event(1, 0)}});
+  // P1's second event before its first: out of order.
+  EXPECT_THROW(c.append(ex.computation.event(0, 2)), std::invalid_argument);
+  Event narrow = ex.computation.event(0, 1);
+  narrow.vc = VectorClock(1);
+  EXPECT_THROW(c.append(narrow), std::invalid_argument);
+  EXPECT_EQ(c.num_events(0), 0u);
+
+  c.append(ex.computation.event(0, 1));
+  c.append(ex.computation.event(1, 1));
+  EXPECT_EQ(c.num_events(0), 1u);
+  EXPECT_EQ(c.num_events(1), 1u);
+  EXPECT_TRUE(c.can_advance({1, 0}, 1));
+}
+
 TEST(Lattice, PaperExampleHasSeventeenCuts) {
   PaperExample ex;
   Lattice lat = Lattice::build(ex.computation);

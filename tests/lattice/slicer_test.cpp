@@ -152,7 +152,9 @@ TEST(SlicerProperty, MatchesBruteForce) {
     auto fast = least_satisfying_cut(comp, pred, reg, comp.bottom());
     auto brute = brute_force_least(comp, pred, comp.bottom());
     EXPECT_EQ(fast.has_value(), brute.has_value());
-    if (fast && brute) EXPECT_EQ(*fast, *brute);
+    if (fast && brute) {
+      EXPECT_EQ(*fast, *brute);
+    }
   }
 }
 

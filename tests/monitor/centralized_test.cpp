@@ -61,6 +61,25 @@ TEST(CentralizedProperty, AlwaysMatchesOracle) {
     EXPECT_EQ(central.verdicts(), oracle.verdicts)
         << props[iter % props.size()];
     EXPECT_EQ(central.final_states(), oracle.final_states);
+    EXPECT_EQ(central.explored_cuts(), oracle.lattice_nodes);
+  }
+  // Three processes: a layer waits on two peers, so random replay
+  // schedules exercise the rule that says when it may advance.
+  AtomRegistry reg3 = testing::standard_registry(3);
+  const auto props3 = testing::property_suite_3();
+  for (int iter = 0; iter < 60; ++iter) {
+    Computation comp = testing::random_computation(rng, 3, reg3, 4);
+    const std::string& text = props3[iter % props3.size()];
+    const SharedProperty art = testing::admit(reg3, text);
+    OracleResult oracle = oracle_evaluate(comp, art->automaton());
+    ReplayDriver driver;
+    CentralizedMonitor central(property_handle(art), &driver,
+                               initial_letters(comp));
+    driver.run(comp, central, rng());
+    EXPECT_TRUE(central.finished());
+    EXPECT_EQ(central.verdicts(), oracle.verdicts) << text;
+    EXPECT_EQ(central.final_states(), oracle.final_states) << text;
+    EXPECT_EQ(central.explored_cuts(), oracle.lattice_nodes) << text;
   }
 }
 
@@ -93,6 +112,29 @@ TEST(Centralized, LatticeCapThrows) {
   EXPECT_THROW(driver.run(comp, central, 1), std::length_error);
 }
 
+TEST(Centralized, RunsPastTheOldCap) {
+  // 1,101^2 = 1,212,201 cuts, past the 2^20 the map-based DP allowed; the
+  // layered walk holds one anti-diagonal of 1,101 cuts at a time.
+  AtomRegistry reg = testing::standard_registry(2);
+  ComputationBuilder b(2, &reg);
+  for (int i = 0; i < 1100; ++i) {
+    b.internal(0, {i % 2, 0});
+    b.internal(1, {0, i % 2});
+  }
+  Computation comp = b.build();
+  const SharedProperty art = testing::admit(reg, "F(P0.p && P1.q)");
+  OracleResult oracle = oracle_evaluate(comp, art->automaton());
+  ReplayDriver driver;
+  CentralizedMonitor central(property_handle(art), &driver,
+                             initial_letters(comp));
+  driver.run(comp, central, 1);
+  EXPECT_TRUE(central.finished());
+  EXPECT_EQ(central.verdicts(), oracle.verdicts);
+  EXPECT_EQ(oracle.lattice_nodes, 1101u * 1101u);
+  EXPECT_EQ(central.explored_cuts(), oracle.lattice_nodes);
+  EXPECT_EQ(central.peak_layer_cuts(), 1101u);
+}
+
 TEST(Centralized, DeclaresVerdictBeforeCompletion) {
   // A violation reachable early is declared even before all events arrive.
   AtomRegistry reg = testing::standard_registry(2);
@@ -106,6 +148,10 @@ TEST(Centralized, DeclaresVerdictBeforeCompletion) {
   CentralizedMonitor central(property_handle(art), &driver,
                              initial_letters(comp));
   // Verdict known from the initial state alone, before any event arrives.
+  EXPECT_TRUE(central.verdicts().count(Verdict::kFalse));
+  // P0's event moves the received top cut while the walk waits on P1, so
+  // only the declaration made at the bottom layer carries the verdict.
+  central.on_local_event(0, comp.event(0, 1), 0.0);
   EXPECT_TRUE(central.verdicts().count(Verdict::kFalse));
 }
 

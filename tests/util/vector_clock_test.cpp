@@ -142,8 +142,12 @@ TEST(VectorClockProperty, CompareConsistentWithLeq) {
     }
     // Antisymmetry of the relation direction.
     const Causality rc = b.compare(a);
-    if (c == Causality::kBefore) EXPECT_EQ(rc, Causality::kAfter);
-    if (c == Causality::kConcurrent) EXPECT_EQ(rc, Causality::kConcurrent);
+    if (c == Causality::kBefore) {
+      EXPECT_EQ(rc, Causality::kAfter);
+    }
+    if (c == Causality::kConcurrent) {
+      EXPECT_EQ(rc, Causality::kConcurrent);
+    }
   }
 }
 

@@ -10,9 +10,12 @@
 # Runs gcov over the library objects of the three directories and writes
 # one line per source file (lines executed, branches taken at least once)
 # plus a total per directory. Public headers are left out: their counts are
-# split across every object that includes them. A directory's private
-# header (src/lattice/cut_walk.hpp) gets one line per object that includes
-# it, tagged <object>, covering the template instances of that object.
+# split across every object that includes them. That includes the cut
+# walk's template half (src/include/decmon/lattice/cut_walk.hpp, instanced
+# by the oracles and the centralized monitor); src/lattice/cut_walk.cpp
+# holds the rest of it. A private header in one of the three directories
+# gets one line per object that includes it, tagged <object>, covering the
+# template instances of that object.
 set -euo pipefail
 
 build=${1:?usage: coverage_summary.sh BUILD_DIR [OUT_FILE]}
