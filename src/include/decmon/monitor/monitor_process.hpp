@@ -232,10 +232,11 @@ class MonitorProcess {
   /// began: it leaves (resolves or retargets), stays at an inconsistent
   /// cut, or stays at a consistent cut and certifies it as a stay-point.
   enum class StayKind : std::uint8_t { kLeave, kStay, kStayCertified };
-  StayKind stay_kind(const TransitionEntry& entry, const CompiledTransition& ct,
-                     AtomSet others, const Event& e) const;
+  StayKind stay_kind(const FrontierSlot* frontier,
+                     const CompiledTransition& ct, AtomSet others,
+                     const Event& e) const;
   /// Apply the longest run [first, J <= last] of events at which every
-  /// entry in `stayed` stays, as one update per entry.
+  /// entry in `stayed` stays, as one update per frontier record.
   void fast_forward(Token& token, const SmallVec<std::uint32_t, 32>& stayed,
                     std::uint32_t first, std::uint32_t last);
   /// Retarget entries after evaluation; returns false when the token wants
@@ -246,7 +247,8 @@ class MonitorProcess {
   void handle_returned_token(Token token, double now);
   /// Create the view for an enabled entry's pivot cut; its cursor starts
   /// just past the cut's local component, replaying the shared history.
-  void spawn_view(const TransitionEntry& entry, double now);
+  void spawn_view(const Token& token, const TransitionEntry& entry,
+                  double now);
 
   // -- send coalescing (DESIGN.md §9) --
   /// Queue an outgoing payload for `dest`. Nothing touches the network

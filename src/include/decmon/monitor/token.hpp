@@ -2,13 +2,15 @@
 //
 // A token is created by a global view to decide whether any of a set of
 // possibly-enabled outgoing transitions can fire at a consistent cut
-// reachable from the view's cut. Each TransitionEntry carries its own
-// partially-constructed cut, the dependency clock used to detect cut
-// inconsistencies, and per-process conjunct evaluations; the token routes
-// between monitors until every entry is enabled or disabled, then returns
-// to its parent.
+// reachable from the view's cut. Each TransitionEntry names a frontier
+// record -- the partially-constructed cut, the dependency clock used to
+// detect cut inconsistencies, and the believed letters -- shared with every
+// entry at the same frontier, plus its own per-process conjunct
+// evaluations; the token routes between monitors until every entry is
+// enabled or disabled, then returns to its parent.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -28,125 +30,114 @@ enum class ConjunctEval : std::uint8_t {
 
 enum class EntryEval : std::uint8_t { kUnset, kTrue, kFalse };
 
+/// One process's component of a frontier record.
+struct FrontierSlot {
+  /// Constructed cut: sequence number of the last included event. Also the
+  /// frontier vector clock component.
+  std::uint32_t cut = 0;
+  /// Max vector clock over the events included; cut < depend means the cut
+  /// is inconsistent at this process.
+  std::uint32_t depend = 0;
+  /// Local letter at the cut's frontier.
+  AtomSet gstate = 0;
+};
+
+/// One process's component of a certified stay-point record: the last
+/// consistent cut a walk passed where the believed letter kept the source
+/// state on a self-loop (used to resurrect launchpad views).
+struct StaySlot {
+  std::uint32_t cut = 0;
+  AtomSet gstate = 0;
+};
+
+/// A token's records of one kind: record r is a block of `width(r)` slots.
+/// Entries refer to records by index, so entries at the same frontier step,
+/// copy and travel as one record. Clearing keeps the capacity (pooled
+/// tokens carry it between hops).
+template <class Slot>
+class RecordTable {
+ public:
+  std::size_t size() const { return heads_.size(); }
+  std::size_t width(std::uint32_t r) const { return heads_[r].width; }
+  Slot* operator[](std::uint32_t r) { return slots_.data() + heads_[r].first; }
+  const Slot* operator[](std::uint32_t r) const {
+    return slots_.data() + heads_[r].first;
+  }
+
+  /// Append a record of `width` value-initialized slots; returns its index.
+  std::uint32_t add(std::size_t width) {
+    heads_.push_back({static_cast<std::uint32_t>(slots_.size()),
+                      static_cast<std::uint32_t>(width)});
+    slots_.resize(slots_.size() + width);
+    return static_cast<std::uint32_t>(heads_.size() - 1);
+  }
+  /// Append a copy of record `r`; returns the copy's index.
+  std::uint32_t add_copy(std::uint32_t r) {
+    const Head h = heads_[r];
+    const std::uint32_t copy = add(h.width);
+    std::copy_n(slots_.data() + h.first, h.width,
+                slots_.data() + heads_[copy].first);
+    return copy;
+  }
+  void clear() {
+    heads_.clear();
+    slots_.clear();
+  }
+
+  /// Keep only the records with `remap[r] != kDropped`, renumbering record
+  /// r to `remap[r]`; the kept records' new indexes must be 0, 1, ... in
+  /// their old order.
+  static constexpr std::uint32_t kDropped = 0xFFFFFFFFu;
+  template <class Remap>
+  void compact(const Remap& remap) {
+    std::uint32_t slot = 0;
+    std::uint32_t kept = 0;
+    for (std::uint32_t r = 0; r < heads_.size(); ++r) {
+      if (remap[r] == kDropped) continue;
+      const Head h = heads_[r];
+      std::copy_n(slots_.data() + h.first, h.width, slots_.data() + slot);
+      heads_[kept++] = {slot, h.width};
+      slot += h.width;
+    }
+    heads_.resize(kept);
+    slots_.resize(slot);
+  }
+
+  bool operator==(const RecordTable&) const = default;
+
+ private:
+  struct Head {
+    std::uint32_t first;
+    std::uint32_t width;
+    bool operator==(const Head&) const = default;
+  };
+  std::vector<Head> heads_;
+  std::vector<Slot> slots_;
+};
+
 /// One possibly-enabled outgoing transition under evaluation
 /// (`OutgoingTransition` in the paper).
 ///
-/// Invariant: `gstate(j)` is the *verified* letter of process j at position
-/// `cut(j)` -- entries start from the creating view's cut and the walk
-/// advances one event at a time, so no frontier position is ever guessed.
-///
-/// The five per-process arrays the seed kept in parallel heap vectors
-/// (cut, depend, gstate, conj, loop_cut/loop_gstate) are flattened into one
-/// contiguous block of per-process slots with inline capacity for
-/// kInlineProcs processes: constructing, copying and re-targeting an entry
-/// is pure memcpy traffic, and all of a process's fields share a cache line.
-class TransitionEntry {
- public:
-  static constexpr std::size_t kInlineProcs = 8;
-
-  /// All per-process state of the entry for one process.
-  struct ProcSlot {
-    /// Constructed cut: sequence number of the last included event. Also
-    /// the frontier vector clock component.
-    std::uint32_t cut = 0;
-    /// Max vector clock over the events included; cut < depend means the
-    /// cut is inconsistent at this process.
-    std::uint32_t depend = 0;
-    /// Component of the last certified "the path can stay here" cut.
-    std::uint32_t loop_cut = 0;
-    /// Conjunct evaluation of this process.
-    ConjunctEval conj = ConjunctEval::kUnset;
-    /// Local letter at the cut's frontier.
-    AtomSet gstate = 0;
-    /// Believed letter at the certified stay-point.
-    AtomSet loop_gstate = 0;
-  };
+/// Invariant: the frontier record's `gstate(j)` is the *verified* letter of
+/// process j at position `cut(j)` -- entries start from the creating view's
+/// cut and the walk advances one event at a time, so no frontier position
+/// is ever guessed.
+struct TransitionEntry {
+  static constexpr std::int32_t kNoStay = -1;
 
   int transition_id = -1;
   EntryEval eval = EntryEval::kUnset;
-  /// Last consistent cut the walk passed where the believed letter kept the
-  /// source state on a self-loop: a certified "the path can stay here"
-  /// point, used to resurrect launchpad views (see MonitorProcess).
-  bool loop_certified = false;
   int next_target_process = -1;
   std::uint32_t next_target_event = 0;
+  /// Index of the entry's record in Token::frontiers.
+  std::uint32_t frontier = 0;
+  /// Index of the entry's certified stay-point in Token::stays, or kNoStay.
+  std::int32_t stay = kNoStay;
+  /// Conjunct evaluation per process; its size is the entry's width.
+  SmallVec<ConjunctEval, 8> conj;
 
-  /// (Re-)initialize the per-process block to `n` zeroed slots.
-  void set_width(std::size_t n) { slots_.assign(n, ProcSlot{}); }
-  std::size_t width() const { return slots_.size(); }
-
-  std::uint32_t& cut(std::size_t j) { return slots_[j].cut; }
-  std::uint32_t cut(std::size_t j) const { return slots_[j].cut; }
-  std::uint32_t& depend(std::size_t j) { return slots_[j].depend; }
-  std::uint32_t depend(std::size_t j) const { return slots_[j].depend; }
-  std::uint32_t& loop_cut(std::size_t j) { return slots_[j].loop_cut; }
-  std::uint32_t loop_cut(std::size_t j) const { return slots_[j].loop_cut; }
-  ConjunctEval& conj(std::size_t j) { return slots_[j].conj; }
-  ConjunctEval conj(std::size_t j) const { return slots_[j].conj; }
-  AtomSet& gstate(std::size_t j) { return slots_[j].gstate; }
-  AtomSet gstate(std::size_t j) const { return slots_[j].gstate; }
-  AtomSet& loop_gstate(std::size_t j) { return slots_[j].loop_gstate; }
-  AtomSet loop_gstate(std::size_t j) const { return slots_[j].loop_gstate; }
-
-  ProcSlot* slots() { return slots_.data(); }
-  const ProcSlot* slots() const { return slots_.data(); }
-
-  /// depend := max(depend, vc), component-wise.
-  void merge_depend(const VectorClock& vc) {
-    ProcSlot* s = slots_.data();
-    for (std::size_t j = 0; j < slots_.size(); ++j) {
-      if (vc[j] > s[j].depend) s[j].depend = vc[j];
-    }
-  }
-
-  /// depend := max(depend, cut), component-wise (the frontier itself is
-  /// always covered by the dependency clock).
-  void raise_depend_to_cut() {
-    ProcSlot* s = slots_.data();
-    for (std::size_t j = 0; j < slots_.size(); ++j) {
-      if (s[j].cut > s[j].depend) s[j].depend = s[j].cut;
-    }
-  }
-
-  /// True iff cut(j) >= depend(j) everywhere (the cut is consistent).
-  bool cut_covers_depend() const {
-    const ProcSlot* s = slots_.data();
-    for (std::size_t j = 0; j < slots_.size(); ++j) {
-      if (s[j].cut < s[j].depend) return false;
-    }
-    return true;
-  }
-
-  /// Union of the per-process frontier letters.
-  AtomSet combined_gstate() const {
-    AtomSet a = 0;
-    const ProcSlot* s = slots_.data();
-    for (std::size_t j = 0; j < slots_.size(); ++j) a |= s[j].gstate;
-    return a;
-  }
-
-  /// Record the current cut/gstate as a certified stay-point.
-  void certify_loop() {
-    loop_certified = true;
-    ProcSlot* s = slots_.data();
-    for (std::size_t j = 0; j < slots_.size(); ++j) {
-      s[j].loop_cut = s[j].cut;
-      s[j].loop_gstate = s[j].gstate;
-    }
-  }
-
-  /// Sum of the certified stay-point's cut components (advancement order).
-  std::uint64_t loop_cut_total() const {
-    std::uint64_t t = 0;
-    const ProcSlot* s = slots_.data();
-    for (std::size_t j = 0; j < slots_.size(); ++j) t += s[j].loop_cut;
-    return t;
-  }
-
-  std::string to_string() const;
-
- private:
-  SmallVec<ProcSlot, kInlineProcs> slots_;
+  std::size_t width() const { return conj.size(); }
+  bool loop_certified() const { return stay != kNoStay; }
 };
 
 /// A monitoring message (`token` in the paper).
@@ -156,11 +147,34 @@ struct Token {
   std::uint32_t parent_sn = 0; ///< local event that created the token
   VectorClock parent_vc;
   std::vector<TransitionEntry> entries;
+  RecordTable<FrontierSlot> frontiers;
+  RecordTable<StaySlot> stays;
   int next_target_process = -1;
   std::uint32_t next_target_event = 0;
   int hops = 0;  ///< network hops so far (metrics)
 
+  FrontierSlot* frontier(const TransitionEntry& e) {
+    return frontiers[e.frontier];
+  }
+  const FrontierSlot* frontier(const TransitionEntry& e) const {
+    return frontiers[e.frontier];
+  }
+  /// The entry's stay-point record; only for a loop_certified() entry.
+  const StaySlot* stay(const TransitionEntry& e) const {
+    return stays[static_cast<std::uint32_t>(e.stay)];
+  }
+
+  /// Append an entry of width `n` with a fresh zeroed frontier record.
+  TransitionEntry& add_entry(std::size_t n);
+
+  /// Sum of the entry's stay-point cut components (advancement order).
+  std::uint64_t loop_cut_total(const TransitionEntry& e) const;
+
+  /// Drop the records no entry refers to, renumbering the rest in order.
+  void compact_records();
+
   bool has_live_entries() const;
+  std::string entry_to_string(const TransitionEntry& e) const;
   std::string to_string() const;
 };
 

@@ -31,6 +31,113 @@ constexpr std::size_t kMaxPooledPayloads = 128;
 constexpr std::size_t kMaxPooledFrames = 32;
 constexpr std::size_t kMaxPooledViews = 128;
 
+constexpr std::uint32_t kNoRecord = 0xFFFFFFFFu;
+
+/// depend := max(depend, vc, cut), component-wise: a step merges the
+/// event's clock, and the frontier itself is always covered by the
+/// dependency clock.
+void merge_depend(FrontierSlot* f, std::size_t n, const VectorClock& vc) {
+  for (std::size_t j = 0; j < n; ++j) {
+    f[j].depend = std::max({f[j].depend, vc[j], f[j].cut});
+  }
+}
+
+/// True iff cut(j) >= depend(j) everywhere (the cut is consistent).
+bool cut_covers_depend(const FrontierSlot* f, std::size_t n) {
+  for (std::size_t j = 0; j < n; ++j) {
+    if (f[j].cut < f[j].depend) return false;
+  }
+  return true;
+}
+
+/// Union of the per-process frontier letters.
+AtomSet combined_gstate(const FrontierSlot* f, std::size_t n) {
+  AtomSet a = 0;
+  for (std::size_t j = 0; j < n; ++j) a |= f[j].gstate;
+  return a;
+}
+
+/// A new stay-point record holding the frontier `f` as a certified point.
+std::uint32_t add_stay(Token& token, const FrontierSlot* f, std::size_t n) {
+  const std::uint32_t r = token.stays.add(n);
+  StaySlot* s = token.stays[r];
+  for (std::size_t j = 0; j < n; ++j) s[j] = {f[j].cut, f[j].gstate};
+  return r;
+}
+
+/// Before the entries `movers` advance together, make each record they
+/// hold theirs alone: a record that some other entry (live or resolved)
+/// also holds is split copy-on-write, one copy shared by all its movers.
+/// Returns the movers' records, each once.
+SmallVec<std::uint32_t, 32> split_records(
+    Token& token, const SmallVec<std::uint32_t, 32>& movers) {
+  const std::size_t count = token.frontiers.size();
+  SmallVec<std::uint32_t, 64> holders(count, 0);
+  SmallVec<std::uint32_t, 64> moving(count, 0);
+  SmallVec<std::uint32_t, 64> target(count, kNoRecord);
+  for (const TransitionEntry& e : token.entries) ++holders[e.frontier];
+  for (std::uint32_t idx : movers) ++moving[token.entries[idx].frontier];
+  SmallVec<std::uint32_t, 32> records;
+  for (std::uint32_t idx : movers) {
+    TransitionEntry& entry = token.entries[idx];
+    std::uint32_t& t = target[entry.frontier];
+    if (t == kNoRecord) {
+      t = moving[entry.frontier] == holders[entry.frontier]
+              ? entry.frontier
+              : token.frontiers.add_copy(entry.frontier);
+      records.push_back(t);
+    }
+    entry.frontier = t;
+  }
+  return records;
+}
+
+/// After the records in `moved` advanced to `cut(me) == sn`, one of them
+/// can equal another record value for value: a pre-cut record that consumed
+/// its event, or a split-off record whose other half has caught up. Its
+/// entries then move to the other record, so they travel as one block
+/// again; a record that another entry later leaves is split as usual.
+void adopt_equal_records(Token& token, const SmallVec<std::uint32_t, 32>& moved,
+                         std::size_t me, std::uint32_t sn, std::size_t n) {
+  const std::uint32_t count = static_cast<std::uint32_t>(token.frontiers.size());
+  SmallVec<std::uint32_t, 64> target;
+  for (std::uint32_t r : moved) {
+    const FrontierSlot* f = token.frontiers[r];
+    for (std::uint32_t q = 0; q < count; ++q) {
+      if (q == r || token.frontiers.width(q) != n) continue;
+      if (!target.empty() && target[q] != q) continue;  // itself adopted
+      const FrontierSlot* g = token.frontiers[q];
+      if (g[me].cut != sn) continue;
+      bool equal = true;
+      for (std::size_t j = 0; j < n && equal; ++j) {
+        equal = f[j].cut == g[j].cut && f[j].depend == g[j].depend &&
+                f[j].gstate == g[j].gstate;
+      }
+      if (!equal) continue;
+      if (target.empty()) {
+        target.resize(count);
+        for (std::uint32_t k = 0; k < count; ++k) target[k] = k;
+      }
+      target[r] = q;
+      break;
+    }
+  }
+  if (target.empty()) return;
+  for (TransitionEntry& e : token.entries) {
+    while (target[e.frontier] != e.frontier) e.frontier = target[e.frontier];
+  }
+}
+
+/// Records are added as entries step apart and certify; erased entries and
+/// replaced stay-points leave records nobody holds. Drop them once they
+/// could outnumber the live ones.
+void compact_if_sparse(Token& token) {
+  if (token.frontiers.size() + token.stays.size() >
+      2 * token.entries.size() + 8) {
+    token.compact_records();
+  }
+}
+
 }  // namespace
 
 MonitorProcess::MonitorProcess(int index,
@@ -122,7 +229,10 @@ Token MonitorProcess::acquire_token() {
   t.token_id = 0;
   t.parent = -1;
   t.parent_sn = 0;
-  t.entries.clear();  // keeps the entry vector's capacity
+  // Clearing keeps the entry and record tables' capacity.
+  t.entries.clear();
+  t.frontiers.clear();
+  t.stays.clear();
   t.next_target_process = -1;
   t.next_target_event = 0;
   t.hops = 0;
@@ -388,37 +498,41 @@ void MonitorProcess::probe_outgoing(GlobalView& gv, const Event& e,
   Token token = acquire_token();
   SmallVec<int, 32> tids;
 
+  const std::size_t n = static_cast<std::size_t>(n_);
   if (options_.walk_mode == WalkMode::kJoinJump) {
     // The thesis's CheckOutgoingTransitions: entries start at the join
     // max(gcut, e.VC) with the current (possibly stale) beliefs, and a
     // fully-believed-satisfied transition at an advanced join fires
-    // immediately. Kept for comparison; see WalkMode::kJoinJump.
+    // immediately. Kept for comparison; see WalkMode::kJoinJump. Every
+    // entry shares the one frontier record at the join.
+    std::uint32_t joined = kNoRecord;
+    bool advanced = false;
     for (const Candidate& cand : candidates) {
       const int tid = cand.tid;
       if (!prop_->locally_satisfied(tid, index_, e.letter)) continue;
+      if (joined == kNoRecord) {
+        joined = token.frontiers.add(n);
+        FrontierSlot* f = token.frontiers[joined];
+        for (std::size_t j = 0; j < n; ++j) {
+          f[j].cut = std::max(gv.cut[j], e.vc[j]);
+          if (f[j].cut != gv.cut[j]) advanced = true;
+          f[j].gstate = gv.gstate[j];
+          f[j].depend = f[j].cut;
+        }
+      }
+      const FrontierSlot* f = token.frontiers[joined];
       TransitionEntry entry;
       entry.transition_id = tid;
-      entry.set_width(static_cast<std::size_t>(n_));
-      bool advanced = false;
-      for (int j = 0; j < n_; ++j) {
-        const std::uint32_t joined =
-            std::max(gv.cut[static_cast<std::size_t>(j)],
-                     e.vc[static_cast<std::size_t>(j)]);
-        if (joined != gv.cut[static_cast<std::size_t>(j)]) advanced = true;
-        entry.cut(static_cast<std::size_t>(j)) = joined;
-        entry.gstate(static_cast<std::size_t>(j)) =
-            gv.gstate[static_cast<std::size_t>(j)];
-        entry.depend(static_cast<std::size_t>(j)) = joined;
-        entry.conj(static_cast<std::size_t>(j)) = ConjunctEval::kTrue;
-      }
+      entry.frontier = joined;
+      entry.conj.assign(n, ConjunctEval::kTrue);
       const CompiledTransition& ct = prop_->transition(tid);
       bool needs_walk = false;
       for (int j = 0; j < n_; ++j) {
         if (j == index_) continue;
         if (!ct.local[static_cast<std::size_t>(j)].is_true() &&
-            !prop_->locally_satisfied(
-                tid, j, entry.gstate(static_cast<std::size_t>(j)))) {
-          entry.conj(static_cast<std::size_t>(j)) = ConjunctEval::kUnset;
+            !prop_->locally_satisfied(tid, j,
+                                      f[static_cast<std::size_t>(j)].gstate)) {
+          entry.conj[static_cast<std::size_t>(j)] = ConjunctEval::kUnset;
           needs_walk = true;
         }
       }
@@ -430,11 +544,10 @@ void MonitorProcess::probe_outgoing(GlobalView& gv, const Event& e,
         entry.eval = EntryEval::kTrue;
       } else {
         for (int j = 0; j < n_; ++j) {
-          if (entry.conj(static_cast<std::size_t>(j)) ==
+          if (entry.conj[static_cast<std::size_t>(j)] ==
               ConjunctEval::kUnset) {
             entry.next_target_process = j;
-            entry.next_target_event =
-                entry.cut(static_cast<std::size_t>(j)) + 1;
+            entry.next_target_event = f[static_cast<std::size_t>(j)].cut + 1;
             break;
           }
         }
@@ -447,6 +560,10 @@ void MonitorProcess::probe_outgoing(GlobalView& gv, const Event& e,
       return;
     }
   } else {
+  // Entries share at most two frontier records, each made with the first
+  // entry that needs it: at-cut and pre-cut.
+  std::uint32_t records[2] = {kNoRecord, kNoRecord};
+  const std::size_t me = static_cast<std::size_t>(index_);
   for (const Candidate& cand : candidates) {
     const int tid = cand.tid;
     const bool pre = cand.pre_cut && e.sn > 0;
@@ -456,42 +573,42 @@ void MonitorProcess::probe_outgoing(GlobalView& gv, const Event& e,
     const bool sat_pre = prop_->locally_satisfied(tid, index_, pre_letter);
     if (pre ? (!sat_now && !sat_pre) : !sat_now) continue;
 
+    std::uint32_t& record = records[pre ? 1 : 0];
+    if (record == kNoRecord) {
+      record = token.frontiers.add(n);
+      FrontierSlot* f = token.frontiers[record];
+      for (std::size_t j = 0; j < n; ++j) {
+        f[j].cut = gv.cut[j];
+        f[j].gstate = gv.gstate[j];
+      }
+      if (pre) {
+        f[me].cut = e.sn - 1;
+        f[me].gstate = pre_letter;
+        // The rolled-back frontier event still carries dependencies:
+        // without its clock in `depend`, a cut through it can pass the
+        // consistency check while missing remote events it happened-after
+        // -- the walk then certifies stay-points and enables transitions at
+        // cuts that lie on no lattice path (fuzz-found unsound verdicts).
+        merge_depend(f, n, event_at(e.sn - 1).vc);
+      } else {
+        merge_depend(f, n, e.vc);
+      }
+    }
+    const FrontierSlot* f = token.frontiers[record];
     TransitionEntry entry;
     entry.transition_id = tid;
-    entry.set_width(static_cast<std::size_t>(n_));
-    for (int j = 0; j < n_; ++j) {
-      entry.cut(static_cast<std::size_t>(j)) =
-          gv.cut[static_cast<std::size_t>(j)];
-      entry.gstate(static_cast<std::size_t>(j)) =
-          gv.gstate[static_cast<std::size_t>(j)];
-    }
-    if (pre) {
-      entry.cut(static_cast<std::size_t>(index_)) = e.sn - 1;
-      entry.gstate(static_cast<std::size_t>(index_)) = pre_letter;
-      // The rolled-back frontier event still carries dependencies: without
-      // its clock in `depend`, a cut through it can pass the consistency
-      // check while missing remote events it happened-after -- the walk
-      // then certifies stay-points and enables transitions at cuts that lie
-      // on no lattice path (fuzz-found unsound verdicts).
-      entry.merge_depend(event_at(e.sn - 1).vc);
-    } else {
-      entry.merge_depend(e.vc);
-    }
-    entry.raise_depend_to_cut();
+    entry.frontier = record;
+    entry.conj.assign(n, ConjunctEval::kTrue);
     const CompiledTransition& ct = prop_->transition(tid);
     bool needs_walk = false;
-    for (int j = 0; j < n_; ++j) {
-      entry.conj(static_cast<std::size_t>(j)) = ConjunctEval::kTrue;
-      if (entry.cut(static_cast<std::size_t>(j)) <
-          entry.depend(static_cast<std::size_t>(j))) {
+    for (std::size_t j = 0; j < n; ++j) {
+      if (f[j].cut < f[j].depend) {
         needs_walk = true;  // lagging component: must be walked forward
       }
-      const bool participates =
-          !ct.local[static_cast<std::size_t>(j)].is_true();
+      const bool participates = !ct.local[j].is_true();
       if (participates &&
-          !prop_->locally_satisfied(
-              tid, j, entry.gstate(static_cast<std::size_t>(j)))) {
-        entry.conj(static_cast<std::size_t>(j)) = ConjunctEval::kUnset;
+          !prop_->locally_satisfied(tid, static_cast<int>(j), f[j].gstate)) {
+        entry.conj[j] = ConjunctEval::kUnset;
         needs_walk = true;
       }
     }
@@ -513,20 +630,16 @@ void MonitorProcess::probe_outgoing(GlobalView& gv, const Event& e,
       }
       if (j < 0) j = index_ == 0 ? (n_ > 1 ? 1 : -1) : 0;
       if (j < 0) continue;  // single process: local steps cover everything
-      entry.conj(static_cast<std::size_t>(j)) = ConjunctEval::kUnset;
+      entry.conj[static_cast<std::size_t>(j)] = ConjunctEval::kUnset;
       entry.next_target_process = j;
-      entry.next_target_event = entry.cut(static_cast<std::size_t>(j)) + 1;
+      entry.next_target_event = f[static_cast<std::size_t>(j)].cut + 1;
     } else {
       // Initial target: first lagging component, else first open conjunct
       // (Alg. 3 lines 12-13).
-      for (int j = 0; j < n_; ++j) {
-        const bool lagging = entry.cut(static_cast<std::size_t>(j)) <
-                             entry.depend(static_cast<std::size_t>(j));
-        if (lagging || entry.conj(static_cast<std::size_t>(j)) ==
-                           ConjunctEval::kUnset) {
-          entry.next_target_process = j;
-          entry.next_target_event =
-              entry.cut(static_cast<std::size_t>(j)) + 1;
+      for (std::size_t j = 0; j < n; ++j) {
+        if (f[j].cut < f[j].depend || entry.conj[j] == ConjunctEval::kUnset) {
+          entry.next_target_process = static_cast<int>(j);
+          entry.next_target_event = f[j].cut + 1;
           break;
         }
       }
@@ -716,15 +829,16 @@ void MonitorProcess::process_token(Token token, double now) {
 void MonitorProcess::apply_event_to_token(Token& token, std::uint32_t sn) {
   const Event& e = event_at(sn);
   const std::size_t me = static_cast<std::size_t>(index_);
-  // Entries that stay here after this event (retargeted to sn + 1): the
-  // candidates for the fast-forward below.
+  const std::size_t n = static_cast<std::size_t>(n_);
+  // Entries that step at this event, and those of them that stay here after
+  // it (retargeted to sn + 1): the candidates for the fast-forward below.
+  SmallVec<std::uint32_t, 32> stepping;
   SmallVec<std::uint32_t, 32> stayed;
   // Last event a fast-forward may cover: one before the next event another
   // live entry awaits here (it joins the walk there), and the history's end.
   std::uint32_t run_end = history_end() - 1;
-  bool any_true = false;
   for (std::size_t idx = 0; idx < token.entries.size(); ++idx) {
-    TransitionEntry& entry = token.entries[idx];
+    const TransitionEntry& entry = token.entries[idx];
     if (entry.eval != EntryEval::kUnset) continue;
     if (entry.next_target_process != index_) continue;
     if (entry.next_target_event != sn) {
@@ -734,20 +848,33 @@ void MonitorProcess::apply_event_to_token(Token& token, std::uint32_t sn) {
           std::min(run_end, std::max(entry.next_target_event, sn + 1) - 1);
       continue;
     }
-    entry.cut(me) = sn;
-    entry.gstate(me) = e.letter;
-    entry.merge_depend(e.vc);
-    entry.raise_depend_to_cut();
+    stepping.push_back(static_cast<std::uint32_t>(idx));
+  }
+  // The event moves each stepping record once, whichever entries hold it.
+  const SmallVec<std::uint32_t, 32> stepped = split_records(token, stepping);
+  for (std::uint32_t r : stepped) {
+    FrontierSlot* f = token.frontiers[r];
+    f[me].cut = sn;
+    f[me].gstate = e.letter;
+    merge_depend(f, n, e.vc);
+  }
+  adopt_equal_records(token, stepped, me, sn, n);
+  // Entries at one frontier that certify here share one stay-point.
+  SmallVec<std::uint32_t, 64> certified(token.frontiers.size(), kNoRecord);
+  bool any_true = false;
+  for (std::uint32_t idx : stepping) {
+    TransitionEntry& entry = token.entries[idx];
+    const FrontierSlot* f = token.frontier(entry);
     const CompiledTransition& ct = prop_->transition(entry.transition_id);
     if (!ct.local[me].is_true()) {
-      entry.conj(me) =
+      entry.conj[me] =
           prop_->locally_satisfied(entry.transition_id, index_, e.letter)
               ? ConjunctEval::kTrue
               : ConjunctEval::kUnset;
     } else {
       // Non-participant visit (successor verification or consistency
       // repair): nothing to evaluate here.
-      entry.conj(me) = ConjunctEval::kTrue;
+      entry.conj[me] = ConjunctEval::kTrue;
     }
 
     // Resolve or retarget (Alg. 4 lines 13-25, with the generalized order
@@ -755,11 +882,9 @@ void MonitorProcess::apply_event_to_token(Token& token, std::uint32_t sn) {
     // keeps the entry open: a lagging cut component (the frontier depends
     // on events not yet included) or an open conjunct.
     int next = -1;
-    for (int k = 0; k < n_; ++k) {
-      if (entry.cut(static_cast<std::size_t>(k)) <
-              entry.depend(static_cast<std::size_t>(k)) ||
-          entry.conj(static_cast<std::size_t>(k)) == ConjunctEval::kUnset) {
-        next = k;
+    for (std::size_t k = 0; k < n; ++k) {
+      if (f[k].cut < f[k].depend || entry.conj[k] == ConjunctEval::kUnset) {
+        next = static_cast<int>(k);
         break;
       }
     }
@@ -784,41 +909,42 @@ void MonitorProcess::apply_event_to_token(Token& token, std::uint32_t sn) {
     // (design note: this generalizes Alg. 5's flag rule, which only catches
     // competing sibling entries). An inconsistent cut is not a global state
     // of any path, so it is repaired, not judged.
-    if (entry.cut_covers_depend()) {
-      const MonitorTransition* t =
-          prop_->match(ct.from, entry.combined_gstate());
+    if (cut_covers_depend(f, n)) {
+      const MonitorTransition* t = prop_->match(ct.from, combined_gstate(f, n));
       if (t && !t->self_loop()) {
         entry.eval = EntryEval::kFalse;
         continue;
       }
       // Certified stay-point: a consistent cut where the path provably can
       // remain at the source state (used to resurrect launchpad views).
-      entry.certify_loop();
+      std::uint32_t& stay = certified[entry.frontier];
+      if (stay == kNoRecord) stay = add_stay(token, f, n);
+      entry.stay = static_cast<std::int32_t>(stay);
     }
     // A conjunct re-opens when its process's slice will move.
     if (!ct.local[static_cast<std::size_t>(next)].is_true()) {
-      entry.conj(static_cast<std::size_t>(next)) = ConjunctEval::kUnset;
+      entry.conj[static_cast<std::size_t>(next)] = ConjunctEval::kUnset;
     }
     entry.next_target_process = next;
-    entry.next_target_event = entry.cut(static_cast<std::size_t>(next)) + 1;
-    if (next == index_) stayed.push_back(static_cast<std::uint32_t>(idx));
+    entry.next_target_event = f[static_cast<std::size_t>(next)].cut + 1;
+    if (next == index_) stayed.push_back(idx);
   }
   // An enabled entry sends the token home right away; otherwise the token
   // stays and the stayers walk on.
   if (!any_true && !stayed.empty() && run_end > sn) {
     fast_forward(token, stayed, sn + 1, run_end);
   }
+  compact_if_sparse(token);
 }
 
 MonitorProcess::StayKind MonitorProcess::stay_kind(
-    const TransitionEntry& entry, const CompiledTransition& ct,
-    AtomSet others, const Event& e) const {
+    const FrontierSlot* s, const CompiledTransition& ct, AtomSet others,
+    const Event& e) const {
   // One step of the loop above, reduced to its outcome for an entry that
   // stayed at every event since the run began: the entry's cut and
   // gstate off this process are frozen, and its dependency clock after the
   // step is max(depend, e.vc) because clocks grow along the local history.
   const std::size_t me = static_cast<std::size_t>(index_);
-  const TransitionEntry::ProcSlot* s = entry.slots();
   bool consistent = true;
   for (int k = 0; k < n_; ++k) {
     if (k == index_) continue;
@@ -845,7 +971,7 @@ void MonitorProcess::fast_forward(Token& token,
   // Find the largest `last` such that every stayer stays at every event of
   // [first, last] (DESIGN.md §6.2). Over such a run route_token keeps the
   // token here with no side effects, so the run collapses into one update
-  // per entry, bit-identical to walking it event by event.
+  // per record, bit-identical to walking it event by event.
   struct Run {
     std::uint32_t idx;
     AtomSet others;             ///< frozen frontier letters off this process
@@ -853,19 +979,21 @@ void MonitorProcess::fast_forward(Token& token,
     std::uint32_t last_cert;    ///< last certified event scanned (0: none)
   };
   const std::size_t me = static_cast<std::size_t>(index_);
+  const std::size_t n = static_cast<std::size_t>(n_);
   SmallVec<Run, 32> runs;
   for (std::uint32_t idx : stayed) {
     const TransitionEntry& entry = token.entries[idx];
+    const FrontierSlot* f = token.frontier(entry);
     const CompiledTransition& ct = prop_->transition(entry.transition_id);
     // Staying at first - 1 already showed every conjunct below this process
     // closed; nothing off this process changes while the walk stays here.
     Run run{idx, 0, 0, 0};
-    for (int k = 0; k < n_; ++k) {
-      if (k != index_) run.others |= entry.gstate(static_cast<std::size_t>(k));
+    for (std::size_t k = 0; k < n; ++k) {
+      if (k != me) run.others |= f[k].gstate;
     }
     std::uint32_t sn = first;
     for (; sn <= last; ++sn) {
-      const StayKind kind = stay_kind(entry, ct, run.others, event_at(sn));
+      const StayKind kind = stay_kind(f, ct, run.others, event_at(sn));
       if (kind == StayKind::kLeave) break;
       if (kind == StayKind::kStayCertified) {
         if (run.first_cert == 0) run.first_cert = sn;
@@ -877,9 +1005,13 @@ void MonitorProcess::fast_forward(Token& token,
     runs.push_back(run);
   }
 
-  const Event& end = event_at(last);
+  // Certify each run's stay-point. Entries at one frontier certified at the
+  // same event share one stay-point record.
+  SmallVec<std::uint32_t, 64> cert_sn(token.frontiers.size(), 0);
+  SmallVec<std::uint32_t, 64> cert_stay(token.frontiers.size(), kNoRecord);
   for (const Run& run : runs) {
     TransitionEntry& entry = token.entries[run.idx];
+    const FrontierSlot* f = token.frontier(entry);
     // The stay-point is the largest certified event in the final range.
     // Certification holds on an interval (the cut is consistent here once
     // depend(i) is passed, and off this process until a receive outruns
@@ -889,26 +1021,40 @@ void MonitorProcess::fast_forward(Token& token,
       cert = 0;
       const CompiledTransition& ct = prop_->transition(entry.transition_id);
       for (std::uint32_t sn = last; sn >= run.first_cert; --sn) {
-        if (stay_kind(entry, ct, run.others, event_at(sn)) ==
+        if (stay_kind(f, ct, run.others, event_at(sn)) ==
             StayKind::kStayCertified) {
           cert = sn;
           break;
         }
       }
     }
-    if (cert != 0) {
-      entry.cut(me) = cert;
-      entry.gstate(me) = event_at(cert).letter;
-      entry.certify_loop();
+    if (cert == 0) continue;
+    std::uint32_t& stay = cert_stay[entry.frontier];
+    if (stay == kNoRecord || cert_sn[entry.frontier] != cert) {
+      stay = add_stay(token, f, n);
+      StaySlot* s = token.stays[stay];
+      s[me] = {cert, event_at(cert).letter};
+      cert_sn[entry.frontier] = cert;
     }
-    entry.cut(me) = last;
-    entry.gstate(me) = end.letter;
-    entry.merge_depend(end.vc);
-    entry.raise_depend_to_cut();
+    entry.stay = static_cast<std::int32_t>(stay);
+  }
+
+  const Event& end = event_at(last);
+  SmallVec<std::uint32_t, 32> movers;
+  for (const Run& run : runs) {
+    movers.push_back(run.idx);
     // conj(me) keeps the value the stay at first - 1 left: open for a
     // participant, true otherwise.
-    entry.next_target_event = last + 1;
+    token.entries[run.idx].next_target_event = last + 1;
   }
+  const SmallVec<std::uint32_t, 32> moved = split_records(token, movers);
+  for (std::uint32_t r : moved) {
+    FrontierSlot* f = token.frontiers[r];
+    f[me].cut = last;
+    f[me].gstate = end.letter;
+    merge_depend(f, n, end.vc);
+  }
+  adopt_equal_records(token, moved, me, last, n);
 }
 
 bool MonitorProcess::route_token(Token& token, double now) {
@@ -986,8 +1132,9 @@ bool MonitorProcess::route_token(Token& token, double now) {
   // An entry resolved false without a certified stay-point is dead: no
   // monitor reads it again (DESIGN.md §6.3), so it does not travel.
   std::erase_if(token.entries, [](const TransitionEntry& e) {
-    return e.eval == EntryEval::kFalse && !e.loop_certified;
+    return e.eval == EntryEval::kFalse && !e.loop_certified();
   });
+  compact_if_sparse(token);
   // Swap the token into a recycled message shell: the shell's previous
   // token husk lands in `token` and goes back to the pool, so its spilled
   // capacity (entry vector, wide clocks) keeps circulating. The shell is
@@ -1011,7 +1158,7 @@ void MonitorProcess::handle_returned_token(Token token, double now) {
     bool spawned = false;
     for (const TransitionEntry& entry : token.entries) {
       if (entry.eval != EntryEval::kTrue) continue;
-      spawn_view(entry, now);
+      spawn_view(token, entry, now);
       spawned = true;
     }
     ++stats_.tokens_returned;
@@ -1027,7 +1174,7 @@ void MonitorProcess::handle_returned_token(Token token, double now) {
       static_cast<std::size_t>(prop_->automaton().num_states()), 0);
   for (TransitionEntry& entry : token.entries) {
     if (entry.eval != EntryEval::kTrue) continue;
-    spawn_view(entry, now);
+    spawn_view(token, entry, now);
     spawned_to = true;
     spawned_states[static_cast<std::size_t>(
         prop_->transition(entry.transition_id).to)] = 1;
@@ -1047,20 +1194,24 @@ void MonitorProcess::handle_returned_token(Token token, double now) {
   // (resolved ones included) before dropping them: resurrecting far along
   // the walk avoids re-probing the ground the token already covered.
   const TransitionEntry* cert = nullptr;
+  std::uint64_t cert_total = 0;
   for (const TransitionEntry& entry : token.entries) {
-    if (!entry.loop_certified) continue;
-    if (!cert || entry.loop_cut_total() > cert->loop_cut_total()) {
+    if (!entry.loop_certified()) continue;
+    const std::uint64_t total = token.loop_cut_total(entry);
+    if (!cert || total > cert_total) {
       cert = &entry;
+      cert_total = total;
     }
   }
   SmallVec<std::uint32_t, 8> cert_cut;
   SmallVec<AtomSet, 8> cert_gstate;
   if (cert) {
+    const StaySlot* s = token.stay(*cert);
     cert_cut.resize(cert->width());
     cert_gstate.resize(cert->width());
     for (std::size_t j = 0; j < cert->width(); ++j) {
-      cert_cut[j] = cert->loop_cut(j);
-      cert_gstate[j] = cert->loop_gstate(j);
+      cert_cut[j] = s[j].cut;
+      cert_gstate[j] = s[j].gstate;
     }
   }
 
@@ -1117,12 +1268,14 @@ void MonitorProcess::handle_returned_token(Token token, double now) {
   process_token(std::move(token), now);
 }
 
-void MonitorProcess::spawn_view(const TransitionEntry& entry, double now) {
+void MonitorProcess::spawn_view(const Token& token,
+                                const TransitionEntry& entry, double now) {
+  const FrontierSlot* f = token.frontier(entry);
   // A duplicate-delivered token can carry a pivot whose local component
   // precedes the GC base (the first copy spawned it before the trim); its
   // replay would read below the retained window, so skip it -- the first
   // copy's view already traces this path.
-  if (entry.cut(static_cast<std::size_t>(index_)) < history_base_) return;
+  if (f[index_].cut < history_base_) return;
   // Dedupe pivots: distinct tokens can detect the same (state, cut) pivot;
   // one view per pivot suffices (its continuation covers the rest).
   {
@@ -1130,7 +1283,7 @@ void MonitorProcess::spawn_view(const TransitionEntry& entry, double now) {
     h ^= static_cast<std::uint64_t>(prop_->transition(entry.transition_id).to);
     h *= 1099511628211ull;
     for (std::size_t j = 0; j < entry.width(); ++j) {
-      h ^= entry.cut(j);
+      h ^= f[j].cut;
       h *= 1099511628211ull;
     }
     if (spawned_memo_.count(h)) return;
@@ -1145,15 +1298,15 @@ void MonitorProcess::spawn_view(const TransitionEntry& entry, double now) {
   }
   if (options_.trace) {
     options_.trace("M" + std::to_string(index_) + " spawn via " +
-                   entry.to_string());
+                   token.entry_to_string(entry));
   }
   GlobalView v = acquire_view();
   v.id = next_view_id_++;
   v.cut.resize(entry.width());
   v.gstate.resize(entry.width());
   for (std::size_t j = 0; j < entry.width(); ++j) {
-    v.cut[j] = entry.cut(j);
-    v.gstate[j] = entry.gstate(j);
+    v.cut[j] = f[j].cut;
+    v.gstate[j] = f[j].gstate;
   }
   v.q = prop_->transition(entry.transition_id).to;
   // The new path continues from the detected pivot cut: every local event
@@ -1161,7 +1314,7 @@ void MonitorProcess::spawn_view(const TransitionEntry& entry, double now) {
   // processed -- the cursor starts at the pivot's local component, not at
   // the parent's position, and drain() replays the shared history from
   // there.
-  v.next_sn = entry.cut(static_cast<std::size_t>(index_)) + 1;
+  v.next_sn = f[index_].cut + 1;
   declare(v.q, now);
   views_.push_back(std::move(v));
   ++stats_.global_views_created;
@@ -1260,9 +1413,7 @@ std::uint32_t MonitorProcess::trim_bound() const {
     // anchored at, their current local cut component (predecessor letter
     // included); every entry counts, resolved ones too -- an enabled entry
     // still spawns on return.
-    for (const TransitionEntry& e : t.entries) {
-      lower(e.cut(static_cast<std::size_t>(index_)));
-    }
+    for (const TransitionEntry& e : t.entries) lower(t.frontier(e)[index_].cut);
   }
   for (int j = 0; j < n_; ++j) {
     // Remote walks are bounded by the gossiped floors. A peer that has not

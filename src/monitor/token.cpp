@@ -4,6 +4,45 @@
 
 namespace decmon {
 
+TransitionEntry& Token::add_entry(std::size_t n) {
+  TransitionEntry& e = entries.emplace_back();
+  e.frontier = frontiers.add(n);
+  e.conj.assign(n, ConjunctEval::kUnset);
+  return e;
+}
+
+std::uint64_t Token::loop_cut_total(const TransitionEntry& e) const {
+  std::uint64_t t = 0;
+  const StaySlot* s = stay(e);
+  for (std::size_t j = 0; j < e.width(); ++j) t += s[j].cut;
+  return t;
+}
+
+void Token::compact_records() {
+  SmallVec<std::uint32_t, 64> fmap(frontiers.size(), RecordTable<FrontierSlot>::kDropped);
+  SmallVec<std::uint32_t, 64> smap(stays.size(), RecordTable<StaySlot>::kDropped);
+  for (const TransitionEntry& e : entries) {
+    fmap[e.frontier] = 0;
+    if (e.loop_certified()) smap[static_cast<std::uint32_t>(e.stay)] = 0;
+  }
+  auto number = [](SmallVec<std::uint32_t, 64>& map) {
+    std::uint32_t next = 0;
+    for (std::uint32_t& r : map) {
+      if (r != RecordTable<FrontierSlot>::kDropped) r = next++;
+    }
+  };
+  number(fmap);
+  number(smap);
+  frontiers.compact(fmap);
+  stays.compact(smap);
+  for (TransitionEntry& e : entries) {
+    e.frontier = fmap[e.frontier];
+    if (e.loop_certified()) {
+      e.stay = static_cast<std::int32_t>(smap[static_cast<std::uint32_t>(e.stay)]);
+    }
+  }
+}
+
 bool Token::has_live_entries() const {
   for (const TransitionEntry& e : entries) {
     if (e.eval == EntryEval::kUnset) return true;
@@ -11,17 +50,18 @@ bool Token::has_live_entries() const {
   return false;
 }
 
-std::string TransitionEntry::to_string() const {
+std::string Token::entry_to_string(const TransitionEntry& e) const {
   std::ostringstream os;
-  os << "entry{t" << transition_id << " cut=[";
-  for (std::size_t i = 0; i < width(); ++i) {
+  os << "entry{t" << e.transition_id << " cut=[";
+  const FrontierSlot* f = frontier(e);
+  for (std::size_t i = 0; i < e.width(); ++i) {
     if (i) os << ',';
-    os << cut(i);
+    os << f[i].cut;
   }
   os << "] eval="
-     << (eval == EntryEval::kUnset ? "?"
-                                   : eval == EntryEval::kTrue ? "T" : "F")
-     << " ->P" << next_target_process << "@" << next_target_event << "}";
+     << (e.eval == EntryEval::kUnset ? "?"
+                                     : e.eval == EntryEval::kTrue ? "T" : "F")
+     << " ->P" << e.next_target_process << "@" << e.next_target_event << "}";
   return os.str();
 }
 
@@ -31,7 +71,7 @@ std::string Token::to_string() const {
      << " ->P" << next_target_process << "@" << next_target_event << " [";
   for (std::size_t i = 0; i < entries.size(); ++i) {
     if (i) os << ' ';
-    os << entries[i].to_string();
+    os << entry_to_string(entries[i]);
   }
   os << "]}";
   return os.str();

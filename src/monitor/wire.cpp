@@ -1,7 +1,6 @@
 #include "decmon/monitor/wire.hpp"
 
 #include <array>
-#include <bit>
 #include <limits>
 
 #include "decmon/distributed/reliable_channel.hpp"
@@ -109,162 +108,88 @@ VectorClock read_clock_v2(WireReader& r, std::size_t max_width,
   return clock;
 }
 
-// Shared blocks (DESIGN.md §9.3). Entries of one token often carry the same
-// frontier -- (cut, depend, gstate) on every slot -- or the same certified
-// stay-point -- (loop_cut, loop_gstate). A token writes each distinct block
-// once; a later entry names the k-th block written inline instead of
-// repeating it. The decoder keeps just the index of the entry that wrote
-// each block and copies the block from there.
-struct SlotWords {
-  std::uint64_t a;
-  std::uint64_t b;
-  bool operator==(const SlotWords&) const = default;
-};
-
-// Lambdas rather than functions: each kind gets its own inlined
-// BlockTable::share.
-constexpr auto frontier_words = [](const TransitionEntry::ProcSlot& s) {
-  return SlotWords{s.cut | (static_cast<std::uint64_t>(s.depend) << 32),
-                   s.gstate};
-};
-
-constexpr auto loop_words = [](const TransitionEntry::ProcSlot& s) {
-  return SlotWords{s.loop_cut, s.loop_gstate};
-};
-
-// The writer's side: earlier blocks of one kind, found by fingerprint in a
-// small open-addressed table, with slots compared only on a fingerprint
-// match.
-class BlockTable {
+// Shared records (DESIGN.md §9.3). Entries of one token refer to shared
+// frontier records -- (cut, depend, gstate) on every slot -- and stay-point
+// records -- (cut, gstate) of the certified point. A token writes each
+// record inline at the first entry that refers to it; a later entry names
+// it by its 1-based position among the inline records of that kind. The
+// decoder turns each inline block into a new record, so the k-th inline
+// block is record k - 1 and a reference needs no lookup.
+class RecordRefs {
  public:
-  // 1-based index of the block entries[i] shares with an earlier entry, or
-  // 0 after recording it as the next block written inline. A full table
-  // misses, which only costs bytes: the block is written inline again.
-  template <class Words>
-  std::size_t share(const std::vector<TransitionEntry>& entries,
-                    std::size_t i, Words words) {
-    const TransitionEntry& e = entries[i];
-    // Fold each slot in with a rotate and an xor; one multiply at the end
-    // spreads the bits.
-    std::uint64_t h = e.width();
-    for (std::size_t j = 0; j < e.width(); ++j) {
-      const SlotWords w = words(e.slots()[j]);
-      h = std::rotl(h, 13) ^ w.a ^ std::rotl(w.b, 7);
-    }
-    const std::uint64_t fingerprint = h * 0x9E3779B97F4A7C15ull;
-    const std::size_t home = static_cast<std::size_t>(fingerprint >> 58);
-    for (std::size_t probe = 0; probe < kSlots; ++probe) {
-      const std::size_t at = (home + probe) % kSlots;
-      Slot& slot = slots_[at];
-      if ((used_ & (std::uint64_t{1} << at)) == 0) {
-        used_ |= std::uint64_t{1} << at;
-        slot = {fingerprint, static_cast<std::uint32_t>(i), ++inline_};
-        return 0;
-      }
-      if (slot.fingerprint == fingerprint &&
-          same_block(entries[slot.entry], e, words)) {
-        return slot.ref;
-      }
-    }
-    ++inline_;
+  explicit RecordRefs(std::size_t records) : refs_(records, 0) {}
+  // 1-based position of record `r` among the inline blocks so far, or 0
+  // after numbering it as the next block written inline.
+  std::uint32_t share(std::uint32_t r) {
+    std::uint32_t& ref = refs_[r];
+    if (ref != 0) return ref;
+    ref = ++inline_;
     return 0;
   }
 
  private:
-  template <class Words>
-  static bool same_block(const TransitionEntry& x, const TransitionEntry& y,
-                         Words words) {
-    if (x.width() != y.width()) return false;
-    for (std::size_t j = 0; j < x.width(); ++j) {
-      if (words(x.slots()[j]) != words(y.slots()[j])) return false;
-    }
-    return true;
-  }
-
-  static constexpr std::size_t kSlots = 64;  // one bit each in used_
-  struct Slot {
-    std::uint64_t fingerprint;
-    std::uint32_t entry;  ///< the entry that wrote the block
-    std::uint32_t ref;    ///< 1-based among the inline blocks
-  };
+  SmallVec<std::uint32_t, 64> refs_;
   std::uint32_t inline_ = 0;
-  // Marks the slots written so far. The slots are read only under their
-  // bit and need no clearing, which measurably cost small tokens.
-  std::uint64_t used_ = 0;
-  Slot slots_[kSlots];
 };
-using BlockIndex = SmallVec<std::uint32_t, 64>;
-
-// The entry a reference names; it must exist and match the reader's width.
-const TransitionEntry& referenced_entry(
-    std::uint64_t ref, const BlockIndex& index,
-    const std::vector<TransitionEntry>& entries, std::size_t width) {
-  if (ref > index.size()) throw WireError("block reference out of range");
-  const TransitionEntry& source = entries[index[ref - 1]];
-  if (source.width() != width) throw WireError("block width mismatch");
-  return source;
-}
 
 // Each entry: scalars, then its frontier block (a reference, else each
 // slot's cut -- delta against the base when the widths agree -- depend --
 // delta against the slot's own cut, which it tracks closely -- and gstate),
-// the slots' conj values four to a byte, the walk target, and its
-// stay-point block (none, inline deltas against the cut, or a reference).
+// the conj values four to a byte, the walk target, and its stay-point
+// block (none, inline deltas against the frontier's cut, or a reference).
 template <class Sink>
-void write_entry_v2(Sink& w, const std::vector<TransitionEntry>& entries,
-                    std::size_t i, const VectorClock& base,
-                    BlockTable& frontiers, BlockTable& loops) {
-  const TransitionEntry& e = entries[i];
+void write_entry_v2(Sink& w, const Token& t, const TransitionEntry& e,
+                    const VectorClock& base, RecordRefs& frontiers,
+                    RecordRefs& stays) {
   const std::size_t n = e.width();
-  const TransitionEntry::ProcSlot* s = e.slots();
+  const FrontierSlot* f = t.frontier(e);
   w.zig(e.transition_id);
   w.var(n);
-  const std::size_t frontier = frontiers.share(entries, i, frontier_words);
+  const std::uint32_t frontier = frontiers.share(e.frontier);
   w.var(frontier);
   if (frontier == 0) {
     const bool base_delta = n == base.size();
     for (std::size_t j = 0; j < n; ++j) {
       if (base_delta) {
-        w.zig(delta(s[j].cut, base[j]));
+        w.zig(delta(f[j].cut, base[j]));
       } else {
-        w.var(s[j].cut);
+        w.var(f[j].cut);
       }
-      w.zig(delta(s[j].depend, s[j].cut));
-      w.var(s[j].gstate);
+      w.zig(delta(f[j].depend, f[j].cut));
+      w.var(f[j].gstate);
     }
   }
+  const ConjunctEval* conj = e.conj.data();
   for (std::size_t j = 0; j < n; j += 4) {
     std::uint8_t packed = 0;
     for (std::size_t k = 0; k < 4 && j + k < n; ++k) {
-      packed |= static_cast<std::uint8_t>(
-          static_cast<std::uint8_t>(s[j + k].conj) << (2 * k));
+      packed |= static_cast<std::uint8_t>(static_cast<std::uint8_t>(conj[j + k])
+                                          << (2 * k));
     }
     w.u8(packed);
   }
   w.u8(static_cast<std::uint8_t>(e.eval));
   write_process_v2(w, e.next_target_process);
   w.var(e.next_target_event);
-  if (!e.loop_certified) {
+  if (!e.loop_certified()) {
     w.var(0);
     return;
   }
-  const std::size_t loop = loops.share(entries, i, loop_words);
-  if (loop != 0) {
-    w.var(loop + 1);
+  const std::uint32_t stay = stays.share(static_cast<std::uint32_t>(e.stay));
+  if (stay != 0) {
+    w.var(stay + 1);
     return;
   }
   w.var(1);
+  const StaySlot* s = t.stay(e);
   for (std::size_t j = 0; j < n; ++j) {
-    w.zig(delta(s[j].loop_cut, s[j].cut));
-    w.var(s[j].loop_gstate);
+    w.zig(delta(s[j].cut, f[j].cut));
+    w.var(s[j].gstate);
   }
 }
 
-TransitionEntry read_entry_v2(WireReader& r, std::size_t max_width,
-                              const VectorClock& base,
-                              const std::vector<TransitionEntry>& entries,
-                              BlockIndex& frontiers, BlockIndex& loops) {
-  const auto self = static_cast<std::uint32_t>(entries.size());
+void read_entry_v2(WireReader& r, std::size_t max_width,
+                   const VectorClock& base, Token& t) {
   TransitionEntry e;
   const std::int64_t tid = r.zig();
   if (tid < std::numeric_limits<int>::min() ||
@@ -274,36 +199,36 @@ TransitionEntry read_entry_v2(WireReader& r, std::size_t max_width,
   e.transition_id = static_cast<int>(tid);
   const std::uint64_t n = r.var();
   if (n > max_width) throw WireError("entry too wide");
-  e.set_width(static_cast<std::size_t>(n));
-  TransitionEntry::ProcSlot* s = e.slots();
+  e.conj.resize(static_cast<std::size_t>(n));
   const std::uint64_t frontier = r.var();
   if (frontier == 0) {
+    e.frontier = t.frontiers.add(static_cast<std::size_t>(n));
+    FrontierSlot* f = t.frontiers[e.frontier];
     const bool base_delta = n == base.size();
     for (std::size_t j = 0; j < n; ++j) {
-      s[j].cut =
+      f[j].cut =
           base_delta
               ? checked_u32(static_cast<std::int64_t>(base[j]) + r.zig(),
                             "cut delta out of range")
               : checked_u32(r.var(), "cut component out of range");
-      s[j].depend = checked_u32(static_cast<std::int64_t>(s[j].cut) + r.zig(),
+      f[j].depend = checked_u32(static_cast<std::int64_t>(f[j].cut) + r.zig(),
                                 "depend delta out of range");
-      s[j].gstate = r.var();
+      f[j].gstate = r.var();
     }
-    frontiers.push_back(self);
   } else {
-    const TransitionEntry::ProcSlot* src =
-        referenced_entry(frontier, frontiers, entries, n).slots();
-    for (std::size_t j = 0; j < n; ++j) {
-      s[j].cut = src[j].cut;
-      s[j].depend = src[j].depend;
-      s[j].gstate = src[j].gstate;
+    if (frontier > t.frontiers.size()) {
+      throw WireError("block reference out of range");
+    }
+    e.frontier = static_cast<std::uint32_t>(frontier - 1);
+    if (t.frontiers.width(e.frontier) != n) {
+      throw WireError("block width mismatch");
     }
   }
   for (std::size_t j = 0; j < n; j += 4) {
     std::uint8_t packed = r.u8();
     for (std::size_t k = 0; k < 4 && j + k < n; ++k, packed >>= 2) {
       if ((packed & 3) > 2) throw WireError("bad conjunct eval");
-      s[j + k].conj = static_cast<ConjunctEval>(packed & 3);
+      e.conj[j + k] = static_cast<ConjunctEval>(packed & 3);
     }
     if (packed != 0) throw WireError("nonzero conjunct padding");
   }
@@ -313,24 +238,26 @@ TransitionEntry read_entry_v2(WireReader& r, std::size_t max_width,
   e.next_target_process = read_process_v2(r, max_width);
   e.next_target_event = checked_u32(r.var(), "bad target event");
   const std::uint64_t loop = r.var();
-  e.loop_certified = loop != 0;
   if (loop == 1) {
+    const std::uint32_t stay = t.stays.add(static_cast<std::size_t>(n));
+    StaySlot* s = t.stays[stay];
+    const FrontierSlot* f = t.frontiers[e.frontier];
     for (std::size_t j = 0; j < n; ++j) {
-      s[j].loop_cut = checked_u32(
-          static_cast<std::int64_t>(s[j].cut) + r.zig(),
-          "loop cut delta out of range");
-      s[j].loop_gstate = r.var();
+      s[j].cut = checked_u32(static_cast<std::int64_t>(f[j].cut) + r.zig(),
+                             "loop cut delta out of range");
+      s[j].gstate = r.var();
     }
-    loops.push_back(self);
+    e.stay = static_cast<std::int32_t>(stay);
   } else if (loop > 1) {
-    const TransitionEntry::ProcSlot* src =
-        referenced_entry(loop - 1, loops, entries, n).slots();
-    for (std::size_t j = 0; j < n; ++j) {
-      s[j].loop_cut = src[j].loop_cut;
-      s[j].loop_gstate = src[j].loop_gstate;
+    if (loop - 1 > t.stays.size()) {
+      throw WireError("block reference out of range");
+    }
+    e.stay = static_cast<std::int32_t>(loop - 2);
+    if (t.stays.width(static_cast<std::uint32_t>(e.stay)) != n) {
+      throw WireError("block width mismatch");
     }
   }
-  return e;
+  t.entries.push_back(std::move(e));
 }
 
 template <class Sink>
@@ -343,10 +270,10 @@ void write_token_v2(Sink& w, const Token& t, const VectorClock& base) {
   w.var(t.next_target_event);
   w.var(static_cast<std::uint64_t>(t.hops));
   w.var(t.entries.size());
-  BlockTable frontiers;
-  BlockTable loops;
-  for (std::size_t i = 0; i < t.entries.size(); ++i) {
-    write_entry_v2(w, t.entries, i, base, frontiers, loops);
+  RecordRefs frontiers(t.frontiers.size());
+  RecordRefs stays(t.stays.size());
+  for (const TransitionEntry& e : t.entries) {
+    write_entry_v2(w, t, e, base, frontiers, stays);
   }
 }
 
@@ -366,12 +293,7 @@ Token read_token_v2(WireReader& r, std::size_t max_width,
   // Bound the count by the bytes left before reserving for it.
   if (n > r.remaining() / kMinEntryBytes) throw WireError("too many entries");
   t.entries.reserve(static_cast<std::size_t>(n));
-  BlockIndex frontiers;
-  BlockIndex loops;
-  for (std::uint64_t i = 0; i < n; ++i) {
-    t.entries.push_back(
-        read_entry_v2(r, max_width, base, t.entries, frontiers, loops));
-  }
+  for (std::uint64_t i = 0; i < n; ++i) read_entry_v2(r, max_width, base, t);
   return t;
 }
 

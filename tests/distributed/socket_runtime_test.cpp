@@ -130,29 +130,28 @@ Token seeded_token(std::mt19937_64& rng, int width, int entries) {
   t.next_target_event = static_cast<std::uint32_t>(rng() % 1000);
   t.hops = static_cast<int>(rng() % 50);
   for (int i = 0; i < entries; ++i) {
-    TransitionEntry e;
+    const auto n = static_cast<std::size_t>(width);
+    TransitionEntry& e = t.add_entry(n);
     e.transition_id = static_cast<int>(rng() % 64);
-    e.set_width(static_cast<std::size_t>(width));
-    for (int j = 0; j < width; ++j) {
-      const auto ju = static_cast<std::size_t>(j);
-      e.cut(ju) = static_cast<std::uint32_t>(rng() % 100000);
-      e.depend(ju) = static_cast<std::uint32_t>(rng() % 100000);
-      e.gstate(ju) = rng();
-      e.conj(ju) = static_cast<ConjunctEval>(rng() % 3);
+    FrontierSlot* f = t.frontier(e);
+    for (std::size_t j = 0; j < n; ++j) {
+      f[j].cut = static_cast<std::uint32_t>(rng() % 100000);
+      f[j].depend = static_cast<std::uint32_t>(rng() % 100000);
+      f[j].gstate = rng();
+      e.conj[j] = static_cast<ConjunctEval>(rng() % 3);
     }
     e.eval = static_cast<EntryEval>(rng() % 3);
     e.next_target_process =
         static_cast<int>(rng() % static_cast<unsigned>(width + 1)) - 1;
     e.next_target_event = static_cast<std::uint32_t>(rng() % 1000);
-    e.loop_certified = rng() % 2 == 0;
-    if (e.loop_certified) {
-      for (int j = 0; j < width; ++j) {
-        const auto ju = static_cast<std::size_t>(j);
-        e.loop_cut(ju) = static_cast<std::uint32_t>(rng() % 100000);
-        e.loop_gstate(ju) = rng();
+    if (rng() % 2 == 0) {
+      e.stay = static_cast<std::int32_t>(t.stays.add(n));
+      StaySlot* s = t.stays[static_cast<std::uint32_t>(e.stay)];
+      for (std::size_t j = 0; j < n; ++j) {
+        s[j].cut = static_cast<std::uint32_t>(rng() % 100000);
+        s[j].gstate = rng();
       }
     }
-    t.entries.push_back(std::move(e));
   }
   return t;
 }

@@ -142,8 +142,8 @@ TEST(MonitorProcessUnit, VisitingTokenWalksHistoryAndAnswers) {
   ASSERT_EQ(replies.size(), 1u);
   EXPECT_EQ(replies[0].entries.at(0).eval, EntryEval::kTrue);
   ASSERT_EQ(replies[0].entries.at(0).width(), 2u);
-  EXPECT_EQ(replies[0].entries.at(0).cut(0), 1u);
-  EXPECT_EQ(replies[0].entries.at(0).cut(1), 1u);
+  EXPECT_EQ(replies[0].frontier(replies[0].entries.at(0))[0].cut, 1u);
+  EXPECT_EQ(replies[0].frontier(replies[0].entries.at(0))[1].cut, 1u);
 }
 
 TEST(MonitorProcessUnit, VisitingTokenParksForFutureEvent) {
@@ -208,11 +208,8 @@ TEST(MonitorProcessUnit, OnlyCertifiedDisabledEntriesTravel) {
     if (certify) {
       // The same walk, certified at the initial cut {0,0}.
       TransitionEntry certified = probe.entries.at(0);
-      certified.loop_certified = true;
-      for (std::size_t j = 0; j < certified.width(); ++j) {
-        certified.loop_cut(j) = 0;
-        certified.loop_gstate(j) = 0;
-      }
+      certified.stay =
+          static_cast<std::int32_t>(probe.stays.add(certified.width()));
       probe.entries.push_back(certified);
     }
 
@@ -227,9 +224,10 @@ TEST(MonitorProcessUnit, OnlyCertifiedDisabledEntriesTravel) {
     EXPECT_EQ(home[0].entries.size(), certify ? 1u : 0u);
     for (const TransitionEntry& e : home[0].entries) {
       EXPECT_EQ(e.eval, EntryEval::kFalse);
-      EXPECT_TRUE(e.loop_certified);
-      EXPECT_EQ(e.loop_cut(0), 0u);
-      EXPECT_EQ(e.loop_cut(1), 0u);
+      EXPECT_TRUE(e.loop_certified());
+      if (!e.loop_certified()) continue;
+      EXPECT_EQ(home[0].stay(e)[0].cut, 0u);
+      EXPECT_EQ(home[0].stay(e)[1].cut, 0u);
     }
     m0.on_token(home[0], 4.0);
     EXPECT_EQ(m0.stats().tokens_returned, 1u);
@@ -245,12 +243,13 @@ TEST(MonitorProcessUnit, ReturnedEnabledTokenSpawnsAndDeclares) {
   m0.on_local_event(make_event(0, 1, VectorClock{1, 0}, 0b01), 1.0);
   Token probe = f.net.tokens_to(1).at(0);
   // Simulate M1's answer: the entry enabled at cut {1,1}.
-  probe.entries[0].cut(0) = 1;
-  probe.entries[0].cut(1) = 1;
-  probe.entries[0].gstate(0) = 0b01;
-  probe.entries[0].gstate(1) = 0b100;
-  probe.entries[0].conj(0) = ConjunctEval::kTrue;
-  probe.entries[0].conj(1) = ConjunctEval::kTrue;
+  FrontierSlot* cut = probe.frontier(probe.entries[0]);
+  cut[0].cut = 1;
+  cut[1].cut = 1;
+  cut[0].gstate = 0b01;
+  cut[1].gstate = 0b100;
+  probe.entries[0].conj[0] = ConjunctEval::kTrue;
+  probe.entries[0].conj[1] = ConjunctEval::kTrue;
   probe.entries[0].eval = EntryEval::kTrue;
   probe.next_target_process = 0;
   m0.on_token(probe, 3.0);

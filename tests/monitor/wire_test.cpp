@@ -10,22 +10,23 @@
 namespace decmon {
 namespace {
 
-TransitionEntry make_entry(int tid, std::initializer_list<std::uint32_t> cut,
+TransitionEntry& add_entry(Token& t, int tid,
+                           std::initializer_list<std::uint32_t> cut,
                            std::initializer_list<AtomSet> gstate,
                            std::initializer_list<ConjunctEval> conj) {
-  TransitionEntry e;
+  TransitionEntry& e = t.add_entry(cut.size());
   e.transition_id = tid;
-  e.set_width(cut.size());
+  FrontierSlot* f = t.frontier(e);
   std::size_t j = 0;
   for (std::uint32_t x : cut) {
-    e.cut(j) = x;
-    e.depend(j) = x;
+    f[j].cut = x;
+    f[j].depend = x;
     ++j;
   }
   j = 0;
-  for (AtomSet s : gstate) e.gstate(j++) = s;
+  for (AtomSet s : gstate) f[j++].gstate = s;
   j = 0;
-  for (ConjunctEval c : conj) e.conj(j++) = c;
+  for (ConjunctEval c : conj) e.conj[j++] = c;
   return e;
 }
 
@@ -39,32 +40,28 @@ Token sample_token() {
   t.next_target_event = 4;
   t.hops = 5;
 
-  TransitionEntry e1 =
-      make_entry(7, {3, 1, 9}, {0b01, 0b10, 0b11},
-                 {ConjunctEval::kTrue, ConjunctEval::kUnset,
-                  ConjunctEval::kFalse});
+  TransitionEntry& e1 =
+      add_entry(t, 7, {3, 1, 9}, {0b01, 0b10, 0b11},
+                {ConjunctEval::kTrue, ConjunctEval::kUnset,
+                 ConjunctEval::kFalse});
   e1.eval = EntryEval::kUnset;
   e1.next_target_process = 0;
   e1.next_target_event = 4;
-  e1.loop_certified = true;
+  e1.stay = static_cast<std::int32_t>(t.stays.add(3));
   {
     const std::uint32_t lc[] = {2, 1, 8};
     const AtomSet lg[] = {0, 0b10, 0b01};
-    for (std::size_t j = 0; j < 3; ++j) {
-      e1.loop_cut(j) = lc[j];
-      e1.loop_gstate(j) = lg[j];
-    }
+    StaySlot* s = t.stays[static_cast<std::uint32_t>(e1.stay)];
+    for (std::size_t j = 0; j < 3; ++j) s[j] = {lc[j], lg[j]};
   }
 
-  TransitionEntry e2 =
-      make_entry(12, {5, 5, 5}, {0, 0, 0},
-                 {ConjunctEval::kUnset, ConjunctEval::kUnset,
-                  ConjunctEval::kUnset});
+  TransitionEntry& e2 =
+      add_entry(t, 12, {5, 5, 5}, {0, 0, 0},
+                {ConjunctEval::kUnset, ConjunctEval::kUnset,
+                 ConjunctEval::kUnset});
   e2.eval = EntryEval::kFalse;
   e2.next_target_process = -1;  // unset target must survive the trip
   e2.next_target_event = 0;
-
-  t.entries = {e1, e2};
   return t;
 }
 
@@ -82,20 +79,20 @@ void expect_equal(const Token& a, const Token& b) {
     const TransitionEntry& y = b.entries[i];
     EXPECT_EQ(x.transition_id, y.transition_id);
     ASSERT_EQ(x.width(), y.width());
+    ASSERT_EQ(x.loop_certified(), y.loop_certified());
     for (std::size_t j = 0; j < x.width(); ++j) {
-      EXPECT_EQ(x.cut(j), y.cut(j));
-      EXPECT_EQ(x.depend(j), y.depend(j));
-      EXPECT_EQ(x.gstate(j), y.gstate(j));
-      EXPECT_EQ(x.conj(j), y.conj(j));
-      if (x.loop_certified) {
-        EXPECT_EQ(x.loop_cut(j), y.loop_cut(j));
-        EXPECT_EQ(x.loop_gstate(j), y.loop_gstate(j));
+      EXPECT_EQ(a.frontier(x)[j].cut, b.frontier(y)[j].cut);
+      EXPECT_EQ(a.frontier(x)[j].depend, b.frontier(y)[j].depend);
+      EXPECT_EQ(a.frontier(x)[j].gstate, b.frontier(y)[j].gstate);
+      EXPECT_EQ(x.conj[j], y.conj[j]);
+      if (x.loop_certified()) {
+        EXPECT_EQ(a.stay(x)[j].cut, b.stay(y)[j].cut);
+        EXPECT_EQ(a.stay(x)[j].gstate, b.stay(y)[j].gstate);
       }
     }
     EXPECT_EQ(x.eval, y.eval);
     EXPECT_EQ(x.next_target_process, y.next_target_process);
     EXPECT_EQ(x.next_target_event, y.next_target_event);
-    EXPECT_EQ(x.loop_certified, y.loop_certified);
   }
 }
 
@@ -211,26 +208,26 @@ Token random_token(std::mt19937_64& rng) {
   t.hops = static_cast<int>(rng() % 50);
   const std::size_t num_entries = rng() % 5;
   for (std::size_t i = 0; i < num_entries; ++i) {
-    TransitionEntry e;
+    TransitionEntry& e = t.add_entry(width);
     e.transition_id = static_cast<int>(rng() % 256);
-    e.set_width(width);
+    FrontierSlot* f = t.frontier(e);
     for (std::size_t j = 0; j < width; ++j) {
-      e.cut(j) = static_cast<std::uint32_t>(rng() % 1000);
-      e.depend(j) = static_cast<std::uint32_t>(rng() % 1000);
-      e.gstate(j) = static_cast<AtomSet>(rng());
-      e.conj(j) = static_cast<ConjunctEval>(rng() % 3);
+      f[j].cut = static_cast<std::uint32_t>(rng() % 1000);
+      f[j].depend = static_cast<std::uint32_t>(rng() % 1000);
+      f[j].gstate = static_cast<AtomSet>(rng());
+      e.conj[j] = static_cast<ConjunctEval>(rng() % 3);
     }
     e.eval = static_cast<EntryEval>(rng() % 3);
     e.next_target_process = static_cast<int>(rng() % (procs + 1)) - 1;
     e.next_target_event = static_cast<std::uint32_t>(rng() % 100);
-    e.loop_certified = (rng() % 3) == 0;
-    if (e.loop_certified) {
+    if ((rng() % 3) == 0) {
+      e.stay = static_cast<std::int32_t>(t.stays.add(width));
+      StaySlot* s = t.stays[static_cast<std::uint32_t>(e.stay)];
       for (std::size_t j = 0; j < width; ++j) {
-        e.loop_cut(j) = static_cast<std::uint32_t>(rng() % 1000);
-        e.loop_gstate(j) = static_cast<AtomSet>(rng());
+        s[j].cut = static_cast<std::uint32_t>(rng() % 1000);
+        s[j].gstate = static_cast<AtomSet>(rng());
       }
     }
-    t.entries.push_back(e);
   }
   return t;
 }

@@ -97,41 +97,33 @@ Token random_token(std::mt19937_64& rng, std::size_t width) {
     e.transition_id = static_cast<int>(rng() % 64) - 1;
     // Mixed widths exercise both the delta-vs-base and raw-varint clock
     // paths inside one frame.
-    e.set_width(rng() % 2 == 0 ? width : width + 1);
-    for (std::size_t j = 0; j < e.width(); ++j) {
-      e.cut(j) = edge();
-      e.depend(j) = edge();
-      e.gstate(j) = rng();
-      e.conj(j) = static_cast<ConjunctEval>(rng() % 3);
+    const std::size_t n = rng() % 2 == 0 ? width : width + 1;
+    e.conj.resize(n);
+    e.frontier = t.frontiers.add(n);
+    FrontierSlot* f = t.frontiers[e.frontier];
+    for (std::size_t j = 0; j < n; ++j) {
+      f[j] = {edge(), edge(), rng()};
+      e.conj[j] = static_cast<ConjunctEval>(rng() % 3);
     }
     e.eval = static_cast<EntryEval>(rng() % 3);
     e.next_target_process = static_cast<int>(rng() % (width + 1)) - 1;
     e.next_target_event = edge();
-    e.loop_certified = rng() % 2 == 0;
-    if (e.loop_certified) {
-      for (std::size_t j = 0; j < e.width(); ++j) {
-        e.loop_cut(j) = edge();
-        e.loop_gstate(j) = rng();
-      }
+    if (rng() % 2 == 0) {
+      e.stay = static_cast<std::int32_t>(t.stays.add(n));
+      StaySlot* s = t.stays[static_cast<std::uint32_t>(e.stay)];
+      for (std::size_t j = 0; j < n; ++j) s[j] = {edge(), rng()};
     }
-    // Sometimes share an earlier entry's frontier block or stay-point
-    // block, as entries of one walk do, so the reference paths are covered.
+    // Sometimes hold an earlier entry's frontier record or stay-point
+    // record, as entries of one walk do, so the reference paths are
+    // covered; the record just made is then left unreferenced.
     if (i > 0) {
       const TransitionEntry& earlier = t.entries[rng() % i];
-      if (earlier.width() == e.width() && rng() % 2 == 0) {
-        for (std::size_t j = 0; j < e.width(); ++j) {
-          e.cut(j) = earlier.cut(j);
-          e.depend(j) = earlier.depend(j);
-          e.gstate(j) = earlier.gstate(j);
-        }
+      if (earlier.width() == n && rng() % 2 == 0) {
+        e.frontier = earlier.frontier;
       }
-      if (earlier.width() == e.width() && earlier.loop_certified &&
+      if (earlier.width() == n && earlier.loop_certified() &&
           rng() % 2 == 0) {
-        e.loop_certified = true;
-        for (std::size_t j = 0; j < e.width(); ++j) {
-          e.loop_cut(j) = earlier.loop_cut(j);
-          e.loop_gstate(j) = earlier.loop_gstate(j);
-        }
+        e.stay = earlier.stay;
       }
     }
     t.entries.push_back(std::move(e));
@@ -172,20 +164,28 @@ void expect_equal_token(const Token& a, const Token& b) {
     const TransitionEntry& y = b.entries[i];
     EXPECT_EQ(x.transition_id, y.transition_id);
     ASSERT_EQ(x.width(), y.width());
+    ASSERT_EQ(x.loop_certified(), y.loop_certified());
     for (std::size_t j = 0; j < x.width(); ++j) {
-      EXPECT_EQ(x.cut(j), y.cut(j));
-      EXPECT_EQ(x.depend(j), y.depend(j));
-      EXPECT_EQ(x.gstate(j), y.gstate(j));
-      EXPECT_EQ(x.conj(j), y.conj(j));
-      if (x.loop_certified) {
-        EXPECT_EQ(x.loop_cut(j), y.loop_cut(j));
-        EXPECT_EQ(x.loop_gstate(j), y.loop_gstate(j));
+      EXPECT_EQ(a.frontier(x)[j].cut, b.frontier(y)[j].cut);
+      EXPECT_EQ(a.frontier(x)[j].depend, b.frontier(y)[j].depend);
+      EXPECT_EQ(a.frontier(x)[j].gstate, b.frontier(y)[j].gstate);
+      EXPECT_EQ(x.conj[j], y.conj[j]);
+      if (x.loop_certified()) {
+        EXPECT_EQ(a.stay(x)[j].cut, b.stay(y)[j].cut);
+        EXPECT_EQ(a.stay(x)[j].gstate, b.stay(y)[j].gstate);
       }
     }
     EXPECT_EQ(x.eval, y.eval);
     EXPECT_EQ(x.next_target_process, y.next_target_process);
     EXPECT_EQ(x.next_target_event, y.next_target_event);
-    EXPECT_EQ(x.loop_certified, y.loop_certified);
+    // Records shared before the trip are shared after it, and no others.
+    for (std::size_t k = 0; k < i; ++k) {
+      const TransitionEntry& xk = a.entries[k];
+      const TransitionEntry& yk = b.entries[k];
+      EXPECT_EQ(x.frontier == xk.frontier, y.frontier == yk.frontier);
+      EXPECT_EQ(x.loop_certified() && x.stay == xk.stay,
+                y.loop_certified() && y.stay == yk.stay);
+    }
   }
 }
 
@@ -436,15 +436,68 @@ TEST(WireV2, HandBuiltReferencesCopyTheEarlierBlocks) {
   const Token& t = static_cast<const TokenMessage&>(*frame->units[0]).token;
   ASSERT_EQ(t.entries.size(), 3u);
   const TransitionEntry& shared = t.entries[1];
-  EXPECT_EQ(shared.cut(1), 5u);
-  EXPECT_EQ(shared.depend(1), 6u);
-  EXPECT_EQ(shared.gstate(1), 0b10u);
-  EXPECT_EQ(shared.conj(0), ConjunctEval::kFalse);
-  EXPECT_EQ(shared.conj(1), ConjunctEval::kTrue);
-  EXPECT_TRUE(shared.loop_certified);
-  EXPECT_EQ(shared.loop_cut(0), 3u);
-  EXPECT_EQ(shared.loop_gstate(0), 0b01u);
-  EXPECT_FALSE(t.entries[2].loop_certified);
+  EXPECT_EQ(t.frontier(shared)[1].cut, 5u);
+  EXPECT_EQ(t.frontier(shared)[1].depend, 6u);
+  EXPECT_EQ(t.frontier(shared)[1].gstate, 0b10u);
+  EXPECT_EQ(shared.conj[0], ConjunctEval::kFalse);
+  EXPECT_EQ(shared.conj[1], ConjunctEval::kTrue);
+  ASSERT_TRUE(shared.loop_certified());
+  EXPECT_EQ(t.stay(shared)[0].cut, 3u);
+  EXPECT_EQ(t.stay(shared)[0].gstate, 0b01u);
+  EXPECT_FALSE(t.entries[2].loop_certified());
+  // A reference names the referenced entry's record itself.
+  EXPECT_EQ(shared.frontier, t.entries[0].frontier);
+  EXPECT_EQ(shared.stay, t.entries[0].stay);
+  EXPECT_NE(t.entries[2].frontier, t.entries[0].frontier);
+  EXPECT_EQ(t.frontiers.size(), 2u);
+  EXPECT_EQ(t.stays.size(), 1u);
+}
+
+TEST(WireV2, EntriesSharingARecordShareOneAfterDecode) {
+  // Entries 0 and 1 hold one frontier record and one stay-point record;
+  // entry 2 holds an equal copy of that frontier. The writer shares by
+  // record, not by value: the copy travels inline and decodes to a record
+  // of its own, and the shared record decodes to one record again.
+  auto build = [](bool share) {
+    Token t;
+    t.parent_vc = VectorClock{4, 2, 7};
+    for (int i = 0; i < 3; ++i) {
+      TransitionEntry& e = t.add_entry(3);
+      e.transition_id = i;
+      FrontierSlot* f = t.frontier(e);
+      for (std::size_t j = 0; j < 3; ++j) f[j] = {5, 6, 0b10};
+    }
+    t.entries[0].stay = static_cast<std::int32_t>(t.stays.add(3));
+    t.entries[1].stay = t.entries[0].stay;
+    if (share) t.entries[1].frontier = t.entries[0].frontier;
+    return t;
+  };
+  for (bool share : {false, true}) {
+    const Token t = build(share);
+    TokenMessage msg;
+    msg.token = t;
+    PayloadFrame frame;
+    frame.units.push_back(msg.clone());
+    const auto bytes = encode_frame(frame);
+    auto decoded = decode_frame(bytes, 3);
+    const Token& d = static_cast<const TokenMessage&>(*decoded->units[0]).token;
+    expect_equal_token(t, d);
+    EXPECT_EQ(d.entries[0].frontier == d.entries[1].frontier, share);
+    EXPECT_NE(d.entries[2].frontier, d.entries[0].frontier);
+    EXPECT_EQ(d.entries[0].stay, d.entries[1].stay);
+    EXPECT_EQ(d.frontiers.size(), share ? 2u : 3u);
+    EXPECT_EQ(d.stays.size(), 1u);
+    EXPECT_EQ(stamp_frame_wire_size(frame), bytes.size());
+  }
+  // Sharing the record replaces entry 1's inline block by a reference.
+  auto size_of = [&build](bool share) {
+    PayloadFrame frame;
+    auto msg = std::make_unique<TokenMessage>();
+    msg->token = build(share);
+    frame.units.push_back(std::move(msg));
+    return encode_frame(frame).size();
+  };
+  EXPECT_LT(size_of(true), size_of(false));
 }
 
 TEST(WireV2, RejectsBlockReferencesAtOrBeyondTheDistinctCount) {
@@ -515,10 +568,7 @@ TEST(WireV2, RejectsProcessIndexesAtOrBeyondMaxWidth) {
     msg->token.parent = parent;
     msg->token.parent_vc = VectorClock(n);
     msg->token.next_target_process = target;
-    TransitionEntry e;
-    e.set_width(n);
-    e.next_target_process = entry_target;
-    msg->token.entries.push_back(e);
+    msg->token.add_entry(n).next_target_process = entry_target;
     return msg;
   };
 
