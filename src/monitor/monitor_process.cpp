@@ -1129,11 +1129,28 @@ bool MonitorProcess::route_token(Token& token, double now) {
     return true;
   }
   ++stats_.token_messages_sent;
-  // An entry resolved false without a certified stay-point is dead: no
-  // monitor reads it again (DESIGN.md §6.3), so it does not travel.
-  std::erase_if(token.entries, [](const TransitionEntry& e) {
-    return e.eval == EntryEval::kFalse && !e.loop_certified();
-  });
+  // Of the entries resolved false, handle_returned_token reads only the
+  // certified stay-point it would pick: the first with the largest
+  // loop_cut_total. The others are dead (DESIGN.md §6.3) and do not travel;
+  // the erase keeps the order of the rest, so that pick does not move.
+  std::size_t keep = token.entries.size();
+  std::uint64_t keep_total = 0;
+  for (std::size_t i = 0; i < token.entries.size(); ++i) {
+    const TransitionEntry& e = token.entries[i];
+    if (e.eval != EntryEval::kFalse || !e.loop_certified()) continue;
+    const std::uint64_t total = token.loop_cut_total(e);
+    if (keep == token.entries.size() || total > keep_total) {
+      keep = i;
+      keep_total = total;
+    }
+  }
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < token.entries.size(); ++i) {
+    if (token.entries[i].eval == EntryEval::kFalse && i != keep) continue;
+    if (kept != i) token.entries[kept] = std::move(token.entries[i]);
+    ++kept;
+  }
+  token.entries.resize(kept);
   compact_if_sparse(token);
   // Swap the token into a recycled message shell: the shell's previous
   // token husk lands in `token` and goes back to the pool, so its spilled

@@ -237,6 +237,41 @@ TEST(MonitorProcessUnit, OnlyCertifiedDisabledEntriesTravel) {
   EXPECT_EQ(run(/*certify=*/false), 1u);  // quarantined: never probes again
 }
 
+TEST(MonitorProcessUnit, OneCertifiedDisabledEntryTravels) {
+  // Three disabled entries with stay-points {1,0}, {0,1} and {0,0}: the
+  // home monitor resurrects at the first of the largest loop_cut_total, so
+  // only that entry rides home. {1,0} and {0,1} tie; keeping the later
+  // tied entry would move the resurrection cut.
+  Fixture f("F(P0.p && P1.p)", 2);
+  MonitorProcess m0(0, f.prop, &f.net, {0, 0});
+  m0.on_local_event(
+      make_event(0, 1, VectorClock{1, 1}, 0b01, EventType::kReceive), 1.0);
+  Token probe = f.net.tokens_to(1).at(0);
+  ASSERT_EQ(probe.entries.size(), 1u);
+  const std::uint32_t stays[3][2] = {{1, 0}, {0, 1}, {0, 0}};
+  for (const auto& cut : stays) {
+    TransitionEntry certified = probe.entries.at(0);
+    certified.stay = static_cast<std::int32_t>(probe.stays.add(2));
+    StaySlot* s = probe.stays[static_cast<std::uint32_t>(certified.stay)];
+    s[0].cut = cut[0];
+    s[1].cut = cut[1];
+    probe.entries.push_back(certified);
+  }
+
+  CapturingNetwork net1;
+  MonitorProcess m1(1, f.prop, &net1, {0, 0});
+  m1.on_token(probe, 2.0);
+  m1.on_local_termination(3.0);
+  const std::vector<Token> home = net1.tokens_to(0, /*parent=*/0);
+  ASSERT_EQ(home.size(), 1u);
+  ASSERT_EQ(home[0].entries.size(), 1u);
+  const TransitionEntry& kept = home[0].entries[0];
+  EXPECT_EQ(kept.eval, EntryEval::kFalse);
+  ASSERT_TRUE(kept.loop_certified());
+  EXPECT_EQ(home[0].stay(kept)[0].cut, 1u);
+  EXPECT_EQ(home[0].stay(kept)[1].cut, 0u);
+}
+
 TEST(MonitorProcessUnit, ReturnedEnabledTokenSpawnsAndDeclares) {
   Fixture f("F(P0.p && P1.p)", 2);
   MonitorProcess m0(0, f.prop, &f.net, {0, 0});
