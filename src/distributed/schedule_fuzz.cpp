@@ -45,6 +45,11 @@ struct CaseOutcome {
   std::set<Verdict> oracle;
   std::set<Verdict> monitor;
   bool all_finished = false;
+  std::uint64_t tokens_created = 0;   ///< summed over the monitors
+  std::uint64_t tokens_returned = 0;  ///< summed over the monitors
+  /// Lemma 1 is checkable: no crash, and no transmission was lost without
+  /// a reliable channel to repair it.
+  bool tokens_accountable = false;
   FaultStats faults;
   ChannelStats channel;
   CrashStats crash;
@@ -156,6 +161,8 @@ CaseOutcome execute_case(const CaseSpec& spec, const Computation* recorded) {
     const SystemVerdict v = monitors.result();
     out.monitor = v.verdicts;
     out.all_finished = v.all_finished;
+    out.tokens_created = v.aggregate.tokens_created;
+    out.tokens_returned = v.aggregate.tokens_returned;
   } else {
     if (recorded) {
       out.comp = *recorded;
@@ -178,7 +185,11 @@ CaseOutcome execute_case(const CaseSpec& spec, const Computation* recorded) {
     const SystemVerdict v = monitors.result();
     out.monitor = v.verdicts;
     out.all_finished = v.all_finished;
+    out.tokens_created = v.aggregate.tokens_created;
+    out.tokens_returned = v.aggregate.tokens_returned;
   }
+  out.tokens_accountable =
+      spec.crash.node < 0 && (spec.reliable_channel || out.faults.lost == 0);
   out.oracle =
       oracle_evaluate(out.comp, art->automaton(), spec.oracle_max_nodes)
           .verdicts;
@@ -209,6 +220,17 @@ std::pair<std::string, std::string> check_contract(const CaseOutcome& out) {
     return {"unfinished",
             "monitors did not reach quiescent final verdicts (stranded "
             "token or view)"};
+  }
+  // Lemma 1, checked in-process: every token comes home. A duplicated
+  // delivery can bring a token home twice, so only a run without
+  // duplicates must balance exactly.
+  if (out.tokens_accountable &&
+      (out.tokens_returned < out.tokens_created ||
+       (out.faults.duplicated == 0 &&
+        out.tokens_returned != out.tokens_created))) {
+    return {"token-lost",
+            "tokens created " + std::to_string(out.tokens_created) +
+                ", returned " + std::to_string(out.tokens_returned)};
   }
   return {"", ""};
 }

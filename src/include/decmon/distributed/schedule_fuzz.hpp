@@ -86,7 +86,7 @@ struct Violation {
   paper::Property property = paper::Property::kA;
   int num_processes = 0;
   Mode mode = Mode::kSim;
-  /// "incompleteness" | "unsound-verdict" | "unfinished".
+  /// "incompleteness" | "unsound-verdict" | "unfinished" | "token-lost".
   std::string kind;
   std::string detail;
   /// Text blob for run_repro; empty past Options::max_repros.

@@ -50,6 +50,9 @@ struct StaySlot {
   AtomSet gstate = 0;
 };
 
+/// An absent record index.
+inline constexpr std::uint32_t kNoRecord = 0xFFFFFFFFu;
+
 /// A token's records of one kind: record r is a block of `width(r)` slots.
 /// Entries refer to records by index, so entries at the same frontier step,
 /// copy and travel as one record. Clearing keeps the capacity (pooled
@@ -84,16 +87,15 @@ class RecordTable {
     slots_.clear();
   }
 
-  /// Keep only the records with `remap[r] != kDropped`, renumbering record
+  /// Keep only the records with `remap[r] != kNoRecord`, renumbering record
   /// r to `remap[r]`; the kept records' new indexes must be 0, 1, ... in
   /// their old order.
-  static constexpr std::uint32_t kDropped = 0xFFFFFFFFu;
   template <class Remap>
   void compact(const Remap& remap) {
     std::uint32_t slot = 0;
     std::uint32_t kept = 0;
     for (std::uint32_t r = 0; r < heads_.size(); ++r) {
-      if (remap[r] == kDropped) continue;
+      if (remap[r] == kNoRecord) continue;
       const Head h = heads_[r];
       std::copy_n(slots_.data() + h.first, h.width, slots_.data() + slot);
       heads_[kept++] = {slot, h.width};
@@ -109,6 +111,7 @@ class RecordTable {
   struct Head {
     std::uint32_t first;
     std::uint32_t width;
+
     bool operator==(const Head&) const = default;
   };
   std::vector<Head> heads_;
@@ -168,7 +171,12 @@ struct Token {
   TransitionEntry& add_entry(std::size_t n);
 
   /// Sum of the entry's stay-point cut components (advancement order).
-  std::uint64_t loop_cut_total(const TransitionEntry& e) const;
+  std::uint64_t loop_cut_total(const TransitionEntry& e) const {
+    std::uint64_t t = 0;
+    const StaySlot* s = stay(e);
+    for (std::size_t j = 0; j < e.width(); ++j) t += s[j].cut;
+    return t;
+  }
 
   /// Drop the records no entry refers to, renumbering the rest in order.
   void compact_records();

@@ -12,6 +12,7 @@
 // that restriction is what makes growth a memcpy and destruction free.
 #pragma once
 
+#include <algorithm>
 #include <cassert>
 #include <cstdint>
 #include <cstring>
@@ -149,11 +150,20 @@ class SmallVec {
 
  private:
   void copy_from(const SmallVec& other) {
-    reserve(other.size_);
-    if (other.size_ != 0) {
-      std::memcpy(data(), other.data(), other.size_ * sizeof(T));
+    // An inline vector holds at most N elements. Saying so in the count,
+    // and taking the inline branch only for n <= N, lets flow analysis see
+    // that no copy reads or writes past an inline buffer.
+    const std::size_t n =
+        other.cap_ == N ? std::min<std::size_t>(other.size_, N) : other.size_;
+    if (n != 0) {
+      if (cap_ == N && n <= N) {
+        std::memcpy(inline_, other.data(), n * sizeof(T));
+      } else {
+        reserve(n);
+        std::memcpy(heap_, other.data(), n * sizeof(T));
+      }
     }
-    size_ = other.size_;
+    size_ = static_cast<std::uint32_t>(n);
   }
 
   /// Move payload out of `other`; assumes *this owns no heap block.
@@ -180,9 +190,12 @@ class SmallVec {
 
   std::uint32_t size_ = 0;
   std::uint32_t cap_ = static_cast<std::uint32_t>(N);
+  // heap_ starts null: it is read only when cap_ != N, but an inline
+  // vector that is moved from or destroyed must not look uninitialized to
+  // flow analysis that cannot tie the two together.
   union {
     alignas(T) unsigned char inline_[N * sizeof(T)];
-    T* heap_;
+    T* heap_ = nullptr;
   };
 };
 

@@ -31,8 +31,6 @@ constexpr std::size_t kMaxPooledPayloads = 128;
 constexpr std::size_t kMaxPooledFrames = 32;
 constexpr std::size_t kMaxPooledViews = 128;
 
-constexpr std::uint32_t kNoRecord = 0xFFFFFFFFu;
-
 /// depend := max(depend, vc, cut), component-wise: a step merges the
 /// event's clock, and the frontier itself is always covered by the
 /// dependency clock.
@@ -65,67 +63,59 @@ std::uint32_t add_stay(Token& token, const FrontierSlot* f, std::size_t n) {
   return r;
 }
 
+/// The records that some entry which does not move also holds: a walk step
+/// splits these before it moves the others. A bit mask while the token has
+/// at most 64 records (every token the bench grid builds), else a flag per
+/// record.
+class HeldRecords {
+ public:
+  explicit HeldRecords(std::size_t count) : wide_(count > 64) {
+    if (wide_) flags_.assign(count, 0);
+  }
+  void hold(std::uint32_t r) {
+    if (wide_) {
+      flags_[r] = 1;
+    } else {
+      mask_ |= std::uint64_t{1} << r;
+    }
+  }
+  bool held(std::uint32_t r) const {
+    return wide_ ? flags_[r] != 0 : ((mask_ >> r) & 1) != 0;
+  }
+
+ private:
+  bool wide_;
+  std::uint64_t mask_ = 0;
+  SmallVec<std::uint8_t, 8> flags_;
+};
+
 /// Before the entries `movers` advance together, make each record they
-/// hold theirs alone: a record that some other entry (live or resolved)
-/// also holds is split copy-on-write, one copy shared by all its movers.
-/// Returns the movers' records, each once.
+/// hold theirs alone: a record that an entry staying put also holds is
+/// split copy-on-write, one copy shared by all its movers. Returns the
+/// movers' records, each once.
 SmallVec<std::uint32_t, 32> split_records(
-    Token& token, const SmallVec<std::uint32_t, 32>& movers) {
-  const std::size_t count = token.frontiers.size();
-  SmallVec<std::uint32_t, 64> holders(count, 0);
-  SmallVec<std::uint32_t, 64> moving(count, 0);
-  SmallVec<std::uint32_t, 64> target(count, kNoRecord);
-  for (const TransitionEntry& e : token.entries) ++holders[e.frontier];
-  for (std::uint32_t idx : movers) ++moving[token.entries[idx].frontier];
+    Token& token, const SmallVec<std::uint32_t, 32>& movers,
+    const HeldRecords& held) {
+  struct Moved {
+    std::uint32_t from;
+    std::uint32_t to;
+  };
+  SmallVec<Moved, 8> moved;
   SmallVec<std::uint32_t, 32> records;
   for (std::uint32_t idx : movers) {
     TransitionEntry& entry = token.entries[idx];
-    std::uint32_t& t = target[entry.frontier];
-    if (t == kNoRecord) {
-      t = moving[entry.frontier] == holders[entry.frontier]
-              ? entry.frontier
-              : token.frontiers.add_copy(entry.frontier);
-      records.push_back(t);
+    std::size_t k = 0;
+    while (k < moved.size() && moved[k].from != entry.frontier) ++k;
+    if (k == moved.size()) {
+      const std::uint32_t to = held.held(entry.frontier)
+                                   ? token.frontiers.add_copy(entry.frontier)
+                                   : entry.frontier;
+      moved.push_back({entry.frontier, to});
+      records.push_back(to);
     }
-    entry.frontier = t;
+    entry.frontier = moved[k].to;
   }
   return records;
-}
-
-/// After the records in `moved` advanced to `cut(me) == sn`, one of them
-/// can equal another record value for value: a pre-cut record that consumed
-/// its event, or a split-off record whose other half has caught up. Its
-/// entries then move to the other record, so they travel as one block
-/// again; a record that another entry later leaves is split as usual.
-void adopt_equal_records(Token& token, const SmallVec<std::uint32_t, 32>& moved,
-                         std::size_t me, std::uint32_t sn, std::size_t n) {
-  const std::uint32_t count = static_cast<std::uint32_t>(token.frontiers.size());
-  SmallVec<std::uint32_t, 64> target;
-  for (std::uint32_t r : moved) {
-    const FrontierSlot* f = token.frontiers[r];
-    for (std::uint32_t q = 0; q < count; ++q) {
-      if (q == r || token.frontiers.width(q) != n) continue;
-      if (!target.empty() && target[q] != q) continue;  // itself adopted
-      const FrontierSlot* g = token.frontiers[q];
-      if (g[me].cut != sn) continue;
-      bool equal = true;
-      for (std::size_t j = 0; j < n && equal; ++j) {
-        equal = f[j].cut == g[j].cut && f[j].depend == g[j].depend &&
-                f[j].gstate == g[j].gstate;
-      }
-      if (!equal) continue;
-      if (target.empty()) {
-        target.resize(count);
-        for (std::uint32_t k = 0; k < count; ++k) target[k] = k;
-      }
-      target[r] = q;
-      break;
-    }
-  }
-  if (target.empty()) return;
-  for (TransitionEntry& e : token.entries) {
-    while (target[e.frontier] != e.frontier) e.frontier = target[e.frontier];
-  }
 }
 
 /// Records are added as entries step apart and certify; erased entries and
@@ -837,30 +827,34 @@ void MonitorProcess::apply_event_to_token(Token& token, std::uint32_t sn) {
   // Last event a fast-forward may cover: one before the next event another
   // live entry awaits here (it joins the walk there), and the history's end.
   std::uint32_t run_end = history_end() - 1;
+  HeldRecords held(token.frontiers.size());
   for (std::size_t idx = 0; idx < token.entries.size(); ++idx) {
     const TransitionEntry& entry = token.entries[idx];
-    if (entry.eval != EntryEval::kUnset) continue;
-    if (entry.next_target_process != index_) continue;
-    if (entry.next_target_event != sn) {
+    if (entry.eval == EntryEval::kUnset && entry.next_target_process == index_) {
+      if (entry.next_target_event == sn) {
+        stepping.push_back(static_cast<std::uint32_t>(idx));
+        continue;
+      }
       // The token targets the earliest request here, so this entry awaits
       // a later event; were it an earlier one, no run may start.
       run_end =
           std::min(run_end, std::max(entry.next_target_event, sn + 1) - 1);
-      continue;
     }
-    stepping.push_back(static_cast<std::uint32_t>(idx));
+    held.hold(entry.frontier);
   }
   // The event moves each stepping record once, whichever entries hold it.
-  const SmallVec<std::uint32_t, 32> stepped = split_records(token, stepping);
-  for (std::uint32_t r : stepped) {
+  for (std::uint32_t r : split_records(token, stepping, held)) {
     FrontierSlot* f = token.frontiers[r];
     f[me].cut = sn;
     f[me].gstate = e.letter;
     merge_depend(f, n, e.vc);
   }
-  adopt_equal_records(token, stepped, me, sn, n);
   // Entries at one frontier that certify here share one stay-point.
-  SmallVec<std::uint32_t, 64> certified(token.frontiers.size(), kNoRecord);
+  struct Certified {
+    std::uint32_t frontier;
+    std::uint32_t stay;
+  };
+  SmallVec<Certified, 8> certified;
   bool any_true = false;
   for (std::uint32_t idx : stepping) {
     TransitionEntry& entry = token.entries[idx];
@@ -917,8 +911,14 @@ void MonitorProcess::apply_event_to_token(Token& token, std::uint32_t sn) {
       }
       // Certified stay-point: a consistent cut where the path provably can
       // remain at the source state (used to resurrect launchpad views).
-      std::uint32_t& stay = certified[entry.frontier];
-      if (stay == kNoRecord) stay = add_stay(token, f, n);
+      std::uint32_t stay = kNoRecord;
+      for (const Certified& c : certified) {
+        if (c.frontier == entry.frontier) stay = c.stay;
+      }
+      if (stay == kNoRecord) {
+        stay = add_stay(token, f, n);
+        certified.push_back({entry.frontier, stay});
+      }
       entry.stay = static_cast<std::int32_t>(stay);
     }
     // A conjunct re-opens when its process's slice will move.
@@ -1006,9 +1006,13 @@ void MonitorProcess::fast_forward(Token& token,
   }
 
   // Certify each run's stay-point. Entries at one frontier certified at the
-  // same event share one stay-point record.
-  SmallVec<std::uint32_t, 64> cert_sn(token.frontiers.size(), 0);
-  SmallVec<std::uint32_t, 64> cert_stay(token.frontiers.size(), kNoRecord);
+  // same event share one stay-point record: the last one made per frontier.
+  struct Certified {
+    std::uint32_t frontier;
+    std::uint32_t sn;
+    std::uint32_t stay;
+  };
+  SmallVec<Certified, 8> certified;
   for (const Run& run : runs) {
     TransitionEntry& entry = token.entries[run.idx];
     const FrontierSlot* f = token.frontier(entry);
@@ -1029,14 +1033,17 @@ void MonitorProcess::fast_forward(Token& token,
       }
     }
     if (cert == 0) continue;
-    std::uint32_t& stay = cert_stay[entry.frontier];
-    if (stay == kNoRecord || cert_sn[entry.frontier] != cert) {
-      stay = add_stay(token, f, n);
-      StaySlot* s = token.stays[stay];
-      s[me] = {cert, event_at(cert).letter};
-      cert_sn[entry.frontier] = cert;
+    std::size_t c = 0;
+    while (c < certified.size() && certified[c].frontier != entry.frontier) {
+      ++c;
     }
-    entry.stay = static_cast<std::int32_t>(stay);
+    if (c == certified.size() || certified[c].sn != cert) {
+      const std::uint32_t stay = add_stay(token, f, n);
+      token.stays[stay][me] = {cert, event_at(cert).letter};
+      if (c == certified.size()) certified.push_back({});
+      certified[c] = {entry.frontier, cert, stay};
+    }
+    entry.stay = static_cast<std::int32_t>(certified[c].stay);
   }
 
   const Event& end = event_at(last);
@@ -1047,14 +1054,21 @@ void MonitorProcess::fast_forward(Token& token,
     // participant, true otherwise.
     token.entries[run.idx].next_target_event = last + 1;
   }
-  const SmallVec<std::uint32_t, 32> moved = split_records(token, movers);
-  for (std::uint32_t r : moved) {
+  // `movers` lists entry indexes in ascending order.
+  HeldRecords held(token.frontiers.size());
+  for (std::size_t idx = 0, m = 0; idx < token.entries.size(); ++idx) {
+    if (m < movers.size() && movers[m] == idx) {
+      ++m;
+    } else {
+      held.hold(token.entries[idx].frontier);
+    }
+  }
+  for (std::uint32_t r : split_records(token, movers, held)) {
     FrontierSlot* f = token.frontiers[r];
     f[me].cut = last;
     f[me].gstate = end.letter;
     merge_depend(f, n, end.vc);
   }
-  adopt_equal_records(token, moved, me, last, n);
 }
 
 bool MonitorProcess::route_token(Token& token, double now) {
@@ -1135,22 +1149,27 @@ bool MonitorProcess::route_token(Token& token, double now) {
   // the erase keeps the order of the rest, so that pick does not move.
   std::size_t keep = token.entries.size();
   std::uint64_t keep_total = 0;
+  std::size_t disabled = 0;
   for (std::size_t i = 0; i < token.entries.size(); ++i) {
     const TransitionEntry& e = token.entries[i];
-    if (e.eval != EntryEval::kFalse || !e.loop_certified()) continue;
+    if (e.eval != EntryEval::kFalse) continue;
+    ++disabled;
+    if (!e.loop_certified()) continue;
     const std::uint64_t total = token.loop_cut_total(e);
     if (keep == token.entries.size() || total > keep_total) {
       keep = i;
       keep_total = total;
     }
   }
-  std::size_t kept = 0;
-  for (std::size_t i = 0; i < token.entries.size(); ++i) {
-    if (token.entries[i].eval == EntryEval::kFalse && i != keep) continue;
-    if (kept != i) token.entries[kept] = std::move(token.entries[i]);
-    ++kept;
+  if (disabled > (keep < token.entries.size() ? 1u : 0u)) {
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < token.entries.size(); ++i) {
+      if (token.entries[i].eval == EntryEval::kFalse && i != keep) continue;
+      if (kept != i) token.entries[kept] = std::move(token.entries[i]);
+      ++kept;
+    }
+    token.entries.resize(kept);
   }
-  token.entries.resize(kept);
   compact_if_sparse(token);
   // Swap the token into a recycled message shell: the shell's previous
   // token husk lands in `token` and goes back to the pool, so its spilled

@@ -11,16 +11,9 @@ TransitionEntry& Token::add_entry(std::size_t n) {
   return e;
 }
 
-std::uint64_t Token::loop_cut_total(const TransitionEntry& e) const {
-  std::uint64_t t = 0;
-  const StaySlot* s = stay(e);
-  for (std::size_t j = 0; j < e.width(); ++j) t += s[j].cut;
-  return t;
-}
-
 void Token::compact_records() {
-  SmallVec<std::uint32_t, 64> fmap(frontiers.size(), RecordTable<FrontierSlot>::kDropped);
-  SmallVec<std::uint32_t, 64> smap(stays.size(), RecordTable<StaySlot>::kDropped);
+  SmallVec<std::uint32_t, 64> fmap(frontiers.size(), kNoRecord);
+  SmallVec<std::uint32_t, 64> smap(stays.size(), kNoRecord);
   for (const TransitionEntry& e : entries) {
     fmap[e.frontier] = 0;
     if (e.loop_certified()) smap[static_cast<std::uint32_t>(e.stay)] = 0;
@@ -28,7 +21,7 @@ void Token::compact_records() {
   auto number = [](SmallVec<std::uint32_t, 64>& map) {
     std::uint32_t next = 0;
     for (std::uint32_t& r : map) {
-      if (r != RecordTable<FrontierSlot>::kDropped) r = next++;
+      if (r != kNoRecord) r = next++;
     }
   };
   number(fmap);

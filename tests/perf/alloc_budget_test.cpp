@@ -12,52 +12,16 @@
 // heap traffic without being brittle to library noise.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
-#include <new>
 #include <string>
 
+#include "alloc_counter.hpp"
 #include "decmon/decmon.hpp"
-
-// Sanitizer builds own the allocator; interposing operator new there both
-// skews the count and trips ASan's alloc/dealloc matching, so the hook and
-// the assertion are compiled out.
-#if defined(__SANITIZE_ADDRESS__)
-#define DECMON_ALLOC_TEST_DISABLED 1
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer)
-#define DECMON_ALLOC_TEST_DISABLED 1
-#endif
-#endif
-
-namespace {
-
-std::atomic<std::uint64_t> g_allocs{0};
-std::atomic<bool> g_counting{false};
-
-}  // namespace
-
-#ifndef DECMON_ALLOC_TEST_DISABLED
-
-void* operator new(std::size_t size) {
-  if (g_counting.load(std::memory_order_relaxed)) {
-    g_allocs.fetch_add(1, std::memory_order_relaxed);
-  }
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size) { return ::operator new(size); }
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-
-#endif  // DECMON_ALLOC_TEST_DISABLED
 
 namespace decmon {
 namespace {
+
+using alloc_counter::allocs;
+using alloc_counter::counting;
 
 constexpr double kAllocsPerEventBudget = 40.0;
 
@@ -75,15 +39,15 @@ TEST(AllocBudget, CellDStaysUnderBudget) {
   SystemTrace trace = generate_trace(params);
   force_final_all_true(trace);
 
-  g_allocs.store(0, std::memory_order_relaxed);
-  g_counting.store(true, std::memory_order_relaxed);
+  allocs.store(0, std::memory_order_relaxed);
+  counting.store(true, std::memory_order_relaxed);
   RunResult run = session.run(trace);
-  g_counting.store(false, std::memory_order_relaxed);
+  counting.store(false, std::memory_order_relaxed);
 
   const double events = static_cast<double>(run.program_events);
   ASSERT_GT(events, 0.0);
   const double per_event =
-      static_cast<double>(g_allocs.load(std::memory_order_relaxed)) / events;
+      static_cast<double>(allocs.load(std::memory_order_relaxed)) / events;
 
   RecordProperty("allocs_per_event", std::to_string(per_event));
   EXPECT_LE(per_event, kAllocsPerEventBudget)
@@ -114,17 +78,17 @@ TEST(AllocBudget, BatchedTransitSendsStayUnderBudget) {
   SimConfig sim;
   sim.coalesce = CoalesceMode::kTransit;
 
-  g_allocs.store(0, std::memory_order_relaxed);
-  g_counting.store(true, std::memory_order_relaxed);
+  allocs.store(0, std::memory_order_relaxed);
+  counting.store(true, std::memory_order_relaxed);
   RunResult run = session.run(trace, sim);
-  g_counting.store(false, std::memory_order_relaxed);
+  counting.store(false, std::memory_order_relaxed);
 
   const double events = static_cast<double>(run.program_events);
   ASSERT_GT(events, 0.0);
   EXPECT_GT(run.verdict.aggregate.bytes_sent, 0u);
   EXPECT_GT(run.verdict.aggregate.frames_sent, 0u);
   const double per_event =
-      static_cast<double>(g_allocs.load(std::memory_order_relaxed)) / events;
+      static_cast<double>(allocs.load(std::memory_order_relaxed)) / events;
 
   RecordProperty("allocs_per_event_transit", std::to_string(per_event));
   EXPECT_LE(per_event, kAllocsPerEventBudget)
@@ -160,16 +124,16 @@ TEST(AllocBudget, ReliableChannelCleanPathStaysUnderBudget) {
   channel.set_hooks(&monitors);
   runtime.set_hooks(&channel);
 
-  g_allocs.store(0, std::memory_order_relaxed);
-  g_counting.store(true, std::memory_order_relaxed);
+  allocs.store(0, std::memory_order_relaxed);
+  counting.store(true, std::memory_order_relaxed);
   runtime.run();
-  g_counting.store(false, std::memory_order_relaxed);
+  counting.store(false, std::memory_order_relaxed);
 
   EXPECT_TRUE(monitors.all_finished());
   const double events = static_cast<double>(runtime.program_events());
   ASSERT_GT(events, 0.0);
   const double per_event =
-      static_cast<double>(g_allocs.load(std::memory_order_relaxed)) / events;
+      static_cast<double>(allocs.load(std::memory_order_relaxed)) / events;
 
   RecordProperty("allocs_per_event_with_channel", std::to_string(per_event));
   EXPECT_LE(per_event, kAllocsPerEventBudget)
@@ -214,11 +178,11 @@ TEST(AllocBudget, SteadyStateShardStaysUnderBudget) {
   svc.drain();  // warm-up: catalog build + pool growth land here
 
   const std::uint64_t events_before = svc.stats().program_events;
-  g_allocs.store(0, std::memory_order_relaxed);
-  g_counting.store(true, std::memory_order_relaxed);
+  allocs.store(0, std::memory_order_relaxed);
+  counting.store(true, std::memory_order_relaxed);
   for (std::uint64_t seed = 3; seed <= 6; ++seed) svc.submit(spec_for(seed));
   svc.drain();
-  g_counting.store(false, std::memory_order_relaxed);
+  counting.store(false, std::memory_order_relaxed);
 
   const service::ServiceStats st = svc.stats();
   EXPECT_EQ(st.completed, 6u);
@@ -227,7 +191,7 @@ TEST(AllocBudget, SteadyStateShardStaysUnderBudget) {
       static_cast<double>(st.program_events - events_before);
   ASSERT_GT(events, 0.0);
   const double per_event =
-      static_cast<double>(g_allocs.load(std::memory_order_relaxed)) / events;
+      static_cast<double>(allocs.load(std::memory_order_relaxed)) / events;
 
   RecordProperty("allocs_per_event_service", std::to_string(per_event));
   EXPECT_LE(per_event, kServiceAllocsPerEventBudget)
