@@ -236,9 +236,10 @@ class MonitorProcess {
                      const CompiledTransition& ct, AtomSet others,
                      const Event& e) const;
   /// Apply the longest run [first, J <= last] of events at which every
-  /// entry in `stayed` stays, as one update per frontier record.
+  /// entry in `stayed` stays, as one update per frontier record. `exclusive`:
+  /// no other entry holds a record an entry in `stayed` holds.
   void fast_forward(Token& token, const SmallVec<std::uint32_t, 32>& stayed,
-                    std::uint32_t first, std::uint32_t last);
+                    std::uint32_t first, std::uint32_t last, bool exclusive);
   /// Retarget entries after evaluation; returns false when the token wants
   /// to stay at this monitor (waiting for a later local event). On true the
   /// token has been consumed (sent, recycled, or handled as returned).
@@ -336,6 +337,10 @@ class MonitorProcess {
   std::vector<std::unique_ptr<PayloadFrame>> frame_pool_;
   std::vector<GlobalView> view_pool_;
 
+  /// Some view changed since the last merge_similar_views (a view was
+  /// drained, forked, spawned, started or stopped waiting, or the history
+  /// grew); the merge skips its pass otherwise.
+  bool views_changed_ = true;
   /// Scratch for merge_similar_views (never re-entered; capacity persists).
   std::unordered_map<std::uint64_t, GlobalView*> merge_seen_;
   std::vector<GlobalView*> merge_best_;

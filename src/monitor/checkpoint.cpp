@@ -268,6 +268,7 @@ class CheckpointCodec {
     m.floor_epoch_ = floor_epoch;
     m.events_since_gc_ = events_since_gc;
     m.views_ = std::move(views);
+    m.views_changed_ = true;
     m.w_tokens_ = std::move(w_tokens);
     m.peer_last_sn_ = std::move(peer_last_sn);
     m.local_terminated_ = local_terminated;

@@ -327,6 +327,7 @@ void MonitorProcess::on_local_event(const Event& event, double now) {
     throw std::logic_error("MonitorProcess: out-of-order local event");
   }
   history_.push_back(event);
+  views_changed_ = true;  // every view's backlog grew
   stats_.peak_history =
       std::max<std::uint64_t>(stats_.peak_history, history_.size());
   ++stats_.events_processed;
@@ -375,6 +376,7 @@ void MonitorProcess::on_local_event(const Event& event, double now) {
 }
 
 void MonitorProcess::drain(GlobalView& gv, double now) {
+  views_changed_ = true;
   // history_ only grows at the top of on_local_event -- never during a
   // dispatch -- so the reference into it stays valid across process_event
   // (which can spawn views, walk tokens and recurse back into drain).
@@ -679,6 +681,7 @@ void MonitorProcess::probe_outgoing(GlobalView& gv, const Event& e,
     options_.trace("M" + std::to_string(index_) + " probe " +
                    token.to_string() + " from " + gv.to_string());
   }
+  views_changed_ = true;
   gv.waiting = true;
   gv.token_id = token.token_id;
   gv.probe_sig = sig;
@@ -932,7 +935,11 @@ void MonitorProcess::apply_event_to_token(Token& token, std::uint32_t sn) {
   // An enabled entry sends the token home right away; otherwise the token
   // stays and the stayers walk on.
   if (!any_true && !stayed.empty() && run_end > sn) {
-    fast_forward(token, stayed, sn + 1, run_end);
+    // Every record a stepping entry holds is held by stepping entries only
+    // (split above), so when all of them stayed, the stayers' records are
+    // theirs alone.
+    fast_forward(token, stayed, sn + 1, run_end,
+                 stayed.size() == stepping.size());
   }
   compact_if_sparse(token);
 }
@@ -967,7 +974,8 @@ MonitorProcess::StayKind MonitorProcess::stay_kind(
 
 void MonitorProcess::fast_forward(Token& token,
                                   const SmallVec<std::uint32_t, 32>& stayed,
-                                  std::uint32_t first, std::uint32_t last) {
+                                  std::uint32_t first, std::uint32_t last,
+                                  bool exclusive) {
   // Find the largest `last` such that every stayer stays at every event of
   // [first, last] (DESIGN.md §6.2). Over such a run route_token keeps the
   // token here with no side effects, so the run collapses into one update
@@ -1054,9 +1062,11 @@ void MonitorProcess::fast_forward(Token& token,
     // participant, true otherwise.
     token.entries[run.idx].next_target_event = last + 1;
   }
-  // `movers` lists entry indexes in ascending order.
-  HeldRecords held(token.frontiers.size());
-  for (std::size_t idx = 0, m = 0; idx < token.entries.size(); ++idx) {
+  // Unless the movers' records are theirs alone, find those another entry
+  // holds; `movers` lists entry indexes in ascending order.
+  HeldRecords held(exclusive ? 0 : token.frontiers.size());
+  for (std::size_t idx = 0, m = 0; !exclusive && idx < token.entries.size();
+       ++idx) {
     if (m < movers.size() && movers[m] == idx) {
       ++m;
     } else {
@@ -1184,6 +1194,7 @@ bool MonitorProcess::route_token(Token& token, double now) {
 }
 
 void MonitorProcess::handle_returned_token(Token token, double now) {
+  views_changed_ = true;
   GlobalView* gv = find_view_by_token(token.token_id);
   if (!gv || gv->dead) {
     // Orphan return: the view vanished, or an earlier copy of this token
@@ -1573,6 +1584,10 @@ void MonitorProcess::merge_similar_views() {
   // collision between distinct keys only skips a merge. Scratch containers
   // are members so their capacity persists (merge runs only at the tail of
   // top-level dispatches, never re-entered).
+  // A token that only visited here touched no view: the last merge still
+  // holds, and so does the live-view peak it recorded.
+  if (!views_changed_) return;
+  views_changed_ = false;
   std::vector<GlobalView*>& best = merge_best_;
   std::unordered_map<std::uint64_t, GlobalView*>& seen = merge_seen_;
   if (options_.merge_by_state) {
