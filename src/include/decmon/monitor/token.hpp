@@ -105,14 +105,10 @@ class RecordTable {
     slots_.resize(slot);
   }
 
-  bool operator==(const RecordTable&) const = default;
-
  private:
   struct Head {
     std::uint32_t first;
     std::uint32_t width;
-
-    bool operator==(const Head&) const = default;
   };
   std::vector<Head> heads_;
   std::vector<Slot> slots_;

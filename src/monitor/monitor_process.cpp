@@ -63,31 +63,8 @@ std::uint32_t add_stay(Token& token, const FrontierSlot* f, std::size_t n) {
   return r;
 }
 
-/// The records that some entry which does not move also holds: a walk step
-/// splits these before it moves the others. A bit mask while the token has
-/// at most 64 records (every token the bench grid builds), else a flag per
-/// record.
-class HeldRecords {
- public:
-  explicit HeldRecords(std::size_t count) : wide_(count > 64) {
-    if (wide_) flags_.assign(count, 0);
-  }
-  void hold(std::uint32_t r) {
-    if (wide_) {
-      flags_[r] = 1;
-    } else {
-      mask_ |= std::uint64_t{1} << r;
-    }
-  }
-  bool held(std::uint32_t r) const {
-    return wide_ ? flags_[r] != 0 : ((mask_ >> r) & 1) != 0;
-  }
-
- private:
-  bool wide_;
-  std::uint64_t mask_ = 0;
-  SmallVec<std::uint8_t, 8> flags_;
-};
+/// Per record: whether an entry that does not move holds it.
+using HeldRecords = SmallVec<std::uint8_t, 64>;
 
 /// Before the entries `movers` advance together, make each record they
 /// hold theirs alone: a record that an entry staying put also holds is
@@ -107,7 +84,7 @@ SmallVec<std::uint32_t, 32> split_records(
     std::size_t k = 0;
     while (k < moved.size() && moved[k].from != entry.frontier) ++k;
     if (k == moved.size()) {
-      const std::uint32_t to = held.held(entry.frontier)
+      const std::uint32_t to = held[entry.frontier]
                                    ? token.frontiers.add_copy(entry.frontier)
                                    : entry.frontier;
       moved.push_back({entry.frontier, to});
@@ -830,7 +807,7 @@ void MonitorProcess::apply_event_to_token(Token& token, std::uint32_t sn) {
   // Last event a fast-forward may cover: one before the next event another
   // live entry awaits here (it joins the walk there), and the history's end.
   std::uint32_t run_end = history_end() - 1;
-  HeldRecords held(token.frontiers.size());
+  HeldRecords held(token.frontiers.size(), 0);
   for (std::size_t idx = 0; idx < token.entries.size(); ++idx) {
     const TransitionEntry& entry = token.entries[idx];
     if (entry.eval == EntryEval::kUnset && entry.next_target_process == index_) {
@@ -843,7 +820,7 @@ void MonitorProcess::apply_event_to_token(Token& token, std::uint32_t sn) {
       run_end =
           std::min(run_end, std::max(entry.next_target_event, sn + 1) - 1);
     }
-    held.hold(entry.frontier);
+    held[entry.frontier] = 1;
   }
   // The event moves each stepping record once, whichever entries hold it.
   for (std::uint32_t r : split_records(token, stepping, held)) {
@@ -1064,13 +1041,13 @@ void MonitorProcess::fast_forward(Token& token,
   }
   // Unless the movers' records are theirs alone, find those another entry
   // holds; `movers` lists entry indexes in ascending order.
-  HeldRecords held(exclusive ? 0 : token.frontiers.size());
+  HeldRecords held(token.frontiers.size(), 0);
   for (std::size_t idx = 0, m = 0; !exclusive && idx < token.entries.size();
        ++idx) {
     if (m < movers.size() && movers[m] == idx) {
       ++m;
     } else {
-      held.hold(token.entries[idx].frontier);
+      held[token.entries[idx].frontier] = 1;
     }
   }
   for (std::uint32_t r : split_records(token, movers, held)) {
