@@ -218,7 +218,7 @@ class MonitorProcess {
   // -- token path (Alg. 3-5) --
   /// Walk the token over local history from its target event; parks it in
   /// w_tokens_ when the event has not happened yet.
-  void process_token(Token token, double now);
+  void process_token(Token&& token, double now);
   /// Apply local event `sn` to the entries targeting it (Alg. 4-5), then
   /// fast-forward the entries that stay here over the following events at
   /// which none of them can decide (DESIGN.md §6.2): an entry stays at an
@@ -245,7 +245,7 @@ class MonitorProcess {
   /// token has been consumed (sent, recycled, or handled as returned).
   bool route_token(Token& token, double now);
   /// Handle a token created here that has come home.
-  void handle_returned_token(Token token, double now);
+  void handle_returned_token(Token&& token, double now);
   /// Create the view for an enabled entry's pivot cut; its cursor starts
   /// just past the cut's local component, replaying the shared history.
   void spawn_view(const Token& token, const TransitionEntry& entry,

@@ -742,7 +742,7 @@ void MonitorProcess::on_frame(std::unique_ptr<PayloadFrame> frame,
   recycle_frame(std::move(frame));
 }
 
-void MonitorProcess::process_token(Token token, double now) {
+void MonitorProcess::process_token(Token&& token, double now) {
   while (true) {
     if (token.next_target_process != index_) {
       // Targeted elsewhere: route it. A false return means the router chose
@@ -1170,7 +1170,7 @@ bool MonitorProcess::route_token(Token& token, double now) {
   return true;
 }
 
-void MonitorProcess::handle_returned_token(Token token, double now) {
+void MonitorProcess::handle_returned_token(Token&& token, double now) {
   views_changed_ = true;
   GlobalView* gv = find_view_by_token(token.token_id);
   if (!gv || gv->dead) {
