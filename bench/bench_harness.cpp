@@ -345,7 +345,7 @@ void cell_grid(Metrics& out, bool quick) {
 
 // ---------------------------------------------------------------------------
 // Socket suite: the same Chapter-5 cells run over SocketRuntime -- real TCP
-// loopback sockets, epoll, wire-v2 serialization -- in both transport
+// loopback sockets, epoll, wire serialization -- in both transport
 // postures. wall/bytes/frames are measured at the socket (transport truth),
 // so this is where frame batching's syscall and header savings become a
 // number instead of an inference. time_scale=0 collapses the trace waits:

@@ -71,8 +71,8 @@ int main() {
       all_armed += " && ";
       all_airborne += " && ";
     }
-    all_armed += "P" + std::to_string(d) + ".armed";
-    all_airborne += "P" + std::to_string(d) + ".airborne";
+    all_armed.append("P").append(std::to_string(d)).append(".armed");
+    all_airborne.append("P").append(std::to_string(d)).append(".airborne");
   }
   const std::string rule = "G((" + all_armed + ") U (" + all_airborne + "))";
   std::cout << "mission rule: " << rule << "\n";

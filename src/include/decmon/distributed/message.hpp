@@ -38,7 +38,7 @@ struct NetPayload {
 
   const std::uint8_t tag;
 
-  /// Encoded wire-v2 size of this payload, stamped once when the monitor
+  /// Encoded wire size of this payload, stamped once when the monitor
   /// flushes it (see MonitorProcess::flush_staged). Zero means "not
   /// stamped"; transports treat it as advisory accounting, never as a
   /// framing length.

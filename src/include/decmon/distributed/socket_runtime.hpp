@@ -3,8 +3,9 @@
 // One thread per node (program process + its monitor replica), but unlike
 // ThreadRuntime the nodes exchange *bytes*, not pointers: every pair of
 // nodes is connected by a nonblocking TCP loopback socket, each node runs
-// an epoll event loop, monitor payloads are serialized with the wire-v2
-// codec on send and reassembled from length-prefixed records on receive.
+// an epoll event loop, monitor payloads are serialized with the wire
+// codec (monitor/wire.hpp) on send and reassembled from length-prefixed
+// records on receive.
 // This is where frame batching finally pays for its encode cost -- fewer,
 // larger records mean fewer syscalls and fewer bytes (shared frame header
 // and base clock), measured at the socket, not inferred from stamps.

@@ -45,6 +45,8 @@ class DecentralizedMonitor final : public MonitorHooks {
   // MonitorHooks:
   void on_local_event(int proc, const Event& event, double now) override;
   void on_local_termination(int proc, double now) override;
+  /// Takes a PayloadFrame, the only form monitors send; any other payload
+  /// throws std::invalid_argument.
   void on_monitor_message(MonitorMessage msg, double now) override;
 
   int num_processes() const { return static_cast<int>(monitors_.size()); }

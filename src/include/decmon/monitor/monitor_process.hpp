@@ -17,10 +17,11 @@
 //     (4.2.0.10, Lemma 1)
 //
 // Memory discipline (see DESIGN.md §6): the steady-state token path is
-// allocation-free. Tokens, token-message shells and global views are
-// recycled through per-monitor free lists (each monitor's pools are touched
-// only from its own dispatch context, so they need no locks), and all
-// per-process arrays have inline small-buffer storage.
+// allocation-free. A token lives in one TokenMessage shell from probe to
+// return; shells, frame shells and global views are recycled through
+// per-monitor free lists (each monitor's pools are touched only from its own
+// dispatch context, so they need no locks), and all per-process arrays have
+// inline small-buffer storage.
 #pragma once
 
 #include <cstdint>
@@ -123,12 +124,15 @@ class MonitorProcess {
   // -- runtime-facing interface --
   void on_local_event(const Event& event, double now);
   void on_local_termination(double now);
-  void on_token(Token token, double now);
+  /// Deliver one token in its shell; the shell stays with this monitor (it
+  /// is parked, re-sent, or lands in the pool when the token is consumed).
+  void on_token(std::unique_ptr<TokenMessage> shell, double now);
   void on_peer_termination(int peer, std::uint32_t last_sn, double now);
-  /// Deliver a batched frame: each unit dispatches like a bare token /
-  /// termination message, and the responses the units provoke are
-  /// themselves flushed as batched frames when the whole frame is done.
-  /// Takes ownership of the frame shell (it lands in this monitor's pool).
+  /// Deliver a batched frame, the one form in which monitors send payloads:
+  /// each unit dispatches by its tag (token, termination, history floor),
+  /// and the responses the units provoke are themselves flushed as batched
+  /// frames when the whole frame is done. Takes ownership of the frame
+  /// shell and of every token shell in it.
   void on_frame(std::unique_ptr<PayloadFrame> frame, double now);
   /// GC floor gossip from `peer` (streaming posture): the peer's live views
   /// will never again reference our events below `floor`. Monotone within
@@ -144,11 +148,6 @@ class MonitorProcess {
   /// per-peer floors so peers clamp their folds instead of trusting the
   /// pre-crash promises. No-op outside the streaming posture.
   void resync_floors(double now);
-
-  /// Return a drained TokenMessage shell (its token moved out) to this
-  /// monitor's free list: the next token this monitor sends reuses it.
-  /// Called by the dispatch layer from this monitor's own node context.
-  void recycle_token_payload(std::unique_ptr<TokenMessage> shell);
 
   // -- results --
   int index() const { return index_; }
@@ -218,7 +217,7 @@ class MonitorProcess {
   // -- token path (Alg. 3-5) --
   /// Walk the token over local history from its target event; parks it in
   /// w_tokens_ when the event has not happened yet.
-  void process_token(Token&& token, double now);
+  void process_token(std::unique_ptr<TokenMessage> shell, double now);
   /// Apply local event `sn` to the entries targeting it (Alg. 4-5), then
   /// fast-forward the entries that stay here over the following events at
   /// which none of them can decide (DESIGN.md §6.2): an entry stays at an
@@ -242,10 +241,10 @@ class MonitorProcess {
                     std::uint32_t first, std::uint32_t last, bool exclusive);
   /// Retarget entries after evaluation; returns false when the token wants
   /// to stay at this monitor (waiting for a later local event). On true the
-  /// token has been consumed (sent, recycled, or handled as returned).
-  bool route_token(Token& token, double now);
+  /// shell has been consumed (staged for sending, or handled as returned).
+  bool route_token(std::unique_ptr<TokenMessage>& shell, double now);
   /// Handle a token created here that has come home.
-  void handle_returned_token(Token&& token, double now);
+  void handle_returned_token(std::unique_ptr<TokenMessage> shell, double now);
   /// Create the view for an enabled entry's pivot cut; its cursor starts
   /// just past the cut's local component, replaying the shared history.
   void spawn_view(const Token& token, const TransitionEntry& entry,
@@ -262,9 +261,9 @@ class MonitorProcess {
   void flush_staged();
 
   // -- free lists (all used from this monitor's dispatch context only) --
-  Token acquire_token();
-  void recycle_token(Token&& token);
-  std::unique_ptr<TokenMessage> acquire_token_payload();
+  /// A token shell holding an empty token (its tables keep their capacity).
+  std::unique_ptr<TokenMessage> acquire_shell();
+  void recycle_shell(std::unique_ptr<TokenMessage> shell);
   std::unique_ptr<PayloadFrame> acquire_frame();
   void recycle_frame(std::unique_ptr<PayloadFrame> frame);
   GlobalView acquire_view();
@@ -311,7 +310,8 @@ class MonitorProcess {
   /// Deque: views are pushed while references to existing views are live on
   /// the dispatch stack; deque growth never invalidates references.
   std::deque<GlobalView> views_;
-  std::vector<Token> w_tokens_;  ///< tokens waiting for future local events
+  /// Tokens waiting for future local events.
+  std::vector<std::unique_ptr<TokenMessage>> w_tokens_;
   std::vector<std::uint32_t> peer_last_sn_;  ///< UINT32_MAX = running
   bool local_terminated_ = false;
   bool finished_ = false;
@@ -327,12 +327,11 @@ class MonitorProcess {
   };
   std::vector<StagedSend> staged_;
 
-  /// Free lists. Tokens and views recycle their spilled capacity; payload
-  /// shells recycle the TokenMessage object itself (the receiver returns
-  /// the husk after moving the token out); frame shells circulate the same
-  /// way through on_frame. Bounded so pathological runs cannot hoard
-  /// memory.
-  std::vector<Token> token_pool_;
+  /// Free lists. A token shell returns here once its token is consumed,
+  /// with the token's spilled capacity (entry and record tables, wide
+  /// clocks); frame shells circulate the same way through on_frame, and
+  /// views recycle their spilled capacity. Bounded so pathological runs
+  /// cannot hoard memory.
   std::vector<std::unique_ptr<TokenMessage>> payload_pool_;
   std::vector<std::unique_ptr<PayloadFrame>> frame_pool_;
   std::vector<GlobalView> view_pool_;

@@ -21,8 +21,8 @@ struct MonitorStats {
 
   // -- wire (batched frames; see DESIGN.md §9) --
   std::uint64_t frames_sent = 0;     ///< batched frames flushed to the net
-  std::uint64_t bytes_sent = 0;      ///< wire-v2 encoded bytes, send side
-  std::uint64_t bytes_received = 0;  ///< wire-v2 encoded bytes, receive side
+  std::uint64_t bytes_sent = 0;      ///< wire-encoded bytes, send side
+  std::uint64_t bytes_received = 0;  ///< wire-encoded bytes, receive side
 
   // -- memory --
   std::uint64_t global_views_created = 0;

@@ -30,7 +30,11 @@ enum class ConjunctEval : std::uint8_t {
 
 enum class EntryEval : std::uint8_t { kUnset, kTrue, kFalse };
 
-/// One process's component of a frontier record.
+/// One process's component of a record. A frontier record is the entry's
+/// partially-constructed cut; a stay-point record is a certified stay-point:
+/// the last consistent cut a walk passed where the believed letter kept the
+/// source state on a self-loop (used to resurrect launchpad views). A
+/// stay-point's `depend` is never read.
 struct FrontierSlot {
   /// Constructed cut: sequence number of the last included event. Also the
   /// frontier vector clock component.
@@ -42,32 +46,26 @@ struct FrontierSlot {
   AtomSet gstate = 0;
 };
 
-/// One process's component of a certified stay-point record: the last
-/// consistent cut a walk passed where the believed letter kept the source
-/// state on a self-loop (used to resurrect launchpad views).
-struct StaySlot {
-  std::uint32_t cut = 0;
-  AtomSet gstate = 0;
-};
-
 /// An absent record index.
 inline constexpr std::uint32_t kNoRecord = 0xFFFFFFFFu;
 
-/// A token's records of one kind: record r is a block of `width(r)` slots.
-/// Entries refer to records by index, so entries at the same frontier step,
-/// copy and travel as one record. Clearing keeps the capacity (pooled
-/// tokens carry it between hops).
-template <class Slot>
+/// A token's records, frontiers and stay-points alike: record r is a block
+/// of `width(r)` slots. Entries refer to records by index, so entries at the
+/// same frontier step, copy and travel as one record. Clearing keeps the
+/// capacity (pooled tokens carry it between hops).
 class RecordTable {
  public:
   std::size_t size() const { return heads_.size(); }
   std::size_t width(std::uint32_t r) const { return heads_[r].width; }
-  Slot* operator[](std::uint32_t r) { return slots_.data() + heads_[r].first; }
-  const Slot* operator[](std::uint32_t r) const {
+  FrontierSlot* operator[](std::uint32_t r) {
+    return slots_.data() + heads_[r].first;
+  }
+  const FrontierSlot* operator[](std::uint32_t r) const {
     return slots_.data() + heads_[r].first;
   }
 
   /// Append a record of `width` value-initialized slots; returns its index.
+  /// Invalidates slot pointers into the table.
   std::uint32_t add(std::size_t width) {
     heads_.push_back({static_cast<std::uint32_t>(slots_.size()),
                       static_cast<std::uint32_t>(width)});
@@ -111,7 +109,7 @@ class RecordTable {
     std::uint32_t width;
   };
   std::vector<Head> heads_;
-  std::vector<Slot> slots_;
+  std::vector<FrontierSlot> slots_;
 };
 
 /// One possibly-enabled outgoing transition under evaluation
@@ -122,21 +120,20 @@ class RecordTable {
 /// cut and the walk advances one event at a time, so no frontier position
 /// is ever guessed.
 struct TransitionEntry {
-  static constexpr std::int32_t kNoStay = -1;
-
   int transition_id = -1;
   EntryEval eval = EntryEval::kUnset;
   int next_target_process = -1;
   std::uint32_t next_target_event = 0;
-  /// Index of the entry's record in Token::frontiers.
+  /// Index of the entry's frontier record in Token::records.
   std::uint32_t frontier = 0;
-  /// Index of the entry's certified stay-point in Token::stays, or kNoStay.
-  std::int32_t stay = kNoStay;
+  /// Index of the entry's certified stay-point record in Token::records, or
+  /// kNoRecord.
+  std::uint32_t stay = kNoRecord;
   /// Conjunct evaluation per process; its size is the entry's width.
   SmallVec<ConjunctEval, 8> conj;
 
   std::size_t width() const { return conj.size(); }
-  bool loop_certified() const { return stay != kNoStay; }
+  bool loop_certified() const { return stay != kNoRecord; }
 };
 
 /// A monitoring message (`token` in the paper).
@@ -146,21 +143,20 @@ struct Token {
   std::uint32_t parent_sn = 0; ///< local event that created the token
   VectorClock parent_vc;
   std::vector<TransitionEntry> entries;
-  RecordTable<FrontierSlot> frontiers;
-  RecordTable<StaySlot> stays;
+  RecordTable records;  ///< frontier and stay-point records
   int next_target_process = -1;
   std::uint32_t next_target_event = 0;
   int hops = 0;  ///< network hops so far (metrics)
 
   FrontierSlot* frontier(const TransitionEntry& e) {
-    return frontiers[e.frontier];
+    return records[e.frontier];
   }
   const FrontierSlot* frontier(const TransitionEntry& e) const {
-    return frontiers[e.frontier];
+    return records[e.frontier];
   }
   /// The entry's stay-point record; only for a loop_certified() entry.
-  const StaySlot* stay(const TransitionEntry& e) const {
-    return stays[static_cast<std::uint32_t>(e.stay)];
+  const FrontierSlot* stay(const TransitionEntry& e) const {
+    return records[e.stay];
   }
 
   /// Append an entry of width `n` with a fresh zeroed frontier record.
@@ -169,7 +165,7 @@ struct Token {
   /// Sum of the entry's stay-point cut components (advancement order).
   std::uint64_t loop_cut_total(const TransitionEntry& e) const {
     std::uint64_t t = 0;
-    const StaySlot* s = stay(e);
+    const FrontierSlot* s = stay(e);
     for (std::size_t j = 0; j < e.width(); ++j) t += s[j].cut;
     return t;
   }
@@ -183,6 +179,10 @@ struct Token {
 };
 
 /// Network payloads of the monitoring layer.
+///
+/// A token lives in one TokenMessage shell from the probe that builds it to
+/// the return that consumes it: the walk, parking and routing all hold the
+/// shell, and the shell itself is what a frame carries between monitors.
 struct TokenMessage final : NetPayload {
   static constexpr std::uint8_t kTag = 1;
   TokenMessage() : NetPayload(kTag) {}

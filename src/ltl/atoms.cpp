@@ -112,7 +112,10 @@ int AtomRegistry::boolean_atom(int proc, int var) {
   a.var = var;
   a.op = CmpOp::kNe;
   a.rhs = 0;
-  a.name = "P" + std::to_string(proc) + "." + variable_name(proc, var);
+  a.name = "P";
+  a.name += std::to_string(proc);
+  a.name += '.';
+  a.name += variable_name(proc, var);
   return intern_atom(std::move(a));
 }
 

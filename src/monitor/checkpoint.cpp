@@ -157,7 +157,7 @@ class CheckpointCodec {
     w.u32(static_cast<std::uint32_t>(m.views_.size()));
     for (const GlobalView& gv : m.views_) write_view(w, gv);
     w.u32(static_cast<std::uint32_t>(m.w_tokens_.size()));
-    for (const Token& t : m.w_tokens_) write_token(w, t);
+    for (const auto& shell : m.w_tokens_) write_token(w, shell->token);
     for (std::uint32_t sn : m.peer_last_sn_) w.u32(sn);
     w.u8(m.local_terminated_ ? 1 : 0);
     w.u8(m.finished_ ? 1 : 0);
@@ -237,10 +237,11 @@ class CheckpointCodec {
     }
     const std::uint32_t tokens_n = r.u32();
     if (tokens_n > kMaxItems) throw CheckpointError("too many tokens");
-    std::vector<Token> w_tokens;
+    std::vector<std::unique_ptr<TokenMessage>> w_tokens;
     w_tokens.reserve(tokens_n);
     for (std::uint32_t i = 0; i < tokens_n; ++i) {
-      w_tokens.push_back(read_token(r, n));
+      w_tokens.push_back(std::make_unique<TokenMessage>());
+      w_tokens.back()->token = read_token(r, n);
     }
     std::vector<std::uint32_t> peer_last_sn(n);
     for (std::size_t i = 0; i < n; ++i) peer_last_sn[i] = r.u32();

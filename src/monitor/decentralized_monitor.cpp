@@ -3,8 +3,6 @@
 #include <atomic>
 #include <stdexcept>
 
-#include "decmon/monitor/token.hpp"
-
 namespace decmon {
 namespace {
 
@@ -46,32 +44,15 @@ void DecentralizedMonitor::on_local_termination(int proc, double now) {
 }
 
 void DecentralizedMonitor::on_monitor_message(MonitorMessage msg, double now) {
-  MonitorProcess& target = monitor(msg.to);
-  NetPayload* payload = msg.payload.get();
-  if (payload != nullptr && payload->tag == TokenMessage::kTag) {
-    // Take ownership: move the token out, then hand the empty shell (and
-    // whatever heap capacity its token accumulated) to the receiving
-    // monitor's free list for reuse on its next send.
-    msg.payload.release();
-    std::unique_ptr<TokenMessage> shell(static_cast<TokenMessage*>(payload));
-    Token token = std::move(shell->token);
-    target.recycle_token_payload(std::move(shell));
-    target.on_token(std::move(token), now);
-  } else if (payload != nullptr && payload->tag == TerminationMessage::kTag) {
-    auto* term = static_cast<TerminationMessage*>(payload);
-    target.on_peer_termination(term->process, term->last_sn, now);
-  } else if (payload != nullptr && payload->tag == PayloadFrame::kTag) {
-    msg.payload.release();
-    target.on_frame(
-        std::unique_ptr<PayloadFrame>(static_cast<PayloadFrame*>(payload)),
-        now);
-  } else if (payload != nullptr && payload->tag == HistoryFloorMessage::kTag) {
-    auto* floor = static_cast<HistoryFloorMessage*>(payload);
-    target.on_history_floor(floor->process, floor->floor, floor->epoch, now);
-  } else {
+  // Monitors send only frames (flush_staged), and every transport delivers
+  // them as frames; MonitorProcess::on_frame dispatches the units.
+  if (msg.payload == nullptr || msg.payload->tag != PayloadFrame::kTag) {
     throw std::invalid_argument(
-        "DecentralizedMonitor: unknown monitor message payload");
+        "DecentralizedMonitor: monitor message is not a frame");
   }
+  monitor(msg.to).on_frame(std::unique_ptr<PayloadFrame>(
+                               static_cast<PayloadFrame*>(msg.payload.release())),
+                           now);
 }
 
 bool DecentralizedMonitor::all_finished() const {

@@ -25,9 +25,10 @@ class DepthGuard {
 constexpr std::uint32_t kRunning = 0xFFFFFFFFu;
 
 /// Free-list bounds: generous for real runs, tight enough that a
-/// pathological run cannot hoard memory through the pools.
-constexpr std::size_t kMaxPooledTokens = 128;
-constexpr std::size_t kMaxPooledPayloads = 128;
+/// pathological run cannot hoard memory through the pools. A token shell
+/// keeps its token's tables, so pooled shells hold what a burst of returns
+/// left behind; a few cover a monitor's probes (EXPERIMENTS.md round 19).
+constexpr std::size_t kMaxPooledPayloads = 8;
 constexpr std::size_t kMaxPooledFrames = 32;
 constexpr std::size_t kMaxPooledViews = 128;
 
@@ -55,14 +56,6 @@ AtomSet combined_gstate(const FrontierSlot* f, std::size_t n) {
   return a;
 }
 
-/// A new stay-point record holding the frontier `f` as a certified point.
-std::uint32_t add_stay(Token& token, const FrontierSlot* f, std::size_t n) {
-  const std::uint32_t r = token.stays.add(n);
-  StaySlot* s = token.stays[r];
-  for (std::size_t j = 0; j < n; ++j) s[j] = {f[j].cut, f[j].gstate};
-  return r;
-}
-
 /// Per record: whether an entry that does not move holds it.
 using HeldRecords = SmallVec<std::uint8_t, 64>;
 
@@ -85,7 +78,7 @@ SmallVec<std::uint32_t, 32> split_records(
     while (k < moved.size() && moved[k].from != entry.frontier) ++k;
     if (k == moved.size()) {
       const std::uint32_t to = held[entry.frontier]
-                                   ? token.frontiers.add_copy(entry.frontier)
+                                   ? token.records.add_copy(entry.frontier)
                                    : entry.frontier;
       moved.push_back({entry.frontier, to});
       records.push_back(to);
@@ -99,8 +92,7 @@ SmallVec<std::uint32_t, 32> split_records(
 /// replaced stay-points leave records nobody holds. Drop them once they
 /// could outnumber the live ones.
 void compact_if_sparse(Token& token) {
-  if (token.frontiers.size() + token.stays.size() >
-      2 * token.entries.size() + 8) {
+  if (token.records.size() > 2 * token.entries.size() + 8) {
     token.compact_records();
   }
 }
@@ -189,39 +181,25 @@ void MonitorProcess::declare(int q, double now) {
 // Free lists
 // ---------------------------------------------------------------------------
 
-Token MonitorProcess::acquire_token() {
-  if (token_pool_.empty()) return Token{};
-  Token t = std::move(token_pool_.back());
-  token_pool_.pop_back();
+std::unique_ptr<TokenMessage> MonitorProcess::acquire_shell() {
+  if (payload_pool_.empty()) return std::make_unique<TokenMessage>();
+  std::unique_ptr<TokenMessage> shell = std::move(payload_pool_.back());
+  payload_pool_.pop_back();
+  Token& t = shell->token;
   t.token_id = 0;
   t.parent = -1;
   t.parent_sn = 0;
   // Clearing keeps the entry and record tables' capacity.
   t.entries.clear();
-  t.frontiers.clear();
-  t.stays.clear();
+  t.records.clear();
   t.next_target_process = -1;
   t.next_target_event = 0;
   t.hops = 0;
-  return t;
-}
-
-void MonitorProcess::recycle_token(Token&& token) {
-  if (token_pool_.size() < kMaxPooledTokens) {
-    token_pool_.push_back(std::move(token));
-  }
-}
-
-std::unique_ptr<TokenMessage> MonitorProcess::acquire_token_payload() {
-  if (payload_pool_.empty()) return std::make_unique<TokenMessage>();
-  std::unique_ptr<TokenMessage> shell = std::move(payload_pool_.back());
-  payload_pool_.pop_back();
   return shell;
 }
 
-void MonitorProcess::recycle_token_payload(
-    std::unique_ptr<TokenMessage> shell) {
-  if (shell && payload_pool_.size() < kMaxPooledPayloads) {
+void MonitorProcess::recycle_shell(std::unique_ptr<TokenMessage> shell) {
+  if (payload_pool_.size() < kMaxPooledPayloads) {
     payload_pool_.push_back(std::move(shell));
   }
 }
@@ -313,11 +291,12 @@ void MonitorProcess::on_local_event(const Event& event, double now) {
   // processing can re-park or spawn views. Tokens parked during this loop
   // always target future events, so they never match the condition.
   for (std::size_t i = 0; i < w_tokens_.size();) {
-    if (w_tokens_[i].next_target_process == index_ &&
-        w_tokens_[i].next_target_event <= event.sn) {
-      Token t = std::move(w_tokens_[i]);
+    const Token& parked = w_tokens_[i]->token;
+    if (parked.next_target_process == index_ &&
+        parked.next_target_event <= event.sn) {
+      std::unique_ptr<TokenMessage> shell = std::move(w_tokens_[i]);
       w_tokens_.erase(w_tokens_.begin() + static_cast<std::ptrdiff_t>(i));
-      process_token(std::move(t), now);
+      process_token(std::move(shell), now);
       // The erase shifted the next candidate into slot i.
     } else {
       ++i;
@@ -462,9 +441,10 @@ void MonitorProcess::probe_outgoing(GlobalView& gv, const Event& e,
   const AtomSet pre_letter =
       event_at(e.sn - (e.sn > 0 ? 1 : 0)).letter;
 
-  // Entries are built directly into a pooled token; if the probe turns out
-  // empty or a duplicate, the token (and its capacity) goes back unsent.
-  Token token = acquire_token();
+  // Entries are built directly into a pooled shell; if the probe turns out
+  // empty or a duplicate, the shell (and its capacity) goes back unsent.
+  std::unique_ptr<TokenMessage> shell = acquire_shell();
+  Token& token = shell->token;
   SmallVec<int, 32> tids;
 
   const std::size_t n = static_cast<std::size_t>(n_);
@@ -480,8 +460,8 @@ void MonitorProcess::probe_outgoing(GlobalView& gv, const Event& e,
       const int tid = cand.tid;
       if (!prop_->locally_satisfied(tid, index_, e.letter)) continue;
       if (joined == kNoRecord) {
-        joined = token.frontiers.add(n);
-        FrontierSlot* f = token.frontiers[joined];
+        joined = token.records.add(n);
+        FrontierSlot* f = token.records[joined];
         for (std::size_t j = 0; j < n; ++j) {
           f[j].cut = std::max(gv.cut[j], e.vc[j]);
           if (f[j].cut != gv.cut[j]) advanced = true;
@@ -489,7 +469,7 @@ void MonitorProcess::probe_outgoing(GlobalView& gv, const Event& e,
           f[j].depend = f[j].cut;
         }
       }
-      const FrontierSlot* f = token.frontiers[joined];
+      const FrontierSlot* f = token.records[joined];
       TransitionEntry entry;
       entry.transition_id = tid;
       entry.frontier = joined;
@@ -525,7 +505,7 @@ void MonitorProcess::probe_outgoing(GlobalView& gv, const Event& e,
       token.entries.push_back(std::move(entry));
     }
     if (token.entries.empty()) {
-      recycle_token(std::move(token));
+      recycle_shell(std::move(shell));
       return;
     }
   } else {
@@ -544,8 +524,8 @@ void MonitorProcess::probe_outgoing(GlobalView& gv, const Event& e,
 
     std::uint32_t& record = records[pre ? 1 : 0];
     if (record == kNoRecord) {
-      record = token.frontiers.add(n);
-      FrontierSlot* f = token.frontiers[record];
+      record = token.records.add(n);
+      FrontierSlot* f = token.records[record];
       for (std::size_t j = 0; j < n; ++j) {
         f[j].cut = gv.cut[j];
         f[j].gstate = gv.gstate[j];
@@ -563,7 +543,7 @@ void MonitorProcess::probe_outgoing(GlobalView& gv, const Event& e,
         merge_depend(f, n, e.vc);
       }
     }
-    const FrontierSlot* f = token.frontiers[record];
+    const FrontierSlot* f = token.records[record];
     TransitionEntry entry;
     entry.transition_id = tid;
     entry.frontier = record;
@@ -618,7 +598,7 @@ void MonitorProcess::probe_outgoing(GlobalView& gv, const Event& e,
   }
 
   if (token.entries.empty()) {
-    recycle_token(std::move(token));
+    recycle_shell(std::move(shell));
     return;
   }
   }  // walk-mode dispatch
@@ -632,18 +612,18 @@ void MonitorProcess::probe_outgoing(GlobalView& gv, const Event& e,
   const std::uint64_t sig = probe_signature(gv, tids);
   if (options_.dedupe_probes) {
     if (gv.probe_sig == sig || outstanding_sigs_.count(sig)) {
-      recycle_token(std::move(token));
+      recycle_shell(std::move(shell));
       return;
     }
   }
 
   // A consistent probe forks a copy below; surface a cap breach before any
-  // state mutates: the pooled token goes back, the view never starts
+  // state mutates: the pooled shell goes back, the view never starts
   // waiting, no signature is registered, and nothing is counted as created.
   if (consistent && options_.max_views &&
       views_.size() >= options_.max_views) {
     ++stats_.views_overflowed;
-    recycle_token(std::move(token));
+    recycle_shell(std::move(shell));
     throw MonitorOverflow("MonitorProcess: view cap exceeded (fork)");
   }
 
@@ -655,8 +635,12 @@ void MonitorProcess::probe_outgoing(GlobalView& gv, const Event& e,
   ++stats_.tokens_created;
 
   if (options_.trace) {
-    options_.trace("M" + std::to_string(index_) + " probe " +
-                   token.to_string() + " from " + gv.to_string());
+    options_.trace(std::string("M")
+                       .append(std::to_string(index_))
+                       .append(" probe ")
+                       .append(token.to_string())
+                       .append(" from ")
+                       .append(gv.to_string()));
   }
   views_changed_ = true;
   gv.waiting = true;
@@ -680,20 +664,21 @@ void MonitorProcess::probe_outgoing(GlobalView& gv, const Event& e,
   // Dispatch: walks local targets over history (pre-cut entries re-consume
   // the triggering event here), routes remote targets, parks only on truly
   // future local events.
-  process_token(std::move(token), now);
+  process_token(std::move(shell), now);
 }
 
 // ---------------------------------------------------------------------------
 // Token path (Alg. 3-5)
 // ---------------------------------------------------------------------------
 
-void MonitorProcess::on_token(Token token, double now) {
+void MonitorProcess::on_token(std::unique_ptr<TokenMessage> shell,
+                              double now) {
   try {
     DepthGuard guard(dispatch_depth_);
-    if (token.parent == index_) {
-      handle_returned_token(std::move(token), now);
+    if (shell->token.parent == index_) {
+      handle_returned_token(std::move(shell), now);
     } else {
-      process_token(std::move(token), now);
+      process_token(std::move(shell), now);
     }
     merge_similar_views();
     sweep_dead_views();
@@ -718,11 +703,9 @@ void MonitorProcess::on_frame(std::unique_ptr<PayloadFrame> frame,
     for (std::unique_ptr<NetPayload>& unit : frame->units) {
       if (!unit) continue;
       if (unit->tag == TokenMessage::kTag) {
-        std::unique_ptr<TokenMessage> shell(
-            static_cast<TokenMessage*>(unit.release()));
-        Token token = std::move(shell->token);
-        recycle_token_payload(std::move(shell));
-        on_token(std::move(token), now);
+        on_token(std::unique_ptr<TokenMessage>(
+                     static_cast<TokenMessage*>(unit.release())),
+                 now);
       } else if (unit->tag == TerminationMessage::kTag) {
         const auto& t = static_cast<const TerminationMessage&>(*unit);
         on_peer_termination(t.process, t.last_sn, now);
@@ -742,13 +725,15 @@ void MonitorProcess::on_frame(std::unique_ptr<PayloadFrame> frame,
   recycle_frame(std::move(frame));
 }
 
-void MonitorProcess::process_token(Token&& token, double now) {
+void MonitorProcess::process_token(std::unique_ptr<TokenMessage> shell,
+                                   double now) {
+  Token& token = shell->token;
   while (true) {
     if (token.next_target_process != index_) {
       // Targeted elsewhere: route it. A false return means the router chose
       // to keep it here after all (some entry targets this process); the
       // loop continues with the updated local target.
-      if (route_token(token, now)) return;
+      if (route_token(shell, now)) return;
       continue;
     }
     const std::uint32_t sn = token.next_target_event;
@@ -765,12 +750,12 @@ void MonitorProcess::process_token(Token&& token, double now) {
           entry.eval = EntryEval::kFalse;
         }
       }
-      if (route_token(token, now)) return;
+      if (route_token(shell, now)) return;
       continue;  // stays here, now targeting a retained event
     }
     if (sn >= history_end()) {
       if (!local_terminated_) {
-        w_tokens_.push_back(std::move(token));
+        w_tokens_.push_back(std::move(shell));
         stats_.peak_waiting_tokens = std::max<std::uint64_t>(
             stats_.peak_waiting_tokens, w_tokens_.size());
         return;
@@ -784,14 +769,14 @@ void MonitorProcess::process_token(Token&& token, double now) {
           entry.eval = EntryEval::kFalse;
         }
       }
-      if (!route_token(token, now)) {
+      if (!route_token(shell, now)) {
         throw std::logic_error(
             "MonitorProcess: token stuck after local termination");
       }
       return;
     }
     apply_event_to_token(token, sn);
-    if (route_token(token, now)) return;
+    if (route_token(shell, now)) return;
     // Token stays here, now targeting a later local event; keep walking.
   }
 }
@@ -807,7 +792,7 @@ void MonitorProcess::apply_event_to_token(Token& token, std::uint32_t sn) {
   // Last event a fast-forward may cover: one before the next event another
   // live entry awaits here (it joins the walk there), and the history's end.
   std::uint32_t run_end = history_end() - 1;
-  HeldRecords held(token.frontiers.size(), 0);
+  HeldRecords held(token.records.size(), 0);
   for (std::size_t idx = 0; idx < token.entries.size(); ++idx) {
     const TransitionEntry& entry = token.entries[idx];
     if (entry.eval == EntryEval::kUnset && entry.next_target_process == index_) {
@@ -824,7 +809,7 @@ void MonitorProcess::apply_event_to_token(Token& token, std::uint32_t sn) {
   }
   // The event moves each stepping record once, whichever entries hold it.
   for (std::uint32_t r : split_records(token, stepping, held)) {
-    FrontierSlot* f = token.frontiers[r];
+    FrontierSlot* f = token.records[r];
     f[me].cut = sn;
     f[me].gstate = e.letter;
     merge_depend(f, n, e.vc);
@@ -896,10 +881,12 @@ void MonitorProcess::apply_event_to_token(Token& token, std::uint32_t sn) {
         if (c.frontier == entry.frontier) stay = c.stay;
       }
       if (stay == kNoRecord) {
-        stay = add_stay(token, f, n);
+        // A copy of the frontier; adding it moves the table's slots.
+        stay = token.records.add_copy(entry.frontier);
         certified.push_back({entry.frontier, stay});
+        f = token.frontier(entry);
       }
-      entry.stay = static_cast<std::int32_t>(stay);
+      entry.stay = stay;
     }
     // A conjunct re-opens when its process's slice will move.
     if (!ct.local[static_cast<std::size_t>(next)].is_true()) {
@@ -1023,12 +1010,14 @@ void MonitorProcess::fast_forward(Token& token,
       ++c;
     }
     if (c == certified.size() || certified[c].sn != cert) {
-      const std::uint32_t stay = add_stay(token, f, n);
-      token.stays[stay][me] = {cert, event_at(cert).letter};
+      const std::uint32_t stay = token.records.add_copy(entry.frontier);
+      FrontierSlot* s = token.records[stay];
+      s[me].cut = cert;
+      s[me].gstate = event_at(cert).letter;
       if (c == certified.size()) certified.push_back({});
       certified[c] = {entry.frontier, cert, stay};
     }
-    entry.stay = static_cast<std::int32_t>(certified[c].stay);
+    entry.stay = certified[c].stay;
   }
 
   const Event& end = event_at(last);
@@ -1041,7 +1030,7 @@ void MonitorProcess::fast_forward(Token& token,
   }
   // Unless the movers' records are theirs alone, find those another entry
   // holds; `movers` lists entry indexes in ascending order.
-  HeldRecords held(token.frontiers.size(), 0);
+  HeldRecords held(token.records.size(), 0);
   for (std::size_t idx = 0, m = 0; !exclusive && idx < token.entries.size();
        ++idx) {
     if (m < movers.size() && movers[m] == idx) {
@@ -1051,14 +1040,16 @@ void MonitorProcess::fast_forward(Token& token,
     }
   }
   for (std::uint32_t r : split_records(token, movers, held)) {
-    FrontierSlot* f = token.frontiers[r];
+    FrontierSlot* f = token.records[r];
     f[me].cut = last;
     f[me].gstate = end.letter;
     merge_depend(f, n, end.vc);
   }
 }
 
-bool MonitorProcess::route_token(Token& token, double now) {
+bool MonitorProcess::route_token(std::unique_ptr<TokenMessage>& shell,
+                                 double now) {
+  Token& token = shell->token;
   // SendToNextProcess (4.2.0.6): (1) any enabled entry -> parent; (2) a
   // live entry targets this process -> stay; (3) a live entry targets a
   // third process -> go there; (4) otherwise -> parent.
@@ -1126,7 +1117,7 @@ bool MonitorProcess::route_token(Token& token, double now) {
   ++stats_.token_hops;
   if (dest == index_) {
     // Returning home without a hop (parent == current process).
-    handle_returned_token(std::move(token), now);
+    handle_returned_token(std::move(shell), now);
     return true;
   }
   ++stats_.token_messages_sent;
@@ -1158,19 +1149,15 @@ bool MonitorProcess::route_token(Token& token, double now) {
     token.entries.resize(kept);
   }
   compact_if_sparse(token);
-  // Swap the token into a recycled message shell: the shell's previous
-  // token husk lands in `token` and goes back to the pool, so its spilled
-  // capacity (entry vector, wide clocks) keeps circulating. The shell is
-  // staged, not sent: it leaves inside a batched frame when the current
-  // dispatch unwinds.
-  std::unique_ptr<TokenMessage> payload = acquire_token_payload();
-  std::swap(payload->token, token);
-  stage_send(dest, std::move(payload));
-  recycle_token(std::move(token));
+  // The shell is staged, not sent: it leaves inside a batched frame when
+  // the current dispatch unwinds.
+  stage_send(dest, std::move(shell));
   return true;
 }
 
-void MonitorProcess::handle_returned_token(Token&& token, double now) {
+void MonitorProcess::handle_returned_token(
+    std::unique_ptr<TokenMessage> shell, double now) {
+  Token& token = shell->token;
   views_changed_ = true;
   GlobalView* gv = find_view_by_token(token.token_id);
   if (!gv || gv->dead) {
@@ -1186,7 +1173,7 @@ void MonitorProcess::handle_returned_token(Token&& token, double now) {
       spawned = true;
     }
     ++stats_.tokens_returned;
-    recycle_token(std::move(token));
+    recycle_shell(std::move(shell));
     if (spawned) check_finished(now);
     return;
   }
@@ -1230,7 +1217,7 @@ void MonitorProcess::handle_returned_token(Token&& token, double now) {
   SmallVec<std::uint32_t, 8> cert_cut;
   SmallVec<AtomSet, 8> cert_gstate;
   if (cert) {
-    const StaySlot* s = token.stay(*cert);
+    const FrontierSlot* s = token.stay(*cert);
     cert_cut.resize(cert->width());
     cert_gstate.resize(cert->width());
     for (std::size_t j = 0; j < cert->width(); ++j) {
@@ -1246,14 +1233,15 @@ void MonitorProcess::handle_returned_token(Token&& token, double now) {
 
   if (token.entries.empty()) {
     ++stats_.tokens_returned;
-    recycle_token(std::move(token));
+    // `token` and `cert` die with the shell; cert_cut holds the stay-point.
+    recycle_shell(std::move(shell));
     gv->waiting = false;
     outstanding_sigs_.erase(gv->probe_sig);
     if (gv->forked_copy) {
       // A copy has been tracing the path from the launch position since the
       // probe went out: the launchpad is redundant.
       gv->dead = true;
-    } else if (cert &&
+    } else if (!cert_cut.empty() &&
                cert_cut[static_cast<std::size_t>(index_)] >= history_base_) {
       // Resurrection (design note): the launchpad had no copy continuing
       // the path (its triggering event was inconsistent), but the token
@@ -1289,7 +1277,7 @@ void MonitorProcess::handle_returned_token(Token&& token, double now) {
   }
   // Live entries remain (inconsistency repairs that involve the parent, or
   // further remote visits): re-dispatch.
-  process_token(std::move(token), now);
+  process_token(std::move(shell), now);
 }
 
 void MonitorProcess::spawn_view(const Token& token,
@@ -1321,8 +1309,10 @@ void MonitorProcess::spawn_view(const Token& token,
     spawned_memo_.insert(h);
   }
   if (options_.trace) {
-    options_.trace("M" + std::to_string(index_) + " spawn via " +
-                   token.entry_to_string(entry));
+    options_.trace(std::string("M")
+                       .append(std::to_string(index_))
+                       .append(" spawn via ")
+                       .append(token.entry_to_string(entry)));
   }
   GlobalView v = acquire_view();
   v.id = next_view_id_++;
@@ -1432,11 +1422,12 @@ std::uint32_t MonitorProcess::trim_bound() const {
     const std::uint32_t slack = gv.waiting ? 2 : 1;
     lower(gv.next_sn > slack ? gv.next_sn - slack : 0);
   }
-  for (const Token& t : w_tokens_) {
+  for (const std::unique_ptr<TokenMessage>& shell : w_tokens_) {
     // A parked token's entries can later retarget to, or spawn a view
     // anchored at, their current local cut component (predecessor letter
     // included); every entry counts, resolved ones too -- an enabled entry
     // still spawns on return.
+    const Token& t = shell->token;
     for (const TransitionEntry& e : t.entries) lower(t.frontier(e)[index_].cut);
   }
   for (int j = 0; j < n_; ++j) {
@@ -1513,9 +1504,10 @@ void MonitorProcess::gc_sweep(double now) {
 }
 
 void MonitorProcess::flush_waiting_tokens(double now) {
-  std::vector<Token> parked = std::move(w_tokens_);
+  std::vector<std::unique_ptr<TokenMessage>> parked = std::move(w_tokens_);
   w_tokens_.clear();
-  for (Token& t : parked) {
+  for (std::unique_ptr<TokenMessage>& shell : parked) {
+    Token& t = shell->token;
     // Every entry waiting for a local event beyond the last one is disabled.
     for (TransitionEntry& entry : t.entries) {
       if (entry.eval == EntryEval::kUnset &&
@@ -1524,7 +1516,7 @@ void MonitorProcess::flush_waiting_tokens(double now) {
         entry.eval = EntryEval::kFalse;
       }
     }
-    if (!route_token(t, now)) {
+    if (!route_token(shell, now)) {
       throw std::logic_error("MonitorProcess: unflushable token " +
                              t.to_string() + " history=" +
                              std::to_string(history_end()));

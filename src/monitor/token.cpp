@@ -6,33 +6,25 @@ namespace decmon {
 
 TransitionEntry& Token::add_entry(std::size_t n) {
   TransitionEntry& e = entries.emplace_back();
-  e.frontier = frontiers.add(n);
+  e.frontier = records.add(n);
   e.conj.assign(n, ConjunctEval::kUnset);
   return e;
 }
 
 void Token::compact_records() {
-  SmallVec<std::uint32_t, 64> fmap(frontiers.size(), kNoRecord);
-  SmallVec<std::uint32_t, 64> smap(stays.size(), kNoRecord);
+  SmallVec<std::uint32_t, 64> map(records.size(), kNoRecord);
   for (const TransitionEntry& e : entries) {
-    fmap[e.frontier] = 0;
-    if (e.loop_certified()) smap[static_cast<std::uint32_t>(e.stay)] = 0;
+    map[e.frontier] = 0;
+    if (e.loop_certified()) map[e.stay] = 0;
   }
-  auto number = [](SmallVec<std::uint32_t, 64>& map) {
-    std::uint32_t next = 0;
-    for (std::uint32_t& r : map) {
-      if (r != kNoRecord) r = next++;
-    }
-  };
-  number(fmap);
-  number(smap);
-  frontiers.compact(fmap);
-  stays.compact(smap);
+  std::uint32_t next = 0;
+  for (std::uint32_t& r : map) {
+    if (r != kNoRecord) r = next++;
+  }
+  records.compact(map);
   for (TransitionEntry& e : entries) {
-    e.frontier = fmap[e.frontier];
-    if (e.loop_certified()) {
-      e.stay = static_cast<std::int32_t>(smap[static_cast<std::uint32_t>(e.stay)]);
-    }
+    e.frontier = map[e.frontier];
+    if (e.loop_certified()) e.stay = map[e.stay];
   }
 }
 

@@ -58,11 +58,11 @@ std::uint32_t checked_u32(std::uint64_t v, const char* what) {
 // Process indexes travel zigzagged (-1 = unset) and must name one of the
 // session's `max_width` processes.
 template <class Sink>
-void write_process_v2(Sink& w, int process) {
+void write_process(Sink& w, int process) {
   w.zig(process);
 }
 
-int read_process_v2(WireReader& r, std::size_t max_width) {
+int read_process(WireReader& r, std::size_t max_width) {
   const std::int64_t v = r.zig();
   if (v < -1 || v >= static_cast<std::int64_t>(max_width)) {
     throw WireError("bad target process");
@@ -78,8 +78,8 @@ int read_unit_process(WireReader& r, std::size_t max_width) {
 }
 
 template <class Sink>
-void write_clock_v2(Sink& w, const VectorClock& clock,
-                    const VectorClock& base) {
+void write_clock(Sink& w, const VectorClock& clock,
+                 const VectorClock& base) {
   w.var(clock.size());
   if (clock.size() == base.size()) {
     for (std::size_t i = 0; i < clock.size(); ++i) {
@@ -90,8 +90,8 @@ void write_clock_v2(Sink& w, const VectorClock& clock,
   }
 }
 
-VectorClock read_clock_v2(WireReader& r, std::size_t max_width,
-                          const VectorClock& base) {
+VectorClock read_clock(WireReader& r, std::size_t max_width,
+                       const VectorClock& base) {
   const std::uint64_t n = r.var();
   if (n > max_width) throw WireError("vector clock too wide");
   VectorClock clock(static_cast<std::size_t>(n));
@@ -110,11 +110,12 @@ VectorClock read_clock_v2(WireReader& r, std::size_t max_width,
 
 // Shared records (DESIGN.md §9.3). Entries of one token refer to shared
 // frontier records -- (cut, depend, gstate) on every slot -- and stay-point
-// records -- (cut, gstate) of the certified point. A token writes each
-// record inline at the first entry that refers to it; a later entry names
-// it by its 1-based position among the inline records of that kind. The
-// decoder turns each inline block into a new record, so the k-th inline
-// block is record k - 1 and a reference needs no lookup.
+// records -- (cut, gstate) of the certified point -- in the token's one
+// record table. A token writes each record inline at the first entry that
+// refers to it; a later entry names it by its 1-based position among the
+// inline records of that kind, so each kind keeps its own numbering: one
+// RecordRefs per kind over the one table. The decoder turns each inline
+// block into a new record and lists, per kind, the record of each ordinal.
 class RecordRefs {
  public:
   explicit RecordRefs(std::size_t records) : refs_(records, 0) {}
@@ -138,9 +139,9 @@ class RecordRefs {
 // the conj values four to a byte, the walk target, and its stay-point
 // block (none, inline deltas against the frontier's cut, or a reference).
 template <class Sink>
-void write_entry_v2(Sink& w, const Token& t, const TransitionEntry& e,
-                    const VectorClock& base, RecordRefs& frontiers,
-                    RecordRefs& stays) {
+void write_entry(Sink& w, const Token& t, const TransitionEntry& e,
+                 const VectorClock& base, RecordRefs& frontiers,
+                 RecordRefs& stays) {
   const std::size_t n = e.width();
   const FrontierSlot* f = t.frontier(e);
   w.zig(e.transition_id);
@@ -169,27 +170,39 @@ void write_entry_v2(Sink& w, const Token& t, const TransitionEntry& e,
     w.u8(packed);
   }
   w.u8(static_cast<std::uint8_t>(e.eval));
-  write_process_v2(w, e.next_target_process);
+  write_process(w, e.next_target_process);
   w.var(e.next_target_event);
   if (!e.loop_certified()) {
     w.var(0);
     return;
   }
-  const std::uint32_t stay = stays.share(static_cast<std::uint32_t>(e.stay));
+  const std::uint32_t stay = stays.share(e.stay);
   if (stay != 0) {
     w.var(stay + 1);
     return;
   }
   w.var(1);
-  const StaySlot* s = t.stay(e);
+  const FrontierSlot* s = t.stay(e);
   for (std::size_t j = 0; j < n; ++j) {
     w.zig(delta(s[j].cut, f[j].cut));
     w.var(s[j].gstate);
   }
 }
 
-void read_entry_v2(WireReader& r, std::size_t max_width,
-                   const VectorClock& base, Token& t) {
+// Per kind, the record each inline block became: ordinal k - 1 -> record.
+using RecordOrdinals = SmallVec<std::uint32_t, 16>;
+
+// Resolve a 1-based block reference of one kind.
+std::uint32_t read_reference(std::uint64_t ref, const RecordOrdinals& ordinals,
+                             const Token& t, std::uint64_t n) {
+  if (ref > ordinals.size()) throw WireError("block reference out of range");
+  const std::uint32_t record = ordinals[static_cast<std::size_t>(ref - 1)];
+  if (t.records.width(record) != n) throw WireError("block width mismatch");
+  return record;
+}
+
+void read_entry(WireReader& r, std::size_t max_width, const VectorClock& base,
+                Token& t, RecordOrdinals& frontiers, RecordOrdinals& stays) {
   TransitionEntry e;
   const std::int64_t tid = r.zig();
   if (tid < std::numeric_limits<int>::min() ||
@@ -202,8 +215,9 @@ void read_entry_v2(WireReader& r, std::size_t max_width,
   e.conj.resize(static_cast<std::size_t>(n));
   const std::uint64_t frontier = r.var();
   if (frontier == 0) {
-    e.frontier = t.frontiers.add(static_cast<std::size_t>(n));
-    FrontierSlot* f = t.frontiers[e.frontier];
+    e.frontier = t.records.add(static_cast<std::size_t>(n));
+    frontiers.push_back(e.frontier);
+    FrontierSlot* f = t.records[e.frontier];
     const bool base_delta = n == base.size();
     for (std::size_t j = 0; j < n; ++j) {
       f[j].cut =
@@ -216,13 +230,7 @@ void read_entry_v2(WireReader& r, std::size_t max_width,
       f[j].gstate = r.var();
     }
   } else {
-    if (frontier > t.frontiers.size()) {
-      throw WireError("block reference out of range");
-    }
-    e.frontier = static_cast<std::uint32_t>(frontier - 1);
-    if (t.frontiers.width(e.frontier) != n) {
-      throw WireError("block width mismatch");
-    }
+    e.frontier = read_reference(frontier, frontiers, t, n);
   }
   for (std::size_t j = 0; j < n; j += 4) {
     std::uint8_t packed = r.u8();
@@ -235,56 +243,50 @@ void read_entry_v2(WireReader& r, std::size_t max_width,
   const std::uint8_t eval = r.u8();
   if (eval > 2) throw WireError("bad entry eval");
   e.eval = static_cast<EntryEval>(eval);
-  e.next_target_process = read_process_v2(r, max_width);
+  e.next_target_process = read_process(r, max_width);
   e.next_target_event = checked_u32(r.var(), "bad target event");
   const std::uint64_t loop = r.var();
   if (loop == 1) {
-    const std::uint32_t stay = t.stays.add(static_cast<std::size_t>(n));
-    StaySlot* s = t.stays[stay];
-    const FrontierSlot* f = t.frontiers[e.frontier];
+    e.stay = t.records.add(static_cast<std::size_t>(n));
+    stays.push_back(e.stay);
+    FrontierSlot* s = t.records[e.stay];
+    const FrontierSlot* f = t.records[e.frontier];
     for (std::size_t j = 0; j < n; ++j) {
       s[j].cut = checked_u32(static_cast<std::int64_t>(f[j].cut) + r.zig(),
                              "loop cut delta out of range");
       s[j].gstate = r.var();
     }
-    e.stay = static_cast<std::int32_t>(stay);
   } else if (loop > 1) {
-    if (loop - 1 > t.stays.size()) {
-      throw WireError("block reference out of range");
-    }
-    e.stay = static_cast<std::int32_t>(loop - 2);
-    if (t.stays.width(static_cast<std::uint32_t>(e.stay)) != n) {
-      throw WireError("block width mismatch");
-    }
+    e.stay = read_reference(loop - 1, stays, t, n);
   }
   t.entries.push_back(std::move(e));
 }
 
 template <class Sink>
-void write_token_v2(Sink& w, const Token& t, const VectorClock& base) {
+void write_token_unit(Sink& w, const Token& t, const VectorClock& base) {
   w.var(t.token_id);
-  write_process_v2(w, t.parent);
+  write_process(w, t.parent);
   w.var(t.parent_sn);
-  write_clock_v2(w, t.parent_vc, base);
-  write_process_v2(w, t.next_target_process);
+  write_clock(w, t.parent_vc, base);
+  write_process(w, t.next_target_process);
   w.var(t.next_target_event);
   w.var(static_cast<std::uint64_t>(t.hops));
   w.var(t.entries.size());
-  RecordRefs frontiers(t.frontiers.size());
-  RecordRefs stays(t.stays.size());
+  RecordRefs frontiers(t.records.size());
+  RecordRefs stays(t.records.size());
   for (const TransitionEntry& e : t.entries) {
-    write_entry_v2(w, t, e, base, frontiers, stays);
+    write_entry(w, t, e, base, frontiers, stays);
   }
 }
 
-Token read_token_v2(WireReader& r, std::size_t max_width,
-                    const VectorClock& base) {
-  Token t;
+// Reads into a fresh (empty) token.
+void read_token_unit(WireReader& r, std::size_t max_width,
+                     const VectorClock& base, Token& t) {
   t.token_id = r.var();
-  t.parent = read_process_v2(r, max_width);
+  t.parent = read_process(r, max_width);
   t.parent_sn = checked_u32(r.var(), "bad parent sn");
-  t.parent_vc = read_clock_v2(r, max_width, base);
-  t.next_target_process = read_process_v2(r, max_width);
+  t.parent_vc = read_clock(r, max_width, base);
+  t.next_target_process = read_process(r, max_width);
   t.next_target_event = checked_u32(r.var(), "bad target event");
   const std::uint64_t hops = r.var();
   if (hops > std::numeric_limits<int>::max()) throw WireError("bad hop count");
@@ -293,8 +295,11 @@ Token read_token_v2(WireReader& r, std::size_t max_width,
   // Bound the count by the bytes left before reserving for it.
   if (n > r.remaining() / kMinEntryBytes) throw WireError("too many entries");
   t.entries.reserve(static_cast<std::size_t>(n));
-  for (std::uint64_t i = 0; i < n; ++i) read_entry_v2(r, max_width, base, t);
-  return t;
+  RecordOrdinals frontiers;
+  RecordOrdinals stays;
+  for (std::uint64_t i = 0; i < n; ++i) {
+    read_entry(r, max_width, base, t, frontiers, stays);
+  }
 }
 
 const VectorClock kEmptyBase{};
@@ -321,7 +326,7 @@ void write_frame_unit(Sink& w, const NetPayload& unit,
                       const VectorClock& base) {
   if (unit.tag == TokenMessage::kTag) {
     w.u8(static_cast<std::uint8_t>(WireKind::kToken));
-    write_token_v2(w, static_cast<const TokenMessage&>(unit).token, base);
+    write_token_unit(w, static_cast<const TokenMessage&>(unit).token, base);
   } else if (unit.tag == TerminationMessage::kTag) {
     const auto& msg = static_cast<const TerminationMessage&>(unit);
     w.u8(static_cast<std::uint8_t>(WireKind::kTermination));
@@ -345,7 +350,7 @@ std::unique_ptr<NetPayload> read_frame_unit(WireReader& r,
   const std::uint8_t tag = r.u8();
   if (tag == static_cast<std::uint8_t>(WireKind::kToken)) {
     auto msg = std::make_unique<TokenMessage>();
-    msg->token = read_token_v2(r, max_width, base);
+    read_token_unit(r, max_width, base, msg->token);
     return msg;
   }
   if (tag == static_cast<std::uint8_t>(WireKind::kTermination)) {
@@ -412,11 +417,13 @@ void encode_payload_impl(WireWriter& w, const NetPayload& payload) {
 }  // namespace
 
 void write_token(WireWriter& w, const Token& token) {
-  write_token_v2(w, token, kEmptyBase);
+  write_token_unit(w, token, kEmptyBase);
 }
 
 Token read_token(WireReader& r, std::size_t max_width) {
-  return read_token_v2(r, max_width, kEmptyBase);
+  Token t;
+  read_token_unit(r, max_width, kEmptyBase, t);
+  return t;
 }
 
 WireKind wire_kind(std::span<const std::uint8_t> buffer) {

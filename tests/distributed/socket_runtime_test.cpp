@@ -18,6 +18,7 @@
 #include <mutex>
 #include <random>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "decmon/core/properties.hpp"
@@ -145,8 +146,8 @@ Token seeded_token(std::mt19937_64& rng, int width, int entries) {
         static_cast<int>(rng() % static_cast<unsigned>(width + 1)) - 1;
     e.next_target_event = static_cast<std::uint32_t>(rng() % 1000);
     if (rng() % 2 == 0) {
-      e.stay = static_cast<std::int32_t>(t.stays.add(n));
-      StaySlot* s = t.stays[static_cast<std::uint32_t>(e.stay)];
+      e.stay = t.records.add(n);
+      FrontierSlot* s = t.records[e.stay];
       for (std::size_t j = 0; j < n; ++j) {
         s[j].cut = static_cast<std::uint32_t>(rng() % 100000);
         s[j].gstate = rng();
@@ -386,11 +387,14 @@ TEST(SocketRuntime, SeededFrameConvoysRoundTripAcrossClockWidths) {
     rt.run();
 
     // Frames to distinct destinations may interleave, so compare as
-    // multisets of encodings (order per channel is covered below).
-    std::multiset<std::vector<std::uint8_t>> want(sent.begin(), sent.end());
-    std::multiset<std::vector<std::uint8_t>> got(hooks.received.begin(),
-                                                 hooks.received.end());
-    EXPECT_EQ(want, got) << "width " << width;
+    // multisets of encodings (order per channel is covered below), each
+    // held as a string of its bytes.
+    auto encodings = [](const std::vector<std::vector<std::uint8_t>>& all) {
+      std::multiset<std::string> out;
+      for (const auto& bytes : all) out.emplace(bytes.begin(), bytes.end());
+      return out;
+    };
+    EXPECT_EQ(encodings(sent), encodings(hooks.received)) << "width " << width;
   }
 }
 

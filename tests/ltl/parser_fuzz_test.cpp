@@ -60,7 +60,7 @@ TEST(ParserFuzz, MutatedValidFormulasNeverCrash) {
         case 1: input.erase(pos, 1); break;
         default: input.insert(pos, 1, static_cast<char>(rng() % 128)); break;
       }
-      if (input.empty()) input = "p";
+      if (input.empty()) input.push_back('p');
     }
     AtomRegistry reg(3);
     reg.declare_variable(0, "x");

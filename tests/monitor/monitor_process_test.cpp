@@ -7,6 +7,7 @@
 
 #include "../common/random_computation.hpp"
 #include "decmon/core/properties.hpp"
+#include "decmon/monitor/decentralized_monitor.hpp"
 
 namespace decmon {
 namespace {
@@ -53,6 +54,13 @@ class CapturingNetwork : public MonitorNetwork {
     return n;
   }
 };
+
+/// A token in a shell of its own, the form on_token takes.
+std::unique_ptr<TokenMessage> shell_of(const Token& token) {
+  auto shell = std::make_unique<TokenMessage>();
+  shell->token = token;
+  return shell;
+}
 
 Event make_event(int proc, std::uint32_t sn, VectorClock vc, AtomSet letter,
                  EventType type = EventType::kInternal) {
@@ -136,7 +144,7 @@ TEST(MonitorProcessUnit, VisitingTokenWalksHistoryAndAnswers) {
   CapturingNetwork net1;
   MonitorProcess m1(1, f.prop, &net1, {0, 0});
   m1.on_local_event(make_event(1, 1, VectorClock{0, 1}, 0b100), 1.5);
-  m1.on_token(probe, 2.0);
+  m1.on_token(shell_of(probe), 2.0);
   // Filter to the reply: M1 also launches its own probe towards P0.
   auto replies = net1.tokens_to(0, /*parent=*/0);
   ASSERT_EQ(replies.size(), 1u);
@@ -154,7 +162,7 @@ TEST(MonitorProcessUnit, VisitingTokenParksForFutureEvent) {
 
   CapturingNetwork net1;
   MonitorProcess m1(1, f.prop, &net1, {0, 0});
-  m1.on_token(probe, 2.0);  // P1 has no events yet
+  m1.on_token(shell_of(probe), 2.0);  // P1 has no events yet
   EXPECT_EQ(m1.num_waiting_tokens(), 1u);
   EXPECT_TRUE(net1.tokens_to(0).empty());
   // The event arrives: the token wakes and answers.
@@ -176,7 +184,7 @@ TEST(MonitorProcessUnit, TerminationFlushesParkedTokens) {
 
   CapturingNetwork net1;
   MonitorProcess m1(1, f.prop, &net1, {0, 0});
-  m1.on_token(probe, 2.0);
+  m1.on_token(shell_of(probe), 2.0);
   ASSERT_EQ(m1.num_waiting_tokens(), 1u);
   m1.on_local_termination(3.0);
   EXPECT_EQ(m1.num_waiting_tokens(), 0u);
@@ -208,14 +216,13 @@ TEST(MonitorProcessUnit, OnlyCertifiedDisabledEntriesTravel) {
     if (certify) {
       // The same walk, certified at the initial cut {0,0}.
       TransitionEntry certified = probe.entries.at(0);
-      certified.stay =
-          static_cast<std::int32_t>(probe.stays.add(certified.width()));
+      certified.stay = probe.records.add(certified.width());
       probe.entries.push_back(certified);
     }
 
     CapturingNetwork net1;
     MonitorProcess m1(1, f.prop, &net1, {0, 0});
-    m1.on_token(probe, 2.0);
+    m1.on_token(shell_of(probe), 2.0);
     EXPECT_EQ(m1.num_waiting_tokens(), 1u);
     m1.on_local_termination(3.0);
     const std::vector<Token> home = net1.tokens_to(0, /*parent=*/0);
@@ -229,7 +236,7 @@ TEST(MonitorProcessUnit, OnlyCertifiedDisabledEntriesTravel) {
       EXPECT_EQ(home[0].stay(e)[0].cut, 0u);
       EXPECT_EQ(home[0].stay(e)[1].cut, 0u);
     }
-    m0.on_token(home[0], 4.0);
+    m0.on_token(shell_of(home[0]), 4.0);
     EXPECT_EQ(m0.stats().tokens_returned, 1u);
     return m0.stats().tokens_created;
   };
@@ -251,8 +258,8 @@ TEST(MonitorProcessUnit, OneCertifiedDisabledEntryTravels) {
   const std::uint32_t stays[3][2] = {{1, 0}, {0, 1}, {0, 0}};
   for (const auto& cut : stays) {
     TransitionEntry certified = probe.entries.at(0);
-    certified.stay = static_cast<std::int32_t>(probe.stays.add(2));
-    StaySlot* s = probe.stays[static_cast<std::uint32_t>(certified.stay)];
+    certified.stay = probe.records.add(2);
+    FrontierSlot* s = probe.records[certified.stay];
     s[0].cut = cut[0];
     s[1].cut = cut[1];
     probe.entries.push_back(certified);
@@ -260,7 +267,7 @@ TEST(MonitorProcessUnit, OneCertifiedDisabledEntryTravels) {
 
   CapturingNetwork net1;
   MonitorProcess m1(1, f.prop, &net1, {0, 0});
-  m1.on_token(probe, 2.0);
+  m1.on_token(shell_of(probe), 2.0);
   m1.on_local_termination(3.0);
   const std::vector<Token> home = net1.tokens_to(0, /*parent=*/0);
   ASSERT_EQ(home.size(), 1u);
@@ -287,9 +294,67 @@ TEST(MonitorProcessUnit, ReturnedEnabledTokenSpawnsAndDeclares) {
   probe.entries[0].conj[1] = ConjunctEval::kTrue;
   probe.entries[0].eval = EntryEval::kTrue;
   probe.next_target_process = 0;
-  m0.on_token(probe, 3.0);
+  m0.on_token(shell_of(probe), 3.0);
   EXPECT_TRUE(m0.declared().count(Verdict::kTrue));
   EXPECT_TRUE(m0.verdicts().count(Verdict::kTrue));
+}
+
+TEST(DecentralizedMonitorInput, TakesFramesOnly) {
+  // Monitors send frames and every transport delivers frames, so a bare
+  // token, termination or floor message is a caller error and changes
+  // nothing; the same unit inside a one-unit frame is dispatched.
+  Fixture f("F(P0.p && P1.p)", 2);
+  DecentralizedMonitor dm(f.prop, &f.net, {0, 0});
+  MonitorProcess& m1 = dm.monitor(1);
+  // P1.p never holds, so M1 never probes on its own events.
+  dm.on_local_event(1, make_event(1, 1, VectorClock{0, 1}, 0), 1.0);
+  dm.on_local_event(1, make_event(1, 2, VectorClock{0, 2}, 0), 1.1);
+  dm.on_local_event(0, make_event(0, 1, VectorClock{1, 0}, 0b01), 1.2);
+  const Token probe = f.net.tokens_to(1).at(0);
+
+  auto floor = [] {
+    auto unit = std::make_unique<HistoryFloorMessage>();
+    unit->process = 0;
+    unit->floor = 2;
+    return unit;
+  };
+  auto termination = [] {
+    auto unit = std::make_unique<TerminationMessage>();
+    unit->process = 0;
+    unit->last_sn = 1;
+    return unit;
+  };
+  auto frame_of = [](std::unique_ptr<NetPayload> unit) {
+    auto frame = std::make_unique<PayloadFrame>();
+    frame->units.push_back(std::move(unit));
+    return frame;
+  };
+
+  EXPECT_EQ(m1.trim_bound(), 0u);  // silent peer pins the bound at 0
+  EXPECT_THROW(dm.on_monitor_message({0, 1, floor()}, 2.0),
+               std::invalid_argument);
+  EXPECT_EQ(m1.trim_bound(), 0u);
+  dm.on_monitor_message({0, 1, frame_of(floor())}, 2.0);
+  EXPECT_EQ(m1.trim_bound(), 2u);
+
+  // The probe walks M1's two events and parks for a third.
+  EXPECT_THROW(dm.on_monitor_message({0, 1, shell_of(probe)}, 3.0),
+               std::invalid_argument);
+  EXPECT_EQ(m1.num_waiting_tokens(), 0u);
+  dm.on_monitor_message({0, 1, frame_of(shell_of(probe))}, 3.0);
+  EXPECT_EQ(m1.num_waiting_tokens(), 1u);
+
+  // M1 finishes once it and its only peer have terminated.
+  dm.on_local_termination(1, 4.0);
+  EXPECT_EQ(m1.num_waiting_tokens(), 0u);
+  EXPECT_THROW(dm.on_monitor_message({0, 1, termination()}, 5.0),
+               std::invalid_argument);
+  EXPECT_FALSE(m1.finished());
+  dm.on_monitor_message({0, 1, frame_of(termination())}, 5.0);
+  EXPECT_TRUE(m1.finished());
+
+  EXPECT_THROW(dm.on_monitor_message({0, 1, nullptr}, 6.0),
+               std::invalid_argument);
 }
 
 TEST(MonitorProcessUnit, SettledStateProbesPruned) {

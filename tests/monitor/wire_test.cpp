@@ -47,12 +47,12 @@ Token sample_token() {
   e1.eval = EntryEval::kUnset;
   e1.next_target_process = 0;
   e1.next_target_event = 4;
-  e1.stay = static_cast<std::int32_t>(t.stays.add(3));
+  e1.stay = t.records.add(3);
   {
     const std::uint32_t lc[] = {2, 1, 8};
     const AtomSet lg[] = {0, 0b10, 0b01};
-    StaySlot* s = t.stays[static_cast<std::uint32_t>(e1.stay)];
-    for (std::size_t j = 0; j < 3; ++j) s[j] = {lc[j], lg[j]};
+    FrontierSlot* s = t.records[e1.stay];
+    for (std::size_t j = 0; j < 3; ++j) s[j] = {lc[j], 0, lg[j]};
   }
 
   TransitionEntry& e2 =
@@ -221,8 +221,8 @@ Token random_token(std::mt19937_64& rng) {
     e.next_target_process = static_cast<int>(rng() % (procs + 1)) - 1;
     e.next_target_event = static_cast<std::uint32_t>(rng() % 100);
     if ((rng() % 3) == 0) {
-      e.stay = static_cast<std::int32_t>(t.stays.add(width));
-      StaySlot* s = t.stays[static_cast<std::uint32_t>(e.stay)];
+      e.stay = t.records.add(width);
+      FrontierSlot* s = t.records[e.stay];
       for (std::size_t j = 0; j < width; ++j) {
         s[j].cut = static_cast<std::uint32_t>(rng() % 1000);
         s[j].gstate = static_cast<AtomSet>(rng());

@@ -99,8 +99,8 @@ Token random_token(std::mt19937_64& rng, std::size_t width) {
     // paths inside one frame.
     const std::size_t n = rng() % 2 == 0 ? width : width + 1;
     e.conj.resize(n);
-    e.frontier = t.frontiers.add(n);
-    FrontierSlot* f = t.frontiers[e.frontier];
+    e.frontier = t.records.add(n);
+    FrontierSlot* f = t.records[e.frontier];
     for (std::size_t j = 0; j < n; ++j) {
       f[j] = {edge(), edge(), rng()};
       e.conj[j] = static_cast<ConjunctEval>(rng() % 3);
@@ -109,9 +109,9 @@ Token random_token(std::mt19937_64& rng, std::size_t width) {
     e.next_target_process = static_cast<int>(rng() % (width + 1)) - 1;
     e.next_target_event = edge();
     if (rng() % 2 == 0) {
-      e.stay = static_cast<std::int32_t>(t.stays.add(n));
-      StaySlot* s = t.stays[static_cast<std::uint32_t>(e.stay)];
-      for (std::size_t j = 0; j < n; ++j) s[j] = {edge(), rng()};
+      e.stay = t.records.add(n);
+      FrontierSlot* s = t.records[e.stay];
+      for (std::size_t j = 0; j < n; ++j) s[j] = {edge(), 0, rng()};
     }
     // Sometimes hold an earlier entry's frontier record or stay-point
     // record, as entries of one walk do, so the reference paths are
@@ -449,8 +449,7 @@ TEST(WireV2, HandBuiltReferencesCopyTheEarlierBlocks) {
   EXPECT_EQ(shared.frontier, t.entries[0].frontier);
   EXPECT_EQ(shared.stay, t.entries[0].stay);
   EXPECT_NE(t.entries[2].frontier, t.entries[0].frontier);
-  EXPECT_EQ(t.frontiers.size(), 2u);
-  EXPECT_EQ(t.stays.size(), 1u);
+  EXPECT_EQ(t.records.size(), 3u);  // two frontiers and one stay-point
 }
 
 TEST(WireV2, EntriesSharingARecordShareOneAfterDecode) {
@@ -467,7 +466,7 @@ TEST(WireV2, EntriesSharingARecordShareOneAfterDecode) {
       FrontierSlot* f = t.frontier(e);
       for (std::size_t j = 0; j < 3; ++j) f[j] = {5, 6, 0b10};
     }
-    t.entries[0].stay = static_cast<std::int32_t>(t.stays.add(3));
+    t.entries[0].stay = t.records.add(3);
     t.entries[1].stay = t.entries[0].stay;
     if (share) t.entries[1].frontier = t.entries[0].frontier;
     return t;
@@ -485,8 +484,8 @@ TEST(WireV2, EntriesSharingARecordShareOneAfterDecode) {
     EXPECT_EQ(d.entries[0].frontier == d.entries[1].frontier, share);
     EXPECT_NE(d.entries[2].frontier, d.entries[0].frontier);
     EXPECT_EQ(d.entries[0].stay, d.entries[1].stay);
-    EXPECT_EQ(d.frontiers.size(), share ? 2u : 3u);
-    EXPECT_EQ(d.stays.size(), 1u);
+    // Frontier records, plus the one stay-point.
+    EXPECT_EQ(d.records.size(), share ? 3u : 4u);
     EXPECT_EQ(stamp_frame_wire_size(frame), bytes.size());
   }
   // Sharing the record replaces entry 1's inline block by a reference.
