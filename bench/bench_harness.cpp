@@ -747,10 +747,7 @@ void run_stream_cell(Metrics& out, int internal_events, bool streaming) {
   force_final_all_true(trace);
 
   MonitorOptions options;
-  if (streaming) {
-    options.streaming = true;
-    options.gc_interval = 16;
-  }
+  if (streaming) options.gc_interval = 16;
   const auto t0 = Clock::now();
   RunResult run = session.run(trace, SimConfig{}, options);
   const double wall_ms = elapsed_ms(t0);

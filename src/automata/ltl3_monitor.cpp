@@ -130,10 +130,9 @@ MonitorAutomaton synthesize_monitor(const FormulaPtr& formula,
   MooreTable table = build_moore_table(formula);
   if (options.minimize) table = minimize_moore(table);
   MonitorAutomaton m = monitor_from_table(table);
-  if (options.validate) {
-    if (auto err = m.validate()) {
-      throw std::logic_error("synthesize_monitor: invalid automaton: " + *err);
-    }
+  // Exhaustively check determinism + completeness.
+  if (auto err = m.validate()) {
+    throw std::logic_error("synthesize_monitor: invalid automaton: " + *err);
   }
   m.build_dispatch();
   return m;

@@ -142,10 +142,7 @@ CaseOutcome execute_case(const CaseSpec& spec, const Computation* recorded) {
   SimConfig sim;
   sim.seed = spec.sim_seed;
   MonitorOptions mopts;
-  if (spec.gc) {
-    mopts.streaming = true;
-    mopts.gc_interval = kFuzzGcInterval;
-  }
+  if (spec.gc) mopts.gc_interval = kFuzzGcInterval;
 
   CaseOutcome out;
   if (spec.mode == Mode::kSim) {

@@ -21,6 +21,7 @@
 
 #include "decmon/monitor/wire.hpp"
 #include "decmon/util/rng.hpp"
+#include "run_core.hpp"
 #include "wall_time.hpp"
 
 namespace decmon {
@@ -282,9 +283,10 @@ std::optional<FrameReassembler::Record> FrameReassembler::next() {
 
 SocketRuntime::SocketRuntime(SystemTrace trace, const AtomRegistry* registry,
                              SocketConfig config)
-    : registry_(registry), config_(config), start_(Clock::now()) {
+    : config_(config),
+      core_(std::make_unique<detail::RunCore>(trace, registry,
+                                              config.time_scale)) {
   const int n = trace.num_processes();
-  history_.resize(static_cast<std::size_t>(n));
   kills_left_.store(config_.fault.enabled ? config_.fault.max_kills : 0,
                     std::memory_order_relaxed);
   node_kill_armed_.store(config_.fault.enabled && config_.fault.kill_node >= 0,
@@ -292,10 +294,6 @@ SocketRuntime::SocketRuntime(SystemTrace trace, const AtomRegistry* registry,
   nodes_.reserve(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
     auto node = std::make_unique<Node>();
-    node->process = std::make_unique<ProgramProcess>(
-        i, n, trace.procs[static_cast<std::size_t>(i)], registry_);
-    node->expected_receives = trace.expected_receives(i);
-    node->receives_left = node->expected_receives;
     node->reassembly.resize(static_cast<std::size_t>(n));
     node->peer_open.assign(static_cast<std::size_t>(n), false);
     node->app_recv.assign(static_cast<std::size_t>(n), 0);
@@ -396,10 +394,8 @@ SocketRuntime::SocketRuntime(SystemTrace trace, const AtomRegistry* registry,
   }
 }
 
+// run() joins every node thread before it returns or throws.
 SocketRuntime::~SocketRuntime() {
-  stop_.store(true);
-  for (int i = 0; i < num_processes(); ++i) wake(i);
-  threads_.clear();  // jthread joins
   for (auto& ch : channels_) {
     if (ch) close_if_open(ch->fd);
   }
@@ -411,17 +407,29 @@ SocketRuntime::~SocketRuntime() {
   }
 }
 
-std::vector<LocalState> SocketRuntime::initial_states() const {
-  std::vector<LocalState> out;
-  out.reserve(nodes_.size());
-  for (const auto& node : nodes_) out.push_back(node->process->state());
-  return out;
+void SocketRuntime::set_hooks(MonitorHooks* hooks) { core_->set_hooks(hooks); }
+
+const std::vector<std::vector<Event>>& SocketRuntime::history() const {
+  return core_->history();
 }
 
-double SocketRuntime::now() const {
-  return std::chrono::duration<double>(
-             Clock::now() - start_.load(std::memory_order_relaxed))
-      .count();
+std::vector<LocalState> SocketRuntime::initial_states() const {
+  return core_->initial_states();
+}
+
+double SocketRuntime::now() const { return core_->now(); }
+
+std::uint64_t SocketRuntime::program_events() const {
+  return core_->program_events;
+}
+std::uint64_t SocketRuntime::app_messages_sent() const {
+  return core_->app_messages;
+}
+std::uint64_t SocketRuntime::monitor_messages_sent() const {
+  return core_->monitor_sends;
+}
+std::uint64_t SocketRuntime::monitor_messages_processed() const {
+  return core_->monitor_deliveries;
 }
 
 void SocketRuntime::wake(int index) {
@@ -430,15 +438,6 @@ void SocketRuntime::wake(int index) {
   [[maybe_unused]] const ssize_t r =
       ::write(nodes_[static_cast<std::size_t>(index)]->event_fd, &one,
               sizeof one);
-}
-
-void SocketRuntime::finish_one() {
-  if (outstanding_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    // Lock-then-notify: run() checks the counter under the mutex, so the
-    // notification cannot slip between its check and its wait.
-    std::scoped_lock lock(quiesce_mutex_);
-    quiesce_cv_.notify_all();
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -608,7 +607,7 @@ void SocketRuntime::enqueue_monitor(int from, int to,
     std::unique_ptr<PayloadFrame> frame(
         static_cast<PayloadFrame*>(payload.release()));
     if (frame->units.empty()) {
-      finish_one();  // nothing to deliver; retire the message's credit
+      core_->finish_one();  // nothing to deliver; retire the message's credit
       return;
     }
     if (!config_.batch) {
@@ -616,9 +615,7 @@ void SocketRuntime::enqueue_monitor(int from, int to,
       // encoded as a one-unit frame (encode_payload_into on a bare unit).
       // The frame's single work credit becomes one credit per record; add
       // the difference before any record can complete at the receiver.
-      outstanding_.fetch_add(
-          static_cast<std::int64_t>(frame->units.size()) - 1,
-          std::memory_order_acq_rel);
+      core_->add_credits(static_cast<std::int64_t>(frame->units.size()) - 1);
       for (const auto& unit : frame->units) encode_record_locked(ch, *unit);
     } else if (ch.staging) {
       // Channel congested and a frame is already parked: merge (this is
@@ -628,7 +625,7 @@ void SocketRuntime::enqueue_monitor(int from, int to,
         ch.staging->units.push_back(std::move(unit));
       }
       coalesced_frames_.fetch_add(1, std::memory_order_relaxed);
-      finish_one();
+      core_->finish_one();
     } else if (ch.sent < ch.out.size()) {
       // Earlier bytes still unsent: park instead of encoding, so later
       // frames can join and the buffer stays bounded.
@@ -637,8 +634,9 @@ void SocketRuntime::enqueue_monitor(int from, int to,
       encode_record_locked(ch, *frame);
     }
   } else {
-    // Singleton payloads (tokens, terminations, channel envelopes) keep
-    // FIFO order with frames: anything parked must hit the buffer first.
+    // Monitors send only frames; a non-frame payload is a reliable-channel
+    // envelope. It keeps FIFO order with frames: anything parked must hit
+    // the buffer first.
     if (ch.staging) materialize_staging_locked(ch);
     encode_record_locked(ch, *payload);
   }
@@ -657,7 +655,7 @@ void SocketRuntime::send_perturbed(MonitorMessage msg,
   }
   // Count the work unit before it becomes visible anywhere (credit-counting
   // quiescence, see header).
-  outstanding_.fetch_add(1, std::memory_order_acq_rel);
+  core_->add_credits(1);
   if (msg.from == msg.to) {
     // Self-delivery, possibly delayed (reliable-channel retransmit timers).
     // Nothing crosses the network; honored via the node's timer heap.
@@ -686,19 +684,13 @@ void SocketRuntime::send_perturbed(MonitorMessage msg,
   // Cross-node: the transport is a real TCP stream, so there is no modeled
   // latency to perturb and per-channel FIFO is physical; extra_delay and
   // bypass_fifo are simulation concepts and are ignored here.
-  monitor_sends_.fetch_add(1, std::memory_order_relaxed);
+  core_->monitor_sends.fetch_add(1, std::memory_order_relaxed);
   enqueue_monitor(msg.from, msg.to, std::move(msg.payload));
 }
 
 // ---------------------------------------------------------------------------
 // Receive path
 // ---------------------------------------------------------------------------
-
-void SocketRuntime::record_event(int index, const Event& event) {
-  program_events_.fetch_add(1, std::memory_order_relaxed);
-  history_[static_cast<std::size_t>(index)].push_back(event);
-  if (hooks_) hooks_->on_local_event(index, event, now());
-}
 
 void SocketRuntime::dispatch_record(int index, int peer,
                                     const FrameReassembler::Record& rec) {
@@ -727,20 +719,12 @@ void SocketRuntime::dispatch_record(int index, int peer,
     r.done();
     if (msg.from != peer) throw WireError("app record from wrong peer");
     ++node.app_recv[static_cast<std::size_t>(peer)];
-    const Event e = node.process->receive(msg, now());
-    --node.receives_left;
-    record_event(index, e);
-    finish_one();
+    core_->apply_receive(index, msg);
   } else if (rec.type == kMonRecord) {
     auto payload = decode_payload(body, nodes_.size());
     ++node.mon_recv[static_cast<std::size_t>(peer)];
     ++node.mon_recv_total;
-    monitor_deliveries_.fetch_add(1, std::memory_order_relaxed);
-    if (hooks_) {
-      hooks_->on_monitor_message(MonitorMessage{peer, index, std::move(payload)},
-                                 now());
-    }
-    finish_one();
+    core_->apply_monitor(MonitorMessage{peer, index, std::move(payload)});
     // Node-kill drill: once this node has dispatched enough monitor
     // records, every one of its links dies at once (transport face of a
     // crash; the hooks-layer CrashInjector owns the state restore).
@@ -781,7 +765,7 @@ void SocketRuntime::read_peer(int index, int peer) {
     // EOF or a hard socket error (ECONNRESET after an abortive kill): the
     // peer is down, not the run. Partial bytes die with the reassembler
     // reset; the HELLO reconciliation replays or retires what was lost.
-    if (stop_.load(std::memory_order_acquire)) {
+    if (core_->stopping()) {
       node.peer_open[static_cast<std::size_t>(peer)] = false;
       ::epoll_ctl(node.epoll_fd, EPOLL_CTL_DEL, fd, nullptr);
       return;
@@ -797,8 +781,8 @@ void SocketRuntime::broadcast_app(int index, const AppMessage& message) {
   const std::size_t rec_bytes = app_record_bytes();
   for (int to = 0; to < num_processes(); ++to) {
     if (to == index) continue;
-    app_messages_.fetch_add(1, std::memory_order_relaxed);
-    outstanding_.fetch_add(1, std::memory_order_acq_rel);
+    core_->app_messages.fetch_add(1, std::memory_order_relaxed);
+    core_->add_credits(1);
     Channel& ch = channel(index, to);
     std::scoped_lock lock(ch.mutex);
     const std::size_t start = ch.out.size();
@@ -1085,7 +1069,7 @@ void SocketRuntime::process_hello(int index, int peer,
   ch.mon_lost += lost;
   if (lost > 0) {
     disconnect_drops_.fetch_add(lost, std::memory_order_relaxed);
-    for (std::uint64_t i = 0; i < lost; ++i) finish_one();
+    for (std::uint64_t i = 0; i < lost; ++i) core_->finish_one();
   }
   ch.state = LinkState::kUp;
   ch.attempts = 0;
@@ -1235,41 +1219,11 @@ void SocketRuntime::kill_node(int node) {
 // Node event loop + run()
 // ---------------------------------------------------------------------------
 
-void SocketRuntime::node_main(int index) {
-  t_node_thread = NodeThread{this, index};
-  try {
-    node_body(index);
-  } catch (...) {
-    {
-      std::scoped_lock lock(error_mutex_);
-      if (!run_error_) run_error_ = std::current_exception();
-    }
-    failed_.store(true, std::memory_order_release);
-    stop_.store(true, std::memory_order_release);
-    for (int i = 0; i < num_processes(); ++i) wake(i);
-    // Unblock run(): quiescence is unreachable once a node has failed.
-    std::scoped_lock lock(quiesce_mutex_);
-    quiesce_cv_.notify_all();
-  }
-}
-
-void SocketRuntime::node_body(int index) {
+void SocketRuntime::node_loop(int index) {
   Node& node = *nodes_[static_cast<std::size_t>(index)];
-  ProgramProcess& proc = *node.process;
-  const Clock::time_point run_start = start_.load(std::memory_order_relaxed);
-
-  bool announced_termination = false;
-  // Action times derive from the *scheduled* time of the previous action
-  // (not Clock::now() after it ran), so processing latency never compounds
-  // into trace-time drift.
-  Clock::time_point next_action =
-      proc.has_next_action()
-          ? advance_saturated(
-                run_start, to_wall(proc.next_action_wait(), config_.time_scale))
-          : Clock::time_point::max();
-
+  detail::RunCore& core = *core_;
   epoll_event events[16];
-  while (!stop_.load(std::memory_order_acquire)) {
+  while (!core.stopping()) {
     // 1. Deliver due timers (delayed self-sends).
     for (;;) {
       std::optional<MonitorMessage> due;
@@ -1281,30 +1235,16 @@ void SocketRuntime::node_body(int index) {
         }
       }
       if (!due) break;
-      monitor_deliveries_.fetch_add(1, std::memory_order_relaxed);
-      if (hooks_) hooks_->on_monitor_message(std::move(*due), now());
-      finish_one();
+      core.apply_monitor(std::move(*due));
     }
     // 2. Execute a due program action.
-    if (proc.has_next_action() && Clock::now() >= next_action) {
-      ProgramProcess::ActionResult result = proc.execute_next_action(now());
-      record_event(index, result.event);
+    if (Clock::now() >= core.next_action(index)) {
+      const ProgramProcess::ActionResult result = core.execute_action(index);
       if (result.is_comm) broadcast_app(index, result.message);
-      next_action = proc.has_next_action()
-                        ? advance_saturated(next_action,
-                                            to_wall(proc.next_action_wait(),
-                                                    config_.time_scale))
-                        : Clock::time_point::max();
       continue;  // more actions may already be due
     }
-    // 3. Termination: the program's work unit ends after its hook, so
-    // sends made by the hook are counted before the release.
-    if (!announced_termination && !proc.has_next_action() &&
-        node.receives_left == 0) {
-      announced_termination = true;
-      if (hooks_) hooks_->on_local_termination(index, now());
-      finish_one();
-    }
+    // 3. Termination, once the last action ran and the last receive landed.
+    core.announce_if_done(index);
     // 4. Write what this iteration's sends left in the channel buffers, one
     // send() per channel, before anything can block.
     flush_dirty(index);
@@ -1314,7 +1254,8 @@ void SocketRuntime::node_body(int index) {
     // 6. Block on epoll until bytes arrive, a socket drains, a wakeup is
     // posted, or the earliest local deadline passes. The 50 ms cap is
     // insurance only -- every state change also posts a wakeup.
-    Clock::time_point wake_at = std::min(next_action, link_deadline);
+    Clock::time_point wake_at =
+        std::min(core.next_action(index), link_deadline);
     {
       std::scoped_lock lock(node.timer_mutex);
       if (!node.timers.empty()) wake_at = std::min(wake_at, node.timers.top().at);
@@ -1372,43 +1313,14 @@ void SocketRuntime::node_body(int index) {
 }
 
 void SocketRuntime::run() {
-  start_.store(Clock::now(), std::memory_order_relaxed);
-  stop_.store(false);
-  failed_.store(false, std::memory_order_relaxed);
-  {
-    std::scoped_lock lock(error_mutex_);
-    run_error_ = nullptr;
-  }
-  // One work unit per program; pre-run sends were already counted by
-  // send_perturbed.
-  outstanding_.fetch_add(num_processes(), std::memory_order_acq_rel);
-  threads_.clear();
-  threads_.reserve(static_cast<std::size_t>(num_processes()));
-  for (int i = 0; i < num_processes(); ++i) {
-    history_[static_cast<std::size_t>(i)].clear();
-    history_[static_cast<std::size_t>(i)].push_back(
-        nodes_[static_cast<std::size_t>(i)]->process->initial_event());
-    threads_.emplace_back([this, i] { node_main(i); });
-  }
-  {
-    std::unique_lock lock(quiesce_mutex_);
-    quiesce_cv_.wait(lock, [&] {
-      return outstanding_.load(std::memory_order_acquire) == 0 ||
-             failed_.load(std::memory_order_acquire);
-    });
-  }
-  stop_.store(true);
-  for (int i = 0; i < num_processes(); ++i) wake(i);
-  threads_.clear();  // join
-  std::exception_ptr err;
-  {
-    std::scoped_lock lock(error_mutex_);
-    err = std::exchange(run_error_, nullptr);
-  }
-  if (err) {
-    outstanding_.store(0, std::memory_order_release);
-    std::rethrow_exception(err);
-  }
+  core_->run(
+      [this](int i) {
+        t_node_thread = NodeThread{this, i};
+        node_loop(i);
+      },
+      [this] {
+        for (int i = 0; i < num_processes(); ++i) wake(i);
+      });
 }
 
 }  // namespace decmon

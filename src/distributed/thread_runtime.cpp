@@ -1,11 +1,11 @@
 #include "decmon/distributed/thread_runtime.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <chrono>
 #include <optional>
 #include <stdexcept>
 
+#include "run_core.hpp"
 #include "wall_time.hpp"
 
 namespace decmon {
@@ -15,15 +15,13 @@ using detail::to_wall;
 
 ThreadRuntime::ThreadRuntime(SystemTrace trace, const AtomRegistry* registry,
                              ThreadConfig config)
-    : registry_(registry), config_(config), start_(Clock::now()) {
+    : config_(config),
+      core_(std::make_unique<detail::RunCore>(trace, registry,
+                                              config.time_scale)) {
   const int n = trace.num_processes();
-  history_.resize(static_cast<std::size_t>(n));
   nodes_.reserve(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
     auto node = std::make_unique<Node>();
-    node->process = std::make_unique<ProgramProcess>(
-        i, n, trace.procs[static_cast<std::size_t>(i)], registry_);
-    node->expected_receives = trace.expected_receives(i);
     node->last_delivery.assign(static_cast<std::size_t>(n),
                                Clock::time_point{});
     node->latency = std::make_unique<NormalWait>(
@@ -34,28 +32,32 @@ ThreadRuntime::ThreadRuntime(SystemTrace trace, const AtomRegistry* registry,
   }
 }
 
-ThreadRuntime::~ThreadRuntime() {
-  stop_.store(true);
-  for (auto& node : nodes_) {
-    // Lock-then-notify so a node between its stop_ check and cv wait cannot
-    // miss the wakeup.
-    std::scoped_lock lock(node->mutex);
-    node->cv.notify_all();
-  }
-  // jthread joins on destruction.
+// run() joins every node thread before it returns or throws.
+ThreadRuntime::~ThreadRuntime() = default;
+
+void ThreadRuntime::set_hooks(MonitorHooks* hooks) { core_->set_hooks(hooks); }
+
+const std::vector<std::vector<Event>>& ThreadRuntime::history() const {
+  return core_->history();
 }
 
 std::vector<LocalState> ThreadRuntime::initial_states() const {
-  std::vector<LocalState> out;
-  out.reserve(nodes_.size());
-  for (const auto& node : nodes_) out.push_back(node->process->state());
-  return out;
+  return core_->initial_states();
 }
 
-double ThreadRuntime::now() const {
-  return std::chrono::duration<double>(
-             Clock::now() - start_.load(std::memory_order_relaxed))
-      .count();
+double ThreadRuntime::now() const { return core_->now(); }
+
+std::uint64_t ThreadRuntime::app_messages_sent() const {
+  return core_->app_messages;
+}
+std::uint64_t ThreadRuntime::monitor_messages_sent() const {
+  return core_->monitor_sends;
+}
+std::uint64_t ThreadRuntime::program_events() const {
+  return core_->program_events;
+}
+std::uint64_t ThreadRuntime::monitor_messages_processed() const {
+  return core_->monitor_deliveries;
 }
 
 ThreadRuntime::Clock::time_point ThreadRuntime::fifo_time(
@@ -71,22 +73,13 @@ void ThreadRuntime::deliver(int to, Clock::time_point at, Payload payload) {
   Node& node = *nodes_[static_cast<std::size_t>(to)];
   // Count the message before it becomes visible: the work unit exists from
   // this point until the receiver finished processing it (finish_one).
-  outstanding_.fetch_add(1, std::memory_order_acq_rel);
+  core_->add_credits(1);
   {
     std::scoped_lock lock(node.mutex);
     node.inbox.push(
         Timed{at, seq_.fetch_add(1, std::memory_order_relaxed),
               std::move(payload)});
     node.cv.notify_all();
-  }
-}
-
-void ThreadRuntime::finish_one() {
-  if (outstanding_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    // Lock-then-notify: run() checks the counter under the mutex, so the
-    // notification cannot slip between its check and its wait.
-    std::scoped_lock lock(quiesce_mutex_);
-    quiesce_cv_.notify_all();
   }
 }
 
@@ -102,7 +95,7 @@ void ThreadRuntime::send_perturbed(MonitorMessage msg,
   }
   Clock::time_point at = Clock::now();
   if (msg.from != msg.to) {
-    monitor_messages_.fetch_add(1, std::memory_order_relaxed);
+    core_->monitor_sends.fetch_add(1, std::memory_order_relaxed);
     // Sender identity is msg.from, full stop: the latency stream and the
     // FIFO clamp key on the same node, and the per-node send mutex makes
     // this safe from any thread (monitor hooks run on the sender's thread,
@@ -123,56 +116,20 @@ void ThreadRuntime::send_perturbed(MonitorMessage msg,
 }
 
 void ThreadRuntime::run() {
-  start_.store(Clock::now(), std::memory_order_relaxed);
-  stop_.store(false);
-  // One work unit per program; externally injected pre-run messages are
-  // already counted by deliver().
-  outstanding_.fetch_add(num_processes(), std::memory_order_acq_rel);
-  threads_.clear();
-  threads_.reserve(static_cast<std::size_t>(num_processes()));
-  for (int i = 0; i < num_processes(); ++i) {
-    history_[static_cast<std::size_t>(i)].clear();
-    history_[static_cast<std::size_t>(i)].push_back(
-        nodes_[static_cast<std::size_t>(i)]->process->initial_event());
-    threads_.emplace_back([this, i] { node_main(i); });
-  }
-  {
-    std::unique_lock lock(quiesce_mutex_);
-    quiesce_cv_.wait(lock, [&] {
-      return outstanding_.load(std::memory_order_acquire) == 0;
-    });
-  }
-  stop_.store(true);
-  for (auto& node : nodes_) {
-    std::scoped_lock lock(node->mutex);
-    node->cv.notify_all();
-  }
-  threads_.clear();  // join
+  core_->run([this](int i) { node_loop(i); },
+             [this] {
+               // Lock-then-notify so a node between its stop check and its
+               // cv wait cannot miss the wakeup.
+               for (auto& node : nodes_) {
+                 std::scoped_lock lock(node->mutex);
+                 node->cv.notify_all();
+               }
+             });
 }
 
-void ThreadRuntime::node_main(int index) {
+void ThreadRuntime::node_loop(int index) {
   Node& node = *nodes_[static_cast<std::size_t>(index)];
-  ProgramProcess& proc = *node.process;
-  auto& hist = history_[static_cast<std::size_t>(index)];
-  const Clock::time_point run_start = start_.load(std::memory_order_relaxed);
-
-  int receives_left = node.expected_receives;
-  bool announced_termination = false;
-  // Action times are derived from the *scheduled* time of the previous
-  // action, not Clock::now() after it ran, so processing latency never
-  // compounds into trace-time drift.
-  Clock::time_point next_action =
-      proc.has_next_action()
-          ? advance_saturated(
-                run_start, to_wall(proc.next_action_wait(), config_.time_scale))
-          : Clock::time_point::max();
-
-  auto record_event = [&](const Event& e) {
-    program_events_.fetch_add(1, std::memory_order_relaxed);
-    hist.push_back(e);
-    if (hooks_) hooks_->on_local_event(index, e, now());
-  };
-
+  detail::RunCore& core = *core_;
   while (true) {
     // Wait until a message ripens, the next action is due, or stop. The
     // wake deadline is recomputed after every wakeup, so a newly queued
@@ -182,7 +139,7 @@ void ThreadRuntime::node_main(int index) {
     {
       std::unique_lock lock(node.mutex);
       for (;;) {
-        if (stop_.load(std::memory_order_acquire)) return;
+        if (core.stopping()) return;
         const auto wall = Clock::now();
         if (!node.inbox.empty() && node.inbox.top().at <= wall) {
           // Payloads are move-only (MonitorMessage owns its payload); move
@@ -191,14 +148,14 @@ void ThreadRuntime::node_main(int index) {
           node.inbox.pop();
           break;
         }
-        if (proc.has_next_action() && wall >= next_action) {
+        if (wall >= core.next_action(index)) {
           action_due = true;
           break;
         }
         const auto next_msg_at = node.inbox.empty()
                                      ? Clock::time_point::max()
                                      : node.inbox.top().at;
-        const auto wake = std::min(next_action, next_msg_at);
+        const auto wake = std::min(core.next_action(index), next_msg_at);
         if (wake == Clock::time_point::max()) {
           node.cv.wait(lock);
         } else {
@@ -208,51 +165,27 @@ void ThreadRuntime::node_main(int index) {
     }
     if (ready) {
       if (auto* app = std::get_if<AppMessage>(&*ready)) {
-        const Event e = proc.receive(*app, now());
-        --receives_left;
-        record_event(e);
+        core.apply_receive(index, *app);
       } else {
-        monitor_deliveries_.fetch_add(1, std::memory_order_relaxed);
-        if (hooks_) {
-          hooks_->on_monitor_message(std::move(std::get<MonitorMessage>(*ready)),
-                                     now());
-        }
+        core.apply_monitor(std::move(std::get<MonitorMessage>(*ready)));
       }
-      // Release the message's work unit only after processing it -- any
-      // sends the hook performed were counted first, so the outstanding
-      // counter can never dip to zero mid-cascade.
-      finish_one();
     } else if (action_due) {
-      ProgramProcess::ActionResult result = proc.execute_next_action(now());
-      record_event(result.event);
+      const ProgramProcess::ActionResult result = core.execute_action(index);
       if (result.is_comm) {
         std::scoped_lock lock(node.send_mutex);
         for (int to = 0; to < num_processes(); ++to) {
           if (to == index) continue;
           AppMessage msg = result.message;
           msg.to = to;
-          app_messages_.fetch_add(1, std::memory_order_relaxed);
+          core.app_messages.fetch_add(1, std::memory_order_relaxed);
           auto at = advance_saturated(
               Clock::now(),
               to_wall(node.latency->sample(), config_.time_scale));
           deliver(to, fifo_time(index, to, at), std::move(msg));
         }
       }
-      next_action =
-          proc.has_next_action()
-              ? advance_saturated(
-                    next_action,
-                    to_wall(proc.next_action_wait(), config_.time_scale))
-              : Clock::time_point::max();
     }
-    if (!announced_termination && !proc.has_next_action() &&
-        receives_left == 0) {
-      announced_termination = true;
-      if (hooks_) hooks_->on_local_termination(index, now());
-      // The program's work unit ends after its termination hook: sends made
-      // by the hook are counted before this release.
-      finish_one();
-    }
+    core.announce_if_done(index);
   }
 }
 

@@ -27,9 +27,6 @@ struct SynthesisOptions {
   /// keep a non-collapsed automaton for properties A/C/D ("it provides more
   /// information as q1 is a ? state", 5.1); disable to approximate that.
   bool minimize = true;
-
-  /// Exhaustively check determinism + completeness after construction.
-  bool validate = true;
 };
 
 /// A determinized Moore machine in dense letter-table form; the intermediate

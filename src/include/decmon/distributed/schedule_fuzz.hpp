@@ -67,7 +67,7 @@ struct Options {
   /// checkpoint (implies the reliable channel). The soundness contract is
   /// checked unchanged: recovery must be invisible except as added time.
   bool crash = false;
-  /// Run every case in the streaming posture (MonitorOptions::streaming)
+  /// Run every case in the streaming posture (MonitorOptions::gc_interval)
   /// with an aggressive GC cadence, so trimming races every fault class.
   /// Ignored when `crash` is set: checkpoint rewind against already-trimmed
   /// peer histories is only covered by the crash contract, not this sweep's.

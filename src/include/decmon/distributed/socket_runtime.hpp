@@ -62,15 +62,11 @@
 // transport overhead and deliberately excluded, so the committed no-fault
 // socket.* bench counts are untouched by the fault-tolerance machinery.
 //
-// Quiescence reuses ThreadRuntime's credit-counting proof: outstanding_
-// counts running programs + every sent-but-unprocessed message; a merge
-// into staging retires the merged frame's credit immediately (its bytes
-// are now owed by the staging frame's credit). A monitor record lost with
-// a killed connection retires its credit at HELLO reconciliation. run()
-// blocks until the counter proves no work exists or can be created, then
-// joins. A node thread that fails (reconnect budget exhausted, wire
-// corruption) stores its exception and run() rethrows it after joining --
-// transport errors surface to the caller, never std::terminate.
+// Credit-counted quiescence and failure propagation come from the run
+// skeleton shared with ThreadRuntime (src/distributed/run_core.hpp). Here a
+// merge into staging retires the merged frame's credit at once (its bytes
+// are owed by the staging frame's credit), and a monitor record lost with a
+// killed connection retires its credit at HELLO reconciliation.
 //
 // Thread-safety contract: all callbacks for node i run on node i's thread.
 // Channel send state is per-channel mutex-guarded (off-thread sends are
@@ -83,15 +79,13 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
+#include <chrono>
 #include <cstdint>
-#include <exception>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <queue>
 #include <span>
-#include <thread>
 #include <vector>
 
 #include "decmon/distributed/process.hpp"
@@ -99,6 +93,10 @@
 #include "decmon/distributed/trace.hpp"
 
 namespace decmon {
+
+namespace detail {
+class RunCore;
+}
 
 /// Seeded socket-level fault injection: connection kills are abortive
 /// (SO_LINGER 0 -> RST), so queued and in-flight bytes genuinely die and
@@ -190,7 +188,7 @@ class SocketRuntime final : public MonitorNetwork {
   SocketRuntime(const SocketRuntime&) = delete;
   SocketRuntime& operator=(const SocketRuntime&) = delete;
 
-  void set_hooks(MonitorHooks* hooks) { hooks_ = hooks; }
+  void set_hooks(MonitorHooks* hooks);
 
   /// Run to quiescence (blocking): all trace actions executed, all bytes
   /// delivered, all messages processed. On return every node thread has
@@ -205,7 +203,7 @@ class SocketRuntime final : public MonitorNetwork {
   double now() const override;
 
   int num_processes() const { return static_cast<int>(nodes_.size()); }
-  const std::vector<std::vector<Event>>& history() const { return history_; }
+  const std::vector<std::vector<Event>>& history() const;
   std::vector<LocalState> initial_states() const;
 
   /// Abortively kill the live connection of the (a, b) pair (RST both
@@ -217,13 +215,11 @@ class SocketRuntime final : public MonitorNetwork {
   void kill_node(int node);
 
   // Transport-truth counters (stable after run() returns).
-  std::uint64_t program_events() const { return program_events_; }
-  std::uint64_t app_messages_sent() const { return app_messages_; }
+  std::uint64_t program_events() const;
+  std::uint64_t app_messages_sent() const;
   /// Monitor payloads handed to send() (before any split/merge).
-  std::uint64_t monitor_messages_sent() const { return monitor_sends_; }
-  std::uint64_t monitor_messages_processed() const {
-    return monitor_deliveries_;
-  }
+  std::uint64_t monitor_messages_sent() const;
+  std::uint64_t monitor_messages_processed() const;
   /// Monitor records written to sockets (after split/merge) and their
   /// encoded bytes including the 5-byte record header.
   std::uint64_t wire_frames() const { return wire_frames_; }
@@ -339,9 +335,6 @@ class SocketRuntime final : public MonitorNetwork {
   };
 
   struct Node {
-    std::unique_ptr<ProgramProcess> process;
-    int expected_receives = 0;
-    int receives_left = 0;  ///< own thread only
     int epoll_fd = -1;
     int event_fd = -1;   ///< cross-thread wakeup (timers, stop)
     int listen_fd = -1;  ///< persistent listener (accepts reconnects)
@@ -370,9 +363,7 @@ class SocketRuntime final : public MonitorNetwork {
     std::atomic<bool> links_dirty{false};
   };
 
-  void node_main(int index);
-  void node_body(int index);
-  void record_event(int index, const Event& event);
+  void node_loop(int index);
   void broadcast_app(int index, const AppMessage& message);
   void read_peer(int index, int peer);
   void dispatch_record(int index, int peer,
@@ -441,34 +432,14 @@ class SocketRuntime final : public MonitorNetwork {
                       static_cast<std::size_t>(to)];
   }
   void wake(int index);
-  /// Release one unit of outstanding work; wakes run() at zero.
-  void finish_one();
 
-  const AtomRegistry* registry_;
   SocketConfig config_;
-  MonitorHooks* hooks_ = nullptr;
-
+  std::unique_ptr<detail::RunCore> core_;
   std::vector<std::unique_ptr<Node>> nodes_;
   std::vector<std::unique_ptr<Channel>> channels_;  ///< n*n, diagonal unused
-  std::vector<std::vector<Event>> history_;
-  std::vector<std::jthread> threads_;
-
-  std::atomic<Clock::time_point> start_;
-  std::atomic<bool> stop_{false};
-  std::atomic<std::int64_t> outstanding_{0};
-  std::mutex quiesce_mutex_;
-  std::condition_variable quiesce_cv_;
-  /// First node-thread failure; rethrown by run() after joining.
-  std::mutex error_mutex_;
-  std::exception_ptr run_error_;
-  std::atomic<bool> failed_{false};
   std::atomic<int> kills_left_{0};
   std::atomic<bool> node_kill_armed_{false};
 
-  std::atomic<std::uint64_t> app_messages_{0};
-  std::atomic<std::uint64_t> monitor_sends_{0};
-  std::atomic<std::uint64_t> monitor_deliveries_{0};
-  std::atomic<std::uint64_t> program_events_{0};
   std::atomic<std::uint64_t> wire_frames_{0};
   std::atomic<std::uint64_t> wire_bytes_{0};
   std::atomic<std::uint64_t> app_bytes_{0};

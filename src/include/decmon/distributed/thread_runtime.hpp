@@ -12,22 +12,18 @@
 // channel state (latency RNG + FIFO clamps, guarded by a per-node send
 // mutex so off-node-thread sends are safe).
 //
-// Quiescence is counter-based, not heuristic: `outstanding_` counts every
-// unit of pending work (running programs + undelivered/in-process
-// messages). A message is counted before it is enqueued and released only
-// after its receiver finished processing it -- including any sends that
-// processing caused, which were counted first -- so outstanding_ == 0
-// proves no work exists or can ever be created (credit-counting
-// termination detection). run() blocks on that proof, then joins.
+// Program pacing, credit-counted quiescence and failure propagation come
+// from the run skeleton shared with SocketRuntime
+// (src/distributed/run_core.hpp).
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <queue>
-#include <thread>
 #include <variant>
 #include <vector>
 
@@ -37,6 +33,10 @@
 #include "decmon/util/rng.hpp"
 
 namespace decmon {
+
+namespace detail {
+class RunCore;
+}
 
 struct ThreadConfig {
   /// Wall-clock seconds per trace second (0.002 => a 3 s trace wait lasts
@@ -59,11 +59,12 @@ class ThreadRuntime final : public MonitorNetwork {
   ThreadRuntime(const ThreadRuntime&) = delete;
   ThreadRuntime& operator=(const ThreadRuntime&) = delete;
 
-  void set_hooks(MonitorHooks* hooks) { hooks_ = hooks; }
+  void set_hooks(MonitorHooks* hooks);
 
   /// Run to quiescence (blocking): all trace actions executed, all messages
   /// (application and monitor) delivered and processed. On return every
   /// node thread has been joined -- no callback can fire afterwards.
+  /// Rethrows the first node-thread failure (e.g. a hook's MonitorOverflow).
   void run();
 
   // MonitorNetwork (safe from any thread; sender identity is msg.from):
@@ -73,14 +74,12 @@ class ThreadRuntime final : public MonitorNetwork {
   double now() const override;
 
   int num_processes() const { return static_cast<int>(nodes_.size()); }
-  const std::vector<std::vector<Event>>& history() const { return history_; }
+  const std::vector<std::vector<Event>>& history() const;
   std::vector<LocalState> initial_states() const;
-  std::uint64_t app_messages_sent() const { return app_messages_; }
-  std::uint64_t monitor_messages_sent() const { return monitor_messages_; }
-  std::uint64_t program_events() const { return program_events_; }
-  std::uint64_t monitor_messages_processed() const {
-    return monitor_deliveries_;
-  }
+  std::uint64_t app_messages_sent() const;
+  std::uint64_t monitor_messages_sent() const;
+  std::uint64_t program_events() const;
+  std::uint64_t monitor_messages_processed() const;
 
  private:
   using Clock = std::chrono::steady_clock;
@@ -97,9 +96,6 @@ class ThreadRuntime final : public MonitorNetwork {
   };
 
   struct Node {
-    std::unique_ptr<ProgramProcess> process;
-    int expected_receives = 0;
-
     std::mutex mutex;
     std::condition_variable cv;
     std::priority_queue<Timed, std::vector<Timed>, std::greater<>> inbox;
@@ -113,33 +109,14 @@ class ThreadRuntime final : public MonitorNetwork {
     std::unique_ptr<NormalWait> latency;
   };
 
-  void node_main(int index);
+  void node_loop(int index);
   void deliver(int to, Clock::time_point at, Payload payload);
   /// Caller must hold nodes_[from]->send_mutex.
   Clock::time_point fifo_time(int from, int to, Clock::time_point candidate);
-  /// Release one unit of outstanding work; wakes run() at zero.
-  void finish_one();
 
-  const AtomRegistry* registry_;
   ThreadConfig config_;
-  MonitorHooks* hooks_ = nullptr;
-
+  std::unique_ptr<detail::RunCore> core_;
   std::vector<std::unique_ptr<Node>> nodes_;
-  std::vector<std::vector<Event>> history_;
-  std::vector<std::jthread> threads_;
-
-  std::atomic<Clock::time_point> start_;
-  std::atomic<bool> stop_{false};
-  /// Pending work units: running programs + counted-but-unprocessed
-  /// messages. Zero proves quiescence (see file comment).
-  std::atomic<std::int64_t> outstanding_{0};
-  std::mutex quiesce_mutex_;
-  std::condition_variable quiesce_cv_;
-
-  std::atomic<std::uint64_t> app_messages_{0};
-  std::atomic<std::uint64_t> monitor_messages_{0};
-  std::atomic<std::uint64_t> monitor_deliveries_{0};
-  std::atomic<std::uint64_t> program_events_{0};
   std::atomic<std::uint64_t> seq_{0};
 };
 

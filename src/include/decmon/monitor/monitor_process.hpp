@@ -91,20 +91,18 @@ struct MonitorOptions {
   /// Hard cap on simultaneously live views (debugging guard; 0 = none).
   std::size_t max_views = 0;
 
-  /// Streaming posture (DESIGN.md §12): periodically trim the prefix of the
-  /// shared history that no live lattice path -- local or remote -- can
-  /// revisit, behind a base-offset indirection so cursors stay stable.
-  /// Monitors gossip per-process GC floors so remote walks are never cut
-  /// off. Off by default: finite-trace runs keep the full history and send
-  /// no floor messages, so their goldens are untouched.
-  bool streaming = false;
-  /// Local events between GC sweeps (floor gossip + prefix trim) when
-  /// streaming; 0 falls back to the default cadence.
-  std::uint32_t gc_interval = 64;
+  /// Streaming posture (DESIGN.md §12): every `gc_interval` local events,
+  /// trim the prefix of the shared history that no live lattice path --
+  /// local or remote -- can revisit, behind a base-offset indirection so
+  /// cursors stay stable. Monitors gossip per-process GC floors so remote
+  /// walks are never cut off. 0 (the default) = no GC: finite-trace runs
+  /// keep the full history and send no floor messages, so their goldens
+  /// are untouched.
+  std::uint32_t gc_interval = 0;
 
   /// Optional trace sink: receives one line per significant monitor action
   /// (probe creation, entry resolution, view spawn/resurrect). For
-  /// debugging and the examples' verbose modes; null = silent.
+  /// debugging and tests; null = silent.
   std::function<void(const std::string&)> trace;
 };
 
@@ -171,8 +169,6 @@ class MonitorProcess {
   std::size_t num_waiting_tokens() const { return w_tokens_.size(); }
   /// First retained history sequence number (0 unless streaming GC trimmed).
   std::uint32_t history_base() const { return history_base_; }
-  /// Retained history window size (events currently held).
-  std::size_t history_size() const { return history_.size(); }
   /// One past the last appended sequence number (the pre-GC history size).
   std::uint32_t history_end() const {
     return history_base_ + static_cast<std::uint32_t>(history_.size());

@@ -173,7 +173,6 @@ struct Token {
   /// Drop the records no entry refers to, renumbering the rest in order.
   void compact_records();
 
-  bool has_live_entries() const;
   std::string entry_to_string(const TransitionEntry& e) const;
   std::string to_string() const;
 };

@@ -115,7 +115,6 @@ MonitorProcess::MonitorProcess(int index,
   if (static_cast<int>(initial_letters.size()) != n_) {
     throw std::invalid_argument("MonitorProcess: bad initial_letters size");
   }
-  if (options_.gc_interval == 0) options_.gc_interval = 64;
   // INIT (Alg. 1): the initial global view points at the bottom cut; the
   // initial global state is the first letter the automaton consumes.
   Event init;
@@ -316,7 +315,8 @@ void MonitorProcess::on_local_event(const Event& event, double now) {
   sample_pending();
   merge_similar_views();
   sweep_dead_views();
-  if (options_.streaming && ++events_since_gc_ >= options_.gc_interval) {
+  if (options_.gc_interval != 0 &&
+      ++events_since_gc_ >= options_.gc_interval) {
     events_since_gc_ = 0;
     gc_sweep(now);
   }
@@ -1472,7 +1472,7 @@ void MonitorProcess::advertise_floors() {
 }
 
 void MonitorProcess::resync_floors(double now) {
-  if (!options_.streaming) return;
+  if (options_.gc_interval == 0) return;
   ++stats_.resync_floors;
   {
     DepthGuard guard(dispatch_depth_);
@@ -1504,23 +1504,12 @@ void MonitorProcess::gc_sweep(double now) {
 }
 
 void MonitorProcess::flush_waiting_tokens(double now) {
+  // Local termination is set, so process_token fails every entry waiting
+  // past history_end() and routes the token on.
   std::vector<std::unique_ptr<TokenMessage>> parked = std::move(w_tokens_);
   w_tokens_.clear();
   for (std::unique_ptr<TokenMessage>& shell : parked) {
-    Token& t = shell->token;
-    // Every entry waiting for a local event beyond the last one is disabled.
-    for (TransitionEntry& entry : t.entries) {
-      if (entry.eval == EntryEval::kUnset &&
-          entry.next_target_process == index_ &&
-          entry.next_target_event >= history_end()) {
-        entry.eval = EntryEval::kFalse;
-      }
-    }
-    if (!route_token(shell, now)) {
-      throw std::logic_error("MonitorProcess: unflushable token " +
-                             t.to_string() + " history=" +
-                             std::to_string(history_end()));
-    }
+    process_token(std::move(shell), now);
   }
 }
 

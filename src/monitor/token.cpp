@@ -28,13 +28,6 @@ void Token::compact_records() {
   }
 }
 
-bool Token::has_live_entries() const {
-  for (const TransitionEntry& e : entries) {
-    if (e.eval == EntryEval::kUnset) return true;
-  }
-  return false;
-}
-
 std::string Token::entry_to_string(const TransitionEntry& e) const {
   std::ostringstream os;
   os << "entry{t" << e.transition_id << " cut=[";

@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <stdexcept>
 #include <thread>
 
 #include "../common/random_computation.hpp"
@@ -390,6 +391,69 @@ TEST(ThreadRuntime, ConcurrentVerdictDeclarationsAreRaceFree) {
     EXPECT_TRUE(dm.monitor(1).declared().count(Verdict::kFalse));
     EXPECT_EQ(v.first_violation_time, 1.0) << "round " << round;
     EXPECT_LT(v.first_satisfaction_time, 0.0);
+  }
+}
+
+/// Hooks that fail on the first local event any node reports.
+class ThrowingHooks final : public MonitorHooks {
+ public:
+  void on_local_event(int, const Event&, double) override {
+    calls.fetch_add(1);
+    if (!thrown.exchange(true)) throw std::runtime_error("hook failed");
+  }
+  void on_local_termination(int, double) override { calls.fetch_add(1); }
+  void on_monitor_message(MonitorMessage, double) override {
+    calls.fetch_add(1);
+  }
+
+  std::atomic<bool> thrown{false};
+  std::atomic<std::uint64_t> calls{0};
+};
+
+TEST(ThreadRuntime, NodeFailureRethrowsFromRun) {
+  // A node thread's exception stops the run: run() joins every node thread
+  // and rethrows the original exception instead of reaching
+  // std::terminate, as under SocketRuntime. Joined means nothing moves
+  // after run() has thrown.
+  ThreadConfig storm;
+  storm.time_scale = 0.0;
+  for (int round = 0; round < 3; ++round) {
+    // A configured view cap trips inside a monitor hook.
+    const int n = 3;
+    const paper::Property p = paper::Property::kD;
+    AtomRegistry reg = paper::make_registry(n);
+    const SharedProperty art = paper::shared_property(p, n, reg);
+    SystemTrace trace = generate_trace(paper::experiment_params(p, n, 2015));
+    ThreadRuntime rt(trace, &reg, storm);
+    MonitorOptions options;
+    options.max_views = 2;
+    DecentralizedMonitor dm(property_handle(art), &rt,
+                            initial_letters_of(reg, rt.initial_states()),
+                            options);
+    rt.set_hooks(&dm);
+    EXPECT_THROW(rt.run(), MonitorOverflow) << "round " << round;
+    const std::uint64_t events = rt.program_events();
+    const std::uint64_t processed = rt.monitor_messages_processed();
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    EXPECT_EQ(rt.program_events(), events);
+    EXPECT_EQ(rt.monitor_messages_processed(), processed);
+  }
+  for (int round = 0; round < 3; ++round) {
+    // A hook fails on the first local event.
+    AtomRegistry reg = paper::make_registry(3);
+    SystemTrace trace = generate_trace(small_params(3, 5));
+    ThreadRuntime rt(trace, &reg, storm);
+    ThrowingHooks hooks;
+    rt.set_hooks(&hooks);
+    try {
+      rt.run();
+      ADD_FAILURE() << "run() returned normally, round " << round;
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "hook failed");
+    }
+    const std::uint64_t calls = hooks.calls.load();
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    EXPECT_EQ(hooks.calls.load(), calls);
   }
 }
 

@@ -283,7 +283,6 @@ TEST(Checkpoint, StreamingWindowSurvivesAMidGcCrash) {
   AtomRegistry reg = testing::standard_registry(2);
   const SharedProperty art = testing::admit(reg, "F(P0.p && P1.p)");
   MonitorOptions options;
-  options.streaming = true;
   options.gc_interval = 1000;  // manual sweeps keep the scenario exact
 
   FloorSink net;

@@ -83,7 +83,6 @@ TEST(EquivalenceGolden, MatchesSeedImplementation) {
 // draws and hence the schedule -- only the verdicts are schedule-invariant.
 TEST(EquivalenceGolden, StreamingPostureKeepsVerdictSets) {
   MonitorOptions streaming;
-  streaming.streaming = true;
   streaming.gc_interval = 4;  // aggressive: many sweeps even on short cells
   for (const GoldenRow& row : kGoldens) {
     SCOPED_TRACE(std::string(row.prop) + " n=" + std::to_string(row.n) +

@@ -512,7 +512,6 @@ TEST(MonitorProcessUnit, ResyncBumpsEpochAndReAdvertises) {
   const auto prop = compile("F(P0.p && P1.p)", 2);
   CapturingNetwork net;
   MonitorOptions options;
-  options.streaming = true;
   options.gc_interval = 1000;  // manual sweeps only
   MonitorProcess m(0, prop, &net, {0, 0}, options);
   m.on_local_event(make_event(0, 1, VectorClock{1, 0}, 0), 1.0);
@@ -544,7 +543,6 @@ TEST(MonitorProcessUnit, ResyncFloorBelowTrimmedBaseBlocksFutureTrims) {
   const auto prop = compile("F(P0.p && P1.p)", 2);
   CapturingNetwork net;
   MonitorOptions options;
-  options.streaming = true;
   options.gc_interval = 1000;
   MonitorProcess m(0, prop, &net, {0, 0}, options);
   for (std::uint32_t sn = 1; sn <= 8; ++sn) {

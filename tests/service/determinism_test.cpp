@@ -137,7 +137,6 @@ TEST(CrossShardDeterminism, OneShardSerialMatchesFourShardsConcurrent) {
 TEST(CrossShardDeterminism, StreamingPostureIsDeterministicAcrossShards) {
   std::vector<SessionSpec> specs = golden_grid();
   for (SessionSpec& spec : specs) {
-    spec.options.streaming = true;
     spec.options.gc_interval = 4;
   }
 

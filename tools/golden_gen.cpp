@@ -93,10 +93,7 @@ RunResult run_walk_workload(paper::Property prop, int n, std::uint64_t seed,
   sim.coalesce = posture == "exact" ? CoalesceMode::kExact
                                     : CoalesceMode::kTransit;
   MonitorOptions options;
-  if (posture == "stream16") {
-    options.streaming = true;
-    options.gc_interval = 16;
-  }
+  if (posture == "stream16") options.gc_interval = 16;
   if (posture == "joinjump") options.walk_mode = WalkMode::kJoinJump;
   if (posture == "nomerge") options.merge_by_state = false;
   const double comm_mu = posture == "mu1.5" ? 1.5 : 3.0;

@@ -20,7 +20,8 @@
 //                   everything immediately; measures capacity, default)
 //   --props         comma-separated subset of A-F, assigned round-robin
 //   --streaming     run sessions in the bounded-memory posture (history GC,
-//                   DESIGN.md §12); --gc-interval tunes the sweep cadence
+//                   DESIGN.md §12) with a sweep every 64 local events;
+//                   --gc-interval tunes the cadence
 //   --max-views V   per-monitor view cap; sessions that hit it count as
 //                   "overflowed", not failed
 //   --max-rss-mb B  assert the process's peak RSS (VmHWM) stays under B
@@ -66,7 +67,7 @@ struct Options {
   std::uint64_t seed = 2015;
   bool steal = true;
   bool streaming = false;
-  std::uint32_t gc_interval = 0;  ///< 0 = monitor default
+  std::uint32_t gc_interval = 0;  ///< 0 = 64 under --streaming
   std::size_t max_views = 0;      ///< 0 = unbounded
   double max_rss_mb = 0.0;        ///< 0 = no budget check
   int retry_failed = 0;           ///< retry rounds for failed sessions
@@ -208,8 +209,9 @@ int main(int argc, char** argv) {
     spec.comm_enabled = opt.comm_enabled;
     spec.internal_events = opt.internal_events;
     spec.sim.coalesce = CoalesceMode::kTransit;
-    spec.options.streaming = opt.streaming;
-    if (opt.gc_interval > 0) spec.options.gc_interval = opt.gc_interval;
+    if (opt.streaming) {
+      spec.options.gc_interval = opt.gc_interval > 0 ? opt.gc_interval : 64;
+    }
     spec.options.max_views = opt.max_views;
     return spec;
   };
