@@ -24,6 +24,10 @@
 //   cell.<P>.n<k>.<comm|nocomm>.peak_views       aggregate peak live views
 //   cell.<P>.n<k>.<comm|nocomm>.token_hops       total token hops
 //   cell.<P>.n<k>.<comm|nocomm>.wire_bytes       encoded bytes sent (§9)
+//   cell.<P>.n<k>.<comm|nocomm>.third_process_hops  token hops by
+//                                                SendToNextProcess rule 3
+//   cell.<P>.n<k>.<comm|nocomm>.tokens_parked    tokens parked for an event
+//   cell.<P>.n<k>.<comm|nocomm>.events_delayed   events queued behind a token
 //   socket.<P>.n<k>.<batched|unbatched>.wall_ms  SocketRuntime run (§10)
 //   socket.<P>.n<k>.<batched|unbatched>.{wire_bytes,wire_frames}
 //                                                transport-truth counters
@@ -289,6 +293,9 @@ void run_cell_metrics(Metrics& out, paper::Property prop, int n,
   double peak_views = 0;
   double token_hops = 0;
   double wire_bytes = 0;
+  double third_process_hops = 0;
+  double tokens_parked = 0;
+  double events_delayed = 0;
   for (int r = 0; r < replications; ++r) {
     TraceParams params = paper::experiment_params(
         prop, n, base_seed + static_cast<std::uint64_t>(r), comm_mu,
@@ -304,6 +311,11 @@ void run_cell_metrics(Metrics& out, paper::Property prop, int n,
         static_cast<double>(run.verdict.aggregate.peak_global_views);
     token_hops += static_cast<double>(run.verdict.aggregate.token_hops);
     wire_bytes += static_cast<double>(run.verdict.aggregate.bytes_sent);
+    third_process_hops +=
+        static_cast<double>(run.verdict.aggregate.third_process_hops);
+    tokens_parked += static_cast<double>(run.verdict.aggregate.tokens_parked);
+    events_delayed +=
+        static_cast<double>(run.verdict.aggregate.events_delayed);
   }
   const double k = static_cast<double>(replications);
   const std::string base = "cell." + paper::name(prop) + ".n" +
@@ -315,6 +327,9 @@ void run_cell_metrics(Metrics& out, paper::Property prop, int n,
   out.put(base + ".peak_views", peak_views / k);
   out.put(base + ".token_hops", token_hops / k);
   out.put(base + ".wire_bytes", wire_bytes / k);
+  out.put(base + ".third_process_hops", third_process_hops / k);
+  out.put(base + ".tokens_parked", tokens_parked / k);
+  out.put(base + ".events_delayed", events_delayed / k);
 }
 
 void cell_grid(Metrics& out, bool quick) {

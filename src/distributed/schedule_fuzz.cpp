@@ -373,13 +373,15 @@ std::string to_string(Mode mode) {
 }
 
 std::vector<Cell> default_cells() {
-  // The first three cells keep their positions (and so their per-cell
-  // case seeds); the rest cover the largest automata, D and F, which also
-  // dominate the token walk.
+  // Cells are only appended, so every earlier cell keeps its position (and
+  // so its per-cell case seeds). After the first three come the largest
+  // automata, D and F, which also dominate the token walk; at four
+  // processes a token can choose between third processes (rule 3).
   return {{paper::Property::kA, 3}, {paper::Property::kB, 2},
           {paper::Property::kE, 3}, {paper::Property::kC, 3},
           {paper::Property::kD, 3}, {paper::Property::kF, 3},
-          {paper::Property::kD, 2}, {paper::Property::kF, 2}};
+          {paper::Property::kD, 2}, {paper::Property::kF, 2},
+          {paper::Property::kD, 4}, {paper::Property::kF, 4}};
 }
 
 Report run_sweep(const Options& options, std::ostream* progress) {

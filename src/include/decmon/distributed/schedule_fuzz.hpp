@@ -35,9 +35,9 @@ struct Cell {
   int num_processes = 2;
 };
 
-/// The CI-smoke grid: eight cells spanning the G-shaped and F-shaped
-/// properties at two and three processes -- A/3, B/2, E/3, C/3, D/3, F/3,
-/// D/2 and F/2.
+/// The CI-smoke grid: ten cells spanning the G-shaped and F-shaped
+/// properties at two to four processes -- A/3, B/2, E/3, C/3, D/3, F/3,
+/// D/2, F/2, D/4 and F/4.
 std::vector<Cell> default_cells();
 
 struct Options {

@@ -103,11 +103,6 @@ class CompiledProperty {
   /// the outcome.
   bool verdict_settled(int q) const { return analysis_.verdict_settled(q); }
 
-  /// Edge distance from `q` to the nearest definite-verdict state.
-  int distance_to_verdict(int q) const {
-    return analysis_.distance_to_verdict[static_cast<std::size_t>(q)];
-  }
-
  private:
   friend class PropertyArtifact;
   CompiledProperty(const MonitorAutomaton* automaton,

@@ -17,6 +17,9 @@ struct MonitorStats {
   std::uint64_t tokens_returned = 0;
   std::uint64_t token_messages_sent = 0;  ///< network sends (excl. self)
   std::uint64_t token_hops = 0;           ///< total hops over all tokens
+  /// Hops to a process that is neither the sender nor the token's parent
+  /// (SendToNextProcess rule 3).
+  std::uint64_t third_process_hops = 0;
   std::uint64_t termination_messages = 0;
 
   // -- wire (batched frames; see DESIGN.md §9) --
@@ -29,6 +32,7 @@ struct MonitorStats {
   std::uint64_t global_views_merged = 0;
   std::uint64_t peak_global_views = 0;
   std::uint64_t peak_waiting_tokens = 0;
+  std::uint64_t tokens_parked = 0;  ///< tokens parked for a future event
   std::uint64_t views_overflowed = 0;  ///< cap breaches (MonitorOverflow)
 
   // -- streaming GC (DESIGN.md §12; zero when streaming is off) --

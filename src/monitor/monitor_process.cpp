@@ -1,11 +1,11 @@
 #include "decmon/monitor/monitor_process.hpp"
 
 #include <algorithm>
-#include <climits>
 #include <cassert>
 #include <stdexcept>
 
 #include "decmon/monitor/wire.hpp"
+#include "token_route.hpp"
 
 namespace decmon {
 namespace {
@@ -756,6 +756,7 @@ void MonitorProcess::process_token(std::unique_ptr<TokenMessage> shell,
     if (sn >= history_end()) {
       if (!local_terminated_) {
         w_tokens_.push_back(std::move(shell));
+        ++stats_.tokens_parked;
         stats_.peak_waiting_tokens = std::max<std::uint64_t>(
             stats_.peak_waiting_tokens, w_tokens_.size());
         return;
@@ -1047,74 +1048,61 @@ void MonitorProcess::fast_forward(Token& token,
   }
 }
 
-bool MonitorProcess::route_token(std::unique_ptr<TokenMessage>& shell,
-                                 double now) {
-  Token& token = shell->token;
-  // SendToNextProcess (4.2.0.6): (1) any enabled entry -> parent; (2) a
-  // live entry targets this process -> stay; (3) a live entry targets a
-  // third process -> go there; (4) otherwise -> parent.
+namespace detail {
+
+Route choose_route(const Token& token, int self) {
   bool any_true = false;
-  bool any_live = false;
+  bool stay = false;
+  const TransitionEntry* third = nullptr;
   for (const TransitionEntry& e : token.entries) {
     if (e.eval == EntryEval::kTrue) any_true = true;
-    if (e.eval == EntryEval::kUnset) any_live = true;
+    if (e.eval != EntryEval::kUnset) continue;
+    if (e.next_target_process == self) {
+      stay = true;
+    } else if (e.next_target_process != token.parent &&
+               (third == nullptr ||
+                e.next_target_event < third->next_target_event)) {
+      third = &e;
+    }
   }
 
-  int dest = token.parent;
-  if (!any_true && any_live) {
-    // Prefer staying, then a third process, then the parent. Among third
-    // processes, prefer the entry whose target automaton state is closest
-    // to a definite verdict (static-analysis routing, 7.2.2) -- detection
-    // latency matters most for transitions about to decide the run.
-    int third = -1;
-    int third_rank = INT_MAX;
-    int parent_target = -1;
-    bool stay = false;
-    for (const TransitionEntry& e : token.entries) {
-      if (e.eval != EntryEval::kUnset) continue;
-      if (e.next_target_process == index_) {
-        stay = true;
-      } else if (e.next_target_process == token.parent) {
-        parent_target = token.parent;
-      } else {
-        const int d = prop_->distance_to_verdict(
-            prop_->transition(e.transition_id).to);
-        const int rank =
-            d == AutomatonAnalysis::kUnreachable ? INT_MAX - 1 : d;
-        if (third < 0 || rank < third_rank) {
-          third = e.next_target_process;
-          third_rank = rank;
-        }
-      }
-    }
-    if (stay) {
-      dest = index_;
-    } else if (third >= 0) {
-      dest = third;
-    } else if (parent_target >= 0) {
-      dest = parent_target;
-    }
+  Route route{RouteRule::kParent, token.parent, 0};
+  if (any_true) {
+    route.rule = RouteRule::kEnabled;
+  } else if (stay) {
+    route = {RouteRule::kStay, self, 0};
+  } else if (third != nullptr) {
+    route = {RouteRule::kThird, third->next_target_process, 0};
   }
 
   // Target event at the destination: the earliest live request there.
-  std::uint32_t target_event = 0;
   bool have_target = false;
   for (const TransitionEntry& e : token.entries) {
-    if (e.eval != EntryEval::kUnset) continue;
-    if (e.next_target_process != dest) continue;
-    if (!have_target || e.next_target_event < target_event) {
-      target_event = e.next_target_event;
+    if (e.eval != EntryEval::kUnset || e.next_target_process != route.dest) {
+      continue;
+    }
+    if (!have_target || e.next_target_event < route.target_event) {
+      route.target_event = e.next_target_event;
       have_target = true;
     }
   }
-  token.next_target_process = dest;
-  token.next_target_event = have_target ? target_event : 0;
+  return route;
+}
 
-  if (dest == index_ && !(any_true || !any_live)) {
-    return false;  // stays at this monitor (rule 2)
-  }
+}  // namespace detail
+
+bool MonitorProcess::route_token(std::unique_ptr<TokenMessage>& shell,
+                                 double now) {
+  Token& token = shell->token;
+  const detail::Route route = detail::choose_route(token, index_);
+  const int dest = route.dest;
+  token.next_target_process = dest;
+  token.next_target_event = route.target_event;
+  if (route.rule == detail::RouteRule::kStay) return false;
+
   ++token.hops;
   ++stats_.token_hops;
+  if (route.rule == detail::RouteRule::kThird) ++stats_.third_process_hops;
   if (dest == index_) {
     // Returning home without a hop (parent == current process).
     handle_returned_token(std::move(shell), now);

@@ -10,6 +10,7 @@ MonitorStats& MonitorStats::operator+=(const MonitorStats& other) {
   tokens_returned += other.tokens_returned;
   token_messages_sent += other.token_messages_sent;
   token_hops += other.token_hops;
+  third_process_hops += other.third_process_hops;
   termination_messages += other.termination_messages;
   frames_sent += other.frames_sent;
   bytes_sent += other.bytes_sent;
@@ -19,6 +20,7 @@ MonitorStats& MonitorStats::operator+=(const MonitorStats& other) {
   peak_global_views += other.peak_global_views;
   peak_waiting_tokens = std::max(peak_waiting_tokens,
                                  other.peak_waiting_tokens);
+  tokens_parked += other.tokens_parked;
   views_overflowed += other.views_overflowed;
   gc_sweeps += other.gc_sweeps;
   history_trimmed += other.history_trimmed;
@@ -43,7 +45,8 @@ MonitorStats& MonitorStats::operator+=(const MonitorStats& other) {
 std::string MonitorStats::to_string() const {
   std::ostringstream os;
   os << "stats{msgs=" << token_messages_sent << " tokens=" << tokens_created
-     << " hops=" << token_hops << " frames=" << frames_sent
+     << " hops=" << token_hops << " third_hops=" << third_process_hops
+     << " parked=" << tokens_parked << " frames=" << frames_sent
      << " wire_bytes=" << bytes_sent << " views=" << global_views_created
      << " delayed=" << events_delayed << " avg_queue="
      << average_delayed_events();

@@ -14,7 +14,7 @@ namespace decmon {
 namespace {
 
 TEST(ScheduleFuzz, SmokeSweepFindsNoViolations) {
-  fuzz::Options options;  // defaults: 8 cells x 70 cases = 560 fault configs
+  fuzz::Options options;  // defaults: 10 cells x 70 cases = 700 fault configs
   options.seed = 20260805;
   std::ostringstream progress;
   fuzz::Report report = fuzz::run_sweep(options, &progress);
@@ -93,7 +93,7 @@ TEST(ScheduleFuzz, CrashSweepFindsNoViolations) {
   // with true message loss AND one crash-restart, zero contract violations.
   // Definite verdicts survive the crash unchanged; recovery may only add
   // '?' time -- which the contract already permits.
-  fuzz::Options options;  // defaults: 8 cells x 70 cases = 560 cases
+  fuzz::Options options;  // defaults: 10 cells x 70 cases = 700 cases
   options.seed = 20260806;
   options.lossy = true;
   options.crash = true;

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "../../src/monitor/token_route.hpp"
 #include "../common/random_computation.hpp"
 #include "decmon/core/properties.hpp"
 #include "decmon/monitor/decentralized_monitor.hpp"
@@ -565,6 +566,64 @@ TEST(MonitorProcessUnit, ResyncFloorBelowTrimmedBaseBlocksFutureTrims) {
   EXPECT_EQ(m.history_end(), 9u);  // initial state + 8 events
 }
 
+TEST(MonitorProcessUnit, RoutingRulesOnHandBuiltTokens) {
+  // SendToNextProcess at process 1 for a token whose parent is process 0.
+  // Each entry is (eval, target process, target event).
+  struct Spec {
+    EntryEval eval;
+    int process;
+    std::uint32_t event;
+  };
+  struct Row {
+    const char* name;
+    std::vector<Spec> entries;
+    detail::RouteRule rule;
+    int dest;
+    std::uint32_t target_event;
+  };
+  constexpr EntryEval kLive = EntryEval::kUnset;
+  constexpr EntryEval kFalse = EntryEval::kFalse;
+  using R = detail::RouteRule;
+  const std::vector<Row> rows = {
+      {"enabled entry -> parent",
+       {{kLive, 1, 3}, {EntryEval::kTrue, 2, 1}, {kLive, 0, 6}},
+       R::kEnabled, 0, 6},
+      {"a live entry here -> stay",
+       {{kLive, 2, 1}, {kLive, 1, 8}, {kLive, 1, 5}},
+       R::kStay, 1, 5},
+      {"two third processes -> the lower target event",
+       {{kLive, 0, 1}, {kLive, 2, 9}, {kLive, 3, 6}, {kLive, 3, 4}},
+       R::kThird, 3, 4},
+      {"target events compare unsigned",
+       {{kLive, 2, 0x80000000u}, {kLive, 3, 7}},
+       R::kThird, 3, 7},
+      {"a tie -> the first entry",
+       {{kLive, 3, 4}, {kLive, 2, 4}, {kFalse, 4, 1}},
+       R::kThird, 3, 4},
+      {"only the parent targeted -> parent",
+       {{kFalse, 2, 1}, {kLive, 0, 7}},
+       R::kParent, 0, 7},
+      {"none live -> parent",
+       {{kFalse, 2, 3}, {kFalse, 1, 2}},
+       R::kParent, 0, 0},
+  };
+  for (const Row& row : rows) {
+    SCOPED_TRACE(row.name);
+    Token token;
+    token.parent = 0;
+    for (const Spec& spec : row.entries) {
+      TransitionEntry& e = token.add_entry(5);
+      e.eval = spec.eval;
+      e.next_target_process = spec.process;
+      e.next_target_event = spec.event;
+    }
+    const detail::Route route = detail::choose_route(token, 1);
+    EXPECT_EQ(route.rule, row.rule);
+    EXPECT_EQ(route.dest, row.dest);
+    EXPECT_EQ(route.target_event, row.target_event);
+  }
+}
+
 TEST(MonitorProcessUnit, StatsAggregate) {
   MonitorStats a;
   a.tokens_created = 3;
@@ -575,8 +634,12 @@ TEST(MonitorProcessUnit, StatsAggregate) {
   b.global_views_created = 1;
   b.max_pending = 4;
   b.finish_time = 9.0;
+  b.third_process_hops = 4;
+  b.tokens_parked = 6;
   a += b;
   EXPECT_EQ(a.tokens_created, 5u);
+  EXPECT_EQ(a.third_process_hops, 4u);
+  EXPECT_EQ(a.tokens_parked, 6u);
   EXPECT_EQ(a.global_views_created, 6u);
   EXPECT_EQ(a.max_pending, 7u);
   EXPECT_DOUBLE_EQ(a.finish_time, 9.0);
