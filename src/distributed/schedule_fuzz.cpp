@@ -375,8 +375,9 @@ std::string to_string(Mode mode) {
 std::vector<Cell> default_cells() {
   // Cells are only appended, so every earlier cell keeps its position (and
   // so its per-cell case seeds). After the first three come the largest
-  // automata, D and F, which also dominate the token walk; at four
-  // processes a token can choose between third processes (rule 3).
+  // automata, D and F, which also dominate the token walk. From four
+  // processes on, a token away from its parent can choose between third
+  // processes (SendToNextProcess rule 3).
   return {{paper::Property::kA, 3}, {paper::Property::kB, 2},
           {paper::Property::kE, 3}, {paper::Property::kC, 3},
           {paper::Property::kD, 3}, {paper::Property::kF, 3},
