@@ -10,6 +10,7 @@
 
 #include "decmon/distributed/event.hpp"
 #include "decmon/ltl/atoms.hpp"
+#include "decmon/util/fnv1a.hpp"
 
 namespace decmon {
 
@@ -68,12 +69,9 @@ class Computation {
 /// FNV-1a over a cut's words, for hash maps keyed by cuts.
 struct CutHash {
   std::size_t operator()(const Computation::Cut& c) const noexcept {
-    std::size_t h = 1469598103934665603ull;
-    for (std::uint32_t x : c) {
-      h ^= x;
-      h *= 1099511628211ull;
-    }
-    return h;
+    Fnv1a h;
+    for (std::uint32_t x : c) h.mix(x);
+    return static_cast<std::size_t>(h.value());
   }
 };
 

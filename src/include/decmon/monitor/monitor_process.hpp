@@ -88,7 +88,10 @@ struct MonitorOptions {
   /// When false, only settled views with equal (state, cut) merge (4.3.2).
   bool merge_by_state = true;
 
-  /// Hard cap on simultaneously live views (debugging guard; 0 = none).
+  /// Hard cap on the views a monitor holds (0 = none). Dead views are
+  /// swept when each top-level dispatch unwinds, so between dispatches the
+  /// views held are the live ones; within a dispatch, views that died in it
+  /// still count. Tripping it throws MonitorOverflow (DESIGN.md §12.4).
   std::size_t max_views = 0;
 
   /// Streaming posture (DESIGN.md §12): every `gc_interval` local events,
@@ -100,9 +103,8 @@ struct MonitorOptions {
   /// are untouched.
   std::uint32_t gc_interval = 0;
 
-  /// Optional trace sink: receives one line per significant monitor action
-  /// (probe creation, entry resolution, view spawn/resurrect). For
-  /// debugging and tests; null = silent.
+  /// Optional trace sink: receives one line per probe created and per view
+  /// spawned. For debugging and tests; null = silent.
   std::function<void(const std::string&)> trace;
 };
 
@@ -214,27 +216,6 @@ class MonitorProcess {
   /// Walk the token over local history from its target event; parks it in
   /// w_tokens_ when the event has not happened yet.
   void process_token(std::unique_ptr<TokenMessage> shell, double now);
-  /// Apply local event `sn` to the entries targeting it (Alg. 4-5), then
-  /// fast-forward the entries that stay here over the following events at
-  /// which none of them can decide (DESIGN.md §6.2): an entry stays at an
-  /// event when the event repairs its cut (depend(i) > sn) or leaves its
-  /// local conjunct open, every lower process is consistent and closed, and
-  /// a consistent cut keeps the source state on a self-loop. Such a run
-  /// is applied as one update; the walk resumes at the first event where
-  /// some stayer decides, another entry waits, or the history ends.
-  void apply_event_to_token(Token& token, std::uint32_t sn);
-  /// Outcome of one walk step for an entry that has stayed since the run
-  /// began: it leaves (resolves or retargets), stays at an inconsistent
-  /// cut, or stays at a consistent cut and certifies it as a stay-point.
-  enum class StayKind : std::uint8_t { kLeave, kStay, kStayCertified };
-  StayKind stay_kind(const FrontierSlot* frontier,
-                     const CompiledTransition& ct, AtomSet others,
-                     const Event& e) const;
-  /// Apply the longest run [first, J <= last] of events at which every
-  /// entry in `stayed` stays, as one update per frontier record. `exclusive`:
-  /// no other entry holds a record an entry in `stayed` holds.
-  void fast_forward(Token& token, const SmallVec<std::uint32_t, 32>& stayed,
-                    std::uint32_t first, std::uint32_t last, bool exclusive);
   /// Retarget entries after evaluation; returns false when the token wants
   /// to stay at this monitor (waiting for a later local event). On true the
   /// shell has been consumed (staged for sending, or handled as returned).
@@ -245,6 +226,13 @@ class MonitorProcess {
   /// just past the cut's local component, replaying the shared history.
   void spawn_view(const Token& token, const TransitionEntry& entry,
                   double now);
+
+  // -- dispatch --
+  /// Run one entry point's body under the dispatch depth. Once the depth is
+  /// back at 0 -- also when the body throws MonitorOverflow -- sweep the
+  /// dead views and flush the staged sends.
+  template <class Body>
+  void dispatch(Body&& body);
 
   // -- send coalescing (DESIGN.md §9) --
   /// Queue an outgoing payload for `dest`. Nothing touches the network
@@ -269,11 +257,11 @@ class MonitorProcess {
   void declare(int q, double now);
   void merge_similar_views();
   void sweep_dead_views();
-  void flush_waiting_tokens(double now);
   void check_finished(double now);
   void sample_pending();
+  /// The probe's (state, transitions, beliefs) signature (4.3.2).
   std::uint64_t probe_signature(const GlobalView& gv,
-                                const SmallVec<int, 32>& tids) const;
+                                const Token& token) const;
 
   int index_;
   int n_;
@@ -311,7 +299,7 @@ class MonitorProcess {
   std::vector<std::uint32_t> peer_last_sn_;  ///< UINT32_MAX = running
   bool local_terminated_ = false;
   bool finished_ = false;
-  int dispatch_depth_ = 0;  ///< guards view-vector sweeps during re-entrancy
+  int dispatch_depth_ = 0;  ///< entry points on the stack (see dispatch)
 
   /// Outgoing payloads staged during the current dispatch; drained by
   /// flush_staged() when the top-level entry point unwinds. The vector (and

@@ -82,16 +82,6 @@ class CompiledProperty {
   /// All atoms any guard reads (cached; the probe-signature mask).
   AtomSet relevant_atoms() const { return relevant_atoms_; }
 
-  /// Does state `q` have at least one self-loop?
-  bool has_self_loop(int q) const {
-    return has_self_loop_[static_cast<std::size_t>(q)] != 0;
-  }
-
-  /// Does the whole guard hold for the combined letter?
-  bool fully_satisfied(int tid, AtomSet letter) const {
-    return transition(tid).guard.matches(letter);
-  }
-
   Verdict verdict(int q) const { return automaton_->verdict(q); }
   bool is_final(int q) const { return automaton_->is_final(q); }
   int initial_state() const { return automaton_->initial_state(); }
@@ -117,7 +107,6 @@ class CompiledProperty {
   std::vector<Cube> local_flat_;  ///< [tid * n + proc] split guards
   std::vector<std::vector<int>> outgoing_;
   std::vector<std::vector<int>> self_loops_;
-  std::vector<char> has_self_loop_;  ///< [q]
 };
 
 }  // namespace decmon

@@ -170,7 +170,8 @@ struct Token {
     return t;
   }
 
-  /// Drop the records no entry refers to, renumbering the rest in order.
+  /// Once the records could outnumber the live ones, drop those no entry
+  /// refers to, renumbering the rest in order.
   void compact_records();
 
   std::string entry_to_string(const TransitionEntry& e) const;

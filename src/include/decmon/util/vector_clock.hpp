@@ -88,8 +88,4 @@ class VectorClock {
 
 std::ostream& operator<<(std::ostream& os, const VectorClock& vc);
 
-struct VectorClockHash {
-  std::size_t operator()(const VectorClock& vc) const noexcept;
-};
-
 }  // namespace decmon

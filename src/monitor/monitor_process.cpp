@@ -1,11 +1,12 @@
 #include "decmon/monitor/monitor_process.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <stdexcept>
+#include <utility>
 
 #include "decmon/monitor/wire.hpp"
-#include "token_route.hpp"
+#include "decmon/util/fnv1a.hpp"
+#include "token_walk.hpp"
 
 namespace decmon {
 namespace {
@@ -32,72 +33,26 @@ constexpr std::size_t kMaxPooledPayloads = 8;
 constexpr std::size_t kMaxPooledFrames = 32;
 constexpr std::size_t kMaxPooledViews = 128;
 
-/// depend := max(depend, vc, cut), component-wise: a step merges the
-/// event's clock, and the frontier itself is always covered by the
-/// dependency clock.
-void merge_depend(FrontierSlot* f, std::size_t n, const VectorClock& vc) {
-  for (std::size_t j = 0; j < n; ++j) {
-    f[j].depend = std::max({f[j].depend, vc[j], f[j].cut});
-  }
-}
-
-/// True iff cut(j) >= depend(j) everywhere (the cut is consistent).
-bool cut_covers_depend(const FrontierSlot* f, std::size_t n) {
-  for (std::size_t j = 0; j < n; ++j) {
-    if (f[j].cut < f[j].depend) return false;
-  }
-  return true;
-}
-
-/// Union of the per-process frontier letters.
-AtomSet combined_gstate(const FrontierSlot* f, std::size_t n) {
-  AtomSet a = 0;
-  for (std::size_t j = 0; j < n; ++j) a |= f[j].gstate;
-  return a;
-}
-
-/// Per record: whether an entry that does not move holds it.
-using HeldRecords = SmallVec<std::uint8_t, 64>;
-
-/// Before the entries `movers` advance together, make each record they
-/// hold theirs alone: a record that an entry staying put also holds is
-/// split copy-on-write, one copy shared by all its movers. Returns the
-/// movers' records, each once.
-SmallVec<std::uint32_t, 32> split_records(
-    Token& token, const SmallVec<std::uint32_t, 32>& movers,
-    const HeldRecords& held) {
-  struct Moved {
-    std::uint32_t from;
-    std::uint32_t to;
-  };
-  SmallVec<Moved, 8> moved;
-  SmallVec<std::uint32_t, 32> records;
-  for (std::uint32_t idx : movers) {
-    TransitionEntry& entry = token.entries[idx];
-    std::size_t k = 0;
-    while (k < moved.size() && moved[k].from != entry.frontier) ++k;
-    if (k == moved.size()) {
-      const std::uint32_t to = held[entry.frontier]
-                                   ? token.records.add_copy(entry.frontier)
-                                   : entry.frontier;
-      moved.push_back({entry.frontier, to});
-      records.push_back(to);
-    }
-    entry.frontier = moved[k].to;
-  }
-  return records;
-}
-
-/// Records are added as entries step apart and certify; erased entries and
-/// replaced stay-points leave records nobody holds. Drop them once they
-/// could outnumber the live ones.
-void compact_if_sparse(Token& token) {
-  if (token.records.size() > 2 * token.entries.size() + 8) {
-    token.compact_records();
-  }
-}
-
 }  // namespace
+
+template <class Body>
+void MonitorProcess::dispatch(Body&& body) {
+  try {
+    DepthGuard guard(dispatch_depth_);
+    body();
+  } catch (const MonitorOverflow&) {
+    // An intentional bound tripped mid-dispatch. The guard has already
+    // unwound, so the staged sends can leave before the throw surfaces --
+    // checkpointing refuses monitors with staged traffic.
+    sweep_dead_views();
+    flush_staged();
+    throw;
+  }
+  // Both no-op while an enclosing dispatch is still on the stack (on_frame
+  // delivering its units): the outermost one sweeps and flushes once.
+  sweep_dead_views();
+  flush_staged();
+}
 
 MonitorProcess::MonitorProcess(int index,
                                std::shared_ptr<const CompiledProperty> property,
@@ -139,12 +94,11 @@ MonitorProcess::MonitorProcess(int index,
   ++stats_.global_views_created;
   views_.push_back(std::move(gv0));
   declare(views_.back().q, 0.0);
-  if (!prop_->is_final(views_.back().q)) {
-    DepthGuard guard(dispatch_depth_);
-    probe_outgoing(views_.back(), history_[0], /*consistent=*/true, 0.0);
-  }
-  sweep_dead_views();
-  flush_staged();
+  dispatch([&] {
+    if (!prop_->is_final(views_.back().q)) {
+      probe_outgoing(views_.back(), history_[0], /*consistent=*/true, 0.0);
+    }
+  });
 }
 
 std::size_t MonitorProcess::num_views() const {
@@ -274,61 +228,50 @@ void MonitorProcess::flush_staged() {
 // ---------------------------------------------------------------------------
 
 void MonitorProcess::on_local_event(const Event& event, double now) {
-  try {
-  {
-  DepthGuard guard(dispatch_depth_);
-  if (event.sn != history_end()) {
-    throw std::logic_error("MonitorProcess: out-of-order local event");
-  }
-  history_.push_back(event);
-  views_changed_ = true;  // every view's backlog grew
-  stats_.peak_history =
-      std::max<std::uint64_t>(stats_.peak_history, history_.size());
-  ++stats_.events_processed;
-
-  // Tokens parked for this event (Alg. 2 lines 4-8). Extract first: token
-  // processing can re-park or spawn views. Tokens parked during this loop
-  // always target future events, so they never match the condition.
-  for (std::size_t i = 0; i < w_tokens_.size();) {
-    const Token& parked = w_tokens_[i]->token;
-    if (parked.next_target_process == index_ &&
-        parked.next_target_event <= event.sn) {
-      std::unique_ptr<TokenMessage> shell = std::move(w_tokens_[i]);
-      w_tokens_.erase(w_tokens_.begin() + static_cast<std::ptrdiff_t>(i));
-      process_token(std::move(shell), now);
-      // The erase shifted the next candidate into slot i.
-    } else {
-      ++i;
+  dispatch([&] {
+    if (event.sn != history_end()) {
+      throw std::logic_error("MonitorProcess: out-of-order local event");
     }
-  }
+    history_.push_back(event);
+    views_changed_ = true;  // every view's backlog grew
+    stats_.peak_history =
+        std::max<std::uint64_t>(stats_.peak_history, history_.size());
+    ++stats_.events_processed;
 
-  // Advance every existing view's cursor over the shared history; no event
-  // is copied anywhere. Views appended during the loop were created with
-  // cuts/cursors already covering this event and drained at spawn.
-  const std::size_t count = views_.size();
-  for (std::size_t idx = 0; idx < count; ++idx) {
-    GlobalView& gv = views_[idx];
-    if (gv.dead) continue;
-    if (gv.waiting) ++stats_.events_delayed;
-    drain(gv, now);
-  }
-  sample_pending();
-  merge_similar_views();
-  sweep_dead_views();
-  if (options_.gc_interval != 0 &&
-      ++events_since_gc_ >= options_.gc_interval) {
-    events_since_gc_ = 0;
-    gc_sweep(now);
-  }
-  }  // dispatch scope: the flush below must see depth 0
-  } catch (const MonitorOverflow&) {
-    // An intentional bound tripped mid-dispatch. The DepthGuard has already
-    // unwound, so the staged sends can leave before the throw surfaces --
-    // checkpointing refuses monitors with staged traffic.
-    flush_staged();
-    throw;
-  }
-  flush_staged();
+    // Tokens parked for this event (Alg. 2 lines 4-8). Extract first: token
+    // processing can re-park or spawn views. Tokens parked during this loop
+    // always target future events, so they never match the condition.
+    for (std::size_t i = 0; i < w_tokens_.size();) {
+      const Token& parked = w_tokens_[i]->token;
+      if (parked.next_target_process == index_ &&
+          parked.next_target_event <= event.sn) {
+        std::unique_ptr<TokenMessage> shell = std::move(w_tokens_[i]);
+        w_tokens_.erase(w_tokens_.begin() + static_cast<std::ptrdiff_t>(i));
+        process_token(std::move(shell), now);
+        // The erase shifted the next candidate into slot i.
+      } else {
+        ++i;
+      }
+    }
+
+    // Advance every existing view's cursor over the shared history; no event
+    // is copied anywhere. Views appended during the loop were created with
+    // cuts/cursors already covering this event and drained at spawn.
+    const std::size_t count = views_.size();
+    for (std::size_t idx = 0; idx < count; ++idx) {
+      GlobalView& gv = views_[idx];
+      if (gv.dead) continue;
+      if (gv.waiting) ++stats_.events_delayed;
+      drain(gv, now);
+    }
+    sample_pending();
+    merge_similar_views();
+    if (options_.gc_interval != 0 &&
+        ++events_since_gc_ >= options_.gc_interval) {
+      events_since_gc_ = 0;
+      gc_sweep(now);
+    }
+  });
 }
 
 void MonitorProcess::drain(GlobalView& gv, double now) {
@@ -385,223 +328,36 @@ void MonitorProcess::process_event(GlobalView& gv, const Event& e,
   }
 }
 
-std::uint64_t MonitorProcess::probe_signature(
-    const GlobalView& gv, const SmallVec<int, 32>& tids) const {
+std::uint64_t MonitorProcess::probe_signature(const GlobalView& gv,
+                                              const Token& token) const {
   // Only atoms the automaton reads matter: beliefs differing in irrelevant
   // variables describe the same probe.
   const AtomSet relevant = prop_->relevant_atoms();
-  std::uint64_t h = 1469598103934665603ull;
-  auto mix = [&h](std::uint64_t x) {
-    h ^= x;
-    h *= 1099511628211ull;
-  };
-  mix(static_cast<std::uint64_t>(gv.q));
-  for (int t : tids) mix(static_cast<std::uint64_t>(t) + 1);
-  for (AtomSet s : gv.gstate) mix((s & relevant) ^ 0x5bd1e995u);
-  return h;
+  Fnv1a h;
+  h.mix(static_cast<std::uint64_t>(gv.q));
+  for (const TransitionEntry& e : token.entries) {
+    h.mix(static_cast<std::uint64_t>(e.transition_id) + 1);
+  }
+  for (AtomSet s : gv.gstate) h.mix((s & relevant) ^ 0x5bd1e995u);
+  return h.value();
 }
 
 void MonitorProcess::probe_outgoing(GlobalView& gv, const Event& e,
                                     bool consistent, double now,
                                     int extra_from_state) {
-  // Soundness of a probe entry rests on where its source state is
-  // *certified*:
-  //   - "at-cut" entries (the view's state after a consistent step that
-  //     consumed e): start at the cut including e;
-  //   - "pre-cut" entries (the pre-advance state q_old whose other branches
-  //     remain reachable through concurrent remote events, and the view's
-  //     state on an inconsistent event, which never consumed e's cut): start
-  //     at the cut *before* e -- the walk re-applies e itself, with the
-  //     self-loop feasibility check, like any other event.
-  // Design note: the thesis starts every entry at the join max(gcut, e.VC),
-  // skipping intermediate cuts entirely; that admits firings on paths that
-  // do not exist (unsound, e.g. for X-shaped states without self-loops).
-  struct Candidate {
-    int tid;
-    bool pre_cut;
-  };
-  auto prunable = [&](int q) {
-    // Final states have no outgoing transitions; settled states (no
-    // definite verdict reachable, 7.2.2) are not worth probing.
-    return prop_->is_final(q) || prop_->verdict_settled(q);
-  };
-  SmallVec<Candidate, 32> candidates;
-  if (!prunable(gv.q)) {
-    for (int tid : prop_->outgoing(gv.q)) {
-      candidates.push_back({tid, !consistent});
-    }
-  }
-  if (extra_from_state >= 0 && !prunable(extra_from_state)) {
-    for (int tid : prop_->outgoing(extra_from_state)) {
-      candidates.push_back({tid, true});
-    }
-  }
+  const detail::TokenWalk walk(*prop_, index_, history_, history_base_);
+  const detail::ProbeCandidates candidates =
+      walk.candidates(gv.q, consistent, extra_from_state);
   if (candidates.empty()) return;
-
-  const AtomSet pre_letter =
-      event_at(e.sn - (e.sn > 0 ? 1 : 0)).letter;
-
   // Entries are built directly into a pooled shell; if the probe turns out
   // empty or a duplicate, the shell (and its capacity) goes back unsent.
   std::unique_ptr<TokenMessage> shell = acquire_shell();
   Token& token = shell->token;
-  SmallVec<int, 32> tids;
-
-  const std::size_t n = static_cast<std::size_t>(n_);
-  if (options_.walk_mode == WalkMode::kJoinJump) {
-    // The thesis's CheckOutgoingTransitions: entries start at the join
-    // max(gcut, e.VC) with the current (possibly stale) beliefs, and a
-    // fully-believed-satisfied transition at an advanced join fires
-    // immediately. Kept for comparison; see WalkMode::kJoinJump. Every
-    // entry shares the one frontier record at the join.
-    std::uint32_t joined = kNoRecord;
-    bool advanced = false;
-    for (const Candidate& cand : candidates) {
-      const int tid = cand.tid;
-      if (!prop_->locally_satisfied(tid, index_, e.letter)) continue;
-      if (joined == kNoRecord) {
-        joined = token.records.add(n);
-        FrontierSlot* f = token.records[joined];
-        for (std::size_t j = 0; j < n; ++j) {
-          f[j].cut = std::max(gv.cut[j], e.vc[j]);
-          if (f[j].cut != gv.cut[j]) advanced = true;
-          f[j].gstate = gv.gstate[j];
-          f[j].depend = f[j].cut;
-        }
-      }
-      const FrontierSlot* f = token.records[joined];
-      TransitionEntry entry;
-      entry.transition_id = tid;
-      entry.frontier = joined;
-      entry.conj.assign(n, ConjunctEval::kTrue);
-      const CompiledTransition& ct = prop_->transition(tid);
-      bool needs_walk = false;
-      for (int j = 0; j < n_; ++j) {
-        if (j == index_) continue;
-        if (!ct.local[static_cast<std::size_t>(j)].is_true() &&
-            !prop_->locally_satisfied(tid, j,
-                                      f[static_cast<std::size_t>(j)].gstate)) {
-          entry.conj[static_cast<std::size_t>(j)] = ConjunctEval::kUnset;
-          needs_walk = true;
-        }
-      }
-      if (!needs_walk) {
-        if (!advanced) continue;  // the deterministic step's own transition
-        // Believed-enabled at the advanced join: resolved already, but
-        // routed through the token machinery so probe deduplication keeps
-        // repeated beliefs from spawning unboundedly.
-        entry.eval = EntryEval::kTrue;
-      } else {
-        for (int j = 0; j < n_; ++j) {
-          if (entry.conj[static_cast<std::size_t>(j)] ==
-              ConjunctEval::kUnset) {
-            entry.next_target_process = j;
-            entry.next_target_event = f[static_cast<std::size_t>(j)].cut + 1;
-            break;
-          }
-        }
-      }
-      tids.push_back(tid);
-      token.entries.push_back(std::move(entry));
-    }
-    if (token.entries.empty()) {
-      recycle_shell(std::move(shell));
-      return;
-    }
-  } else {
-  // Entries share at most two frontier records, each made with the first
-  // entry that needs it: at-cut and pre-cut.
-  std::uint32_t records[2] = {kNoRecord, kNoRecord};
-  const std::size_t me = static_cast<std::size_t>(index_);
-  for (const Candidate& cand : candidates) {
-    const int tid = cand.tid;
-    const bool pre = cand.pre_cut && e.sn > 0;
-    // Skip when this process forbids the transition at every admissible
-    // local position (Alg. 3 line 7).
-    const bool sat_now = prop_->locally_satisfied(tid, index_, e.letter);
-    const bool sat_pre = prop_->locally_satisfied(tid, index_, pre_letter);
-    if (pre ? (!sat_now && !sat_pre) : !sat_now) continue;
-
-    std::uint32_t& record = records[pre ? 1 : 0];
-    if (record == kNoRecord) {
-      record = token.records.add(n);
-      FrontierSlot* f = token.records[record];
-      for (std::size_t j = 0; j < n; ++j) {
-        f[j].cut = gv.cut[j];
-        f[j].gstate = gv.gstate[j];
-      }
-      if (pre) {
-        f[me].cut = e.sn - 1;
-        f[me].gstate = pre_letter;
-        // The rolled-back frontier event still carries dependencies:
-        // without its clock in `depend`, a cut through it can pass the
-        // consistency check while missing remote events it happened-after
-        // -- the walk then certifies stay-points and enables transitions at
-        // cuts that lie on no lattice path (fuzz-found unsound verdicts).
-        merge_depend(f, n, event_at(e.sn - 1).vc);
-      } else {
-        merge_depend(f, n, e.vc);
-      }
-    }
-    const FrontierSlot* f = token.records[record];
-    TransitionEntry entry;
-    entry.transition_id = tid;
-    entry.frontier = record;
-    entry.conj.assign(n, ConjunctEval::kTrue);
-    const CompiledTransition& ct = prop_->transition(tid);
-    bool needs_walk = false;
-    for (std::size_t j = 0; j < n; ++j) {
-      if (f[j].cut < f[j].depend) {
-        needs_walk = true;  // lagging component: must be walked forward
-      }
-      const bool participates = !ct.local[j].is_true();
-      if (participates &&
-          !prop_->locally_satisfied(tid, static_cast<int>(j), f[j].gstate)) {
-        entry.conj[j] = ConjunctEval::kUnset;
-        needs_walk = true;
-      }
-    }
-    if (!needs_walk) {
-      // The guard holds at the entry's own cut -- but the transition fires
-      // at a *successor* cut (the source state holds after this one). The
-      // local successor is covered by the view's own deterministic step;
-      // remote successors need one verification step, or the pivot is lost
-      // whenever the next local event is inconsistent (design note: the
-      // thesis's "enabled transition" handling misses this case). Walk one
-      // event on a remote participant (any remote process if the guard is
-      // local-only) and let the usual completion rules decide there.
-      int j = -1;
-      for (int k : ct.participants) {
-        if (k != index_) {
-          j = k;
-          break;
-        }
-      }
-      if (j < 0) j = index_ == 0 ? (n_ > 1 ? 1 : -1) : 0;
-      if (j < 0) continue;  // single process: local steps cover everything
-      entry.conj[static_cast<std::size_t>(j)] = ConjunctEval::kUnset;
-      entry.next_target_process = j;
-      entry.next_target_event = f[static_cast<std::size_t>(j)].cut + 1;
-    } else {
-      // Initial target: first lagging component, else first open conjunct
-      // (Alg. 3 lines 12-13).
-      for (std::size_t j = 0; j < n; ++j) {
-        if (f[j].cut < f[j].depend || entry.conj[j] == ConjunctEval::kUnset) {
-          entry.next_target_process = static_cast<int>(j);
-          entry.next_target_event = f[j].cut + 1;
-          break;
-        }
-      }
-    }
-    tids.push_back(tid);
-    token.entries.push_back(std::move(entry));
-  }
-
+  walk.open(token, candidates, gv, e, options_.walk_mode);
   if (token.entries.empty()) {
     recycle_shell(std::move(shell));
     return;
   }
-  }  // walk-mode dispatch
 
   // Optimization 4.3.2: skip duplicate probes -- the same (state,
   // transitions, beliefs) signature was already probed, either by an
@@ -609,7 +365,7 @@ void MonitorProcess::probe_outgoing(GlobalView& gv, const Event& e,
   // considered to be an element in the slice being constructed"). Pivot
   // cuts involving *new remote* events are caught by the remote monitors'
   // own probes (Theorem 4's progress-path argument).
-  const std::uint64_t sig = probe_signature(gv, tids);
+  const std::uint64_t sig = probe_signature(gv, token);
   if (options_.dedupe_probes) {
     if (gv.probe_sig == sig || outstanding_sigs_.count(sig)) {
       recycle_shell(std::move(shell));
@@ -673,33 +429,23 @@ void MonitorProcess::probe_outgoing(GlobalView& gv, const Event& e,
 
 void MonitorProcess::on_token(std::unique_ptr<TokenMessage> shell,
                               double now) {
-  try {
-    DepthGuard guard(dispatch_depth_);
+  dispatch([&] {
     if (shell->token.parent == index_) {
       handle_returned_token(std::move(shell), now);
     } else {
       process_token(std::move(shell), now);
     }
     merge_similar_views();
-    sweep_dead_views();
     check_finished(now);
-  } catch (const MonitorOverflow&) {
-    flush_staged();  // no-op inside a frame; the frame's wrapper flushes
-    throw;
-  }
-  // No-op while delivered as part of a frame (on_frame holds the depth):
-  // the whole frame's responses flush together.
-  flush_staged();
+  });
 }
 
 void MonitorProcess::on_frame(std::unique_ptr<PayloadFrame> frame,
                               double now) {
   stats_.bytes_received += frame->wire_size;
-  try {
-    // Hold the dispatch depth across all units so every per-unit flush
-    // no-ops: responses provoked by any unit batch into the frames this
-    // flush_staged() below emits.
-    DepthGuard guard(dispatch_depth_);
+  // The dispatch depth holds across all units, so the responses any unit
+  // provokes batch into the frames flushed once the whole frame is done.
+  dispatch([&] {
     for (std::unique_ptr<NetPayload>& unit : frame->units) {
       if (!unit) continue;
       if (unit->tag == TokenMessage::kTag) {
@@ -717,17 +463,16 @@ void MonitorProcess::on_frame(std::unique_ptr<PayloadFrame> frame,
       // skip them (a hostile decoded frame cannot make this path throw).
     }
     frame->units.clear();
-  } catch (const MonitorOverflow&) {
-    flush_staged();  // the guard unwound with the unit loop
-    throw;
-  }
-  flush_staged();
+  });
   recycle_frame(std::move(frame));
 }
 
 void MonitorProcess::process_token(std::unique_ptr<TokenMessage> shell,
                                    double now) {
   Token& token = shell->token;
+  // The window only grows at the top of on_local_event, never during a
+  // walk.
+  const detail::TokenWalk walk(*prop_, index_, history_, history_base_);
   while (true) {
     if (token.next_target_process != index_) {
       // Targeted elsewhere: route it. A false return means the router chose
@@ -739,17 +484,8 @@ void MonitorProcess::process_token(std::unique_ptr<TokenMessage> shell,
     const std::uint32_t sn = token.next_target_event;
     if (sn < history_base_) {
       // Trimmed prefix. The floor gossip keeps live walks above the GC
-      // base, so only a duplicate-delivered token can still target it: its
-      // first copy already walked these events and spawned their pivots.
-      // Fail the re-walk's entries instead of replaying history that is
-      // gone.
-      for (TransitionEntry& entry : token.entries) {
-        if (entry.eval == EntryEval::kUnset &&
-            entry.next_target_process == index_ &&
-            entry.next_target_event < history_base_) {
-          entry.eval = EntryEval::kFalse;
-        }
-      }
+      // base, so only a duplicate-delivered token can still target it.
+      walk.fail_awaiting(token, /*past_end=*/false);
       if (route_token(shell, now)) return;
       continue;  // stays here, now targeting a retained event
     }
@@ -761,340 +497,23 @@ void MonitorProcess::process_token(std::unique_ptr<TokenMessage> shell,
             stats_.peak_waiting_tokens, w_tokens_.size());
         return;
       }
-      // The requested event will never occur: the awaited conjunct can
-      // never become true on this walk (Theorem 1).
-      for (TransitionEntry& entry : token.entries) {
-        if (entry.eval == EntryEval::kUnset &&
-            entry.next_target_process == index_ &&
-            entry.next_target_event >= history_end()) {
-          entry.eval = EntryEval::kFalse;
-        }
-      }
+      walk.fail_awaiting(token, /*past_end=*/true);
       if (!route_token(shell, now)) {
         throw std::logic_error(
             "MonitorProcess: token stuck after local termination");
       }
       return;
     }
-    apply_event_to_token(token, sn);
+    walk.step(token, sn);
     if (route_token(shell, now)) return;
     // Token stays here, now targeting a later local event; keep walking.
   }
 }
 
-void MonitorProcess::apply_event_to_token(Token& token, std::uint32_t sn) {
-  const Event& e = event_at(sn);
-  const std::size_t me = static_cast<std::size_t>(index_);
-  const std::size_t n = static_cast<std::size_t>(n_);
-  // Entries that step at this event, and those of them that stay here after
-  // it (retargeted to sn + 1): the candidates for the fast-forward below.
-  SmallVec<std::uint32_t, 32> stepping;
-  SmallVec<std::uint32_t, 32> stayed;
-  // Last event a fast-forward may cover: one before the next event another
-  // live entry awaits here (it joins the walk there), and the history's end.
-  std::uint32_t run_end = history_end() - 1;
-  HeldRecords held(token.records.size(), 0);
-  for (std::size_t idx = 0; idx < token.entries.size(); ++idx) {
-    const TransitionEntry& entry = token.entries[idx];
-    if (entry.eval == EntryEval::kUnset && entry.next_target_process == index_) {
-      if (entry.next_target_event == sn) {
-        stepping.push_back(static_cast<std::uint32_t>(idx));
-        continue;
-      }
-      // The token targets the earliest request here, so this entry awaits
-      // a later event; were it an earlier one, no run may start.
-      run_end =
-          std::min(run_end, std::max(entry.next_target_event, sn + 1) - 1);
-    }
-    held[entry.frontier] = 1;
-  }
-  // The event moves each stepping record once, whichever entries hold it.
-  for (std::uint32_t r : split_records(token, stepping, held)) {
-    FrontierSlot* f = token.records[r];
-    f[me].cut = sn;
-    f[me].gstate = e.letter;
-    merge_depend(f, n, e.vc);
-  }
-  // Entries at one frontier that certify here share one stay-point.
-  struct Certified {
-    std::uint32_t frontier;
-    std::uint32_t stay;
-  };
-  SmallVec<Certified, 8> certified;
-  bool any_true = false;
-  for (std::uint32_t idx : stepping) {
-    TransitionEntry& entry = token.entries[idx];
-    const FrontierSlot* f = token.frontier(entry);
-    const CompiledTransition& ct = prop_->transition(entry.transition_id);
-    if (!ct.local[me].is_true()) {
-      entry.conj[me] =
-          prop_->locally_satisfied(entry.transition_id, index_, e.letter)
-              ? ConjunctEval::kTrue
-              : ConjunctEval::kUnset;
-    } else {
-      // Non-participant visit (successor verification or consistency
-      // repair): nothing to evaluate here.
-      entry.conj[me] = ConjunctEval::kTrue;
-    }
-
-    // Resolve or retarget (Alg. 4 lines 13-25, with the generalized order
-    // check replacing Alg. 5's sibling-only flag rule). Find what still
-    // keeps the entry open: a lagging cut component (the frontier depends
-    // on events not yet included) or an open conjunct.
-    int next = -1;
-    for (std::size_t k = 0; k < n; ++k) {
-      if (f[k].cut < f[k].depend || entry.conj[k] == ConjunctEval::kUnset) {
-        next = static_cast<int>(k);
-        break;
-      }
-    }
-    if (next < 0) {
-      // All conjuncts verified at a consistent cut: enabled (the pivot
-      // global state is found).
-      entry.eval = EntryEval::kTrue;
-      any_true = true;
-      continue;
-    }
-
-    // The walk must advance past the current cut. A source state without
-    // any self-loop (X-shaped) leaves on *every* letter: the transition can
-    // only fire exactly one event past the creation cut, so an entry that
-    // did not complete on this event is infeasible.
-    if (!ct.from_has_self_loop) {
-      entry.eval = EntryEval::kFalse;
-      continue;
-    }
-    // Otherwise, advancing is only a real path if the letter here keeps the
-    // source state on a self-loop; the check applies at consistent cuts
-    // (design note: this generalizes Alg. 5's flag rule, which only catches
-    // competing sibling entries). An inconsistent cut is not a global state
-    // of any path, so it is repaired, not judged.
-    if (cut_covers_depend(f, n)) {
-      const MonitorTransition* t = prop_->match(ct.from, combined_gstate(f, n));
-      if (t && !t->self_loop()) {
-        entry.eval = EntryEval::kFalse;
-        continue;
-      }
-      // Certified stay-point: a consistent cut where the path provably can
-      // remain at the source state (used to resurrect launchpad views).
-      std::uint32_t stay = kNoRecord;
-      for (const Certified& c : certified) {
-        if (c.frontier == entry.frontier) stay = c.stay;
-      }
-      if (stay == kNoRecord) {
-        // A copy of the frontier; adding it moves the table's slots.
-        stay = token.records.add_copy(entry.frontier);
-        certified.push_back({entry.frontier, stay});
-        f = token.frontier(entry);
-      }
-      entry.stay = stay;
-    }
-    // A conjunct re-opens when its process's slice will move.
-    if (!ct.local[static_cast<std::size_t>(next)].is_true()) {
-      entry.conj[static_cast<std::size_t>(next)] = ConjunctEval::kUnset;
-    }
-    entry.next_target_process = next;
-    entry.next_target_event = f[static_cast<std::size_t>(next)].cut + 1;
-    if (next == index_) stayed.push_back(idx);
-  }
-  // An enabled entry sends the token home right away; otherwise the token
-  // stays and the stayers walk on.
-  if (!any_true && !stayed.empty() && run_end > sn) {
-    // Every record a stepping entry holds is held by stepping entries only
-    // (split above), so when all of them stayed, the stayers' records are
-    // theirs alone.
-    fast_forward(token, stayed, sn + 1, run_end,
-                 stayed.size() == stepping.size());
-  }
-  compact_if_sparse(token);
-}
-
-MonitorProcess::StayKind MonitorProcess::stay_kind(
-    const FrontierSlot* s, const CompiledTransition& ct, AtomSet others,
-    const Event& e) const {
-  // One step of the loop above, reduced to its outcome for an entry that
-  // stayed at every event since the run began: the entry's cut and
-  // gstate off this process are frozen, and its dependency clock after the
-  // step is max(depend, e.vc) because clocks grow along the local history.
-  const std::size_t me = static_cast<std::size_t>(index_);
-  bool consistent = true;
-  for (int k = 0; k < n_; ++k) {
-    if (k == index_) continue;
-    const std::size_t j = static_cast<std::size_t>(k);
-    if (std::max(s[j].depend, e.vc[j]) > s[j].cut) {
-      if (k < index_) return StayKind::kLeave;  // retargets to k
-      consistent = false;
-    }
-  }
-  const bool repair = std::max(s[me].depend, e.vc[me]) > e.sn;
-  if (!repair && !(!ct.local[me].is_true() &&
-                   !prop_->locally_satisfied(ct.id, index_, e.letter))) {
-    return StayKind::kLeave;  // completes or retargets past this process
-  }
-  if (repair || !consistent) return StayKind::kStay;
-  const MonitorTransition* t = prop_->match(ct.from, others | e.letter);
-  if (t && !t->self_loop()) return StayKind::kLeave;  // resolves kFalse
-  return StayKind::kStayCertified;
-}
-
-void MonitorProcess::fast_forward(Token& token,
-                                  const SmallVec<std::uint32_t, 32>& stayed,
-                                  std::uint32_t first, std::uint32_t last,
-                                  bool exclusive) {
-  // Find the largest `last` such that every stayer stays at every event of
-  // [first, last] (DESIGN.md §6.2). Over such a run route_token keeps the
-  // token here with no side effects, so the run collapses into one update
-  // per record, bit-identical to walking it event by event.
-  struct Run {
-    std::uint32_t idx;
-    AtomSet others;             ///< frozen frontier letters off this process
-    std::uint32_t first_cert;   ///< first certified event scanned (0: none)
-    std::uint32_t last_cert;    ///< last certified event scanned (0: none)
-  };
-  const std::size_t me = static_cast<std::size_t>(index_);
-  const std::size_t n = static_cast<std::size_t>(n_);
-  SmallVec<Run, 32> runs;
-  for (std::uint32_t idx : stayed) {
-    const TransitionEntry& entry = token.entries[idx];
-    const FrontierSlot* f = token.frontier(entry);
-    const CompiledTransition& ct = prop_->transition(entry.transition_id);
-    // Staying at first - 1 already showed every conjunct below this process
-    // closed; nothing off this process changes while the walk stays here.
-    Run run{idx, 0, 0, 0};
-    for (std::size_t k = 0; k < n; ++k) {
-      if (k != me) run.others |= f[k].gstate;
-    }
-    std::uint32_t sn = first;
-    for (; sn <= last; ++sn) {
-      const StayKind kind = stay_kind(f, ct, run.others, event_at(sn));
-      if (kind == StayKind::kLeave) break;
-      if (kind == StayKind::kStayCertified) {
-        if (run.first_cert == 0) run.first_cert = sn;
-        run.last_cert = sn;
-      }
-    }
-    if (sn == first) return;  // this entry decides at `first`: walk it
-    last = sn - 1;
-    runs.push_back(run);
-  }
-
-  // Certify each run's stay-point. Entries at one frontier certified at the
-  // same event share one stay-point record: the last one made per frontier.
-  struct Certified {
-    std::uint32_t frontier;
-    std::uint32_t sn;
-    std::uint32_t stay;
-  };
-  SmallVec<Certified, 8> certified;
-  for (const Run& run : runs) {
-    TransitionEntry& entry = token.entries[run.idx];
-    const FrontierSlot* f = token.frontier(entry);
-    // The stay-point is the largest certified event in the final range.
-    // Certification holds on an interval (the cut is consistent here once
-    // depend(i) is passed, and off this process until a receive outruns
-    // the frozen cut), so this almost always settles at `last` itself.
-    std::uint32_t cert = run.last_cert;
-    if (cert > last) {
-      cert = 0;
-      const CompiledTransition& ct = prop_->transition(entry.transition_id);
-      for (std::uint32_t sn = last; sn >= run.first_cert; --sn) {
-        if (stay_kind(f, ct, run.others, event_at(sn)) ==
-            StayKind::kStayCertified) {
-          cert = sn;
-          break;
-        }
-      }
-    }
-    if (cert == 0) continue;
-    std::size_t c = 0;
-    while (c < certified.size() && certified[c].frontier != entry.frontier) {
-      ++c;
-    }
-    if (c == certified.size() || certified[c].sn != cert) {
-      const std::uint32_t stay = token.records.add_copy(entry.frontier);
-      FrontierSlot* s = token.records[stay];
-      s[me].cut = cert;
-      s[me].gstate = event_at(cert).letter;
-      if (c == certified.size()) certified.push_back({});
-      certified[c] = {entry.frontier, cert, stay};
-    }
-    entry.stay = certified[c].stay;
-  }
-
-  const Event& end = event_at(last);
-  SmallVec<std::uint32_t, 32> movers;
-  for (const Run& run : runs) {
-    movers.push_back(run.idx);
-    // conj(me) keeps the value the stay at first - 1 left: open for a
-    // participant, true otherwise.
-    token.entries[run.idx].next_target_event = last + 1;
-  }
-  // Unless the movers' records are theirs alone, find those another entry
-  // holds; `movers` lists entry indexes in ascending order.
-  HeldRecords held(token.records.size(), 0);
-  for (std::size_t idx = 0, m = 0; !exclusive && idx < token.entries.size();
-       ++idx) {
-    if (m < movers.size() && movers[m] == idx) {
-      ++m;
-    } else {
-      held[token.entries[idx].frontier] = 1;
-    }
-  }
-  for (std::uint32_t r : split_records(token, movers, held)) {
-    FrontierSlot* f = token.records[r];
-    f[me].cut = last;
-    f[me].gstate = end.letter;
-    merge_depend(f, n, end.vc);
-  }
-}
-
-namespace detail {
-
-Route choose_route(const Token& token, int self) {
-  bool any_true = false;
-  bool stay = false;
-  const TransitionEntry* third = nullptr;
-  for (const TransitionEntry& e : token.entries) {
-    if (e.eval == EntryEval::kTrue) any_true = true;
-    if (e.eval != EntryEval::kUnset) continue;
-    if (e.next_target_process == self) {
-      stay = true;
-    } else if (e.next_target_process != token.parent &&
-               (third == nullptr ||
-                e.next_target_event < third->next_target_event)) {
-      third = &e;
-    }
-  }
-
-  Route route{RouteRule::kParent, token.parent, 0};
-  if (any_true) {
-    route.rule = RouteRule::kEnabled;
-  } else if (stay) {
-    route = {RouteRule::kStay, self, 0};
-  } else if (third != nullptr) {
-    route = {RouteRule::kThird, third->next_target_process, 0};
-  }
-
-  // Target event at the destination: the earliest live request there.
-  bool have_target = false;
-  for (const TransitionEntry& e : token.entries) {
-    if (e.eval != EntryEval::kUnset || e.next_target_process != route.dest) {
-      continue;
-    }
-    if (!have_target || e.next_target_event < route.target_event) {
-      route.target_event = e.next_target_event;
-      have_target = true;
-    }
-  }
-  return route;
-}
-
-}  // namespace detail
-
 bool MonitorProcess::route_token(std::unique_ptr<TokenMessage>& shell,
                                  double now) {
   Token& token = shell->token;
-  const detail::Route route = detail::choose_route(token, index_);
+  const detail::Route route = detail::TokenWalk::route(token, index_);
   const int dest = route.dest;
   token.next_target_process = dest;
   token.next_target_event = route.target_event;
@@ -1136,7 +555,7 @@ bool MonitorProcess::route_token(std::unique_ptr<TokenMessage>& shell,
     }
     token.entries.resize(kept);
   }
-  compact_if_sparse(token);
+  token.compact_records();
   // The shell is staged, not sent: it leaves inside a batched frame when
   // the current dispatch unwinds.
   stage_send(dest, std::move(shell));
@@ -1148,24 +567,8 @@ void MonitorProcess::handle_returned_token(
   Token& token = shell->token;
   views_changed_ = true;
   GlobalView* gv = find_view_by_token(token.token_id);
-  if (!gv || gv->dead) {
-    // Orphan return: the view vanished, or an earlier copy of this token
-    // (duplicate delivery under fault injection) already resolved it. The
-    // enabled entries are still verified pivots of real lattice paths, so
-    // spawn them anyway -- spawned_memo_ dedupes against the other copy --
-    // and re-delivery stays idempotent instead of silently dropping paths.
-    bool spawned = false;
-    for (const TransitionEntry& entry : token.entries) {
-      if (entry.eval != EntryEval::kTrue) continue;
-      spawn_view(token, entry, now);
-      spawned = true;
-    }
-    ++stats_.tokens_returned;
-    recycle_shell(std::move(shell));
-    if (spawned) check_finished(now);
-    return;
-  }
-
+  // The enabled entries are verified pivots of real lattice paths, so they
+  // spawn even on an orphan return, below.
   bool spawned_to = false;
   // Local, not member scratch: spawn_view can re-enter this function
   // through drain -> probe_outgoing -> process_token -> route_token.
@@ -1177,6 +580,16 @@ void MonitorProcess::handle_returned_token(
     spawned_to = true;
     spawned_states[static_cast<std::size_t>(
         prop_->transition(entry.transition_id).to)] = 1;
+  }
+  if (!gv || gv->dead) {
+    // Orphan return: the view vanished, or an earlier copy of this token
+    // (duplicate delivery under fault injection) already resolved it.
+    // spawned_memo_ dedupes the spawns above against the other copy, so
+    // re-delivery stays idempotent instead of silently dropping paths.
+    ++stats_.tokens_returned;
+    recycle_shell(std::move(shell));
+    if (spawned_to) check_finished(now);
+    return;
   }
   if (spawned_to && options_.prune_same_destination) {
     // Optimization 4.3.3: transitions split from one disjunctive predicate
@@ -1279,13 +692,11 @@ void MonitorProcess::spawn_view(const Token& token,
   // Dedupe pivots: distinct tokens can detect the same (state, cut) pivot;
   // one view per pivot suffices (its continuation covers the rest).
   {
-    std::uint64_t h = 1469598103934665603ull;
-    h ^= static_cast<std::uint64_t>(prop_->transition(entry.transition_id).to);
-    h *= 1099511628211ull;
-    for (std::size_t j = 0; j < entry.width(); ++j) {
-      h ^= f[j].cut;
-      h *= 1099511628211ull;
-    }
+    Fnv1a key;
+    key.mix(static_cast<std::uint64_t>(
+        prop_->transition(entry.transition_id).to));
+    for (std::size_t j = 0; j < entry.width(); ++j) key.mix(f[j].cut);
+    const std::uint64_t h = key.value();
     if (spawned_memo_.count(h)) return;
     // Cap check before the memo insert and the pool acquire: a breach must
     // not leave a pivot marked spawned without its view, abandon a pooled
@@ -1335,8 +746,7 @@ GlobalView* MonitorProcess::find_view_by_token(std::uint64_t token_id) {
 // ---------------------------------------------------------------------------
 
 void MonitorProcess::on_local_termination(double now) {
-  try {
-    DepthGuard guard(dispatch_depth_);
+  dispatch([&] {
     local_terminated_ = true;
     peer_last_sn_[static_cast<std::size_t>(index_)] = history_end() - 1;
     // Announce to all peers. Staged like every send: a token flushed below
@@ -1349,25 +759,22 @@ void MonitorProcess::on_local_termination(double now) {
       ++stats_.termination_messages;
       stage_send(j, std::move(payload));
     }
-    flush_waiting_tokens(now);
+    // Local termination is set, so process_token fails every entry waiting
+    // past history_end() and routes the token on.
+    for (auto& shell : std::exchange(w_tokens_, {})) {
+      process_token(std::move(shell), now);
+    }
     merge_similar_views();
-    sweep_dead_views();
     check_finished(now);
-  } catch (const MonitorOverflow&) {
-    flush_staged();
-    throw;
-  }
-  flush_staged();
+  });
 }
 
 void MonitorProcess::on_peer_termination(int peer, std::uint32_t last_sn,
                                          double now) {
-  {
-    DepthGuard guard(dispatch_depth_);
+  dispatch([&] {
     peer_last_sn_[static_cast<std::size_t>(peer)] = last_sn;
     check_finished(now);
-  }
-  flush_staged();
+  });
 }
 
 // ---------------------------------------------------------------------------
@@ -1462,8 +869,7 @@ void MonitorProcess::advertise_floors() {
 void MonitorProcess::resync_floors(double now) {
   if (options_.gc_interval == 0) return;
   ++stats_.resync_floors;
-  {
-    DepthGuard guard(dispatch_depth_);
+  dispatch([&] {
     // The restored floor_epoch_ equals the pre-crash value (stride-1
     // checkpoints cover it), so the bump makes this restart's advertisements
     // strictly newer than anything the dead incarnation sent. Peers replace
@@ -1472,8 +878,7 @@ void MonitorProcess::resync_floors(double now) {
     // discard reordered stragglers from the old one.
     ++floor_epoch_;
     advertise_floors();
-  }
-  flush_staged();
+  });
   (void)now;
 }
 
@@ -1488,16 +893,6 @@ void MonitorProcess::gc_sweep(double now) {
                    history_.begin() + static_cast<std::ptrdiff_t>(k));
     history_base_ = bound;
     stats_.history_trimmed += k;
-  }
-}
-
-void MonitorProcess::flush_waiting_tokens(double now) {
-  // Local termination is set, so process_token fails every entry waiting
-  // past history_end() and routes the token on.
-  std::vector<std::unique_ptr<TokenMessage>> parked = std::move(w_tokens_);
-  w_tokens_.clear();
-  for (std::unique_ptr<TokenMessage>& shell : parked) {
-    process_token(std::move(shell), now);
   }
 }
 
@@ -1557,14 +952,10 @@ void MonitorProcess::merge_similar_views() {
         continue;
       }
     } else {
-      std::uint64_t h = 1469598103934665603ull;
-      auto mix = [&h](std::uint64_t x) {
-        h ^= x;
-        h *= 1099511628211ull;
-      };
-      mix(static_cast<std::uint64_t>(gv.q));
-      for (std::uint32_t x : gv.cut) mix(x + 1);
-      auto [it, inserted] = seen.emplace(h, &gv);
+      Fnv1a key;
+      key.mix(static_cast<std::uint64_t>(gv.q));
+      for (std::uint32_t x : gv.cut) key.mix(x + 1);
+      auto [it, inserted] = seen.emplace(key.value(), &gv);
       if (inserted || it->second->q != gv.q || it->second->cut != gv.cut) {
         continue;
       }

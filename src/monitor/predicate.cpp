@@ -15,7 +15,6 @@ CompiledProperty::CompiledProperty(const MonitorAutomaton* automaton,
   const int states = automaton->num_states();
   outgoing_.resize(static_cast<std::size_t>(states));
   self_loops_.resize(static_cast<std::size_t>(states));
-  has_self_loop_.assign(static_cast<std::size_t>(states), 0);
   transitions_.reserve(static_cast<std::size_t>(automaton->num_transitions()));
   local_flat_.reserve(static_cast<std::size_t>(automaton->num_transitions()) *
                       static_cast<std::size_t>(n));
@@ -38,14 +37,14 @@ CompiledProperty::CompiledProperty(const MonitorAutomaton* automaton,
     }
     if (ct.self_loop) {
       self_loops_[static_cast<std::size_t>(t.from)].push_back(t.id);
-      has_self_loop_[static_cast<std::size_t>(t.from)] = 1;
     } else {
       outgoing_[static_cast<std::size_t>(t.from)].push_back(t.id);
     }
     transitions_.push_back(std::move(ct));
   }
   for (CompiledTransition& ct : transitions_) {
-    ct.from_has_self_loop = has_self_loop_[static_cast<std::size_t>(ct.from)] != 0;
+    ct.from_has_self_loop =
+        !self_loops_[static_cast<std::size_t>(ct.from)].empty();
   }
 }
 

@@ -12,6 +12,10 @@ TransitionEntry& Token::add_entry(std::size_t n) {
 }
 
 void Token::compact_records() {
+  // Records are added as entries step apart and certify; erased entries and
+  // replaced stay-points leave records nobody holds. Drop them once they
+  // could outnumber the live ones.
+  if (records.size() <= 2 * entries.size() + 8) return;
   SmallVec<std::uint32_t, 64> map(records.size(), kNoRecord);
   for (const TransitionEntry& e : entries) {
     map[e.frontier] = 0;

@@ -64,14 +64,4 @@ std::ostream& operator<<(std::ostream& os, const VectorClock& vc) {
   return os << vc.to_string();
 }
 
-std::size_t VectorClockHash::operator()(const VectorClock& vc) const noexcept {
-  // FNV-1a over the components; good enough for hash-map keys.
-  std::size_t h = 1469598103934665603ull;
-  for (std::uint32_t c : vc.components()) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
 }  // namespace decmon

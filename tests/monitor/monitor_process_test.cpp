@@ -5,7 +5,7 @@
 
 #include <gtest/gtest.h>
 
-#include "../../src/monitor/token_route.hpp"
+#include "../../src/monitor/token_walk.hpp"
 #include "../common/random_computation.hpp"
 #include "decmon/core/properties.hpp"
 #include "decmon/monitor/decentralized_monitor.hpp"
@@ -617,7 +617,7 @@ TEST(MonitorProcessUnit, RoutingRulesOnHandBuiltTokens) {
       e.next_target_process = spec.process;
       e.next_target_event = spec.event;
     }
-    const detail::Route route = detail::choose_route(token, 1);
+    const detail::Route route = detail::TokenWalk::route(token, 1);
     EXPECT_EQ(route.rule, row.rule);
     EXPECT_EQ(route.dest, row.dest);
     EXPECT_EQ(route.target_event, row.target_event);

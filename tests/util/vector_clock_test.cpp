@@ -90,13 +90,6 @@ TEST(VectorClock, ToStringRendersComponents) {
   EXPECT_EQ(a.to_string(), "[1, 0, 7]");
 }
 
-TEST(VectorClock, HashEqualClocksCollide) {
-  VectorClockHash h;
-  VectorClock a{1, 2, 3};
-  VectorClock b{1, 2, 3};
-  EXPECT_EQ(h(a), h(b));
-}
-
 TEST(VectorClock, MessageCausalityScenario) {
   // P0 does two events, sends to P1; P1's receive merges and ticks.
   VectorClock p0(2);
