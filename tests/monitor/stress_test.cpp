@@ -127,6 +127,28 @@ TEST(Stress, ViewCapBreachIsCleanAtBothSites) {
   EXPECT_TRUE(saw_spawn) << "no cell tripped the spawn cap site";
 }
 
+TEST(Stress, ViewCapBoundsViewsHeld) {
+  // Dead views are swept once each dispatch unwinds, so max_views bounds the
+  // views a monitor holds between dispatches, not the views it ever
+  // created. F at n=3 peaks at 33 live views per monitor in these cells, so
+  // a cap of 64 must never trip.
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    MonitorSession session(paper::shared_property(
+        paper::Property::kF, 3, paper::make_registry(3)));
+    MonitorOptions capped;
+    capped.max_views = 64;
+    RunResult r;
+    EXPECT_NO_THROW(r = session.run(
+                        generate_trace(paper::experiment_params(
+                            paper::Property::kF, 3, seed)),
+                        SimConfig{}, capped));
+    for (const MonitorStats& s : r.verdict.per_monitor) {
+      EXPECT_EQ(s.views_overflowed, 0u);
+    }
+  }
+}
+
 TEST(Stress, HeavyCommunicationStillDrains) {
   // Communication every ~0.5s: receives dominate, views churn through
   // inconsistency repair constantly.
