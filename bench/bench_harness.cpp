@@ -451,15 +451,23 @@ void socket_grid(Metrics& out, bool quick) {
 // Recovery suite: the same distributed workload run bare, under the
 // ReliableChannel on a fault-free network (its clean-path overhead), and
 // under true message loss with one crash + checkpoint restart (the full
-// DESIGN.md §8 recovery cost). The crash-tolerance MonitorStats fields are
-// filled from the channel/injector counters here, since the monitors
+// DESIGN.md §8 recovery cost). Recovery counters come from the layers that
+// own them -- the channel and the crash injector -- since the monitors
 // themselves never see them.
 // ---------------------------------------------------------------------------
 
 enum class RecoveryVariant { kClean, kChannel, kCrash };
 
-MonitorStats run_recovery_once(RecoveryVariant variant, std::uint64_t seed,
-                               double* wall_ms) {
+/// One recovery run's counters; the channel and crash stats stay zero when
+/// the variant has no such layer.
+struct RecoveryCounts {
+  MonitorStats monitor;
+  ChannelStats channel;
+  CrashStats crash;
+};
+
+RecoveryCounts run_recovery_once(RecoveryVariant variant, std::uint64_t seed,
+                                 double* wall_ms) {
   constexpr int n = 4;
   AtomRegistry reg = paper::make_registry(n);
   const SharedProperty art =
@@ -509,21 +517,14 @@ MonitorStats run_recovery_once(RecoveryVariant variant, std::uint64_t seed,
 
   const SystemVerdict v = monitors.result();
   if (!v.all_finished) std::abort();  // the workload must always drain
-  MonitorStats agg = v.aggregate;
-  if (channel) {
-    const ChannelStats cs = channel->total_stats();
-    agg.retransmissions = cs.retransmissions;
-    agg.acks_sent = cs.acks_sent;
-    agg.dup_suppressed = cs.dup_suppressed;
-  }
+  RecoveryCounts counts;
+  counts.monitor = v.aggregate;
+  if (channel) counts.channel = channel->total_stats();
   if (injector) {
-    const CrashStats& crash = injector->stats();
-    if (crash.restarts != 1) std::abort();  // the planned crash must recover
-    agg.checkpoints_taken = crash.checkpoints_taken;
-    agg.checkpoint_bytes = crash.checkpoint_bytes;
-    agg.crash_restarts = crash.restarts;
+    counts.crash = injector->stats();
+    if (counts.crash.restarts != 1) std::abort();  // the crash must recover
   }
-  return agg;
+  return counts;
 }
 
 // Socket-posture recovery row: the §13.3 golden-verdict drill as a
@@ -593,16 +594,23 @@ void recovery_suite(Metrics& out, bool quick) {
   const int reps = quick ? 2 : 5;
   const std::uint64_t base_seed = 4040;
   double clean_ms = 0, channel_ms = 0, crash_ms = 0;
-  MonitorStats channel_agg, crash_agg;
+  ChannelStats channel_agg, crash_channel_agg;
+  CrashStats crash_agg;
   std::uint64_t channel_data = 0;
   for (int r = 0; r < reps; ++r) {
     const std::uint64_t seed = base_seed + static_cast<std::uint64_t>(r);
     run_recovery_once(RecoveryVariant::kClean, seed, &clean_ms);
-    const MonitorStats ch =
+    const RecoveryCounts ch =
         run_recovery_once(RecoveryVariant::kChannel, seed, &channel_ms);
-    channel_agg += ch;
-    channel_data += ch.token_messages_sent + ch.termination_messages;
-    crash_agg += run_recovery_once(RecoveryVariant::kCrash, seed, &crash_ms);
+    channel_agg += ch.channel;
+    channel_data +=
+        ch.monitor.token_messages_sent + ch.monitor.termination_messages;
+    const RecoveryCounts crash =
+        run_recovery_once(RecoveryVariant::kCrash, seed, &crash_ms);
+    crash_channel_agg += crash.channel;
+    crash_agg.checkpoints_taken += crash.crash.checkpoints_taken;
+    crash_agg.checkpoint_bytes += crash.crash.checkpoint_bytes;
+    crash_agg.restarts += crash.crash.restarts;
   }
   const double k = static_cast<double>(reps);
   out.put("recovery.clean.wall_ms", clean_ms / k);
@@ -614,17 +622,17 @@ void recovery_suite(Metrics& out, bool quick) {
           static_cast<double>(channel_agg.retransmissions) / k);
   out.put("recovery.crash.wall_ms", crash_ms / k);
   out.put("recovery.crash.retransmissions",
-          static_cast<double>(crash_agg.retransmissions) / k);
+          static_cast<double>(crash_channel_agg.retransmissions) / k);
   out.put("recovery.crash.acks_sent",
-          static_cast<double>(crash_agg.acks_sent) / k);
+          static_cast<double>(crash_channel_agg.acks_sent) / k);
   out.put("recovery.crash.dup_suppressed",
-          static_cast<double>(crash_agg.dup_suppressed) / k);
+          static_cast<double>(crash_channel_agg.dup_suppressed) / k);
   out.put("recovery.crash.checkpoints",
           static_cast<double>(crash_agg.checkpoints_taken) / k);
   out.put("recovery.crash.checkpoint_bytes",
           static_cast<double>(crash_agg.checkpoint_bytes) / k);
   out.put("recovery.crash.restarts",
-          static_cast<double>(crash_agg.crash_restarts) / k);
+          static_cast<double>(crash_agg.restarts) / k);
 
   // Socket-posture rows use a fixed replication count (like socket_grid:
   // quick mode never shrinks reps), so quick and full runs emit comparable

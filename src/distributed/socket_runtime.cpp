@@ -1,7 +1,6 @@
 #include "decmon/distributed/socket_runtime.hpp"
 
 #include <arpa/inet.h>
-#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
@@ -11,12 +10,15 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <system_error>
+#include <thread>
 #include <utility>
 
 #include "decmon/monitor/wire.hpp"
@@ -41,13 +43,24 @@ constexpr std::uint8_t kCtlHello = 1;
 constexpr std::size_t kHelloRecordBytes = kRecordHeader + 1 + 4 + 8 + 8;
 
 // epoll user data is (kind << 32 | value): value is a peer index for data
-// sockets and in-flight connects, an fd for unidentified accepts, unused
-// for the eventfd and the listener.
+// sockets, unused for the eventfd and the listener.
 constexpr std::uint64_t kKindPeer = 0;
 constexpr std::uint64_t kKindEvent = 1;
 constexpr std::uint64_t kKindListener = 2;
-constexpr std::uint64_t kKindPending = 3;
-constexpr std::uint64_t kKindConnect = 4;
+
+// Reconnect backoff: attempt k waits min(kReconnectCapMs, kReconnectBaseMs *
+// 2^k) milliseconds, scaled by seeded jitter in [0.5, 1.5). Exhausting the
+// attempt budget is a run error.
+constexpr double kReconnectBaseMs = 1.0;
+constexpr double kReconnectCapMs = 100.0;
+constexpr int kMaxReconnectAttempts = 60;
+// Link bring-up bounds (DESIGN.md §13.2): a redial waits at most
+// kDialTimeout for its connect to complete, and an acceptor at most
+// kHelloTimeout for the dialer's HELLO. A miss is one failed attempt.
+constexpr std::chrono::milliseconds kDialTimeout{100};
+constexpr std::chrono::milliseconds kHelloTimeout{500};
+
+using Clock = std::chrono::steady_clock;
 
 std::uint64_t make_tag(std::uint64_t kind, std::uint64_t value) {
   return (kind << 32) | value;
@@ -58,13 +71,6 @@ using detail::to_wall;
 
 [[noreturn]] void throw_errno(const char* what) {
   throw std::system_error(errno, std::generic_category(), what);
-}
-
-void set_nonblocking(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  if (flags < 0 || ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) < 0) {
-    throw_errno("fcntl O_NONBLOCK");
-  }
 }
 
 void apply_buffer_sizes(int fd, const SocketConfig& config) {
@@ -151,9 +157,11 @@ void write_le64(std::uint8_t* p, std::uint64_t v) {
   for (int i = 0; i < 8; ++i) p[i] = static_cast<std::uint8_t>(v >> (8 * i));
 }
 
-std::vector<std::uint8_t> encode_hello(int sender, std::uint64_t app_received,
-                                       std::uint64_t mon_received) {
-  std::vector<std::uint8_t> rec(kHelloRecordBytes, 0);
+using HelloRecord = std::array<std::uint8_t, kHelloRecordBytes>;
+
+HelloRecord encode_hello(int sender, std::uint64_t app_received,
+                         std::uint64_t mon_received) {
+  HelloRecord rec{};
   write_le32(rec.data(), static_cast<std::uint32_t>(kHelloRecordBytes - 4));
   rec[4] = kCtlRecord;
   rec[5] = kCtlHello;
@@ -163,74 +171,101 @@ std::vector<std::uint8_t> encode_hello(int sender, std::uint64_t app_received,
   return rec;
 }
 
-/// Nonblocking connect with bounded retry: tolerates EINPROGRESS (waits
-/// for completion via poll + SO_ERROR) and a listener that is not ready
-/// yet (ECONNREFUSED / backlog overflow retried on a fresh socket until
-/// the deadline). Used for initial mesh setup; reconnects use the epoll
-/// loop's async variant instead.
-int connect_with_retry(const SocketConfig& config, std::uint16_t port,
-                       std::chrono::steady_clock::time_point deadline) {
+struct Hello {
+  int sender = -1;
+  std::uint64_t app_received = 0;
+  std::uint64_t mon_received = 0;
+};
+
+/// Decode the body of a control record (the bytes after the type byte) as
+/// a HELLO; nullopt when it is not one.
+std::optional<Hello> decode_hello(std::span<const std::uint8_t> body) {
+  if (body.size() != kHelloRecordBytes - kRecordHeader ||
+      body[0] != kCtlHello) {
+    return std::nullopt;
+  }
+  return Hello{static_cast<int>(read_le32(body.data() + 1)),
+               read_le64(body.data() + 5), read_le64(body.data() + 13)};
+}
+
+/// Wait until `fd` reports one of `events` (or an error or hangup) or the
+/// deadline passes; false on timeout.
+bool wait_ready(int fd, short events, Clock::time_point deadline) {
   for (;;) {
-    int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-    if (fd < 0) throw_errno("socket");
-    apply_buffer_sizes(fd, config);
-    set_nonblocking(fd);
-    const sockaddr_in addr = loopback_addr(port);
-    int err = 0;
-    if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
-                  sizeof addr) < 0) {
-      if (errno == EINPROGRESS) {
-        for (;;) {
-          pollfd pfd{fd, POLLOUT, 0};
-          const int pr = ::poll(&pfd, 1, 50);
-          if (pr < 0 && errno == EINTR) continue;
-          if (pr > 0) {
-            socklen_t len = sizeof err;
-            ::getsockopt(fd, SOL_SOCKET, SO_ERROR, &err, &len);
-            break;
-          }
-          if (std::chrono::steady_clock::now() >= deadline) {
-            err = ETIMEDOUT;
-            break;
-          }
-        }
-      } else {
-        err = errno;
-      }
-    }
-    if (err == 0) return fd;
-    ::close(fd);
-    const bool transient = err == ECONNREFUSED || err == ETIMEDOUT ||
-                           err == EAGAIN || err == ECONNRESET ||
-                           err == EADDRNOTAVAIL;
-    if (!transient || std::chrono::steady_clock::now() >= deadline) {
-      errno = err;
-      throw_errno("connect");
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    const auto left = std::chrono::ceil<std::chrono::milliseconds>(
+                          deadline - Clock::now())
+                          .count();
+    pollfd pfd{fd, events, 0};
+    const int pr =
+        ::poll(&pfd, 1, static_cast<int>(std::max<decltype(left)>(left, 0)));
+    if (pr > 0) return true;
+    if (pr == 0 || errno != EINTR) return false;
   }
 }
 
-/// Accept on a nonblocking listener, polling until a connection arrives
-/// or the deadline passes (setup only: the matching connect already
-/// succeeded, so the connection is in the backlog or about to be).
-int accept_with_retry(int listen_fd,
-                      std::chrono::steady_clock::time_point deadline) {
-  for (;;) {
-    const int fd = ::accept(listen_fd, nullptr, nullptr);
-    if (fd >= 0) {
-      ::fcntl(fd, F_SETFD, FD_CLOEXEC);
-      return fd;
+/// The one way a link is dialed, at setup and on every reconnect: a
+/// nonblocking connect to the loopback `port`, then a wait for completion
+/// until `deadline`. Returns the connected fd, or -1 with errno set
+/// (ETIMEDOUT when the deadline passed first).
+int dial(const SocketConfig& config, std::uint16_t port,
+         Clock::time_point deadline) {
+  const int fd =
+      ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
+  if (fd < 0) return -1;
+  apply_buffer_sizes(fd, config);
+  const sockaddr_in addr = loopback_addr(port);
+  int err = 0;
+  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) <
+      0) {
+    err = errno;
+    if (err == EINPROGRESS) {
+      err = ETIMEDOUT;
+      if (wait_ready(fd, POLLOUT, deadline)) {
+        socklen_t len = sizeof err;
+        ::getsockopt(fd, SOL_SOCKET, SO_ERROR, &err, &len);
+      }
     }
-    if (errno == EINTR) continue;
-    if ((errno == EAGAIN || errno == EWOULDBLOCK) &&
-        std::chrono::steady_clock::now() < deadline) {
-      pollfd pfd{listen_fd, POLLIN, 0};
-      ::poll(&pfd, 1, 50);
-      continue;
-    }
-    throw_errno("accept");
   }
+  if (err == 0) return fd;
+  ::close(fd);
+  errno = err;
+  return -1;
+}
+
+/// Accept one connection on the nonblocking listener, waiting until the
+/// deadline for one to arrive; -1 with errno set on failure. The fd comes
+/// back nonblocking and close-on-exec.
+int accept_within(int listen_fd, Clock::time_point deadline) {
+  for (;;) {
+    const int fd = ::accept4(listen_fd, nullptr, nullptr,
+                             SOCK_NONBLOCK | SOCK_CLOEXEC);
+    if (fd >= 0) return fd;
+    if (errno == EINTR) continue;
+    if ((errno != EAGAIN && errno != EWOULDBLOCK) ||
+        !wait_ready(listen_fd, POLLIN, deadline)) {
+      return -1;
+    }
+  }
+}
+
+/// Read exactly `len` bytes from the nonblocking `fd`, waiting until the
+/// deadline; false on EOF, a socket error or timeout.
+bool read_exact(int fd, std::uint8_t* buf, std::size_t len,
+                Clock::time_point deadline) {
+  std::size_t got = 0;
+  while (got < len) {
+    const ssize_t k = ::recv(fd, buf + got, len - got, 0);
+    if (k > 0) {
+      got += static_cast<std::size_t>(k);
+    } else if (k == 0) {
+      return false;
+    } else if (errno != EINTR &&
+               ((errno != EAGAIN && errno != EWOULDBLOCK) ||
+                !wait_ready(fd, POLLIN, deadline))) {
+      return false;
+    }
+  }
+  return true;
 }
 
 /// The node loop this thread runs, if any. A send made on the node thread
@@ -311,7 +346,8 @@ SocketRuntime::SocketRuntime(SystemTrace trace, const AtomRegistry* registry,
     // Persistent listener: setup connections arrive here, and so does
     // every reconnect after a link failure (lower pair index dials the
     // higher index's listener).
-    node->listen_fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+    node->listen_fd =
+        ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
     if (node->listen_fd < 0) throw_errno("socket");
     apply_buffer_sizes(node->listen_fd, config_);  // inherited by accept()
     sockaddr_in addr = loopback_addr(0);
@@ -326,7 +362,6 @@ SocketRuntime::SocketRuntime(SystemTrace trace, const AtomRegistry* registry,
       throw_errno("getsockname");
     }
     node->listen_port = ntohs(addr.sin_port);
-    set_nonblocking(node->listen_fd);
     epoll_event lev{};
     lev.events = EPOLLIN;
     lev.data.u64 = make_tag(kKindListener, 0);
@@ -341,21 +376,30 @@ SocketRuntime::SocketRuntime(SystemTrace trace, const AtomRegistry* registry,
   for (auto& ch : channels_) ch = std::make_unique<Channel>();
 
   // Connect the mesh: one loopback TCP connection per unordered pair, the
-  // lower index dialing the higher index's listener (the same roles a
-  // reconnect uses). connect_with_retry tolerates EINPROGRESS and a
-  // listener whose backlog momentarily overflows.
+  // lower index dialing the higher index's listener with the same dial() a
+  // reconnect uses. A listener that refuses or whose backlog momentarily
+  // overflows is retried on a fresh socket until the setup deadline.
   const Clock::time_point setup_deadline =
       Clock::now() + std::chrono::seconds(10);
   for (int i = 0; i < n; ++i) {
     for (int j = i + 1; j < n; ++j) {
-      const int client = connect_with_retry(
-          config_, nodes_[static_cast<std::size_t>(j)]->listen_port,
-          setup_deadline);
-      const int accepted = accept_with_retry(
-          nodes_[static_cast<std::size_t>(j)]->listen_fd, setup_deadline);
+      const Node& acceptor = *nodes_[static_cast<std::size_t>(j)];
+      int client = -1;
+      while ((client = dial(config_, acceptor.listen_port, setup_deadline)) <
+             0) {
+        const int err = errno;
+        const bool transient = err == ECONNREFUSED || err == ETIMEDOUT ||
+                               err == EAGAIN || err == ECONNRESET ||
+                               err == EADDRNOTAVAIL;
+        if (!transient || Clock::now() >= setup_deadline) {
+          throw std::system_error(err, std::generic_category(), "connect");
+        }
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      }
+      const int accepted = accept_within(acceptor.listen_fd, setup_deadline);
+      if (accepted < 0) throw_errno("accept");
       apply_stream_options(client);
       apply_stream_options(accepted);
-      set_nonblocking(accepted);  // client is already nonblocking
       channel(i, j).fd = client;
       channel(j, i).fd = accepted;
     }
@@ -400,7 +444,6 @@ SocketRuntime::~SocketRuntime() {
     if (ch) close_if_open(ch->fd);
   }
   for (auto& node : nodes_) {
-    for (PendingAccept& pa : node->pending) close_if_open(pa.fd);
     close_if_open(node->listen_fd);
     close_if_open(node->event_fd);
     close_if_open(node->epoll_fd);
@@ -698,15 +741,10 @@ void SocketRuntime::dispatch_record(int index, int peer,
   const std::span<const std::uint8_t> body = rec.body;
   if (rec.type == kCtlRecord) {
     // HELLO from a reconnected peer: reconcile our send direction.
-    if (body.size() != kHelloRecordBytes - kRecordHeader ||
-        body[0] != kCtlHello) {
-      throw WireError("bad control record");
-    }
-    if (static_cast<int>(read_le32(body.data() + 1)) != peer) {
-      throw WireError("hello from wrong peer");
-    }
-    process_hello(index, peer, read_le64(body.data() + 5),
-                  read_le64(body.data() + 13));
+    const std::optional<Hello> hello = decode_hello(body);
+    if (!hello) throw WireError("bad control record");
+    if (hello->sender != peer) throw WireError("hello from wrong peer");
+    process_hello(index, peer, hello->app_received, hello->mon_received);
     return;
   }
   if (rec.type == kAppRecord) {
@@ -821,18 +859,15 @@ void SocketRuntime::link_down_locked(Channel& ch, bool abortive) {
   Node& node = *nodes_[static_cast<std::size_t>(ch.self)];
   ch.io_error = false;
   ch.kill_pending = false;
-  if (ch.fd >= 0) {
-    if (abortive) {
-      // RST instead of FIN: queued and in-flight bytes genuinely die, so
-      // the reconciliation machinery is exercised, not just the handshake.
-      const linger lg{1, 0};
-      ::setsockopt(ch.fd, SOL_SOCKET, SO_LINGER, &lg, sizeof lg);
-    }
-    ::close(ch.fd);  // also deregisters from epoll
-    ch.fd = -1;
-  } else if (ch.state == LinkState::kDown) {
-    return;  // already torn down; keep the backoff clock
+  if (ch.fd < 0) return;  // already down (kDown); keep the backoff clock
+  if (abortive) {
+    // RST instead of FIN: queued and in-flight bytes genuinely die, so the
+    // reconciliation machinery is exercised, not just the handshake.
+    const linger lg{1, 0};
+    ::setsockopt(ch.fd, SOL_SOCKET, SO_LINGER, &lg, sizeof lg);
   }
+  ::close(ch.fd);  // also deregisters from epoll
+  ch.fd = -1;
   ch.state = LinkState::kDown;
   ch.want_write = false;
   node.peer_open[static_cast<std::size_t>(ch.peer)] = false;
@@ -844,9 +879,8 @@ void SocketRuntime::link_down_locked(Channel& ch, bool abortive) {
 void SocketRuntime::schedule_retry_locked(Channel& ch) {
   ++ch.attempts;
   double delay_ms =
-      config_.reconnect_base_ms *
-      std::ldexp(1.0, std::min(ch.attempts - 1, 20));
-  delay_ms = std::min(delay_ms, config_.reconnect_cap_ms);
+      kReconnectBaseMs * std::ldexp(1.0, std::min(ch.attempts - 1, 20));
+  delay_ms = std::min(delay_ms, kReconnectCapMs);
   // Seeded jitter in [0.5, 1.5): reconnect storms decorrelate but stay
   // reproducible for a given (config seed, channel) pair.
   const double jitter =
@@ -883,13 +917,23 @@ SocketRuntime::Clock::time_point SocketRuntime::service_links(int index) {
     }
     if (ch.state == LinkState::kDown && index < peer) {
       // This side dials (the pair's lower index reconnects; the higher
-      // index's listener answers -- same roles as setup).
-      if (ch.attempts > config_.max_reconnect_attempts) {
+      // index's listener answers -- same roles as setup), once per backoff
+      // tick.
+      if (ch.attempts > kMaxReconnectAttempts) {
         throw std::runtime_error(
             "SocketRuntime: reconnect budget exhausted (node " +
             std::to_string(index) + " -> " + std::to_string(peer) + ")");
       }
-      if (Clock::now() >= ch.next_attempt_at) begin_connect_locked(ch);
+      if (Clock::now() >= ch.next_attempt_at) {
+        const int fd =
+            dial(config_, nodes_[static_cast<std::size_t>(peer)]->listen_port,
+                 Clock::now() + kDialTimeout);
+        if (fd >= 0) {
+          finish_connect_locked(ch, fd);
+        } else {
+          schedule_retry_locked(ch);
+        }
+      }
     }
     if (ch.state != LinkState::kUp) {
       all_up = false;
@@ -900,65 +944,6 @@ SocketRuntime::Clock::time_point SocketRuntime::service_links(int index) {
   }
   if (!all_up) node.links_dirty.store(true, std::memory_order_release);
   return deadline;
-}
-
-void SocketRuntime::begin_connect_locked(Channel& ch) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  if (fd < 0) {
-    schedule_retry_locked(ch);
-    return;
-  }
-  apply_buffer_sizes(fd, config_);
-  set_nonblocking(fd);
-  const sockaddr_in addr = loopback_addr(
-      nodes_[static_cast<std::size_t>(ch.peer)]->listen_port);
-  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) ==
-      0) {
-    finish_connect_locked(ch, fd);
-    return;
-  }
-  if (errno == EINPROGRESS) {
-    ch.fd = fd;
-    ch.state = LinkState::kConnecting;
-    epoll_event ev{};
-    ev.events = EPOLLOUT;
-    ev.data.u64 = make_tag(kKindConnect, static_cast<std::uint64_t>(ch.peer));
-    if (::epoll_ctl(ch.owner_epoll, EPOLL_CTL_ADD, fd, &ev) < 0) {
-      ::close(fd);
-      ch.fd = -1;
-      ch.state = LinkState::kDown;
-      schedule_retry_locked(ch);
-    }
-    return;
-  }
-  ::close(fd);
-  schedule_retry_locked(ch);
-}
-
-void SocketRuntime::on_connect_ready(int index, int peer) {
-  Channel& ch = channel(index, peer);
-  std::scoped_lock lock(ch.mutex);
-  if (ch.state != LinkState::kConnecting || ch.fd < 0) return;  // stale event
-  int err = 0;
-  socklen_t len = sizeof err;
-  ::getsockopt(ch.fd, SOL_SOCKET, SO_ERROR, &err, &len);
-  if (err == 0) {
-    // Guard against a stale EPOLLOUT from a previous attempt's fd number:
-    // SO_ERROR is 0 while a connect is merely in progress.
-    sockaddr_in who{};
-    socklen_t wlen = sizeof who;
-    if (::getpeername(ch.fd, reinterpret_cast<sockaddr*>(&who), &wlen) < 0) {
-      return;  // not connected yet; wait for the real completion event
-    }
-    const int fd = ch.fd;
-    ch.fd = -1;
-    finish_connect_locked(ch, fd);
-    return;
-  }
-  ::close(ch.fd);
-  ch.fd = -1;
-  ch.state = LinkState::kDown;
-  schedule_retry_locked(ch);
 }
 
 void SocketRuntime::finish_connect_locked(Channel& ch, int fd) {
@@ -972,13 +957,8 @@ void SocketRuntime::finish_connect_locked(Channel& ch, int fd) {
   epoll_event ev{};
   ev.events = EPOLLIN;
   ev.data.u64 = make_tag(kKindPeer, static_cast<std::uint64_t>(ch.peer));
-  if (::epoll_ctl(ch.owner_epoll, EPOLL_CTL_MOD, fd, &ev) < 0 &&
-      ::epoll_ctl(ch.owner_epoll, EPOLL_CTL_ADD, fd, &ev) < 0) {
-    link_down_locked(ch, /*abortive=*/false);
-    schedule_retry_locked(ch);
-    return;
-  }
-  if (!send_hello_locked(ch)) {
+  if (::epoll_ctl(ch.owner_epoll, EPOLL_CTL_ADD, fd, &ev) < 0 ||
+      !send_hello_locked(ch)) {
     link_down_locked(ch, /*abortive=*/false);
     schedule_retry_locked(ch);
     return;
@@ -993,29 +973,17 @@ bool SocketRuntime::send_hello_locked(Channel& ch) {
   // and is deliberately absent from wire/app byte accounting: it is
   // transport overhead, so the committed no-fault socket.* bench counts
   // stay untouched by the fault-tolerance machinery.
+  // The connection is established and nothing was written on it yet, so
+  // its empty send buffer takes the whole record in one send().
   Node& node = *nodes_[static_cast<std::size_t>(ch.self)];
-  const std::vector<std::uint8_t> rec = encode_hello(
+  const HelloRecord rec = encode_hello(
       ch.self, node.app_recv[static_cast<std::size_t>(ch.peer)],
       node.mon_recv[static_cast<std::size_t>(ch.peer)]);
-  std::size_t off = 0;
-  while (off < rec.size()) {
-    const ssize_t k =
-        ::send(ch.fd, rec.data() + off, rec.size() - off, MSG_NOSIGNAL);
-    if (k >= 0) {
-      off += static_cast<std::size_t>(k);
-      continue;
-    }
-    if (errno == EINTR) continue;
-    if (errno == EAGAIN || errno == EWOULDBLOCK) {
-      // Fresh connection: the buffer is empty unless the connect has not
-      // fully completed yet; poll for writability (or failure) briefly.
-      pollfd pfd{ch.fd, POLLOUT, 0};
-      ::poll(&pfd, 1, 50);
-      continue;
-    }
-    return false;
-  }
-  return true;
+  ssize_t k = 0;
+  do {
+    k = ::send(ch.fd, rec.data(), rec.size(), MSG_NOSIGNAL);
+  } while (k < 0 && errno == EINTR);
+  return k == static_cast<ssize_t>(rec.size());
 }
 
 void SocketRuntime::process_hello(int index, int peer,
@@ -1076,121 +1044,65 @@ void SocketRuntime::process_hello(int index, int peer,
   flush_locked(ch);
 }
 
-void SocketRuntime::accept_pending(int index) {
+void SocketRuntime::accept_peer(int index) {
   Node& node = *nodes_[static_cast<std::size_t>(index)];
-  for (;;) {
-    const int fd = ::accept(node.listen_fd, nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EINTR) continue;
-      return;  // EAGAIN or transient accept failure: the event re-arms
-    }
-    ::fcntl(fd, F_SETFD, FD_CLOEXEC);
-    set_nonblocking(fd);
-    node.pending.push_back(PendingAccept{fd, {}});
-    epoll_event ev{};
-    ev.events = EPOLLIN;
-    ev.data.u64 = make_tag(kKindPending, static_cast<std::uint64_t>(fd));
-    if (::epoll_ctl(node.epoll_fd, EPOLL_CTL_ADD, fd, &ev) < 0) {
-      ::close(fd);
-      node.pending.pop_back();
-      continue;
-    }
-    identify_pending(index, fd);  // the HELLO may already be readable
+  const int fd = accept_within(node.listen_fd, Clock::now());
+  // No connection yet, or a transient failure: the level-triggered event
+  // reports a waiting connection again.
+  if (fd < 0) return;
+  // The stream's first record must be the dialer's HELLO. The dialer sends
+  // it as soon as its connect completes and waits on nothing before that,
+  // so this bounded read cannot deadlock. The dialer writes data only after
+  // our reply raises its link, so nothing but the HELLO can be read here.
+  HelloRecord rec{};
+  std::optional<Hello> hello;
+  if (read_exact(fd, rec.data(), rec.size(), Clock::now() + kHelloTimeout) &&
+      read_le32(rec.data()) == kHelloRecordBytes - 4 &&
+      rec[4] == kCtlRecord) {
+    hello = decode_hello(std::span<const std::uint8_t>(rec).subspan(
+        kRecordHeader));
   }
-}
-
-void SocketRuntime::identify_pending(int index, int pending_fd) {
-  Node& node = *nodes_[static_cast<std::size_t>(index)];
-  auto it = std::find_if(
-      node.pending.begin(), node.pending.end(),
-      [pending_fd](const PendingAccept& pa) { return pa.fd == pending_fd; });
-  if (it == node.pending.end()) return;
-  bool dead = false;
-  std::uint8_t buf[256];
-  while (it->buf.size() < kHelloRecordBytes) {
-    const ssize_t k = ::recv(pending_fd, buf, sizeof buf, 0);
-    if (k > 0) {
-      it->buf.insert(it->buf.end(), buf, buf + k);
-      continue;
-    }
-    if (k < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-    }
-    dead = true;  // EOF or error before identifying itself
-    break;
-  }
-  // Validate as much of the HELLO as has arrived; anything that is not a
-  // HELLO-first stream is not one of ours.
-  if (!dead && it->buf.size() >= 4 &&
-      read_le32(it->buf.data()) != kHelloRecordBytes - 4) {
-    dead = true;
-  }
-  if (!dead && it->buf.size() >= 6 &&
-      (it->buf[4] != kCtlRecord || it->buf[5] != kCtlHello)) {
-    dead = true;
-  }
-  if (dead) {
-    ::close(pending_fd);
-    node.pending.erase(it);
-    return;
-  }
-  if (it->buf.size() < kHelloRecordBytes) return;  // wait for more bytes
-  const int sender = static_cast<int>(read_le32(it->buf.data() + 6));
   // Only the pair's lower index dials this listener.
-  if (sender < 0 || sender >= index) {
-    ::close(pending_fd);
-    node.pending.erase(it);
+  if (!hello || hello->sender < 0 || hello->sender >= index) {
+    ::close(fd);
     return;
   }
-  const std::uint64_t app_received = read_le64(it->buf.data() + 10);
-  const std::uint64_t mon_received = read_le64(it->buf.data() + 18);
-  std::vector<std::uint8_t> leftovers(
-      it->buf.begin() + static_cast<std::ptrdiff_t>(kHelloRecordBytes),
-      it->buf.end());
-  node.pending.erase(it);  // fd ownership moves to the channel below
-
+  const int sender = hello->sender;
   Channel& ch = channel(index, sender);
   bool ok = false;
   {
     std::scoped_lock lock(ch.mutex);
-    if (ch.fd >= 0 && ch.fd != pending_fd) {
+    if (ch.fd >= 0) {
       // The peer abandoned the old connection (we may not have read its
       // RST yet); the new one supersedes it.
       ::close(ch.fd);
     }
-    ch.fd = pending_fd;
+    ch.fd = fd;
     ch.want_write = false;
     ch.io_error = false;
     ch.kill_pending = false;
     ch.state = LinkState::kHelloWait;
-    apply_stream_options(pending_fd);
+    apply_stream_options(fd);
     node.reassembly[static_cast<std::size_t>(sender)].reset();
     node.peer_open[static_cast<std::size_t>(sender)] = true;
     epoll_event ev{};
     ev.events = EPOLLIN;
     ev.data.u64 = make_tag(kKindPeer, static_cast<std::uint64_t>(sender));
-    if (::epoll_ctl(node.epoll_fd, EPOLL_CTL_MOD, pending_fd, &ev) == 0) {
-      ok = send_hello_locked(ch);
-    }
+    ok = ::epoll_ctl(node.epoll_fd, EPOLL_CTL_ADD, fd, &ev) == 0 &&
+         send_hello_locked(ch);
   }
   if (!ok) {
     link_down(index, sender, /*abortive=*/false);
     return;
   }
-  process_hello(index, sender, app_received, mon_received);
-  if (!leftovers.empty()) {
-    FrameReassembler& ra = node.reassembly[static_cast<std::size_t>(sender)];
-    ra.feed(leftovers.data(), leftovers.size());
-    while (const auto rec = ra.next()) dispatch_record(index, sender, *rec);
-  }
+  process_hello(index, sender, hello->app_received, hello->mon_received);
 }
 
 void SocketRuntime::request_kill(int from, int to) {
   Channel& ch = channel(from, to);
   {
     std::scoped_lock lock(ch.mutex);
-    if (ch.fd < 0 && ch.state == LinkState::kDown) return;  // already dead
+    if (ch.fd < 0) return;  // already down
     ch.kill_pending = true;
   }
   nodes_[static_cast<std::size_t>(from)]->links_dirty.store(
@@ -1283,15 +1195,7 @@ void SocketRuntime::node_loop(int index) {
           break;
         }
         case kKindListener:
-          accept_pending(index);
-          break;
-        case kKindPending:
-          identify_pending(index, static_cast<int>(value));
-          break;
-        case kKindConnect:
-          if (events[e].events & (EPOLLOUT | EPOLLERR | EPOLLHUP)) {
-            on_connect_ready(index, static_cast<int>(value));
-          }
+          accept_peer(index);
           break;
         case kKindPeer: {
           const int peer = static_cast<int>(value);

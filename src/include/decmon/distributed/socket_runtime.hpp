@@ -43,6 +43,8 @@
 // EPIPE) is a peer-down state, not a fatal error. Each node keeps a
 // persistent listener; the pair's lower index reconnects with capped
 // exponential backoff + seeded jitter driven from the node's epoll loop.
+// Every attempt is one bounded dial, and the acceptor identifies the new
+// stream by one bounded read of its first record, the dialer's HELLO.
 // Every (re)connection starts with a HELLO exchange carrying per-direction
 // received-record counts, from which each sender rebuilds its buffer:
 // application records are transport-reliable (retained in a replay log and
@@ -133,12 +135,6 @@ struct SocketConfig {
   int sndbuf = 0;
   int rcvbuf = 0;
   std::uint64_t seed = 1;
-  /// Reconnect backoff after a link failure: attempt k waits
-  /// min(cap, base * 2^k) milliseconds, scaled by seeded jitter in
-  /// [0.5, 1.5). Exhausting the attempt budget is a run error.
-  double reconnect_base_ms = 1.0;
-  double reconnect_cap_ms = 100.0;
-  int max_reconnect_attempts = 60;
   SocketFaultPlan fault;
 };
 
@@ -252,10 +248,9 @@ class SocketRuntime final : public MonitorNetwork {
   using Clock = std::chrono::steady_clock;
 
   enum class LinkState : std::uint8_t {
-    kUp,         ///< connected, HELLO exchanged, data flows
-    kDown,       ///< no socket; connector side is backing off to retry
-    kConnecting, ///< nonblocking connect() in flight (connector side)
-    kHelloWait,  ///< connected, our HELLO sent, waiting for the peer's
+    kUp,        ///< connected, HELLO exchanged, data flows
+    kDown,      ///< no socket; connector side is backing off to retry
+    kHelloWait, ///< connected, our HELLO sent, waiting for the peer's
   };
 
   /// Where one buffered record ends in Channel::out, and its plane, so the
@@ -328,12 +323,6 @@ class SocketRuntime final : public MonitorNetwork {
     }
   };
 
-  /// An accepted connection whose identifying HELLO has not fully arrived.
-  struct PendingAccept {
-    int fd = -1;
-    std::vector<std::uint8_t> buf;
-  };
-
   struct Node {
     int epoll_fd = -1;
     int event_fd = -1;   ///< cross-thread wakeup (timers, stop)
@@ -356,8 +345,6 @@ class SocketRuntime final : public MonitorNetwork {
     std::vector<std::uint64_t> app_recv;
     std::vector<std::uint64_t> mon_recv;
     std::uint64_t mon_recv_total = 0;  ///< node-kill trigger counter
-    /// Accepted-but-unidentified connections; own thread only.
-    std::vector<PendingAccept> pending;
     /// Some owned link needs service (failure teardown, reconnect timer,
     /// pending kill). Set by foreign threads before waking the owner.
     std::atomic<bool> links_dirty{false};
@@ -399,22 +386,17 @@ class SocketRuntime final : public MonitorNetwork {
   /// seeded jitter. Caller must hold ch.mutex.
   void schedule_retry_locked(Channel& ch);
   /// Per-iteration link service: teardowns flagged by foreign threads,
-  /// pending kills, and due reconnect attempts. Returns the earliest
-  /// deadline the epoll wait must honor (time_point::max() if none).
+  /// pending kills, and due reconnect attempts (one bounded dial each).
+  /// Returns the earliest deadline the epoll wait must honor
+  /// (time_point::max() if none).
   Clock::time_point service_links(int index);
-  /// Begin (or finish, when it completes immediately) a nonblocking
-  /// connect to `peer`'s listener. Caller must hold ch.mutex.
-  void begin_connect_locked(Channel& ch);
-  /// Connection established: socket options, HELLO, epoll registration.
+  /// Dial succeeded: socket options, epoll registration, HELLO, kHelloWait.
   /// Caller must hold ch.mutex.
   void finish_connect_locked(Channel& ch, int fd);
-  /// Handle EPOLLOUT/EPOLLERR on an in-flight connect.
-  void on_connect_ready(int index, int peer);
-  /// Accept every pending connection on the node's listener.
-  void accept_pending(int index);
-  /// Try to identify a pending accepted connection by its HELLO; installs
-  /// the fd as the peer's channel socket once complete.
-  void identify_pending(int index, int pending_fd);
+  /// Accept one connection on the node's listener and identify it by one
+  /// bounded read of the dialer's HELLO; installs the fd as that peer's
+  /// channel socket, replies and reconciles.
+  void accept_peer(int index);
   /// Process a peer HELLO for the (index -> peer) send direction: drop
   /// the delivered app-log prefix, rebuild the buffer as the rest of the
   /// log plus the unwritten monitor records, retire lost monitor records,

@@ -42,15 +42,6 @@ struct MonitorStats {
   std::uint64_t floor_messages = 0;   ///< GC floor gossip messages sent
   std::uint64_t resync_floors = 0;    ///< floor-resync handshakes after restore
 
-  // -- crash tolerance (filled in from ReliableChannel / CrashInjector
-  //    counters by the harnesses; zero on fault-free runs) --
-  std::uint64_t retransmissions = 0;    ///< timer-driven channel re-sends
-  std::uint64_t acks_sent = 0;          ///< pure-ack channel envelopes
-  std::uint64_t dup_suppressed = 0;     ///< deliveries filtered by dedup
-  std::uint64_t checkpoints_taken = 0;
-  std::uint64_t checkpoint_bytes = 0;   ///< total bytes over all checkpoints
-  std::uint64_t crash_restarts = 0;
-
   // -- latency --
   std::uint64_t events_processed = 0;
   std::uint64_t events_delayed = 0;   ///< events enqueued behind a token

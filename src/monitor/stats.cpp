@@ -27,12 +27,6 @@ MonitorStats& MonitorStats::operator+=(const MonitorStats& other) {
   peak_history = std::max(peak_history, other.peak_history);
   floor_messages += other.floor_messages;
   resync_floors += other.resync_floors;
-  retransmissions += other.retransmissions;
-  acks_sent += other.acks_sent;
-  dup_suppressed += other.dup_suppressed;
-  checkpoints_taken += other.checkpoints_taken;
-  checkpoint_bytes += other.checkpoint_bytes;
-  crash_restarts += other.crash_restarts;
   events_processed += other.events_processed;
   events_delayed += other.events_delayed;
   pending_sum += other.pending_sum;

@@ -14,6 +14,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <filesystem>
 #include <memory>
 #include <mutex>
 #include <random>
@@ -925,6 +926,63 @@ TEST(SocketFault, AppRecordsAreReplayedNeverLost) {
   EXPECT_LE(rt.reconnects(), 3u);
   Computation comp(rt.history());
   EXPECT_TRUE(comp.consistent(comp.top()));
+}
+
+/// Open descriptors of this process (the listing's own fd is counted every
+/// time, so two counts compare).
+int open_fd_count() {
+  int count = 0;
+  for ([[maybe_unused]] const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/fd")) {
+    ++count;
+  }
+  return count;
+}
+
+TEST(SocketFault, ReconnectsLeakNoDescriptors) {
+  // Every descriptor a link bring-up opens -- dialed, accepted, superseded
+  // or abandoned -- must be closed by the time the runtime is destroyed.
+  // The node kill severs both links of the middle node, which then plays
+  // both roles: it redials node 2 and accepts node 0's redial. Seeded link
+  // kills add outages on top. App records are transport-reliable, so the
+  // comm-heavy trace cannot finish until the severed pairs are back up.
+  const int n = 3;
+  AtomRegistry reg = paper::make_registry(n);
+  const SharedProperty art =
+      paper::shared_property(paper::Property::kD, n, reg);
+  TraceParams params = small_params(n, 808);
+  params.internal_events = 10;
+  SystemTrace trace = generate_trace(params);
+
+  const int fds_before = open_fd_count();
+  std::uint64_t killed = 0;
+  std::uint64_t reconnects = 0;
+  {
+    SocketConfig config = fast_config();
+    config.time_scale = 0.002;  // stretch the run so kills land mid-stream
+    config.fault.enabled = true;
+    config.fault.seed = 41;
+    config.fault.kill_after_min = 2;
+    config.fault.kill_after_max = 6;
+    config.fault.max_kills = 2;
+    config.fault.kill_node = 1;
+    config.fault.kill_node_after = 1;
+    SocketRuntime rt(trace, &reg, config);
+    ReliableChannel channel(&rt, n, socket_channel_config());
+    DecentralizedMonitor dm(property_handle(art), &channel,
+                            initial_letters_of(reg, rt.initial_states()));
+    channel.set_hooks(&dm);
+    rt.set_hooks(&channel);
+    rt.run();
+    EXPECT_TRUE(dm.all_finished());
+    EXPECT_EQ(rt.program_events(),
+              static_cast<std::uint64_t>(trace.total_events()));
+    killed = rt.connections_killed();
+    reconnects = rt.reconnects();
+  }
+  EXPECT_GE(killed, static_cast<std::uint64_t>(n - 1));
+  EXPECT_GE(reconnects, 2u);
+  EXPECT_EQ(open_fd_count(), fds_before);
 }
 
 TEST(SocketRuntime, QuiescenceIsExactNoWorkAfterRunReturns) {
