@@ -464,16 +464,17 @@ void TokenWalk::fail_awaiting(Token& token, bool past_end) const {
 Route TokenWalk::route(const Token& token, int self) {
   bool any_true = false;
   bool stay = false;
-  const TransitionEntry* third = nullptr;
+  // The live entry awaited at the lowest event off this process, the
+  // parent's included.
+  const TransitionEntry* earliest = nullptr;
   for (const TransitionEntry& e : token.entries) {
     if (e.eval == EntryEval::kTrue) any_true = true;
     if (e.eval != EntryEval::kUnset) continue;
     if (e.next_target_process == self) {
       stay = true;
-    } else if (e.next_target_process != token.parent &&
-               (third == nullptr ||
-                e.next_target_event < third->next_target_event)) {
-      third = &e;
+    } else if (earliest == nullptr ||
+               e.next_target_event < earliest->next_target_event) {
+      earliest = &e;
     }
   }
 
@@ -482,9 +483,12 @@ Route TokenWalk::route(const Token& token, int self) {
     route.rule = RouteRule::kEnabled;
   } else if (stay) {
     route = {RouteRule::kStay, self, 0};
-  } else if (third != nullptr) {
-    route = {RouteRule::kThird, third->next_target_process, 0};
+  } else if (earliest != nullptr &&
+             earliest->next_target_process != token.parent) {
+    route = {RouteRule::kThird, earliest->next_target_process, 0};
   }
+  // Otherwise the parent: no entry is live, or the parent's event is the
+  // earliest awaited. Either way the token returns there (DESIGN.md §6.4).
 
   // Target event at the destination: the earliest live request there.
   bool have_target = false;

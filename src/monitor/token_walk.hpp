@@ -22,8 +22,9 @@ namespace decmon::detail {
 enum class RouteRule : std::uint8_t {
   kEnabled,  ///< (1) an entry is enabled: back to the parent
   kStay,     ///< (2) a live entry targets this process: stay
-  kThird,    ///< (3) a live entry targets a third process: go there
-  kParent,   ///< (4) otherwise: back to the parent
+  kThird,    ///< (3) a third process is awaited earliest: go there
+  kParent,   ///< (3) the parent is awaited earliest, or (4) none live:
+             ///< back to the parent
 };
 
 struct Route {
@@ -73,8 +74,9 @@ class TokenWalk {
 
   /// Rules 1-4 of SendToNextProcess in order, for a token held by process
   /// `self`; the parent is `token.parent`. Under rule 3 the token goes to
-  /// the third process awaited by the live entry with the lowest
-  /// next_target_event, the first such entry on a tie (DESIGN.md §6.4).
+  /// the process awaited by the live entry with the lowest
+  /// next_target_event, the first such entry on a tie, and a return when
+  /// that process is the parent (DESIGN.md §6.4).
   static Route route(const Token& token, int self);
 
  private:

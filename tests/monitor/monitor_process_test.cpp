@@ -592,8 +592,20 @@ TEST(MonitorProcessUnit, RoutingRulesOnHandBuiltTokens) {
        {{kLive, 2, 1}, {kLive, 1, 8}, {kLive, 1, 5}},
        R::kStay, 1, 5},
       {"two third processes -> the lower target event",
-       {{kLive, 0, 1}, {kLive, 2, 9}, {kLive, 3, 6}, {kLive, 3, 4}},
+       {{kLive, 0, 11}, {kLive, 2, 9}, {kLive, 3, 6}, {kLive, 3, 4}},
        R::kThird, 3, 4},
+      {"parent awaited below a third process -> parent",
+       {{kLive, 2, 6}, {kLive, 0, 9}, {kLive, 0, 3}},
+       R::kParent, 0, 3},
+      {"a third process awaited below the parent -> there",
+       {{kLive, 0, 5}, {kLive, 2, 4}, {kFalse, 3, 1}},
+       R::kThird, 2, 4},
+      {"parent and a third process tied -> the first entry",
+       {{kLive, 0, 4}, {kLive, 2, 4}},
+       R::kParent, 0, 4},
+      {"a third process and the parent tied -> the first entry",
+       {{kLive, 2, 4}, {kLive, 0, 4}},
+       R::kThird, 2, 4},
       {"target events compare unsigned",
        {{kLive, 2, 0x80000000u}, {kLive, 3, 7}},
        R::kThird, 3, 7},
