@@ -676,8 +676,8 @@ void MonitorProcess::handle_returned_token(
     check_finished(now);
     return;
   }
-  // Live entries remain (inconsistency repairs that involve the parent, or
-  // further remote visits): re-dispatch.
+  // Live entries remain: an intermediate return (DESIGN.md §6.3). Walk on
+  // from here.
   process_token(std::move(shell), now);
 }
 

@@ -96,5 +96,50 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(3.0)),
     sweep_name);
 
+// The thesis grid of Chapter 5: A-F x n in {3,4,5} x trace seeds 2015-2022,
+// 25 internal events, Comm ~ N(3, 1), batched under kTransit. Every session
+// keeps the contract against the full lattice oracle, and the number whose
+// verdict set equals the oracle's exactly may not fall below the recorded
+// floor (the monitors add '?' for stale views; DESIGN.md §2).
+TEST(ThesisGrid, ContractHoldsAndExactSessionsKeepTheirFloor) {
+  constexpr int kExactFloor = 21;
+  int sessions = 0;
+  int exact = 0;
+  for (paper::Property prop : paper::kAllProperties) {
+    for (int n = 3; n <= 5; ++n) {
+      MonitorSession session(
+          paper::shared_property(prop, n, paper::make_registry(n)));
+      for (std::uint64_t seed = 2015; seed <= 2022; ++seed) {
+        SCOPED_TRACE(paper::name(prop) + " n=" + std::to_string(n) +
+                     " seed=" + std::to_string(seed));
+        SystemTrace trace =
+            generate_trace(paper::experiment_params(prop, n, seed, 3.0));
+        force_final_all_true(trace);
+        SimConfig sim;
+        sim.seed = seed;
+        sim.coalesce = CoalesceMode::kTransit;
+        const RunResult r = session.run(trace, sim);
+        const OracleResult oracle = session.oracle(trace, sim);
+        ASSERT_TRUE(r.verdict.all_finished);
+        for (Verdict v : oracle.verdicts) {
+          EXPECT_TRUE(r.verdict.verdicts.count(v))
+              << "missed " << to_string(v);
+        }
+        for (Verdict v : r.verdict.verdicts) {
+          if (v != Verdict::kUnknown) {
+            EXPECT_TRUE(oracle.verdicts.count(v))
+                << "unsound " << to_string(v);
+          }
+        }
+        ++sessions;
+        if (r.verdict.verdicts == oracle.verdicts) ++exact;
+      }
+    }
+  }
+  EXPECT_EQ(sessions, 144);
+  EXPECT_GE(exact, kExactFloor);
+  RecordProperty("exact_sessions", exact);
+}
+
 }  // namespace
 }  // namespace decmon
