@@ -4,6 +4,7 @@
 // lattice oracle (where tractable) plus structural invariants.
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string>
 #include <tuple>
 
@@ -14,6 +15,21 @@ namespace decmon {
 namespace {
 
 using SweepParam = std::tuple<paper::Property, int /*n*/, double /*commMu*/>;
+
+// The correctness contract (DESIGN.md §2): the monitors report every oracle
+// verdict, and every definite verdict they report is the oracle's.
+void expect_contract(const std::set<Verdict>& oracle,
+                     const std::set<Verdict>& monitor) {
+  for (Verdict v : oracle) {
+    EXPECT_TRUE(monitor.count(v)) << "oracle verdict " << to_string(v)
+                                  << " missed";
+  }
+  for (Verdict v : monitor) {
+    if (v != Verdict::kUnknown) {
+      EXPECT_TRUE(oracle.count(v)) << "unsound " << to_string(v);
+    }
+  }
+}
 
 class ExperimentSweep : public ::testing::TestWithParam<SweepParam> {};
 
@@ -41,19 +57,10 @@ TEST_P(ExperimentSweep, ContractAndInvariants) {
     try {
       OracleResult oracle = session.oracle(trace, SimConfig{},
                                            std::size_t{1} << 18);
-      for (Verdict v : oracle.verdicts) {
-        EXPECT_TRUE(r.verdict.verdicts.count(v))
-            << paper::name(prop) << "(" << n << ") commMu=" << comm_mu
-            << " seed=" << seed << ": oracle verdict " << to_string(v)
-            << " missed";
-      }
-      for (Verdict v : r.verdict.verdicts) {
-        if (v != Verdict::kUnknown) {
-          EXPECT_TRUE(oracle.verdicts.count(v))
-              << paper::name(prop) << "(" << n << ") commMu=" << comm_mu
-              << " seed=" << seed << ": unsound " << to_string(v);
-        }
-      }
+      SCOPED_TRACE(paper::name(prop) + "(" + std::to_string(n) +
+                   ") commMu=" + std::to_string(comm_mu) +
+                   " seed=" + std::to_string(seed));
+      expect_contract(oracle.verdicts, r.verdict.verdicts);
     } catch (const std::length_error&) {
       // Lattice too wide for ground truth; the structural checks above
       // still ran.
@@ -121,16 +128,7 @@ TEST(ThesisGrid, ContractHoldsAndExactSessionsKeepTheirFloor) {
         const RunResult r = session.run(trace, sim);
         const OracleResult oracle = session.oracle(trace, sim);
         ASSERT_TRUE(r.verdict.all_finished);
-        for (Verdict v : oracle.verdicts) {
-          EXPECT_TRUE(r.verdict.verdicts.count(v))
-              << "missed " << to_string(v);
-        }
-        for (Verdict v : r.verdict.verdicts) {
-          if (v != Verdict::kUnknown) {
-            EXPECT_TRUE(oracle.verdicts.count(v))
-                << "unsound " << to_string(v);
-          }
-        }
+        expect_contract(oracle.verdicts, r.verdict.verdicts);
         ++sessions;
         if (r.verdict.verdicts == oracle.verdicts) ++exact;
       }
