@@ -28,6 +28,8 @@
 //                                                SendToNextProcess rule 3
 //   cell.<P>.n<k>.<comm|nocomm>.tokens_parked    tokens parked for an event
 //   cell.<P>.n<k>.<comm|nocomm>.events_delayed   events queued behind a token
+//   cell.<P>.n<k>.<comm|nocomm>.probes_deduped   duplicate probes rejected
+//   cell.<P>.n<k>.<comm|nocomm>.entries_opened   transition entries built
 //   socket.<P>.n<k>.<batched|unbatched>.wall_ms  SocketRuntime run (§10)
 //   socket.<P>.n<k>.<batched|unbatched>.{wire_bytes,wire_frames}
 //                                                transport-truth counters
@@ -296,6 +298,8 @@ void run_cell_metrics(Metrics& out, paper::Property prop, int n,
   double third_process_hops = 0;
   double tokens_parked = 0;
   double events_delayed = 0;
+  double probes_deduped = 0;
+  double entries_opened = 0;
   for (int r = 0; r < replications; ++r) {
     TraceParams params = paper::experiment_params(
         prop, n, base_seed + static_cast<std::uint64_t>(r), comm_mu,
@@ -316,6 +320,10 @@ void run_cell_metrics(Metrics& out, paper::Property prop, int n,
     tokens_parked += static_cast<double>(run.verdict.aggregate.tokens_parked);
     events_delayed +=
         static_cast<double>(run.verdict.aggregate.events_delayed);
+    probes_deduped +=
+        static_cast<double>(run.verdict.aggregate.probes_deduped);
+    entries_opened +=
+        static_cast<double>(run.verdict.aggregate.entries_opened);
   }
   const double k = static_cast<double>(replications);
   const std::string base = "cell." + paper::name(prop) + ".n" +
@@ -330,6 +338,8 @@ void run_cell_metrics(Metrics& out, paper::Property prop, int n,
   out.put(base + ".third_process_hops", third_process_hops / k);
   out.put(base + ".tokens_parked", tokens_parked / k);
   out.put(base + ".events_delayed", events_delayed / k);
+  out.put(base + ".probes_deduped", probes_deduped / k);
+  out.put(base + ".entries_opened", entries_opened / k);
 }
 
 void cell_grid(Metrics& out, bool quick) {

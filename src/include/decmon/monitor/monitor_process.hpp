@@ -259,9 +259,6 @@ class MonitorProcess {
   void sweep_dead_views();
   void check_finished(double now);
   void sample_pending();
-  /// The probe's (state, transitions, beliefs) signature (4.3.2).
-  std::uint64_t probe_signature(const GlobalView& gv,
-                                const Token& token) const;
 
   int index_;
   int n_;

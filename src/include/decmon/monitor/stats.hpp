@@ -22,6 +22,13 @@ struct MonitorStats {
   std::uint64_t third_process_hops = 0;
   std::uint64_t termination_messages = 0;
 
+  // -- probe work (DESIGN.md §6.5) --
+  /// Probes rejected as duplicates of an outstanding or earlier probe
+  /// (optimization 4.3.2), before any entry was built.
+  std::uint64_t probes_deduped = 0;
+  /// Transition entries built into new tokens.
+  std::uint64_t entries_opened = 0;
+
   // -- wire (batched frames; see DESIGN.md §9) --
   std::uint64_t frames_sent = 0;     ///< batched frames flushed to the net
   std::uint64_t bytes_sent = 0;      ///< wire-encoded bytes, send side

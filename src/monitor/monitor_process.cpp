@@ -33,6 +33,22 @@ constexpr std::size_t kMaxPooledPayloads = 8;
 constexpr std::size_t kMaxPooledFrames = 32;
 constexpr std::size_t kMaxPooledViews = 128;
 
+/// The probe's (state, transitions, beliefs) signature (4.3.2), over the
+/// transitions it opens entries for. Only atoms the automaton reads matter:
+/// beliefs differing in irrelevant variables describe the same probe.
+std::uint64_t probe_signature(const CompiledProperty& prop,
+                              const GlobalView& gv,
+                              const detail::ProbeCandidates& admitted) {
+  const AtomSet relevant = prop.relevant_atoms();
+  Fnv1a h;
+  h.mix(static_cast<std::uint64_t>(gv.q));
+  for (const detail::ProbeCandidate& c : admitted) {
+    h.mix(static_cast<std::uint64_t>(c.tid) + 1);
+  }
+  for (AtomSet s : gv.gstate) h.mix((s & relevant) ^ 0x5bd1e995u);
+  return h.value();
+}
+
 }  // namespace
 
 template <class Body>
@@ -328,61 +344,44 @@ void MonitorProcess::process_event(GlobalView& gv, const Event& e,
   }
 }
 
-std::uint64_t MonitorProcess::probe_signature(const GlobalView& gv,
-                                              const Token& token) const {
-  // Only atoms the automaton reads matter: beliefs differing in irrelevant
-  // variables describe the same probe.
-  const AtomSet relevant = prop_->relevant_atoms();
-  Fnv1a h;
-  h.mix(static_cast<std::uint64_t>(gv.q));
-  for (const TransitionEntry& e : token.entries) {
-    h.mix(static_cast<std::uint64_t>(e.transition_id) + 1);
-  }
-  for (AtomSet s : gv.gstate) h.mix((s & relevant) ^ 0x5bd1e995u);
-  return h.value();
-}
-
 void MonitorProcess::probe_outgoing(GlobalView& gv, const Event& e,
                                     bool consistent, double now,
                                     int extra_from_state) {
   const detail::TokenWalk walk(*prop_, index_, history_, history_base_);
-  const detail::ProbeCandidates candidates =
+  detail::ProbeCandidates admitted =
       walk.candidates(gv.q, consistent, extra_from_state);
-  if (candidates.empty()) return;
-  // Entries are built directly into a pooled shell; if the probe turns out
-  // empty or a duplicate, the shell (and its capacity) goes back unsent.
-  std::unique_ptr<TokenMessage> shell = acquire_shell();
-  Token& token = shell->token;
-  walk.open(token, candidates, gv, e, options_.walk_mode);
-  if (token.entries.empty()) {
-    recycle_shell(std::move(shell));
-    return;
-  }
+  walk.admit(admitted, gv, e, options_.walk_mode);
+  if (admitted.empty()) return;
 
   // Optimization 4.3.2: skip duplicate probes -- the same (state,
   // transitions, beliefs) signature was already probed, either by an
   // outstanding token or by this view's previous probe ("the new event is
   // considered to be an element in the slice being constructed"). Pivot
   // cuts involving *new remote* events are caught by the remote monitors'
-  // own probes (Theorem 4's progress-path argument).
-  const std::uint64_t sig = probe_signature(gv, token);
+  // own probes (Theorem 4's progress-path argument). The admitted
+  // candidates are the entries open() would push, so a duplicate is
+  // rejected before anything is built (DESIGN.md §6.5).
+  const std::uint64_t sig = probe_signature(*prop_, gv, admitted);
   if (options_.dedupe_probes) {
     if (gv.probe_sig == sig || outstanding_sigs_.count(sig)) {
-      recycle_shell(std::move(shell));
+      ++stats_.probes_deduped;
       return;
     }
   }
 
   // A consistent probe forks a copy below; surface a cap breach before any
-  // state mutates: the pooled shell goes back, the view never starts
-  // waiting, no signature is registered, and nothing is counted as created.
+  // state mutates: no shell is taken, the view never starts waiting, no
+  // signature is registered, and nothing is counted as created.
   if (consistent && options_.max_views &&
       views_.size() >= options_.max_views) {
     ++stats_.views_overflowed;
-    recycle_shell(std::move(shell));
     throw MonitorOverflow("MonitorProcess: view cap exceeded (fork)");
   }
 
+  std::unique_ptr<TokenMessage> shell = acquire_shell();
+  Token& token = shell->token;
+  walk.open(token, admitted, gv, e, options_.walk_mode);
+  stats_.entries_opened += token.entries.size();
   token.token_id =
       (static_cast<std::uint64_t>(index_) << 32) | next_token_serial_++;
   token.parent = index_;

@@ -128,7 +128,82 @@ ProbeCandidates TokenWalk::candidates(int q, bool consistent,
   return out;
 }
 
-void TokenWalk::open(Token& token, const ProbeCandidates& candidates,
+bool TokenWalk::start_frontier(FrontierSlot* f, const GlobalView& gv,
+                               const Event& e, bool pre, bool join) const {
+  bool advanced = false;
+  for (std::size_t j = 0; j < n_; ++j) {
+    f[j].cut = join ? std::max(gv.cut[j], e.vc[j]) : gv.cut[j];
+    f[j].gstate = gv.gstate[j];
+    if (f[j].cut != gv.cut[j]) advanced = true;
+  }
+  if (pre) {
+    const Event& prev = event_at(e.sn - 1);
+    f[me_].cut = e.sn - 1;
+    f[me_].gstate = prev.letter;
+    // The rolled-back frontier event still carries dependencies: without
+    // its clock in `depend`, a cut through it can pass the consistency
+    // check while missing remote events it happened-after -- the walk then
+    // certifies stay-points and enables transitions at cuts that lie on no
+    // lattice path (fuzz-found unsound verdicts).
+    merge_depend(f, n_, prev.vc);
+  } else {
+    // At the join, depend == cut: the join covers e.VC.
+    merge_depend(f, n_, e.vc);
+  }
+  return advanced;
+}
+
+bool TokenWalk::believed_enabled(const FrontierSlot* f, int tid) const {
+  const CompiledTransition& ct = prop_.transition(tid);
+  for (std::size_t j = 0; j < n_; ++j) {
+    if (f[j].cut < f[j].depend) return false;
+    if (!ct.local[j].is_true() &&
+        !prop_.locally_satisfied(tid, static_cast<int>(j), f[j].gstate)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+void TokenWalk::admit(ProbeCandidates& candidates, const GlobalView& gv,
+                      const Event& e, WalkMode mode) const {
+  const bool join = mode == WalkMode::kJoinJump;
+  const AtomSet pre_letter = event_at(e.sn - (e.sn > 0 ? 1 : 0)).letter;
+  // A believed-enabled candidate opens an entry only where a walk remains:
+  // a remote successor to verify (kExact, n > 1) or an advanced join
+  // (kJoinJump). The frontiers that decide it, built on first use like
+  // open()'s records: at-cut (or the join) and pre-cut.
+  const bool check_enabled = join || n_ == 1;
+  SmallVec<FrontierSlot, 8> starts[2];
+  bool advanced = false;  // the join lies past the view's cut
+  std::size_t kept = 0;
+  for (const ProbeCandidate& cand : candidates) {
+    const bool pre = !join && cand.pre_cut && e.sn > 0;
+    // Skip when this process forbids the transition at every admissible
+    // local position (Alg. 3 line 7).
+    const bool sat_now = prop_.locally_satisfied(cand.tid, self_, e.letter);
+    if (pre ? !sat_now && !prop_.locally_satisfied(cand.tid, self_, pre_letter)
+            : !sat_now) {
+      continue;
+    }
+    if (check_enabled) {
+      SmallVec<FrontierSlot, 8>& f = starts[pre ? 1 : 0];
+      if (f.empty()) {
+        f.resize(n_);
+        advanced = start_frontier(f.data(), gv, e, pre, join);
+      }
+      // kJoinJump: the deterministic step's own transition. One process:
+      // the view's local steps cover every successor.
+      if (!(join && advanced) && believed_enabled(f.data(), cand.tid)) {
+        continue;
+      }
+    }
+    candidates[kept++] = cand;
+  }
+  candidates.resize(kept);
+}
+
+void TokenWalk::open(Token& token, const ProbeCandidates& admitted,
                      const GlobalView& gv, const Event& e,
                      WalkMode mode) const {
   // Soundness of an entry rests on where its source state is *certified*:
@@ -146,44 +221,16 @@ void TokenWalk::open(Token& token, const ProbeCandidates& candidates,
   // skipping the intermediate cuts admits firings on paths that do not
   // exist (unsound, e.g. for X-shaped states without self-loops).
   const bool join = mode == WalkMode::kJoinJump;
-  const AtomSet pre_letter = event_at(e.sn - (e.sn > 0 ? 1 : 0)).letter;
   // Entries share at most two frontier records, each made with the first
   // entry that needs it: at-cut (or the join) and pre-cut.
   std::uint32_t records[2] = {kNoRecord, kNoRecord};
-  bool advanced = false;  // the join lies past the view's cut
-  for (const ProbeCandidate& cand : candidates) {
+  for (const ProbeCandidate& cand : admitted) {
     const int tid = cand.tid;
     const bool pre = !join && cand.pre_cut && e.sn > 0;
-    // Skip when this process forbids the transition at every admissible
-    // local position (Alg. 3 line 7).
-    const bool sat_now = prop_.locally_satisfied(tid, self_, e.letter);
-    if (pre ? !sat_now && !prop_.locally_satisfied(tid, self_, pre_letter)
-            : !sat_now) {
-      continue;
-    }
-
     std::uint32_t& record = records[pre ? 1 : 0];
     if (record == kNoRecord) {
       record = token.records.add(n_);
-      FrontierSlot* f = token.records[record];
-      for (std::size_t j = 0; j < n_; ++j) {
-        f[j].cut = join ? std::max(gv.cut[j], e.vc[j]) : gv.cut[j];
-        f[j].gstate = gv.gstate[j];
-        if (f[j].cut != gv.cut[j]) advanced = true;
-      }
-      if (pre) {
-        f[me_].cut = e.sn - 1;
-        f[me_].gstate = pre_letter;
-        // The rolled-back frontier event still carries dependencies:
-        // without its clock in `depend`, a cut through it can pass the
-        // consistency check while missing remote events it happened-after
-        // -- the walk then certifies stay-points and enables transitions at
-        // cuts that lie on no lattice path (fuzz-found unsound verdicts).
-        merge_depend(f, n_, event_at(e.sn - 1).vc);
-      } else {
-        // At the join, depend == cut: the join covers e.VC.
-        merge_depend(f, n_, e.vc);
-      }
+      start_frontier(token.records[record], gv, e, pre, join);
     }
     const FrontierSlot* f = token.records[record];
     TransitionEntry entry;
@@ -191,7 +238,7 @@ void TokenWalk::open(Token& token, const ProbeCandidates& candidates,
     entry.frontier = record;
     entry.conj.assign(n_, ConjunctEval::kTrue);
     // The local conjunct of an at-cut or join entry holds: its letter is
-    // e's, checked above.
+    // e's, checked in admit().
     const CompiledTransition& ct = prop_.transition(tid);
     for (std::size_t j = 0; j < n_; ++j) {
       if (!ct.local[j].is_true() &&
@@ -203,10 +250,9 @@ void TokenWalk::open(Token& token, const ProbeCandidates& candidates,
     // (Alg. 3 lines 12-13).
     int next = first_open(f, entry);
     if (next < 0 && join) {
-      if (!advanced) continue;  // the deterministic step's own transition
-      // Believed-enabled at the advanced join: resolved already, but
-      // routed through the token machinery so probe deduplication keeps
-      // repeated beliefs from spawning unboundedly.
+      // Believed-enabled at the advanced join (admitted only there):
+      // resolved already, but routed through the token machinery so probe
+      // deduplication keeps repeated beliefs from spawning unboundedly.
       entry.eval = EntryEval::kTrue;
     } else if (next < 0) {
       // The guard holds at the entry's own cut -- but the transition fires
@@ -216,15 +262,15 @@ void TokenWalk::open(Token& token, const ProbeCandidates& candidates,
       // whenever the next local event is inconsistent (design note: the
       // thesis's "enabled transition" handling misses this case). Walk one
       // event on a remote participant (any remote process if the guard is
-      // local-only) and let the usual completion rules decide there.
+      // local-only; admitted only when there is one) and let the usual
+      // completion rules decide there.
       for (int k : ct.participants) {
         if (k != self_) {
           next = k;
           break;
         }
       }
-      if (next < 0) next = self_ == 0 ? (n_ > 1 ? 1 : -1) : 0;
-      if (next < 0) continue;  // single process: local steps cover all
+      if (next < 0) next = self_ == 0 ? 1 : 0;
       entry.conj[static_cast<std::size_t>(next)] = ConjunctEval::kUnset;
     }
     if (next >= 0) {

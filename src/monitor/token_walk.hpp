@@ -56,10 +56,18 @@ class TokenWalk {
   /// states (7.2.2) probe nothing.
   ProbeCandidates candidates(int q, bool consistent,
                              int extra_from_state) const;
+  /// Keep, in order, the candidates that open an entry for view `gv` after
+  /// event `e` (DESIGN.md §6.5): drop those this process forbids at every
+  /// admissible local position (Alg. 3 line 7), and those already believed
+  /// enabled where nothing is left to walk -- under kJoinJump at a join
+  /// equal to the view's cut (the view's own step takes them), on a single
+  /// process at any start (local steps cover them).
+  void admit(ProbeCandidates& candidates, const GlobalView& gv,
+             const Event& e, WalkMode mode) const;
   /// Open the probe's entries for view `gv` after event `e` in the empty
-  /// `token`, one per candidate this process allows, each with its
-  /// conjuncts evaluated and its first target set.
-  void open(Token& token, const ProbeCandidates& candidates,
+  /// `token`, one per `admitted` candidate (see admit()) and in its order,
+  /// each with its conjuncts evaluated and its first target set.
+  void open(Token& token, const ProbeCandidates& admitted,
             const GlobalView& gv, const Event& e, WalkMode mode) const;
 
   /// Apply local event `sn` to the entries awaiting it (Alg. 4-5), then
@@ -89,6 +97,14 @@ class TokenWalk {
   std::uint32_t end() const {
     return base_ + static_cast<std::uint32_t>(window_.size());
   }
+  /// Write to `f` (n slots) the frontier a probe's entry starts at: the
+  /// view's cut, the cut before `e` when `pre`, or the join max(cut, e.VC)
+  /// when `join`. Returns whether it lies past the view's cut.
+  bool start_frontier(FrontierSlot* f, const GlobalView& gv, const Event& e,
+                      bool pre, bool join) const;
+  /// Whether an entry for `tid` at frontier `f` has nothing left open: the
+  /// cut is consistent and every conjunct holds at its letter.
+  bool believed_enabled(const FrontierSlot* f, int tid) const;
   StayKind stay_kind(const FrontierSlot* frontier,
                      const CompiledTransition& ct, AtomSet others,
                      const Event& e) const;

@@ -1,6 +1,6 @@
 // The token walk as a unit (src/monitor/token_walk.hpp): a differential
-// check of the fast-forward against the event-by-event walk, and the
-// probe's opening on hand-built views.
+// check of the fast-forward against the event-by-event walk, the probe's
+// admission against its opening, and the opening on hand-built views.
 #include "../../src/monitor/token_walk.hpp"
 
 #include <gtest/gtest.h>
@@ -13,6 +13,7 @@
 
 #include "../common/random_computation.hpp"
 #include "decmon/core/properties.hpp"
+#include "decmon/distributed/sim_runtime.hpp"
 
 namespace decmon {
 namespace {
@@ -145,10 +146,12 @@ void differential(const CompiledProperty& prop, const Computation& comp,
           full.parent = i;
           for (std::uint32_t back = std::min(sn - 1, 3u) + 1; back-- > 0;) {
             const int from = (q + static_cast<int>(back)) % states;
-            const ProbeCandidates cands = walk.candidates(
+            const GlobalView gv = random_view(rng, comp, i, sn - back, from);
+            const Event& e = comp.event(i, sn - back);
+            ProbeCandidates cands = walk.candidates(
                 from, consistent, consistent ? (from + 1) % states : -1);
-            walk.open(full, cands, random_view(rng, comp, i, sn - back, from),
-                      comp.event(i, sn - back), WalkMode::kExact);
+            walk.admit(cands, gv, e, WalkMode::kExact);
+            walk.open(full, cands, gv, e, WalkMode::kExact);
           }
           if (full.entries.empty()) continue;
           ++tally.tokens;
@@ -210,6 +213,105 @@ TEST(TokenWalk, CutWindowWalkMatchesFullWindow) {
   EXPECT_GT(tally.skipped, 1000);
 }
 
+// -- the probe's admission -------------------------------------------------
+
+struct AdmissionTally {
+  int probes = 0;    ///< probes that admitted a candidate
+  int dropped = 0;   ///< probes whose admission dropped a candidate
+  int entries = 0;
+};
+
+/// For every event of every process of `comp`, every state, with and
+/// without a second (pre-advance) state, and two views through the event --
+/// one at a consistent cut, one whose other components are consistent with
+/// the event before it, so a receive can find it inconsistent, as a view's
+/// next event does -- the admitted candidates are exactly the entries
+/// open() pushes, in order. That equality is what lets the monitor take
+/// the probe's signature before building it.
+void expect_admitted_opened(const CompiledProperty& prop,
+                            const Computation& comp, WalkMode mode,
+                            AdmissionTally& tally) {
+  std::mt19937_64 rng(11);
+  const int states = prop.automaton().num_states();
+  const std::size_t n = static_cast<std::size_t>(comp.num_processes());
+  for (int i = 0; i < comp.num_processes(); ++i) {
+    const TokenWalk walk(prop, i, history(comp, i), 0);
+    for (std::uint32_t sn = 1; sn <= comp.num_events(i); ++sn) {
+      const Event& e = comp.event(i, sn);
+      for (int q = 0; q < states; ++q) {
+        for (const bool from_prev : {false, true}) {
+          GlobalView gv =
+              random_view(rng, comp, i, from_prev ? sn - 1 : sn, q);
+          gv.cut[static_cast<std::size_t>(i)] = sn;
+          gv.gstate[static_cast<std::size_t>(i)] = e.letter;
+          bool consistent = true;
+          for (std::size_t j = 0; j < n; ++j) {
+            if (static_cast<int>(j) != i && gv.cut[j] < e.vc[j]) {
+              consistent = false;
+            }
+          }
+          for (const int extra : {-1, (q + 1) % states}) {
+            SCOPED_TRACE(::testing::Message()
+                         << "P" << i << " sn=" << sn << " q=" << q
+                         << " extra=" << extra
+                         << (consistent ? " consistent" : " inconsistent"));
+            const ProbeCandidates cands =
+                walk.candidates(q, consistent, extra);
+            ProbeCandidates admitted = cands;
+            walk.admit(admitted, gv, e, mode);
+            Token token;
+            walk.open(token, admitted, gv, e, mode);
+            ASSERT_EQ(token.entries.size(), admitted.size());
+            for (std::size_t k = 0; k < admitted.size(); ++k) {
+              EXPECT_EQ(token.entries[k].transition_id, admitted[k].tid)
+                  << "entry " << k;
+            }
+            if (!admitted.empty()) ++tally.probes;
+            if (admitted.size() < cands.size()) ++tally.dropped;
+            tally.entries += static_cast<int>(admitted.size());
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(TokenWalk, AdmittedCandidatesAreTheOpenedEntries) {
+  for (const WalkMode mode : {WalkMode::kExact, WalkMode::kJoinJump}) {
+    SCOPED_TRACE(mode == WalkMode::kExact ? "exact" : "joinjump");
+    AdmissionTally tally;
+    // The paper's properties on the computations of simulated runs.
+    for (paper::Property p : paper::kAllProperties) {
+      for (const int n : {3, 5}) {
+        SCOPED_TRACE(::testing::Message() << paper::name(p) << " n=" << n);
+        const AtomRegistry reg = paper::make_registry(n);
+        const SharedProperty art = paper::shared_property(p, n, reg);
+        SimRuntime runtime(
+            generate_trace(paper::experiment_params(p, n, 2015)), &reg);
+        runtime.run();
+        expect_admitted_opened(*property_handle(art),
+                               Computation(runtime.history()), mode, tally);
+      }
+    }
+    // One process: a believed-enabled candidate opens nothing there, since
+    // the view's local steps cover every successor.
+    std::mt19937_64 rng(2031);
+    AtomRegistry reg = testing::standard_registry(1);
+    for (const char* text : {"G((P0.p) U (P0.q))", "F(P0.p && P0.q)"}) {
+      SCOPED_TRACE(text);
+      const SharedProperty art = testing::admit(reg, text);
+      for (int c = 0; c < 3; ++c) {
+        expect_admitted_opened(*property_handle(art),
+                               testing::random_computation(rng, 1, reg, 12),
+                               mode, tally);
+      }
+    }
+    EXPECT_GT(tally.probes, 1000);
+    EXPECT_GT(tally.dropped, 1000);
+    EXPECT_GT(tally.entries, tally.probes);
+  }
+}
+
 // -- the probe's opening on hand-built views --------------------------------
 
 // F(P0.p && P1.p) over two processes; atoms P0.p = bit 0, P1.p = bit 2.
@@ -253,8 +355,10 @@ struct OpeningFixture {
   /// Open the probe of `gv` after e2 in `mode`.
   Token open(const GlobalView& gv, bool consistent, WalkMode mode) const {
     const TokenWalk walk(*prop, 0, events, 0);
+    ProbeCandidates admitted = walk.candidates(q0, consistent, -1);
+    walk.admit(admitted, gv, events[2], mode);
     Token token;
-    walk.open(token, walk.candidates(q0, consistent, -1), gv, events[2], mode);
+    walk.open(token, admitted, gv, events[2], mode);
     return token;
   }
 };
