@@ -4,16 +4,17 @@
 // (BENCH_core.json) so every PR records a comparable performance trajectory.
 //
 // Usage: bench_harness [--quick] [--out FILE] [--baseline FILE]
-//   --quick     shrink the grid and repetition counts (CI smoke run)
+//   --quick     shrink the micro, socket, service and stream suites (CI
+//               smoke run); the cell grid runs in full either way
 //   --out       output path (default: BENCH_core.json)
 //   --baseline  a previously emitted BENCH_core.json; its metrics are
 //               embedded under "baseline" and per-metric speedups for the
 //               time-valued entries are computed under "speedup"
 //
 // Schema (decmon-bench-core-v1): a "host" object ({"nproc": N, "compiler":
-// "..."}, the machine that produced the file; bench_check bands wall-clock
-// rows only between files from the same host), then every metric is
-// "name": number.
+// "...", "cpu": "...", "build_type": "..."}, the machine and build that
+// produced the file; bench_check bands wall-clock rows only between files
+// from the same host), then every metric is "name": number.
 //   micro.*.ns        nanoseconds per operation
 //   micro.*.ms        milliseconds per operation
 //   micro.BM_PropertyAdmission.<posture>.ns      one property admission
@@ -28,6 +29,7 @@
 //                                                SendToNextProcess rule 3
 //   cell.<P>.n<k>.<comm|nocomm>.tokens_parked    tokens parked for an event
 //   cell.<P>.n<k>.<comm|nocomm>.events_delayed   events queued behind a token
+//   cell.<P>.n<k>.<comm|nocomm>.probes_evaluated probes that ran admission
 //   cell.<P>.n<k>.<comm|nocomm>.probes_deduped   duplicate probes rejected
 //   cell.<P>.n<k>.<comm|nocomm>.entries_opened   transition entries built
 //   socket.<P>.n<k>.<batched|unbatched>.wall_ms  SocketRuntime run (§10)
@@ -298,6 +300,7 @@ void run_cell_metrics(Metrics& out, paper::Property prop, int n,
   double third_process_hops = 0;
   double tokens_parked = 0;
   double events_delayed = 0;
+  double probes_evaluated = 0;
   double probes_deduped = 0;
   double entries_opened = 0;
   for (int r = 0; r < replications; ++r) {
@@ -320,6 +323,8 @@ void run_cell_metrics(Metrics& out, paper::Property prop, int n,
     tokens_parked += static_cast<double>(run.verdict.aggregate.tokens_parked);
     events_delayed +=
         static_cast<double>(run.verdict.aggregate.events_delayed);
+    probes_evaluated +=
+        static_cast<double>(run.verdict.aggregate.probes_evaluated);
     probes_deduped +=
         static_cast<double>(run.verdict.aggregate.probes_deduped);
     entries_opened +=
@@ -338,32 +343,21 @@ void run_cell_metrics(Metrics& out, paper::Property prop, int n,
   out.put(base + ".third_process_hops", third_process_hops / k);
   out.put(base + ".tokens_parked", tokens_parked / k);
   out.put(base + ".events_delayed", events_delayed / k);
+  out.put(base + ".probes_evaluated", probes_evaluated / k);
   out.put(base + ".probes_deduped", probes_deduped / k);
   out.put(base + ".entries_opened", entries_opened / k);
 }
 
-void cell_grid(Metrics& out, bool quick) {
-  // Quick mode shrinks the grid but keeps the full replication count: the
-  // count-valued cell metrics are deterministic per (cell, reps), so a
-  // quick run's cells must match the committed full-mode BENCH_core.json
-  // exactly for tools/bench_check to compare them in CI.
+void cell_grid(Metrics& out) {
+  // Quick and full mode run the same grid, A-F x n3,5 x comm/nocomm, with
+  // the same replication count: the count-valued cell metrics are
+  // deterministic per (cell, reps), so tools/bench_check gates every one of
+  // them exactly against the committed BENCH_core.json in CI.
   const int reps = 3;
-  std::vector<paper::Property> props;
-  std::vector<int> ns;
-  if (quick) {
-    props = {paper::Property::kA, paper::Property::kD};
-    ns = {3};
-  } else {
-    props.assign(std::begin(paper::kAllProperties),
-                 std::end(paper::kAllProperties));
-    ns = {3, 5};
-  }
-  for (paper::Property p : props) {
-    for (int n : ns) {
+  for (paper::Property p : paper::kAllProperties) {
+    for (int n : {3, 5}) {
       run_cell_metrics(out, p, n, 3.0, /*comm_enabled=*/true, reps);
-      if (!quick) {
-        run_cell_metrics(out, p, n, 3.0, /*comm_enabled=*/false, reps);
-      }
+      run_cell_metrics(out, p, n, 3.0, /*comm_enabled=*/false, reps);
     }
   }
 }
@@ -874,6 +868,26 @@ int host_nproc() {
   return static_cast<int>(std::thread::hardware_concurrency());
 }
 
+/// The first "model name" of /proc/cpuinfo, without JSON-special
+/// characters; "unknown" where there is none.
+std::string host_cpu() {
+  std::ifstream in("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const auto colon = line.find(':');
+    if (colon == std::string::npos) break;
+    std::string model;
+    for (char c : line.substr(colon + 1)) {
+      if (c != '"' && c != '\\' && (c != ' ' || !model.empty())) {
+        model.push_back(c);
+      }
+    }
+    if (!model.empty()) return model;
+  }
+  return "unknown";
+}
+
 constexpr const char* kCompiler =
 #if defined(__clang__)
     "clang " __clang_version__;
@@ -909,7 +923,7 @@ int main(int argc, char** argv) {
               quick ? "quick" : "full");
   micro_suite(metrics, quick);
   std::printf("bench_harness: run_cell grid...\n");
-  cell_grid(metrics, quick);
+  cell_grid(metrics);
   std::printf("bench_harness: socket grid...\n");
   socket_grid(metrics, quick);
   std::printf("bench_harness: recovery suite...\n");
@@ -944,7 +958,8 @@ int main(int argc, char** argv) {
      << "  \"schema\": \"decmon-bench-core-v1\",\n"
      << "  \"mode\": \"" << (quick ? "quick" : "full") << "\",\n"
      << "  \"host\": {\"nproc\": " << host_nproc() << ", \"compiler\": \""
-     << kCompiler << "\"},\n";
+     << kCompiler << "\", \"cpu\": \"" << host_cpu()
+     << "\", \"build_type\": \"" << DECMON_BUILD_TYPE << "\"},\n";
   const bool have_baseline = !baseline.empty();
   write_object(os, "metrics", metrics.entries, have_baseline);
   if (have_baseline) {

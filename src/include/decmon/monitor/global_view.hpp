@@ -40,8 +40,29 @@ struct GlobalView {
   /// the invariant next_sn <= history_.size() always holds.
   std::uint32_t next_sn = 0;
 
-  /// Probe-deduplication signature (optimization §4.3.2).
+  /// Signature of the probe this view's outstanding token carries
+  /// (optimization §4.3.2); erased from the monitor's set when it returns.
   std::uint64_t probe_sig = 0;
+
+  /// This view's last rejected probe (DESIGN.md §6.5): the inputs the
+  /// admission step read, and what it concluded. A repeat with equal
+  /// inputs skips the probe. The remote beliefs the signature also reads
+  /// are not stored: they change only when the view is created, resurrected
+  /// or restored, and each of those starts the memo empty.
+  struct ProbeMemo {
+    enum class Outcome : std::uint8_t { kNone, kAdmittedNothing, kDuplicate };
+    Outcome outcome = Outcome::kNone;
+    bool consistent = false;
+    int q = 0;
+    int extra_from_state = -1;
+    AtomSet letter = 0;      ///< the event's letter, relevant atoms only
+    AtomSet pre_letter = 0;  ///< the previous letter, when a pre-cut probe
+    /// kDuplicate: the outstanding signature, and the monitor's erase epoch
+    /// at which it was last seen outstanding.
+    std::uint64_t sig = 0;
+    std::uint64_t epoch = 0;
+  };
+  ProbeMemo probe_memo;
 
   /// Marked for removal; swept after the current dispatch round.
   bool dead = false;

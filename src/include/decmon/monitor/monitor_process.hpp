@@ -328,6 +328,9 @@ class MonitorProcess {
   /// Outstanding probe signatures (dedupe in O(1); mirrors the waiting
   /// views' probe_sig fields).
   std::unordered_set<std::uint64_t> outstanding_sigs_;
+  /// Bumped on every erase from outstanding_sigs_: a view's memo of a
+  /// duplicate taken at this epoch still holds without a lookup.
+  std::uint64_t sig_epoch_ = 0;
 
   /// (state, cut) pairs ever spawned: a pivot detected twice (by different
   /// tokens) must not fork twice -- the first view already traces that

@@ -23,8 +23,11 @@ struct MonitorStats {
   std::uint64_t termination_messages = 0;
 
   // -- probe work (DESIGN.md §6.5) --
-  /// Probes rejected as duplicates of an outstanding or earlier probe
-  /// (optimization 4.3.2), before any entry was built.
+  /// Probes that ran candidate selection and admission: every probe but
+  /// the repeats of a view's last rejected one.
+  std::uint64_t probes_evaluated = 0;
+  /// Probes rejected as duplicates of an outstanding probe (optimization
+  /// 4.3.2), before any entry was built.
   std::uint64_t probes_deduped = 0;
   /// Transition entries built into new tokens.
   std::uint64_t entries_opened = 0;

@@ -49,6 +49,14 @@ std::uint64_t probe_signature(const CompiledProperty& prop,
   return h.value();
 }
 
+/// Whether two probe memos hold the same admission inputs.
+bool same_probe_inputs(const GlobalView::ProbeMemo& a,
+                       const GlobalView::ProbeMemo& b) {
+  return a.q == b.q && a.letter == b.letter && a.consistent == b.consistent &&
+         a.extra_from_state == b.extra_from_state &&
+         a.pre_letter == b.pre_letter;
+}
+
 }  // namespace
 
 template <class Body>
@@ -198,7 +206,7 @@ GlobalView MonitorProcess::acquire_view() {
     v.token_id = 0;
     v.forked_copy = false;
     v.next_sn = 0;
-    v.probe_sig = 0;
+    v.probe_memo = {};
     v.dead = false;
     v.quarantined = false;
   }
@@ -347,26 +355,67 @@ void MonitorProcess::process_event(GlobalView& gv, const Event& e,
 void MonitorProcess::probe_outgoing(GlobalView& gv, const Event& e,
                                     bool consistent, double now,
                                     int extra_from_state) {
+  // A repeat of the view's last rejected probe is rejected again without
+  // evaluating it (DESIGN.md §6.5). Under kExact at n > 1 admission reads
+  // only the inputs keyed here; kJoinJump and one process also read the
+  // frontier, so they evaluate every probe.
+  using Memo = GlobalView::ProbeMemo;
+  const bool memoise = options_.walk_mode == WalkMode::kExact && n_ > 1;
+  Memo key;
+  if (memoise) {
+    const AtomSet relevant = prop_->relevant_atoms();
+    key.consistent = consistent;
+    key.q = gv.q;
+    key.extra_from_state = extra_from_state;
+    key.letter = e.letter & relevant;
+    // A pre-cut candidate is admitted on e's letter or the one before it
+    // (admit() reads e's own at sn 0).
+    if (!consistent || extra_from_state >= 0) {
+      key.pre_letter = event_at(e.sn - (e.sn > 0 ? 1 : 0)).letter & relevant;
+    }
+    Memo& memo = gv.probe_memo;
+    if (memo.outcome != Memo::Outcome::kNone && same_probe_inputs(memo, key)) {
+      if (memo.outcome == Memo::Outcome::kAdmittedNothing) return;
+      // Still a duplicate while its signature is outstanding: certainly
+      // when nothing was erased since, otherwise after one lookup.
+      if (memo.epoch == sig_epoch_ || outstanding_sigs_.count(memo.sig)) {
+        memo.epoch = sig_epoch_;
+        ++stats_.probes_deduped;
+        return;
+      }
+    }
+  }
+  ++stats_.probes_evaluated;
+
   const detail::TokenWalk walk(*prop_, index_, history_, history_base_);
   detail::ProbeCandidates admitted =
       walk.candidates(gv.q, consistent, extra_from_state);
   walk.admit(admitted, gv, e, options_.walk_mode);
-  if (admitted.empty()) return;
+  if (admitted.empty()) {
+    if (memoise) {
+      key.outcome = Memo::Outcome::kAdmittedNothing;
+      gv.probe_memo = key;
+    }
+    return;
+  }
 
   // Optimization 4.3.2: skip duplicate probes -- the same (state,
-  // transitions, beliefs) signature was already probed, either by an
-  // outstanding token or by this view's previous probe ("the new event is
-  // considered to be an element in the slice being constructed"). Pivot
-  // cuts involving *new remote* events are caught by the remote monitors'
-  // own probes (Theorem 4's progress-path argument). The admitted
-  // candidates are the entries open() would push, so a duplicate is
-  // rejected before anything is built (DESIGN.md §6.5).
+  // transitions, beliefs) signature is already probed by an outstanding
+  // token ("the new event is considered to be an element in the slice
+  // being constructed"). Pivot cuts involving *new remote* events are
+  // caught by the remote monitors' own probes (Theorem 4's progress-path
+  // argument). The admitted candidates are the entries open() would push,
+  // so a duplicate is rejected before anything is built (DESIGN.md §6.5).
   const std::uint64_t sig = probe_signature(*prop_, gv, admitted);
-  if (options_.dedupe_probes) {
-    if (gv.probe_sig == sig || outstanding_sigs_.count(sig)) {
-      ++stats_.probes_deduped;
-      return;
+  if (options_.dedupe_probes && outstanding_sigs_.count(sig)) {
+    ++stats_.probes_deduped;
+    if (memoise) {
+      key.outcome = Memo::Outcome::kDuplicate;
+      key.sig = sig;
+      key.epoch = sig_epoch_;
+      gv.probe_memo = key;
     }
+    return;
   }
 
   // A consistent probe forks a copy below; surface a cap breach before any
@@ -637,6 +686,7 @@ void MonitorProcess::handle_returned_token(
     recycle_shell(std::move(shell));
     gv->waiting = false;
     outstanding_sigs_.erase(gv->probe_sig);
+    ++sig_epoch_;
     if (gv->forked_copy) {
       // A copy has been tracing the path from the launch position since the
       // probe went out: the launchpad is redundant.
@@ -654,7 +704,7 @@ void MonitorProcess::handle_returned_token(
       // falls through to the quarantine branch instead.
       gv->cut = std::move(cert_cut);
       gv->gstate = std::move(cert_gstate);
-      gv->probe_sig = 0;
+      gv->probe_memo = {};  // its remote beliefs changed
       // Rewind the cursor to the certified cut: its local component can lie
       // before events the launchpad already consumed, and the shared history
       // replays them without any copying.

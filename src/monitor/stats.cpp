@@ -12,6 +12,7 @@ MonitorStats& MonitorStats::operator+=(const MonitorStats& other) {
   token_hops += other.token_hops;
   third_process_hops += other.third_process_hops;
   termination_messages += other.termination_messages;
+  probes_evaluated += other.probes_evaluated;
   probes_deduped += other.probes_deduped;
   entries_opened += other.entries_opened;
   frames_sent += other.frames_sent;
@@ -42,7 +43,8 @@ std::string MonitorStats::to_string() const {
   std::ostringstream os;
   os << "stats{msgs=" << token_messages_sent << " tokens=" << tokens_created
      << " hops=" << token_hops << " third_hops=" << third_process_hops
-     << " parked=" << tokens_parked << " deduped=" << probes_deduped
+     << " parked=" << tokens_parked << " evaluated=" << probes_evaluated
+     << " deduped=" << probes_deduped
      << " entries=" << entries_opened << " frames=" << frames_sent
      << " wire_bytes=" << bytes_sent << " views=" << global_views_created
      << " delayed=" << events_delayed << " avg_queue="

@@ -8,6 +8,7 @@
 #include "../../src/monitor/token_walk.hpp"
 #include "../common/random_computation.hpp"
 #include "decmon/core/properties.hpp"
+#include "decmon/monitor/checkpoint.hpp"
 #include "decmon/monitor/decentralized_monitor.hpp"
 
 namespace decmon {
@@ -132,6 +133,140 @@ TEST(MonitorProcessUnit, DuplicateProbesSuppressed) {
   m2.on_local_event(make_event(0, 1, VectorClock{1, 0}, 0b01), 1.0);
   m2.on_local_event(make_event(0, 2, VectorClock{2, 0}, 0b01), 2.0);
   EXPECT_EQ(net2.tokens_to(1).size(), 2u);
+}
+
+TEST(MonitorProcessUnit, MemoisedDuplicateProbesAgainOnceItsTokenReturns) {
+  // P0's first p event launches a token; the launchpad waits and its fork
+  // copy goes on. The copy's probe at the second p event is a duplicate of
+  // that token, and at the third a repeat of that rejection, skipped
+  // without being evaluated but still counted as a duplicate. Once the
+  // token comes home its signature is no longer outstanding: the same
+  // probe at the fourth event is evaluated again and launches a token.
+  // That launch's fork copy reuses the storage of the first launchpad,
+  // swept once its token returned; it starts with an empty memo, so its
+  // probe at a P0.p-false event is evaluated, though the launchpad had
+  // rejected the same probe at the initial state.
+  Fixture f("F(P0.p && P1.p)", 2);
+  MonitorProcess m0(0, f.prop, &f.net, {0, 0});
+  EXPECT_EQ(m0.stats().probes_evaluated, 1u);  // the initial view's probe
+  m0.on_local_event(make_event(0, 1, VectorClock{1, 0}, 0b01), 1.0);
+  EXPECT_EQ(m0.stats().tokens_created, 1u);
+  m0.on_local_event(make_event(0, 2, VectorClock{2, 0}, 0b01), 2.0);
+  EXPECT_EQ(m0.stats().probes_evaluated, 3u);
+  EXPECT_EQ(m0.stats().probes_deduped, 1u);
+  m0.on_local_event(make_event(0, 3, VectorClock{3, 0}, 0b01), 3.0);
+  EXPECT_EQ(m0.stats().probes_evaluated, 3u);
+  EXPECT_EQ(m0.stats().probes_deduped, 2u);
+
+  // P1 never sees p: termination sends the token home with nothing live.
+  CapturingNetwork net1;
+  MonitorProcess m1(1, f.prop, &net1, {0, 0});
+  m1.on_token(shell_of(f.net.tokens_to(1).at(0)), 4.0);
+  m1.on_local_termination(5.0);
+  const std::vector<Token> home = net1.tokens_to(0, /*parent=*/0);
+  ASSERT_EQ(home.size(), 1u);
+  m0.on_token(shell_of(home[0]), 6.0);
+  EXPECT_EQ(m0.stats().tokens_returned, 1u);
+
+  m0.on_local_event(make_event(0, 4, VectorClock{4, 0}, 0b01), 7.0);
+  EXPECT_EQ(m0.stats().probes_evaluated, 4u);
+  EXPECT_EQ(m0.stats().probes_deduped, 2u);
+  EXPECT_EQ(m0.stats().tokens_created, 2u);
+  m0.on_local_event(make_event(0, 5, VectorClock{5, 0}, 0), 8.0);
+  EXPECT_EQ(m0.stats().probes_evaluated, 5u);
+}
+
+TEST(MonitorProcessUnit, ResurrectedViewStartsWithAnEmptyMemo) {
+  // P0.p is false at P0's first event, so the initial view's probe admits
+  // nothing, as at its initial state: a repeat, skipped. The receive {2,1}
+  // is inconsistent with the view's cut {1,0}; its probe launches a token
+  // and no copy. The token comes home certified at the initial cut, where
+  // the view resumes and replays both events. The replayed first event
+  // repeats the rejection the view had memoised, but the view's beliefs
+  // were rewound with it, so it is evaluated again.
+  Fixture f("F(P0.p && P1.p)", 2);
+  MonitorProcess m0(0, f.prop, &f.net, {0, 0});
+  m0.on_local_event(make_event(0, 1, VectorClock{1, 0}, 0), 1.0);
+  EXPECT_EQ(m0.stats().probes_evaluated, 1u);
+  m0.on_local_event(
+      make_event(0, 2, VectorClock{2, 1}, 0b01, EventType::kReceive), 2.0);
+  EXPECT_EQ(m0.stats().probes_evaluated, 2u);
+  ASSERT_EQ(m0.stats().tokens_created, 1u);
+  Token probe = f.net.tokens_to(1).at(0);
+  ASSERT_EQ(probe.entries.size(), 1u);
+  probe.entries[0].stay = probe.records.add(2);  // certified at {0,0}
+
+  CapturingNetwork net1;
+  MonitorProcess m1(1, f.prop, &net1, {0, 0});
+  m1.on_token(shell_of(probe), 3.0);
+  m1.on_local_termination(4.0);
+  const std::vector<Token> home = net1.tokens_to(0, /*parent=*/0);
+  ASSERT_EQ(home.size(), 1u);
+  m0.on_token(shell_of(home[0]), 5.0);
+  EXPECT_EQ(m0.stats().tokens_returned, 1u);
+  // Both replayed probes are evaluated; the second launches again.
+  EXPECT_EQ(m0.stats().probes_evaluated, 4u);
+  EXPECT_EQ(m0.stats().tokens_created, 2u);
+}
+
+TEST(MonitorProcessUnit, RestoredMonitorStartsWithEmptyMemos) {
+  // As in MemoisedDuplicateProbesAgainOnceItsTokenReturns, the fork copy
+  // holds a memoised duplicate after three p events. A checkpoint does not
+  // carry memos: restored into the same monitor, or into a fresh one whose
+  // initial view memoised its own rejection, the next probe is evaluated,
+  // and is still a duplicate of the restored outstanding token.
+  Fixture f("F(P0.p && P1.p)", 2);
+  MonitorProcess m0(0, f.prop, &f.net, {0, 0});
+  for (std::uint32_t sn = 1; sn <= 3; ++sn) {
+    m0.on_local_event(make_event(0, sn, VectorClock{sn, 0}, 0b01), sn);
+  }
+  ASSERT_EQ(m0.stats().probes_evaluated, 3u);
+  ASSERT_EQ(m0.stats().probes_deduped, 2u);
+  const std::vector<std::uint8_t> blob = checkpoint_monitor(m0);
+
+  CapturingNetwork net2;
+  MonitorProcess fresh(0, f.prop, &net2, {0, 0});
+  for (MonitorProcess* m : {&m0, &fresh}) {
+    restore_monitor(*m, blob);
+    const MonitorStats before = m->stats();
+    m->on_local_event(make_event(0, 4, VectorClock{4, 0}, 0b01), 4.0);
+    EXPECT_EQ(m->stats().probes_evaluated, before.probes_evaluated + 1);
+    EXPECT_EQ(m->stats().probes_deduped, before.probes_deduped + 1);
+    EXPECT_EQ(m->stats().tokens_created, before.tokens_created);
+  }
+}
+
+TEST(MonitorProcessUnit, JoinJumpAndOneProcessEvaluateEveryProbe) {
+  // The memo keys only what admission reads under kExact with more than
+  // one process; kJoinJump and a single process read the view's frontier
+  // too, so they evaluate every probe. Each run below has one probing
+  // view, so it makes 1 + 5 probes: the initial one and one per event.
+  auto run = [](const std::string& formula, int n, WalkMode mode,
+                AtomSet letter) {
+    Fixture f(formula, n);
+    MonitorOptions options;
+    options.walk_mode = mode;
+    MonitorProcess m(0, f.prop, &f.net,
+                     std::vector<AtomSet>(static_cast<std::size_t>(n), 0),
+                     options);
+    VectorClock vc(static_cast<std::size_t>(n));
+    for (std::uint32_t sn = 1; sn <= 5; ++sn) {
+      vc[0] = sn;
+      m.on_local_event(make_event(0, sn, vc, letter), sn);
+    }
+    // One launch at most; its launchpad waits and no longer probes.
+    EXPECT_EQ(m.num_views() - m.stats().tokens_created, 1u);
+    return m.stats().probes_evaluated;
+  };
+  // Two processes: P0.p at every event makes duplicates after the first
+  // launch; without it every probe admits nothing.
+  for (AtomSet letter : {AtomSet{0b01}, AtomSet{0}}) {
+    EXPECT_EQ(run("F(P0.p && P1.p)", 2, WalkMode::kJoinJump, letter), 6u);
+    EXPECT_LT(run("F(P0.p && P1.p)", 2, WalkMode::kExact, letter), 6u);
+  }
+  for (WalkMode mode : {WalkMode::kExact, WalkMode::kJoinJump}) {
+    EXPECT_EQ(run("F(P0.p)", 1, mode, 0), 6u);
+  }
 }
 
 TEST(MonitorProcessUnit, VisitingTokenWalksHistoryAndAnswers) {
@@ -648,10 +783,12 @@ TEST(MonitorProcessUnit, StatsAggregate) {
   b.finish_time = 9.0;
   b.third_process_hops = 4;
   b.tokens_parked = 6;
+  b.probes_evaluated = 8;
   a += b;
   EXPECT_EQ(a.tokens_created, 5u);
   EXPECT_EQ(a.third_process_hops, 4u);
   EXPECT_EQ(a.tokens_parked, 6u);
+  EXPECT_EQ(a.probes_evaluated, 8u);
   EXPECT_EQ(a.global_views_created, 6u);
   EXPECT_EQ(a.max_pending, 7u);
   EXPECT_DOUBLE_EQ(a.finish_time, 9.0);

@@ -47,12 +47,15 @@
 // rows are the committed bounded-memory evidence -- a drift here means the
 // GC window changed shape.
 //
-// Wall-clock rows are only comparable on the machine that produced the
-// baseline. Both files record their host ({"nproc", "compiler"}); when the
-// hosts differ, or either file predates the host record, every
-// host-dependent row -- .ns/.ms/.wall_ms times and the service throughput,
-// latency and speedup rows -- is skipped and reported as such. Count rows
-// are compared on every host.
+// Wall-clock rows are only comparable on the machine and build that
+// produced the baseline. Both files record their host ({"nproc",
+// "compiler", "cpu", "build_type"}); when a field both records differs, or
+// either file predates the host record, every host-dependent row --
+// .ns/.ms/.wall_ms times and the service throughput, latency and speedup
+// rows -- is skipped and reported as such. A field that only one file
+// records (a baseline written before the cpu and build type were) is
+// named in a note and left out of the comparison. Count rows are compared
+// on every host.
 //
 //   bench_check <baseline.json> <candidate.json>
 //               [--wall-tol FACTOR] [--socket-tol FACTOR]
@@ -64,6 +67,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <regex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -139,22 +143,78 @@ bool is_exact_service_count(const std::string& name) {
          has_suffix(name, ".monitor_messages");
 }
 
-/// The producing host, as bench_harness records it on one line:
-///   "host": {"nproc": 4, "compiler": "g++ 12.2.0"},
-/// Empty when the file has no host record.
-std::string parse_host(const char* path) {
+using HostRecord = std::vector<std::pair<std::string, std::string>>;
+
+/// The producing host's fields, as bench_harness records them on one line:
+///   "host": {"nproc": 4, "compiler": "g++ 12.2.0", "cpu": "...", ...},
+/// String values lose their quotes. Empty when the file has no host record.
+HostRecord parse_host(const char* path) {
+  static const std::regex kField(R"re("(\w+)": ("([^"]*)"|[^,}]*))re");
   std::ifstream in(path);
   std::string line;
   while (std::getline(in, line)) {
     if (line.find("\"metrics\"") != std::string::npos) break;
     const auto key = line.find("\"host\"");
     if (key == std::string::npos) continue;
-    const auto open = line.find('{', key);
-    const auto close = line.rfind('}');
-    if (open == std::string::npos || close == std::string::npos) break;
-    return line.substr(open, close - open + 1);
+    const std::string body = line.substr(line.find('{', key) + 1);
+    HostRecord fields;
+    for (std::sregex_iterator it(body.begin(), body.end(), kField), end;
+         it != end; ++it) {
+      const std::smatch& m = *it;
+      fields.emplace_back(m[1], m[3].matched ? m[3] : m[2]);
+    }
+    return fields;
   }
-  return "";
+  return {};
+}
+
+const std::string* field(const HostRecord& host, const std::string& name) {
+  for (const auto& [k, v] : host) {
+    if (k == name) return &v;
+  }
+  return nullptr;
+}
+
+/// Whether two files come from the same host: both record one, and every
+/// field both record is equal. Prints one note naming the fields that
+/// differ, or, when the hosts match, the fields only one file records.
+bool same_host(const HostRecord& baseline, const HostRecord& candidate) {
+  if (baseline.empty() || candidate.empty()) {
+    std::printf(
+        "bench_check: host unrecorded in the %s; wall, throughput and "
+        "speedup rows are not compared\n",
+        baseline.empty() ? "baseline" : "candidate");
+    return false;
+  }
+  std::string differ;
+  std::string one_sided;
+  for (const auto& [k, v] : candidate) {
+    const std::string* b = field(baseline, k);
+    if (!b) {
+      one_sided += (one_sided.empty() ? "" : ", ") + k;
+    } else if (*b != v) {
+      differ += (differ.empty() ? "" : "; ") + k + " " + *b + " vs " + v;
+    }
+  }
+  for (const auto& [k, v] : baseline) {
+    if (!field(candidate, k)) {
+      one_sided += (one_sided.empty() ? "" : ", ") + k;
+    }
+  }
+  if (!differ.empty()) {
+    std::printf(
+        "bench_check: hosts differ (%s); wall, throughput and speedup rows "
+        "are not compared\n",
+        differ.c_str());
+    return false;
+  }
+  if (!one_sided.empty()) {
+    std::printf(
+        "bench_check: host field(s) %s recorded in one file only; wall "
+        "rows are compared on the fields both record\n",
+        one_sided.c_str());
+  }
+  return true;
 }
 
 const double* lookup(const std::vector<std::pair<std::string, double>>& m,
@@ -204,17 +264,8 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  const std::string baseline_host = parse_host(baseline_path);
-  const std::string candidate_host = parse_host(candidate_path);
-  const bool same_host =
-      !baseline_host.empty() && baseline_host == candidate_host;
-  if (!same_host) {
-    std::printf(
-        "bench_check: hosts differ (baseline %s, candidate %s); wall, "
-        "throughput and speedup rows are not compared\n",
-        baseline_host.empty() ? "unrecorded" : baseline_host.c_str(),
-        candidate_host.empty() ? "unrecorded" : candidate_host.c_str());
-  }
+  const bool host_matches =
+      same_host(parse_host(baseline_path), parse_host(candidate_path));
 
   int compared = 0;
   int skipped = 0;
@@ -231,7 +282,7 @@ int main(int argc, char** argv) {
     if (!base) continue;  // sub-grid runs simply cover fewer cells
     const bool host_dependent =
         is_time_metric(name) || (is_service && !is_exact_service_count(name));
-    if (host_dependent && !same_host) {
+    if (host_dependent && !host_matches) {
       ++skipped;
       continue;
     }
