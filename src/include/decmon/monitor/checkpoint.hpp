@@ -18,7 +18,8 @@
 // floor-resync epochs (DESIGN.md §13): our advertisement epoch plus the
 // stored epoch of each peer's floor. The history section holds only the
 // retained window (events base..base+count). Parked tokens use the wire
-// codec's token unit layout (write_token). Only the current version is
+// codec's token unit layout (write_token), so the version moves with the
+// wire's: v6 carries wire v4's token units. Only the current version is
 // read: blobs never outlive the process that wrote them.
 // The CRC (wire_crc32, reflected 0xEDB88320) covers every byte before it.
 // Unordered sets are written sorted, so snapshot -> restore -> snapshot is
@@ -43,7 +44,7 @@ class CheckpointError : public WireError {
   explicit CheckpointError(const std::string& what) : WireError(what) {}
 };
 
-inline constexpr std::uint8_t kCheckpointVersion = 5;
+inline constexpr std::uint8_t kCheckpointVersion = 6;
 
 /// Snapshot the monitor's full algorithmic state. The monitor must be
 /// quiescent (not inside a dispatch) -- checkpoints are taken between hook

@@ -162,7 +162,7 @@ class WireReader {
   std::size_t pos_ = 0;
 };
 
-/// What a buffer holds (byte 1, after the version byte 3). kFrame is a
+/// What a buffer holds (byte 1, after the version byte 4). kFrame is a
 /// batched frame (varints + delta-compressed clocks); kEnvelope is a
 /// reliable-channel envelope (seq/ack header around an embedded payload
 /// encoding), so a channel stacked over a socket transport can serialize its

@@ -1,5 +1,6 @@
 #include "decmon/monitor/wire.hpp"
 
+#include <algorithm>
 #include <array>
 #include <limits>
 
@@ -8,11 +9,13 @@
 namespace decmon {
 namespace {
 
-constexpr std::uint8_t kVersion = 3;
+constexpr std::uint8_t kVersion = 4;
 constexpr std::uint32_t kMaxFrameUnits = 65536;
 // Smallest encodings, which bound a claimed count by the bytes left: an
-// entry of width 0 is seven one-byte fields, a termination unit three.
-constexpr std::size_t kMinEntryBytes = 7;
+// entry is at least five one-byte fields (transition id, frontier reference,
+// flags, target process, and a conj byte or the target event), a
+// termination unit three.
+constexpr std::size_t kMinEntryBytes = 5;
 constexpr std::size_t kMinUnitBytes = 3;
 
 // ---------------------------------------------------------------------------
@@ -133,31 +136,90 @@ class RecordRefs {
   std::uint32_t inline_ = 0;
 };
 
-// Each entry: scalars, then its frontier block (a reference, else each
-// slot's cut -- delta against the base when the widths agree -- depend --
-// delta against the slot's own cut, which it tracks closely -- and gstate),
-// the conj values four to a byte, the walk target, and its stay-point
-// block (none, inline deltas against the frontier's cut, or a reference).
+// Each entry (DESIGN.md §9.3): the transition id, its frontier block (a
+// reference, else each slot's cut -- delta against the base when the widths
+// agree -- and gstate, with depend only on the slots a mask names), the conj
+// values four to a byte, a flags byte, the walk target, and its stay-point
+// block (none, a reference, or inline: only the slots a mask names as
+// differing from the frontier). The width travels once per token unit, and
+// a target event of `cut + 1` at the target process is left to the decoder.
+constexpr std::uint8_t kEvalBits = 0x03;
+constexpr std::uint8_t kDerivedTarget = 0x04;
+constexpr int kStayShift = 3;
+constexpr std::uint8_t kFlagBits = 0x1F;
+constexpr std::uint8_t kNoStay = 0;
+constexpr std::uint8_t kInlineStay = 1;
+constexpr std::uint8_t kStayReference = 2;
+
+// Slot masks travel as one var per 64 slots, bit k of chunk c naming slot
+// 64c + k, so a session of up to 64 processes writes one var.
+constexpr std::size_t kMaskSlots = 64;
+
+std::size_t chunk_end(std::size_t first, std::size_t n) {
+  return std::min(n, first + kMaskSlots);
+}
+
+template <class Differs>
+std::uint64_t slot_mask(std::size_t first, std::size_t n, Differs differs) {
+  std::uint64_t mask = 0;
+  for (std::size_t j = first; j < chunk_end(first, n); ++j) {
+    if (differs(j)) mask |= std::uint64_t{1} << (j - first);
+  }
+  return mask;
+}
+
+std::uint64_t read_mask(WireReader& r, std::size_t first, std::size_t n) {
+  const std::uint64_t mask = r.var();
+  const std::size_t bits = chunk_end(first, n) - first;
+  if (bits < kMaskSlots && (mask >> bits) != 0) {
+    throw WireError("mask bit past the width");
+  }
+  return mask;
+}
+
+bool masked(std::uint64_t mask, std::size_t first, std::size_t j) {
+  return ((mask >> (j - first)) & 1) != 0;
+}
+
+// The target event a receiver derives: the event after the frontier's cut
+// at the target process, when that process is one of the entry's slots.
+bool derivable_target(int process, const FrontierSlot* f, std::size_t n) {
+  return process >= 0 && static_cast<std::size_t>(process) < n &&
+         f[process].cut != std::numeric_limits<std::uint32_t>::max();
+}
+
+bool derived_target(const TransitionEntry& e, const FrontierSlot* f,
+                    std::size_t n) {
+  return derivable_target(e.next_target_process, f, n) &&
+         std::uint64_t{e.next_target_event} ==
+             std::uint64_t{f[e.next_target_process].cut} + 1;
+}
+
 template <class Sink>
 void write_entry(Sink& w, const Token& t, const TransitionEntry& e,
-                 const VectorClock& base, RecordRefs& frontiers,
-                 RecordRefs& stays) {
-  const std::size_t n = e.width();
+                 std::size_t n, const VectorClock& base,
+                 RecordRefs& frontiers, RecordRefs& stays) {
+  if (e.width() != n) throw WireError("entry width differs from the token's");
+  if (e.transition_id < 0) throw WireError("negative transition id");
   const FrontierSlot* f = t.frontier(e);
-  w.zig(e.transition_id);
-  w.var(n);
+  w.var(static_cast<std::uint64_t>(e.transition_id));
   const std::uint32_t frontier = frontiers.share(e.frontier);
   w.var(frontier);
   if (frontier == 0) {
     const bool base_delta = n == base.size();
-    for (std::size_t j = 0; j < n; ++j) {
-      if (base_delta) {
-        w.zig(delta(f[j].cut, base[j]));
-      } else {
-        w.var(f[j].cut);
+    for (std::size_t first = 0; first < n; first += kMaskSlots) {
+      const std::uint64_t mask = slot_mask(
+          first, n, [f](std::size_t j) { return f[j].depend != f[j].cut; });
+      w.var(mask);
+      for (std::size_t j = first; j < chunk_end(first, n); ++j) {
+        if (base_delta) {
+          w.zig(delta(f[j].cut, base[j]));
+        } else {
+          w.var(f[j].cut);
+        }
+        if (masked(mask, first, j)) w.zig(delta(f[j].depend, f[j].cut));
+        w.var(f[j].gstate);
       }
-      w.zig(delta(f[j].depend, f[j].cut));
-      w.var(f[j].gstate);
     }
   }
   const ConjunctEval* conj = e.conj.data();
@@ -169,23 +231,31 @@ void write_entry(Sink& w, const Token& t, const TransitionEntry& e,
     }
     w.u8(packed);
   }
-  w.u8(static_cast<std::uint8_t>(e.eval));
+  const bool derived = derived_target(e, f, n);
+  const std::uint32_t stay = e.loop_certified() ? stays.share(e.stay) : 0;
+  const std::uint8_t stay_kind = !e.loop_certified() ? kNoStay
+                                 : stay == 0         ? kInlineStay
+                                                     : kStayReference;
+  w.u8(static_cast<std::uint8_t>(static_cast<std::uint8_t>(e.eval) |
+                                 (derived ? kDerivedTarget : 0) |
+                                 (stay_kind << kStayShift)));
   write_process(w, e.next_target_process);
-  w.var(e.next_target_event);
-  if (!e.loop_certified()) {
-    w.var(0);
-    return;
-  }
-  const std::uint32_t stay = stays.share(e.stay);
-  if (stay != 0) {
-    w.var(stay + 1);
-    return;
-  }
-  w.var(1);
-  const FrontierSlot* s = t.stay(e);
-  for (std::size_t j = 0; j < n; ++j) {
-    w.zig(delta(s[j].cut, f[j].cut));
-    w.var(s[j].gstate);
+  if (!derived) w.var(e.next_target_event);
+  if (stay_kind == kStayReference) {
+    w.var(stay);
+  } else if (stay_kind == kInlineStay) {
+    const FrontierSlot* s = t.stay(e);
+    for (std::size_t first = 0; first < n; first += kMaskSlots) {
+      const std::uint64_t mask = slot_mask(first, n, [f, s](std::size_t j) {
+        return s[j].cut != f[j].cut || s[j].gstate != f[j].gstate;
+      });
+      w.var(mask);
+      for (std::size_t j = first; j < chunk_end(first, n); ++j) {
+        if (!masked(mask, first, j)) continue;
+        w.zig(delta(s[j].cut, f[j].cut));
+        w.var(s[j].gstate);
+      }
+    }
   }
 }
 
@@ -193,44 +263,48 @@ void write_entry(Sink& w, const Token& t, const TransitionEntry& e,
 using RecordOrdinals = SmallVec<std::uint32_t, 16>;
 
 // Resolve a 1-based block reference of one kind.
-std::uint32_t read_reference(std::uint64_t ref, const RecordOrdinals& ordinals,
-                             const Token& t, std::uint64_t n) {
-  if (ref > ordinals.size()) throw WireError("block reference out of range");
-  const std::uint32_t record = ordinals[static_cast<std::size_t>(ref - 1)];
-  if (t.records.width(record) != n) throw WireError("block width mismatch");
-  return record;
+std::uint32_t read_reference(std::uint64_t ref,
+                             const RecordOrdinals& ordinals) {
+  if (ref == 0 || ref > ordinals.size()) {
+    throw WireError("block reference out of range");
+  }
+  return ordinals[static_cast<std::size_t>(ref - 1)];
 }
 
-void read_entry(WireReader& r, std::size_t max_width, const VectorClock& base,
-                Token& t, RecordOrdinals& frontiers, RecordOrdinals& stays) {
+void read_entry(WireReader& r, std::size_t max_width, std::size_t n,
+                const VectorClock& base, Token& t, RecordOrdinals& frontiers,
+                RecordOrdinals& stays) {
   TransitionEntry e;
-  const std::int64_t tid = r.zig();
-  if (tid < std::numeric_limits<int>::min() ||
-      tid > std::numeric_limits<int>::max()) {
+  const std::uint64_t tid = r.var();
+  if (tid > static_cast<std::uint64_t>(std::numeric_limits<int>::max())) {
     throw WireError("bad transition id");
   }
   e.transition_id = static_cast<int>(tid);
-  const std::uint64_t n = r.var();
-  if (n > max_width) throw WireError("entry too wide");
-  e.conj.resize(static_cast<std::size_t>(n));
+  e.conj.resize(n);
   const std::uint64_t frontier = r.var();
   if (frontier == 0) {
-    e.frontier = t.records.add(static_cast<std::size_t>(n));
+    e.frontier = t.records.add(n);
     frontiers.push_back(e.frontier);
     FrontierSlot* f = t.records[e.frontier];
     const bool base_delta = n == base.size();
-    for (std::size_t j = 0; j < n; ++j) {
-      f[j].cut =
-          base_delta
-              ? checked_u32(static_cast<std::int64_t>(base[j]) + r.zig(),
-                            "cut delta out of range")
-              : checked_u32(r.var(), "cut component out of range");
-      f[j].depend = checked_u32(static_cast<std::int64_t>(f[j].cut) + r.zig(),
-                                "depend delta out of range");
-      f[j].gstate = r.var();
+    for (std::size_t first = 0; first < n; first += kMaskSlots) {
+      const std::uint64_t mask = read_mask(r, first, n);
+      for (std::size_t j = first; j < chunk_end(first, n); ++j) {
+        f[j].cut =
+            base_delta
+                ? checked_u32(static_cast<std::int64_t>(base[j]) + r.zig(),
+                              "cut delta out of range")
+                : checked_u32(r.var(), "cut component out of range");
+        f[j].depend =
+            masked(mask, first, j)
+                ? checked_u32(static_cast<std::int64_t>(f[j].cut) + r.zig(),
+                              "depend delta out of range")
+                : f[j].cut;
+        f[j].gstate = r.var();
+      }
     }
   } else {
-    e.frontier = read_reference(frontier, frontiers, t, n);
+    e.frontier = read_reference(frontier, frontiers);
   }
   for (std::size_t j = 0; j < n; j += 4) {
     std::uint8_t packed = r.u8();
@@ -240,24 +314,40 @@ void read_entry(WireReader& r, std::size_t max_width, const VectorClock& base,
     }
     if (packed != 0) throw WireError("nonzero conjunct padding");
   }
-  const std::uint8_t eval = r.u8();
-  if (eval > 2) throw WireError("bad entry eval");
-  e.eval = static_cast<EntryEval>(eval);
+  const std::uint8_t flags = r.u8();
+  if ((flags & ~kFlagBits) != 0) throw WireError("unknown entry flag bits");
+  if ((flags & kEvalBits) > 2) throw WireError("bad entry eval");
+  e.eval = static_cast<EntryEval>(flags & kEvalBits);
+  const std::uint8_t stay_kind = static_cast<std::uint8_t>(flags >> kStayShift);
+  if (stay_kind > kStayReference) throw WireError("bad stay-point kind");
   e.next_target_process = read_process(r, max_width);
-  e.next_target_event = checked_u32(r.var(), "bad target event");
-  const std::uint64_t loop = r.var();
-  if (loop == 1) {
-    e.stay = t.records.add(static_cast<std::size_t>(n));
+  if ((flags & kDerivedTarget) != 0) {
+    const FrontierSlot* f = t.records[e.frontier];
+    if (!derivable_target(e.next_target_process, f, n)) {
+      throw WireError("underivable target event");
+    }
+    e.next_target_event = f[e.next_target_process].cut + 1;
+  } else {
+    e.next_target_event = checked_u32(r.var(), "bad target event");
+  }
+  if (stay_kind == kStayReference) {
+    e.stay = read_reference(r.var(), stays);
+  } else if (stay_kind == kInlineStay) {
+    e.stay = t.records.add(n);
     stays.push_back(e.stay);
     FrontierSlot* s = t.records[e.stay];
     const FrontierSlot* f = t.records[e.frontier];
-    for (std::size_t j = 0; j < n; ++j) {
-      s[j].cut = checked_u32(static_cast<std::int64_t>(f[j].cut) + r.zig(),
-                             "loop cut delta out of range");
-      s[j].gstate = r.var();
+    for (std::size_t first = 0; first < n; first += kMaskSlots) {
+      const std::uint64_t mask = read_mask(r, first, n);
+      for (std::size_t j = first; j < chunk_end(first, n); ++j) {
+        s[j].cut = f[j].cut;
+        s[j].gstate = f[j].gstate;
+        if (!masked(mask, first, j)) continue;
+        s[j].cut = checked_u32(static_cast<std::int64_t>(f[j].cut) + r.zig(),
+                               "loop cut delta out of range");
+        s[j].gstate = r.var();
+      }
     }
-  } else if (loop > 1) {
-    e.stay = read_reference(loop - 1, stays, t, n);
   }
   t.entries.push_back(std::move(e));
 }
@@ -272,10 +362,13 @@ void write_token_unit(Sink& w, const Token& t, const VectorClock& base) {
   w.var(t.next_target_event);
   w.var(static_cast<std::uint64_t>(t.hops));
   w.var(t.entries.size());
+  if (t.entries.empty()) return;
+  const std::size_t n = t.entries.front().width();
+  w.var(n);
   RecordRefs frontiers(t.records.size());
   RecordRefs stays(t.records.size());
   for (const TransitionEntry& e : t.entries) {
-    write_entry(w, t, e, base, frontiers, stays);
+    write_entry(w, t, e, n, base, frontiers, stays);
   }
 }
 
@@ -291,14 +384,20 @@ void read_token_unit(WireReader& r, std::size_t max_width,
   const std::uint64_t hops = r.var();
   if (hops > std::numeric_limits<int>::max()) throw WireError("bad hop count");
   t.hops = static_cast<int>(hops);
-  const std::uint64_t n = r.var();
+  const std::uint64_t count = r.var();
   // Bound the count by the bytes left before reserving for it.
-  if (n > r.remaining() / kMinEntryBytes) throw WireError("too many entries");
-  t.entries.reserve(static_cast<std::size_t>(n));
+  if (count > r.remaining() / kMinEntryBytes) {
+    throw WireError("too many entries");
+  }
+  if (count == 0) return;
+  const std::uint64_t n = r.var();
+  if (n > max_width) throw WireError("entry too wide");
+  t.entries.reserve(static_cast<std::size_t>(count));
   RecordOrdinals frontiers;
   RecordOrdinals stays;
-  for (std::uint64_t i = 0; i < n; ++i) {
-    read_entry(r, max_width, base, t, frontiers, stays);
+  for (std::uint64_t i = 0; i < count; ++i) {
+    read_entry(r, max_width, static_cast<std::size_t>(n), base, t, frontiers,
+               stays);
   }
 }
 

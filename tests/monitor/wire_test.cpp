@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <random>
 
 #include "decmon/distributed/reliable_channel.hpp"
@@ -191,9 +192,10 @@ TEST(Wire, RejectsBadVersion) {
 
 Token random_token(std::mt19937_64& rng) {
   // Widths up to 12 deliberately cross the inline small-buffer boundary (8)
-  // so heap-spilled entries round-trip too. Process indexes stay within the
-  // width, as they do in a real session.
-  const std::size_t width = rng() % 13;
+  // so heap-spilled entries round-trip too; one token in eight is 60 to 139
+  // wide, so its slot masks span two or three 64-slot chunks. Process
+  // indexes stay within the width, as they do in a real session.
+  const std::size_t width = rng() % 8 == 0 ? 60 + rng() % 80 : rng() % 13;
   const std::size_t procs = std::max<std::size_t>(width, 1);
   Token t;
   t.token_id = rng();
@@ -209,37 +211,100 @@ Token random_token(std::mt19937_64& rng) {
   const std::size_t num_entries = rng() % 5;
   for (std::size_t i = 0; i < num_entries; ++i) {
     TransitionEntry& e = t.add_entry(width);
-    e.transition_id = static_cast<int>(rng() % 256);
+    // Both sides of 64 and 128, where zig and var spend a second byte.
+    e.transition_id = rng() % 16 == 0 ? std::numeric_limits<int>::max()
+                                      : static_cast<int>(rng() % 256);
     FrontierSlot* f = t.frontier(e);
     for (std::size_t j = 0; j < width; ++j) {
-      f[j].cut = static_cast<std::uint32_t>(rng() % 1000);
-      f[j].depend = static_cast<std::uint32_t>(rng() % 1000);
+      f[j].cut = rng() % 8 == 0 ? std::numeric_limits<std::uint32_t>::max()
+                                : static_cast<std::uint32_t>(rng() % 1000);
+      // Half the slots are consistent, which the encoder leaves unwritten.
+      f[j].depend = rng() % 2 == 0 ? f[j].cut
+                                   : static_cast<std::uint32_t>(rng() % 1000);
       f[j].gstate = static_cast<AtomSet>(rng());
       e.conj[j] = static_cast<ConjunctEval>(rng() % 3);
     }
     e.eval = static_cast<EntryEval>(rng() % 3);
     e.next_target_process = static_cast<int>(rng() % (procs + 1)) - 1;
-    e.next_target_event = static_cast<std::uint32_t>(rng() % 100);
+    // Half the targets are the event after the frontier's cut, which the
+    // decoder derives; at a cut of UINT32_MAX that wraps to 0 and travels.
+    const int p = e.next_target_process;
+    e.next_target_event =
+        p >= 0 && static_cast<std::size_t>(p) < width && rng() % 2 == 0
+            ? f[p].cut + 1
+            : static_cast<std::uint32_t>(rng() % 100);
     if ((rng() % 3) == 0) {
       e.stay = t.records.add(width);
       FrontierSlot* s = t.records[e.stay];
+      f = t.frontier(e);
       for (std::size_t j = 0; j < width; ++j) {
-        s[j].cut = static_cast<std::uint32_t>(rng() % 1000);
-        s[j].gstate = static_cast<AtomSet>(rng());
+        // Half the stay slots equal the frontier's and are not written.
+        const bool same = rng() % 2 == 0;
+        s[j].cut = same ? f[j].cut : static_cast<std::uint32_t>(rng() % 1000);
+        s[j].gstate = same ? f[j].gstate : static_cast<AtomSet>(rng());
       }
     }
   }
   return t;
 }
 
+PayloadFrame frame_of(const Token& t) {
+  PayloadFrame frame;
+  auto msg = std::make_unique<TokenMessage>();
+  msg->token = t;
+  frame.units.push_back(std::move(msg));
+  return frame;
+}
+
 // Property: every reachable Token survives encode/decode structurally
-// intact, regardless of width (inline or heap-spilled) or loop flags.
+// intact, regardless of width (inline or heap-spilled) or loop flags, and
+// the stamp counts exactly the bytes the encoder writes. The elided fields
+// (consistent depends, stay slots equal to the frontier, derived targets)
+// must each be drawn.
 TEST(WireProperty, RandomTokensRoundTrip) {
   std::mt19937_64 rng(0xC0FFEE);
+  std::size_t same_depend = 0, same_stay = 0, derived = 0, wrapped = 0;
   for (int iter = 0; iter < 500; ++iter) {
     Token t = random_token(rng);
-    expect_equal(t, decode_token(token_bytes(t)));
+    const auto bytes = token_bytes(t);
+    expect_equal(t, decode_token(bytes));
+    PayloadFrame frame = frame_of(t);
+    EXPECT_EQ(stamp_frame_wire_size(frame), bytes.size());
+    for (const TransitionEntry& e : t.entries) {
+      const FrontierSlot* f = t.frontier(e);
+      for (std::size_t j = 0; j < e.width(); ++j) {
+        same_depend += f[j].depend == f[j].cut;
+        same_stay += e.loop_certified() && t.stay(e)[j].cut == f[j].cut &&
+                     t.stay(e)[j].gstate == f[j].gstate;
+      }
+      const int p = e.next_target_process;
+      if (p < 0 || static_cast<std::size_t>(p) >= e.width()) continue;
+      derived += e.next_target_event == f[p].cut + 1 &&
+                 f[p].cut != std::numeric_limits<std::uint32_t>::max();
+      wrapped += e.next_target_event == 0 &&
+                 f[p].cut == std::numeric_limits<std::uint32_t>::max();
+    }
   }
+  EXPECT_GT(same_depend, 0u);
+  EXPECT_GT(same_stay, 0u);
+  EXPECT_GT(derived, 0u);
+  EXPECT_GT(wrapped, 0u);
+}
+
+// One width travels per token, so the encoder refuses entries of another
+// width, and the transition id travels unsigned.
+TEST(Wire, EncoderRejectsMixedWidthsAndNegativeTransitionIds) {
+  Token mixed = sample_token();
+  mixed.add_entry(2).transition_id = 1;
+  EXPECT_THROW(token_bytes(mixed), WireError);
+  PayloadFrame mixed_frame = frame_of(mixed);
+  EXPECT_THROW(stamp_frame_wire_size(mixed_frame), WireError);
+
+  Token negative = sample_token();
+  negative.entries[1].transition_id = -1;
+  EXPECT_THROW(token_bytes(negative), WireError);
+  PayloadFrame negative_frame = frame_of(negative);
+  EXPECT_THROW(stamp_frame_wire_size(negative_frame), WireError);
 }
 
 TEST(WireProperty, RandomTerminationsRoundTrip) {
@@ -296,7 +361,7 @@ TEST(WireFuzz, RandomBuffersAreSafe) {
     std::vector<std::uint8_t> bytes(rng() % 64);
     for (auto& b : bytes) b = static_cast<std::uint8_t>(rng());
     if (iter % 2 == 0 && bytes.size() >= 2) {
-      bytes[0] = 2;
+      bytes[0] = 4;
       bytes[1] = static_cast<std::uint8_t>(WireKind::kFrame);
     }
     try {

@@ -1,5 +1,5 @@
-// Wire v2 (batched frames): seeded property round-trips across varint and
-// clock-width boundaries, exact accounting (the stamped sizes must agree
+// Batched frames (wire v2 onward; the layout is now v4): seeded property
+// round-trips across varint and clock-width boundaries, exact accounting (the stamped sizes must agree
 // with the real encoder byte for byte), bare units as one-unit frames,
 // process indexes bounded by the session width, and the same exhaustive
 // corruption discipline the checkpoint codec gets -- truncation at every
@@ -16,6 +16,8 @@
 
 namespace decmon {
 namespace {
+
+constexpr std::uint8_t kWireVersion = 4;
 
 // Values straddling every LEB128 length step (1/2/../10 bytes) plus the
 // u32 ceiling the clock components live under.
@@ -91,13 +93,13 @@ Token random_token(std::mt19937_64& rng, std::size_t width) {
   t.next_target_process = static_cast<int>(rng() % (width + 1)) - 1;
   t.next_target_event = edge();
   t.hops = static_cast<int>(rng() % 1000);
+  // Tokens of both widths in one frame exercise both the delta-vs-base and
+  // raw-varint clock paths; the entries of one token share its width.
+  const std::size_t n = rng() % 2 == 0 ? width : width + 1;
   const std::size_t entries = rng() % 6;
   for (std::size_t i = 0; i < entries; ++i) {
     TransitionEntry e;
-    e.transition_id = static_cast<int>(rng() % 64) - 1;
-    // Mixed widths exercise both the delta-vs-base and raw-varint clock
-    // paths inside one frame.
-    const std::size_t n = rng() % 2 == 0 ? width : width + 1;
+    e.transition_id = static_cast<int>(rng() % 200);
     e.conj.resize(n);
     e.frontier = t.records.add(n);
     FrontierSlot* f = t.records[e.frontier];
@@ -118,13 +120,8 @@ Token random_token(std::mt19937_64& rng, std::size_t width) {
     // covered; the record just made is then left unreferenced.
     if (i > 0) {
       const TransitionEntry& earlier = t.entries[rng() % i];
-      if (earlier.width() == n && rng() % 2 == 0) {
-        e.frontier = earlier.frontier;
-      }
-      if (earlier.width() == n && earlier.loop_certified() &&
-          rng() % 2 == 0) {
-        e.stay = earlier.stay;
-      }
+      if (rng() % 2 == 0) e.frontier = earlier.frontier;
+      if (earlier.loop_certified() && rng() % 2 == 0) e.stay = earlier.stay;
     }
     t.entries.push_back(std::move(e));
   }
@@ -310,7 +307,7 @@ TEST(WireV2, SingleUnitFrameIsNotV1) {
   std::mt19937_64 rng(13);
   auto frame = random_frame(rng, 1, 3);
   const auto bytes = encode_frame(*frame);
-  EXPECT_EQ(bytes[0], 3);
+  EXPECT_EQ(bytes[0], kWireVersion);
   EXPECT_EQ(wire_kind(bytes), WireKind::kFrame);
 }
 
@@ -366,7 +363,7 @@ TEST(WireV2, RejectsOversizedUnitCount) {
   // ceiling before trusting the count.
   std::vector<std::uint8_t> buf;
   WireWriter w(buf);
-  w.u8(3);
+  w.u8(kWireVersion);
   w.u8(3);  // WireKind::kFrame
   w.var(std::uint64_t{1} << 20);
   w.var(0);  // empty base clock
@@ -379,19 +376,24 @@ TEST(WireV2, RejectsOversizedUnitCount) {
 // ---------------------------------------------------------------------------
 
 struct HandEntry {
-  std::uint64_t frontier = 0;  ///< 0 inline, k >= 1 the k-th distinct block
+  std::uint64_t frontier = 0;  ///< 0 inline, k >= 1 the k-th inline block
   std::uint8_t conj = 0;       ///< both slots' conj values, packed
-  std::uint64_t loop = 0;      ///< 0 none, 1 inline, k + 1 a reuse
+  std::uint64_t loop = 0;      ///< 0 none, 1 inline, k + 1 the k-th inline block
+  std::uint8_t flags = 0;      ///< eval and derived-target bits, or junk
+  std::uint64_t tid = 4;
+  std::uint64_t depend_mask = 0b11;  ///< slots whose depend is cut + 1
+  std::uint64_t stay_mask = 0b11;    ///< stay slots that differ
+  std::int64_t target = -1;          ///< next_target_process
+  std::uint32_t cut = 5;             ///< both frontier slots' cut
 };
 
 // One frame holding one token with `count` claimed entries, of which
 // `entries` are written: width 2, empty base clock (cuts are raw varints).
 std::vector<std::uint8_t> hand_frame(std::uint64_t count,
-                                     const std::vector<HandEntry>& entries,
-                                     std::uint8_t version = 3) {
+                                     const std::vector<HandEntry>& entries) {
   std::vector<std::uint8_t> buf;
   WireWriter w(buf);
-  w.u8(version);
+  w.u8(kWireVersion);
   w.u8(3);  // WireKind::kFrame
   w.var(1);
   w.var(0);  // empty base clock
@@ -404,27 +406,32 @@ std::vector<std::uint8_t> hand_frame(std::uint64_t count,
   w.var(0);
   w.var(0);  // hops
   w.var(count);
+  if (count != 0) w.var(2);  // the entries' width, once per token
   for (const HandEntry& e : entries) {
-    w.zig(4);  // transition_id
-    w.var(2);  // width
+    w.var(e.tid);
     w.var(e.frontier);
     if (e.frontier == 0) {
+      w.var(e.depend_mask);
       for (int j = 0; j < 2; ++j) {
-        w.var(5);  // cut
-        w.zig(1);  // depend - cut
+        w.var(e.cut);
+        if ((e.depend_mask >> j) & 1) w.zig(1);  // depend - cut
         w.var(0b10);
       }
     }
     w.u8(e.conj);
-    w.u8(0);    // eval
-    w.zig(-1);  // next_target_process
-    w.var(0);
-    w.var(e.loop);
+    const std::uint8_t stay_kind = e.loop == 0 ? 0 : e.loop == 1 ? 1 : 2;
+    w.u8(static_cast<std::uint8_t>(e.flags | stay_kind << 3));
+    w.zig(e.target);
+    if ((e.flags & 0x04) == 0) w.var(0);  // next_target_event, not derived
     if (e.loop == 1) {
+      w.var(e.stay_mask);
       for (int j = 0; j < 2; ++j) {
+        if (((e.stay_mask >> j) & 1) == 0) continue;
         w.zig(-2);  // loop_cut - cut
         w.var(0b01);
       }
+    } else if (e.loop > 1) {
+      w.var(e.loop - 1);
     }
   }
   return buf;
@@ -452,51 +459,28 @@ TEST(WireV2, HandBuiltReferencesCopyTheEarlierBlocks) {
   EXPECT_EQ(t.records.size(), 3u);  // two frontiers and one stay-point
 }
 
-TEST(WireV2, EntriesSharingARecordShareOneAfterDecode) {
-  // Entries 0 and 1 hold one frontier record and one stay-point record;
-  // entry 2 holds an equal copy of that frontier. The writer shares by
-  // record, not by value: the copy travels inline and decodes to a record
-  // of its own, and the shared record decodes to one record again.
-  auto build = [](bool share) {
-    Token t;
-    t.parent_vc = VectorClock{4, 2, 7};
-    for (int i = 0; i < 3; ++i) {
-      TransitionEntry& e = t.add_entry(3);
-      e.transition_id = i;
-      FrontierSlot* f = t.frontier(e);
-      for (std::size_t j = 0; j < 3; ++j) f[j] = {5, 6, 0b10};
-    }
-    t.entries[0].stay = t.records.add(3);
-    t.entries[1].stay = t.entries[0].stay;
-    if (share) t.entries[1].frontier = t.entries[0].frontier;
-    return t;
-  };
-  for (bool share : {false, true}) {
-    const Token t = build(share);
-    TokenMessage msg;
-    msg.token = t;
-    PayloadFrame frame;
-    frame.units.push_back(msg.clone());
-    const auto bytes = encode_frame(frame);
-    auto decoded = decode_frame(bytes, 3);
-    const Token& d = static_cast<const TokenMessage&>(*decoded->units[0]).token;
-    expect_equal_token(t, d);
-    EXPECT_EQ(d.entries[0].frontier == d.entries[1].frontier, share);
-    EXPECT_NE(d.entries[2].frontier, d.entries[0].frontier);
-    EXPECT_EQ(d.entries[0].stay, d.entries[1].stay);
-    // Frontier records, plus the one stay-point.
-    EXPECT_EQ(d.records.size(), share ? 3u : 4u);
-    EXPECT_EQ(stamp_frame_wire_size(frame), bytes.size());
-  }
-  // Sharing the record replaces entry 1's inline block by a reference.
-  auto size_of = [&build](bool share) {
-    PayloadFrame frame;
-    auto msg = std::make_unique<TokenMessage>();
-    msg->token = build(share);
-    frame.units.push_back(std::move(msg));
-    return encode_frame(frame).size();
-  };
-  EXPECT_LT(size_of(true), size_of(false));
+TEST(WireV2, HandBuiltMasksAndDerivedTargetsFillFromTheFrontier) {
+  HandEntry e;
+  e.depend_mask = 0b10;  // slot 0 has depend == cut
+  e.loop = 1;
+  e.stay_mask = 0b01;  // stay slot 1 equals the frontier's
+  e.flags = 0x04 | 2;  // derived target, eval kFalse
+  e.target = 1;
+  e.tid = 0x7FFFFFFF;
+  auto frame = decode_frame(hand_frame(1, {e}), 2);
+  const Token& t = static_cast<const TokenMessage&>(*frame->units[0]).token;
+  const TransitionEntry& x = t.entries.at(0);
+  EXPECT_EQ(x.transition_id, 0x7FFFFFFF);
+  EXPECT_EQ(x.eval, EntryEval::kFalse);
+  EXPECT_EQ(t.frontier(x)[0].depend, 5u);
+  EXPECT_EQ(t.frontier(x)[1].depend, 6u);
+  EXPECT_EQ(x.next_target_process, 1);
+  EXPECT_EQ(x.next_target_event, 6u);
+  ASSERT_TRUE(x.loop_certified());
+  EXPECT_EQ(t.stay(x)[0].cut, 3u);
+  EXPECT_EQ(t.stay(x)[0].gstate, 0b01u);
+  EXPECT_EQ(t.stay(x)[1].cut, 5u);
+  EXPECT_EQ(t.stay(x)[1].gstate, 0b10u);
 }
 
 TEST(WireV2, RejectsBlockReferencesAtOrBeyondTheDistinctCount) {
@@ -508,6 +492,12 @@ TEST(WireV2, RejectsBlockReferencesAtOrBeyondTheDistinctCount) {
   EXPECT_THROW(decode_frame(hand_frame(2, {{0, 0, 1}, {0, 0, 3}}), 2),
                WireError);
   EXPECT_NO_THROW(decode_frame(hand_frame(2, {{0, 0, 1}, {1, 0, 2}}), 2));
+  // A stay-point reference of 0 names no block: the frame's last byte is
+  // entry 1's reference.
+  auto zero_ref = hand_frame(2, {{0, 0, 1}, {1, 0, 2}});
+  ASSERT_EQ(zero_ref.back(), 1);
+  zero_ref.back() = 0;
+  EXPECT_THROW(decode_frame(zero_ref, 2), WireError);
 }
 
 TEST(WireV2, RejectsBadPackedConjuncts) {
@@ -519,9 +509,70 @@ TEST(WireV2, RejectsBadPackedConjuncts) {
   EXPECT_NO_THROW(decode_frame(hand_frame(1, {{0, 0b1010, 0}}), 2));
 }
 
-TEST(WireV2, RejectsVersionTwoFrames) {
+TEST(WireV2, RejectsBadEntryFlags) {
+  auto flagged = [](std::uint8_t flags) {
+    HandEntry e;
+    e.flags = flags;
+    return hand_frame(1, {e});
+  };
+  EXPECT_NO_THROW(decode_frame(flagged(2), 2));  // eval kFalse
+  // Unknown flag bits, eval 3 and stay kind 3.
+  for (std::uint8_t flags : {0x20, 0x40, 0x80, 0x03, 0x18}) {
+    EXPECT_THROW(decode_frame(flagged(flags), 2), WireError)
+        << static_cast<int>(flags);
+  }
+}
+
+TEST(WireV2, RejectsMaskBitsAtOrPastTheWidth) {
+  HandEntry depend;
+  depend.depend_mask = 0b100;
+  EXPECT_THROW(decode_frame(hand_frame(1, {depend}), 2), WireError);
+  HandEntry stay;
+  stay.loop = 1;
+  stay.stay_mask = 0b110;
+  EXPECT_THROW(decode_frame(hand_frame(1, {stay}), 2), WireError);
+  stay.stay_mask = 0b10;
+  EXPECT_NO_THROW(decode_frame(hand_frame(1, {stay}), 2));
+}
+
+TEST(WireV2, RejectsUnderivableTargets) {
+  auto derived = [](std::int64_t target, std::uint32_t cut) {
+    HandEntry e;
+    e.flags = 0x04;
+    e.target = target;
+    e.cut = cut;
+    return hand_frame(1, {e});
+  };
+  EXPECT_NO_THROW(decode_frame(derived(0, 5), 3));
+  // An unset target, a target past the entry's width (though within the
+  // session's), and a cut with no next event.
+  EXPECT_THROW(decode_frame(derived(-1, 5), 3), WireError);
+  EXPECT_THROW(decode_frame(derived(2, 5), 3), WireError);
+  EXPECT_THROW(decode_frame(derived(0, 0xFFFFFFFFu), 3), WireError);
+  EXPECT_NO_THROW(decode_frame(derived(1, 0xFFFFFFFEu), 3));
+}
+
+TEST(WireV2, RejectsTransitionIdsAboveIntMax) {
+  HandEntry e;
+  e.tid = 0x7FFFFFFF;
+  EXPECT_NO_THROW(decode_frame(hand_frame(1, {e}), 2));
+  e.tid = 0x80000000u;
+  EXPECT_THROW(decode_frame(hand_frame(1, {e}), 2), WireError);
+}
+
+TEST(WireV2, RejectsVersionThreeFrames) {
+  // The v3 encoding of hand_frame(1, {{0, 0, 0}}): the same token, with a
+  // zigzag transition id, a width and a loop varint in every entry.
+  const std::vector<std::uint8_t> v3 = {3, 3, 1, 0, 1, 9, 0, 0, 0, 1, 0, 0, 1,
+                                        8, 2, 0, 5, 2, 2, 5, 2, 2, 0, 0, 1, 0,
+                                        0};
   EXPECT_NO_THROW(decode_frame(hand_frame(1, {{0, 0, 0}}), 2));
-  EXPECT_THROW(decode_frame(hand_frame(1, {{0, 0, 0}}, 2), 2), WireError);
+  EXPECT_THROW(decode_frame(v3, 2), WireError);
+  EXPECT_THROW(wire_kind(v3), WireError);
+  // Relabelled as v4, the v3 layout still does not decode.
+  std::vector<std::uint8_t> relabelled = v3;
+  relabelled[0] = kWireVersion;
+  EXPECT_THROW(decode_frame(relabelled, 2), WireError);
 }
 
 TEST(WireV2, RejectsEntryCountBeyondTheBytesLeft) {
@@ -533,11 +584,44 @@ TEST(WireV2, RejectsEntryCountBeyondTheBytesLeft) {
 
   std::vector<std::uint8_t> units;
   WireWriter w(units);
-  w.u8(3);
+  w.u8(kWireVersion);
   w.u8(3);  // WireKind::kFrame
   w.var(65536);
   w.var(0);  // empty base clock
   EXPECT_THROW(decode_frame(units, 2), WireError);
+}
+
+// The entry-count bound divides the bytes left by the smallest entry, so a
+// token of smallest entries must still decode. At width 1 that is an entry
+// that names the first entry's frontier and derives its target; at width 0
+// one with an inline (empty) frontier: five bytes each.
+TEST(WireV2, FramePackedWithMinimalEntriesDecodes) {
+  for (std::size_t width : {std::size_t{0}, std::size_t{1}}) {
+    auto bytes_with = [width](std::size_t entries) {
+      PayloadFrame frame;
+      auto msg = std::make_unique<TokenMessage>();
+      Token& t = msg->token;
+      for (std::size_t i = 0; i < entries; ++i) {
+        TransitionEntry& e = t.add_entry(width);
+        e.transition_id = static_cast<int>(i % 100);
+        if (width == 1) {
+          if (i > 0) e.frontier = t.entries.front().frontier;
+          e.next_target_process = 0;
+          e.next_target_event = t.frontier(e)[0].cut + 1;
+        }
+      }
+      frame.units.push_back(std::move(msg));
+      return encode_frame(frame);
+    };
+    // Both counts take two varint bytes, so the difference is the entries.
+    const auto fewer = bytes_with(200);
+    const auto packed = bytes_with(1000);
+    EXPECT_EQ(packed.size() - fewer.size(), 800u * 5) << "width " << width;
+    auto frame = decode_frame(packed, 2);
+    EXPECT_EQ(static_cast<const TokenMessage&>(*frame->units[0])
+                  .token.entries.size(),
+              1000u);
+  }
 }
 
 // Process indexes name one of the session's processes: a peer's bytes must
@@ -567,7 +651,9 @@ TEST(WireV2, RejectsProcessIndexesAtOrBeyondMaxWidth) {
     msg->token.parent = parent;
     msg->token.parent_vc = VectorClock(n);
     msg->token.next_target_process = target;
-    msg->token.add_entry(n).next_target_process = entry_target;
+    TransitionEntry& e = msg->token.add_entry(n);
+    e.transition_id = 0;
+    e.next_target_process = entry_target;
     return msg;
   };
 
