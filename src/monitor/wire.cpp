@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <limits>
 
 #include "decmon/distributed/reliable_channel.hpp"
@@ -138,11 +139,12 @@ class RecordRefs {
 
 // Each entry (DESIGN.md §9.3): the transition id, its frontier block (a
 // reference, else each slot's cut -- delta against the base when the widths
-// agree -- and gstate, with depend only on the slots a mask names), the conj
-// values four to a byte, a flags byte, the walk target, and its stay-point
-// block (none, a reference, or inline: only the slots a mask names as
-// differing from the frontier). The width travels once per token unit, and
-// a target event of `cut + 1` at the target process is left to the decoder.
+// agree -- and gstate, then a mask of the slots whose depend differs from
+// the cut and only those depends), the conj values four to a byte, a flags
+// byte, the walk target, and its stay-point block (none, a reference, or a
+// mask of the slots that differ from the frontier and only those slots).
+// The width travels once per token unit, and a target event of `cut + 1`
+// at the target process is left to the decoder.
 constexpr std::uint8_t kEvalBits = 0x03;
 constexpr std::uint8_t kDerivedTarget = 0x04;
 constexpr int kStayShift = 3;
@@ -152,20 +154,19 @@ constexpr std::uint8_t kInlineStay = 1;
 constexpr std::uint8_t kStayReference = 2;
 
 // Slot masks travel as one var per 64 slots, bit k of chunk c naming slot
-// 64c + k, so a session of up to 64 processes writes one var.
+// 64c + k, so a session of up to 64 processes writes one var per mask.
 constexpr std::size_t kMaskSlots = 64;
 
 std::size_t chunk_end(std::size_t first, std::size_t n) {
   return std::min(n, first + kMaskSlots);
 }
 
-template <class Differs>
-std::uint64_t slot_mask(std::size_t first, std::size_t n, Differs differs) {
-  std::uint64_t mask = 0;
-  for (std::size_t j = first; j < chunk_end(first, n); ++j) {
-    if (differs(j)) mask |= std::uint64_t{1} << (j - first);
+// Visit, in order, the slots that a chunk's mask names.
+template <class Visit>
+void for_each_masked(std::uint64_t mask, std::size_t first, Visit visit) {
+  for (; mask != 0; mask &= mask - 1) {
+    visit(first + static_cast<std::size_t>(std::countr_zero(mask)));
   }
-  return mask;
 }
 
 std::uint64_t read_mask(WireReader& r, std::size_t first, std::size_t n) {
@@ -177,30 +178,28 @@ std::uint64_t read_mask(WireReader& r, std::size_t first, std::size_t n) {
   return mask;
 }
 
-bool masked(std::uint64_t mask, std::size_t first, std::size_t j) {
-  return ((mask >> (j - first)) & 1) != 0;
-}
-
-// The target event a receiver derives: the event after the frontier's cut
-// at the target process, when that process is one of the entry's slots.
-bool derivable_target(int process, const FrontierSlot* f, std::size_t n) {
-  return process >= 0 && static_cast<std::size_t>(process) < n &&
-         f[process].cut != std::numeric_limits<std::uint32_t>::max();
-}
-
+// The encoder leaves out a target event that is the event after the
+// frontier's cut at the target process. Compared in 64 bits, a cut of
+// UINT32_MAX has no such event, which is the decoder's third check.
 bool derived_target(const TransitionEntry& e, const FrontierSlot* f,
                     std::size_t n) {
-  return derivable_target(e.next_target_process, f, n) &&
-         std::uint64_t{e.next_target_event} ==
-             std::uint64_t{f[e.next_target_process].cut} + 1;
+  const int p = e.next_target_process;
+  return p >= 0 && static_cast<std::size_t>(p) < n &&
+         std::uint64_t{e.next_target_event} == std::uint64_t{f[p].cut} + 1;
+}
+
+// Kept out of line so that the writers, which run for every stamped frame,
+// stay small.
+[[noreturn, gnu::cold, gnu::noinline]] void write_error(const char* what) {
+  throw WireError(what);
 }
 
 template <class Sink>
 void write_entry(Sink& w, const Token& t, const TransitionEntry& e,
                  std::size_t n, const VectorClock& base,
                  RecordRefs& frontiers, RecordRefs& stays) {
-  if (e.width() != n) throw WireError("entry width differs from the token's");
-  if (e.transition_id < 0) throw WireError("negative transition id");
+  if (e.width() != n) write_error("entry width differs from the token's");
+  if (e.transition_id < 0) write_error("negative transition id");
   const FrontierSlot* f = t.frontier(e);
   w.var(static_cast<std::uint64_t>(e.transition_id));
   const std::uint32_t frontier = frontiers.share(e.frontier);
@@ -208,18 +207,20 @@ void write_entry(Sink& w, const Token& t, const TransitionEntry& e,
   if (frontier == 0) {
     const bool base_delta = n == base.size();
     for (std::size_t first = 0; first < n; first += kMaskSlots) {
-      const std::uint64_t mask = slot_mask(
-          first, n, [f](std::size_t j) { return f[j].depend != f[j].cut; });
-      w.var(mask);
+      std::uint64_t inconsistent = 0;
       for (std::size_t j = first; j < chunk_end(first, n); ++j) {
         if (base_delta) {
           w.zig(delta(f[j].cut, base[j]));
         } else {
           w.var(f[j].cut);
         }
-        if (masked(mask, first, j)) w.zig(delta(f[j].depend, f[j].cut));
         w.var(f[j].gstate);
+        inconsistent |= std::uint64_t{f[j].depend != f[j].cut} << (j - first);
       }
+      w.var(inconsistent);
+      for_each_masked(inconsistent, first, [&](std::size_t j) {
+        w.zig(delta(f[j].depend, f[j].cut));
+      });
     }
   }
   const ConjunctEval* conj = e.conj.data();
@@ -246,15 +247,17 @@ void write_entry(Sink& w, const Token& t, const TransitionEntry& e,
   } else if (stay_kind == kInlineStay) {
     const FrontierSlot* s = t.stay(e);
     for (std::size_t first = 0; first < n; first += kMaskSlots) {
-      const std::uint64_t mask = slot_mask(first, n, [f, s](std::size_t j) {
-        return s[j].cut != f[j].cut || s[j].gstate != f[j].gstate;
-      });
-      w.var(mask);
+      std::uint64_t differs = 0;
       for (std::size_t j = first; j < chunk_end(first, n); ++j) {
-        if (!masked(mask, first, j)) continue;
+        differs |= std::uint64_t{s[j].cut != f[j].cut ||
+                                 s[j].gstate != f[j].gstate}
+                   << (j - first);
+      }
+      w.var(differs);
+      for_each_masked(differs, first, [&](std::size_t j) {
         w.zig(delta(s[j].cut, f[j].cut));
         w.var(s[j].gstate);
-      }
+      });
     }
   }
 }
@@ -288,20 +291,19 @@ void read_entry(WireReader& r, std::size_t max_width, std::size_t n,
     FrontierSlot* f = t.records[e.frontier];
     const bool base_delta = n == base.size();
     for (std::size_t first = 0; first < n; first += kMaskSlots) {
-      const std::uint64_t mask = read_mask(r, first, n);
       for (std::size_t j = first; j < chunk_end(first, n); ++j) {
         f[j].cut =
             base_delta
                 ? checked_u32(static_cast<std::int64_t>(base[j]) + r.zig(),
                               "cut delta out of range")
                 : checked_u32(r.var(), "cut component out of range");
-        f[j].depend =
-            masked(mask, first, j)
-                ? checked_u32(static_cast<std::int64_t>(f[j].cut) + r.zig(),
-                              "depend delta out of range")
-                : f[j].cut;
+        f[j].depend = f[j].cut;
         f[j].gstate = r.var();
       }
+      for_each_masked(read_mask(r, first, n), first, [&](std::size_t j) {
+        f[j].depend = checked_u32(static_cast<std::int64_t>(f[j].cut) + r.zig(),
+                                  "depend delta out of range");
+      });
     }
   } else {
     e.frontier = read_reference(frontier, frontiers);
@@ -322,11 +324,13 @@ void read_entry(WireReader& r, std::size_t max_width, std::size_t n,
   if (stay_kind > kStayReference) throw WireError("bad stay-point kind");
   e.next_target_process = read_process(r, max_width);
   if ((flags & kDerivedTarget) != 0) {
+    const int p = e.next_target_process;
     const FrontierSlot* f = t.records[e.frontier];
-    if (!derivable_target(e.next_target_process, f, n)) {
+    if (p < 0 || static_cast<std::size_t>(p) >= n ||
+        f[p].cut == std::numeric_limits<std::uint32_t>::max()) {
       throw WireError("underivable target event");
     }
-    e.next_target_event = f[e.next_target_process].cut + 1;
+    e.next_target_event = f[p].cut + 1;
   } else {
     e.next_target_event = checked_u32(r.var(), "bad target event");
   }
@@ -338,15 +342,16 @@ void read_entry(WireReader& r, std::size_t max_width, std::size_t n,
     FrontierSlot* s = t.records[e.stay];
     const FrontierSlot* f = t.records[e.frontier];
     for (std::size_t first = 0; first < n; first += kMaskSlots) {
-      const std::uint64_t mask = read_mask(r, first, n);
+      const std::uint64_t differs = read_mask(r, first, n);
       for (std::size_t j = first; j < chunk_end(first, n); ++j) {
         s[j].cut = f[j].cut;
         s[j].gstate = f[j].gstate;
-        if (!masked(mask, first, j)) continue;
+      }
+      for_each_masked(differs, first, [&](std::size_t j) {
         s[j].cut = checked_u32(static_cast<std::int64_t>(f[j].cut) + r.zig(),
                                "loop cut delta out of range");
         s[j].gstate = r.var();
-      }
+      });
     }
   }
   t.entries.push_back(std::move(e));

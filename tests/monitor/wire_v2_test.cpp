@@ -411,11 +411,13 @@ std::vector<std::uint8_t> hand_frame(std::uint64_t count,
     w.var(e.tid);
     w.var(e.frontier);
     if (e.frontier == 0) {
-      w.var(e.depend_mask);
       for (int j = 0; j < 2; ++j) {
         w.var(e.cut);
-        if ((e.depend_mask >> j) & 1) w.zig(1);  // depend - cut
         w.var(0b10);
+      }
+      w.var(e.depend_mask);
+      for (int j = 0; j < 2; ++j) {
+        if ((e.depend_mask >> j) & 1) w.zig(1);  // depend - cut
       }
     }
     w.u8(e.conj);
