@@ -320,7 +320,8 @@ void read_entry(WireReader& r, std::size_t max_width, std::size_t n,
   if ((flags & ~kFlagBits) != 0) throw WireError("unknown entry flag bits");
   if ((flags & kEvalBits) > 2) throw WireError("bad entry eval");
   e.eval = static_cast<EntryEval>(flags & kEvalBits);
-  const std::uint8_t stay_kind = static_cast<std::uint8_t>(flags >> kStayShift);
+  const std::uint8_t stay_kind =
+      static_cast<std::uint8_t>((flags >> kStayShift) & 3);
   if (stay_kind > kStayReference) throw WireError("bad stay-point kind");
   e.next_target_process = read_process(r, max_width);
   if ((flags & kDerivedTarget) != 0) {

@@ -416,8 +416,9 @@ std::vector<std::uint8_t> hand_frame(std::uint64_t count,
         w.var(0b10);
       }
       w.var(e.depend_mask);
-      for (int j = 0; j < 2; ++j) {
-        if ((e.depend_mask >> j) & 1) w.zig(1);  // depend - cut
+      // One depend - cut per mask bit, bits past the width included.
+      for (int j = 0; j < 64; ++j) {
+        if ((e.depend_mask >> j) & 1) w.zig(1);
       }
     }
     w.u8(e.conj);
@@ -427,7 +428,7 @@ std::vector<std::uint8_t> hand_frame(std::uint64_t count,
     if ((e.flags & 0x04) == 0) w.var(0);  // next_target_event, not derived
     if (e.loop == 1) {
       w.var(e.stay_mask);
-      for (int j = 0; j < 2; ++j) {
+      for (int j = 0; j < 64; ++j) {
         if (((e.stay_mask >> j) & 1) == 0) continue;
         w.zig(-2);  // loop_cut - cut
         w.var(0b01);
@@ -543,6 +544,7 @@ TEST(WireV2, RejectsUnderivableTargets) {
     e.flags = 0x04;
     e.target = target;
     e.cut = cut;
+    e.depend_mask = 0;  // depend == cut, which a cut of UINT32_MAX allows
     return hand_frame(1, {e});
   };
   EXPECT_NO_THROW(decode_frame(derived(0, 5), 3));
@@ -552,6 +554,12 @@ TEST(WireV2, RejectsUnderivableTargets) {
   EXPECT_THROW(decode_frame(derived(2, 5), 3), WireError);
   EXPECT_THROW(decode_frame(derived(0, 0xFFFFFFFFu), 3), WireError);
   EXPECT_NO_THROW(decode_frame(derived(1, 0xFFFFFFFEu), 3));
+  // Not derived, a cut of UINT32_MAX travels with its target event.
+  HandEntry written;
+  written.depend_mask = 0;
+  written.cut = 0xFFFFFFFFu;
+  written.target = 0;
+  EXPECT_NO_THROW(decode_frame(hand_frame(1, {written}), 3));
 }
 
 TEST(WireV2, RejectsTransitionIdsAboveIntMax) {
