@@ -462,6 +462,53 @@ TEST(WireV2, HandBuiltReferencesCopyTheEarlierBlocks) {
   EXPECT_EQ(t.records.size(), 3u);  // two frontiers and one stay-point
 }
 
+TEST(WireV2, EntriesSharingARecordShareOneAfterDecode) {
+  // Entries 0 and 1 hold one frontier record and one stay-point record;
+  // entry 2 holds an equal copy of that frontier. The writer shares by
+  // record, not by value: the copy travels inline and decodes to a record
+  // of its own, and the shared record decodes to one record again.
+  auto build = [](bool share) {
+    Token t;
+    t.parent_vc = VectorClock{4, 2, 7};
+    for (int i = 0; i < 3; ++i) {
+      TransitionEntry& e = t.add_entry(3);
+      e.transition_id = i;
+      FrontierSlot* f = t.frontier(e);
+      for (std::size_t j = 0; j < 3; ++j) f[j] = {5, 6, 0b10};
+    }
+    t.entries[0].stay = t.records.add(3);
+    t.entries[1].stay = t.entries[0].stay;
+    if (share) t.entries[1].frontier = t.entries[0].frontier;
+    return t;
+  };
+  for (bool share : {false, true}) {
+    const Token t = build(share);
+    TokenMessage msg;
+    msg.token = t;
+    PayloadFrame frame;
+    frame.units.push_back(msg.clone());
+    const auto bytes = encode_frame(frame);
+    auto decoded = decode_frame(bytes, 3);
+    const Token& d = static_cast<const TokenMessage&>(*decoded->units[0]).token;
+    expect_equal_token(t, d);
+    EXPECT_EQ(d.entries[0].frontier == d.entries[1].frontier, share);
+    EXPECT_NE(d.entries[2].frontier, d.entries[0].frontier);
+    EXPECT_EQ(d.entries[0].stay, d.entries[1].stay);
+    // Frontier records, plus the one stay-point.
+    EXPECT_EQ(d.records.size(), share ? 3u : 4u);
+    EXPECT_EQ(stamp_frame_wire_size(frame), bytes.size());
+  }
+  // Sharing the record replaces entry 1's inline block by a reference.
+  auto size_of = [&build](bool share) {
+    PayloadFrame frame;
+    auto msg = std::make_unique<TokenMessage>();
+    msg->token = build(share);
+    frame.units.push_back(std::move(msg));
+    return encode_frame(frame).size();
+  };
+  EXPECT_LT(size_of(true), size_of(false));
+}
+
 TEST(WireV2, HandBuiltMasksAndDerivedTargetsFillFromTheFrontier) {
   HandEntry e;
   e.depend_mask = 0b10;  // slot 0 has depend == cut
