@@ -1,5 +1,5 @@
-// Batched frames (wire v2 onward; the layout is now v4): seeded property
-// round-trips across varint and clock-width boundaries, exact accounting (the stamped sizes must agree
+// Batched frames (wire v4): seeded property round-trips across varint and
+// clock-width boundaries, exact accounting (the stamped sizes must agree
 // with the real encoder byte for byte), bare units as one-unit frames,
 // process indexes bounded by the session width, and the same exhaustive
 // corruption discipline the checkpoint codec gets -- truncation at every
@@ -378,7 +378,7 @@ TEST(WireV2, RejectsOversizedUnitCount) {
 struct HandEntry {
   std::uint64_t frontier = 0;  ///< 0 inline, k >= 1 the k-th inline block
   std::uint8_t conj = 0;       ///< both slots' conj values, packed
-  std::uint64_t loop = 0;      ///< 0 none, 1 inline, k + 1 the k-th inline block
+  std::uint64_t loop = 0;      ///< 0 none, 1 inline, k + 1 inline block k
   std::uint8_t flags = 0;      ///< eval and derived-target bits, or junk
   std::uint64_t tid = 4;
   std::uint64_t depend_mask = 0b11;  ///< slots whose depend is cut + 1
